@@ -118,7 +118,8 @@ def gqa_attend(
     in ascending absolute-position order (mask.key_positions). Query head h
     reads kv head h // group_size; per head the output is
     softmax(q k^T / sqrt(head_dim)) v with masked pairs excluded from the
-    max and the normalizer.
+    max and the normalizer. All heads share one batched product per stage,
+    bit-identical to one 2-D product per head.
     """
     if q.ndim != 3 or q.shape[0] != grouping.n_heads:
         raise ValueError(f"q shape {q.shape} does not fit {grouping.n_heads} query heads")
@@ -134,16 +135,13 @@ def gqa_attend(
     if any(b <= a for a, b in zip(mask.key_positions, mask.key_positions[1:])):
         raise ValueError("key positions must be strictly ascending")
 
-    head_dim = q.shape[2]
-    scale = np.float32(math.sqrt(head_dim))
-    inadmissible = ~mask.admissible
-    out = np.empty((grouping.n_heads, n_q, head_dim), dtype=np.float32)
-    for h in range(grouping.n_heads):
-        g = grouping.kv_head(h)
-        scores = tensor.matmul(q[h], k[g].T) / scale
-        weights = tensor.softmax_stable(scores, masked=inadmissible)
-        out[h] = tensor.matmul(weights, v[g])
-    return out
+    # One batched product per stage: query head h reads kv head h // group_size.
+    kv = np.arange(grouping.n_heads) // grouping.group_size
+    scale = np.float32(math.sqrt(q.shape[2]))
+    scores = tensor.matmul(q, k[kv].transpose(0, 2, 1)) / scale    # [n_heads, n_q, n_k]
+    masked = np.broadcast_to(~mask.admissible, scores.shape)
+    weights = tensor.softmax_stable(scores, masked=masked)
+    return tensor.matmul(weights, v[kv])
 
 
 def full_pair_count(seq_len: int) -> int:

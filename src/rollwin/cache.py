@@ -3,7 +3,9 @@
 The entry for absolute position i lives in slot i % capacity, so once
 `capacity` positions have been written every new append overwrites the
 oldest entry and memory stops growing. Reads gather the retained positions
-back in ascending order regardless of physical slot layout.
+back in ascending order regardless of physical slot layout: `gather`
+returns them with their K/V blocks from one index gather over
+position % capacity, so the slot layout is known only to this module.
 
 A cache belongs to exactly one generation session: single writer, no
 concurrent readers during a write. Distinct sessions are independent.
@@ -65,6 +67,17 @@ class RollingKvCache:
         self.values[:, slot, :] = v_row
         self.next_position = position + 1
 
+    def gather(self) -> tuple[range, Tensor, Tensor]:
+        """Retained positions, ascending, with their keys and values.
+
+        keys and values are [n_kv_heads, filled, head_dim] copies, row i
+        holding positions[i]; the caller may hold them across later writes.
+        An empty cache gives an empty range and zero-row blocks.
+        """
+        positions = self.retained_positions()
+        slots = np.arange(positions.start, positions.stop) % self.capacity
+        return positions, self.keys[:, slots, :], self.values[:, slots, :]
+
     def window_view(self) -> list[tuple[int, Tensor, Tensor]]:
         """Retained (position, k_row, v_row) triples, ascending by position.
 
@@ -72,11 +85,8 @@ class RollingKvCache:
         """
         if self.filled == 0:
             raise ValueError("window_view on an empty cache")
-        view = []
-        for position in self.retained_positions():
-            slot = position % self.capacity
-            view.append((position, self.keys[:, slot, :].copy(), self.values[:, slot, :].copy()))
-        return view
+        positions, keys, values = self.gather()
+        return [(p, keys[:, i, :], values[:, i, :]) for i, p in enumerate(positions)]
 
     def prefill_bulk(self, start_position: int, k_block: Tensor, v_block: Tensor) -> None:
         """Write a block of rows ([block_len, n_kv_heads, head_dim]) at once.

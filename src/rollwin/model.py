@@ -5,7 +5,9 @@ Weights are shared and immutable; a GenerationSession owns the mutable state
 (one rolling cache per layer plus the next absolute position) for exactly
 one sequence. Layer arithmetic: rms-norm, grouped-query attention with
 rotary positions under the sliding-window mask, then a gated feed-forward,
-each with a residual connection.
+each with a residual connection. A session concatenates each layer's
+Wq|Wk|Wv and W1|W3 by columns once, so each is one ordered product per
+layer; every output column is still its own left-to-right dot product.
 """
 
 from __future__ import annotations
@@ -98,6 +100,11 @@ class GenerationSession:
         self.caches: list[RollingKvCache] = [
             new_cache(self.config) for _ in range(self.config.n_layers)
         ]
+        self._fused = [
+            (np.concatenate([layer.Wq, layer.Wk, layer.Wv], axis=1),
+             np.concatenate([layer.W1, layer.W3], axis=1))
+            for layer in weights.layers
+        ]
         self.next_position = 0
 
     @property
@@ -116,16 +123,24 @@ class GenerationSession:
             )
         return token_id
 
-    def _gathered_window(self, cache: RollingKvCache) -> tuple[list[int], Tensor, Tensor]:
-        view = cache.window_view()
-        positions = [p for p, _, _ in view]
-        keys = np.stack([k_row for _, k_row, _ in view], axis=1)    # [n_kv, n_k, head_dim]
-        values = np.stack([v_row for _, _, v_row in view], axis=1)
-        return positions, keys, values
+    def _qkv(self, x: Tensor, layer: LayerWeights, Wqkv: Tensor, positions):
+        """Rotated q, k and unrotated v, head-major: [heads, len(positions), head_dim]."""
+        cfg = self.config
+        h = tensor.rms_norm(x, layer.attn_norm_gain)
+        heads = tensor.matmul(h, Wqkv).reshape(x.shape[0], -1, cfg.head_dim).transpose(1, 0, 2)
+        n_rotated = cfg.n_heads + cfg.n_kv_heads
+        qk = tensor.rope_apply(heads[:n_rotated], positions)
+        return qk[: cfg.n_heads], qk[cfg.n_heads:], heads[n_rotated:]
 
-    def _ffn(self, x: Tensor, layer: LayerWeights) -> Tensor:
+    def _attend_ffn(self, x: Tensor, layer: LayerWeights, W13: Tensor, q, keys, values, mask) -> Tensor:
+        """Attention output and residual through Wo, then the gated feed-forward."""
+        ctx = attention.gqa_attend(q, keys, values, mask, self.grouping)
+        merged = ctx.transpose(1, 0, 2).reshape(x.shape[0], -1)
+        x = x + tensor.matmul(merged, layer.Wo)
         h = tensor.rms_norm(x, layer.ffn_norm_gain)
-        gated = tensor.silu_gate(tensor.matmul(h, layer.W1), tensor.matmul(h, layer.W3))
+        gates = tensor.matmul(h, W13)
+        hidden = self.config.hidden_dim
+        gated = tensor.silu_gate(gates[:, :hidden], gates[:, hidden:])
         return x + tensor.matmul(gated, layer.W2)
 
     def _logits(self, x_row: Tensor) -> Tensor:
@@ -144,20 +159,12 @@ class GenerationSession:
         token_id = self._check_token(token_id)
         pos = self.next_position
         x = self.weights.token_embedding[token_id][np.newaxis, :]  # [1, dim]
-        for layer, cache in zip(self.weights.layers, self.caches):
-            h = tensor.rms_norm(x, layer.attn_norm_gain)
-            q = tensor.matmul(h, layer.Wq).reshape(cfg.n_heads, cfg.head_dim)[:, np.newaxis, :]
-            k_row = tensor.matmul(h, layer.Wk).reshape(cfg.n_kv_heads, cfg.head_dim)
-            v_row = tensor.matmul(h, layer.Wv).reshape(cfg.n_kv_heads, cfg.head_dim)
-            q = tensor.rope_apply(q, pos)
-            k_row = tensor.rope_apply(k_row, pos)
-            cache.append(pos, k_row, v_row)
-            positions, keys, values = self._gathered_window(cache)
+        for layer, (Wqkv, W13), cache in zip(self.weights.layers, self._fused, self.caches):
+            q, k, v = self._qkv(x, layer, Wqkv, pos)
+            cache.append(pos, k[:, 0, :], v[:, 0, :])
+            positions, keys, values = cache.gather()
             mask = attention.build_swa_mask([pos], positions, cfg.window_size)
-            ctx = attention.gqa_attend(q, keys, values, mask, self.grouping)
-            merged = ctx.transpose(1, 0, 2).reshape(1, cfg.n_heads * cfg.head_dim)
-            x = x + tensor.matmul(merged, layer.Wo)
-            x = self._ffn(x, layer)
+            x = self._attend_ffn(x, layer, W13, q, keys, values, mask)
         logits = self._logits(x)
         self.next_position = pos + 1
         return logits
@@ -180,31 +187,15 @@ class GenerationSession:
             raise ValueError(f"prompt length {len(prompt)} exceeds context_len {cfg.context_len}")
         x = None
         for start, end in chunk_prompt(len(prompt), cfg.window_size):
-            n = end - start
             x = self.weights.token_embedding[np.asarray(prompt[start:end])]  # [n, dim]
-            for layer, cache in zip(self.weights.layers, self.caches):
-                h = tensor.rms_norm(x, layer.attn_norm_gain)
-                q = tensor.matmul(h, layer.Wq).reshape(n, cfg.n_heads, cfg.head_dim)
-                q = q.transpose(1, 0, 2)                                      # [n_heads, n, head_dim]
-                k_rows = tensor.matmul(h, layer.Wk).reshape(n, cfg.n_kv_heads, cfg.head_dim)
-                v_rows = tensor.matmul(h, layer.Wv).reshape(n, cfg.n_kv_heads, cfg.head_dim)
-                for t in range(n):
-                    q[:, t, :] = tensor.rope_apply(q[:, t, :], start + t)
-                    k_rows[t] = tensor.rope_apply(k_rows[t], start + t)
-                if cache.filled:
-                    cache_positions, k_cache, v_cache = self._gathered_window(cache)
-                    keys = np.concatenate([k_cache, k_rows.transpose(1, 0, 2)], axis=1)
-                    values = np.concatenate([v_cache, v_rows.transpose(1, 0, 2)], axis=1)
-                else:
-                    cache_positions = []
-                    keys = k_rows.transpose(1, 0, 2).copy()
-                    values = v_rows.transpose(1, 0, 2).copy()
-                mask = attention.build_prefill_mask(start, n, cache_positions, cfg.window_size)
-                ctx = attention.gqa_attend(q, keys, values, mask, self.grouping)
-                merged = ctx.transpose(1, 0, 2).reshape(n, cfg.n_heads * cfg.head_dim)
-                x = x + tensor.matmul(merged, layer.Wo)
-                x = self._ffn(x, layer)
-                cache.prefill_bulk(start, k_rows, v_rows)
+            for layer, (Wqkv, W13), cache in zip(self.weights.layers, self._fused, self.caches):
+                q, k, v = self._qkv(x, layer, Wqkv, np.arange(start, end))
+                cache_positions, k_cache, v_cache = cache.gather()
+                keys = np.concatenate([k_cache, k], axis=1)
+                values = np.concatenate([v_cache, v], axis=1)
+                mask = attention.build_prefill_mask(start, end - start, cache_positions, cfg.window_size)
+                x = self._attend_ffn(x, layer, W13, q, keys, values, mask)
+                cache.prefill_bulk(start, k.transpose(1, 0, 2), v.transpose(1, 0, 2))
         self.next_position = len(prompt)
         return self._logits(x[-1:, :])
 

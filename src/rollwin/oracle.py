@@ -79,16 +79,17 @@ def _forward_embedded(
     group_size = config.n_heads // config.n_kv_heads
     scale = np.float32(math.sqrt(config.head_dim))
     inadmissible = ~admissible
+    positions = np.arange(n)
     state = FullHistoryState.empty(config.n_layers)
     for li, layer in enumerate(weights.layers):
         h = tensor.rms_norm(x, layer.attn_norm_gain)
         q = tensor.matmul(h, layer.Wq).reshape(n, config.n_heads, config.head_dim)
-        q = q.transpose(1, 0, 2)  # [n_heads, n, head_dim]
-        k_rows = tensor.matmul(h, layer.Wk).reshape(n, config.n_kv_heads, config.head_dim)
-        v_rows = tensor.matmul(h, layer.Wv).reshape(n, config.n_kv_heads, config.head_dim)
+        q = tensor.rope_apply(q.transpose(1, 0, 2), positions)  # [n_heads, n, head_dim]
+        k = tensor.matmul(h, layer.Wk).reshape(n, config.n_kv_heads, config.head_dim)
+        k = tensor.rope_apply(k.transpose(1, 0, 2), positions)  # [n_kv_heads, n, head_dim]
+        v = tensor.matmul(h, layer.Wv).reshape(n, config.n_kv_heads, config.head_dim)
         for t in range(n):
-            q[:, t, :] = tensor.rope_apply(q[:, t, :], t)
-            state.append(li, tensor.rope_apply(k_rows[t], t), v_rows[t])
+            state.append(li, k[:, t, :], v[t])
         keys = np.stack(state.keys[li], axis=1)    # [n_kv, n, head_dim]
         values = np.stack(state.values[li], axis=1)
         ctx = np.empty((config.n_heads, n, config.head_dim), dtype=np.float32)

@@ -4,8 +4,15 @@ Tensors are plain numpy float32 ndarrays, row-major. Every reduction here
 (matrix products, softmax normalizers, mean-square norms) accumulates
 strictly left-to-right in float32, so a row pushed through a block operation
 is bit-identical to the same row pushed through alone. BLAS-backed matmul
-does not give that guarantee, which is why the products below loop over the
-shared axis explicitly; elementwise work is delegated to numpy.
+does not give that guarantee, which is why matmul loops over the shared axis
+explicitly and the other sums use `np.add.accumulate`, which is sequential
+by definition; elementwise work is delegated to numpy.
+
+Because the order is fixed per output element, making an operation wider
+never changes a bit: matmul takes leading batch axes (one product for all
+attention heads), a product against column-concatenated weights equals the
+separate products column for column, and rope_apply takes one position per
+row so a whole chunk rotates in one call.
 
 Operations never mutate their inputs. Results are fresh allocations.
 """
@@ -29,21 +36,26 @@ def _f32(x) -> Tensor:
 
 def _ordered_sum(x: Tensor) -> Tensor:
     """Sum over the trailing axis, accumulating strictly left-to-right."""
-    total = np.zeros(x.shape[:-1], dtype=np.float32)
-    for j in range(x.shape[-1]):
-        np.add(total, x[..., j], out=total)
-    return total
+    if x.shape[-1] == 0:
+        return np.zeros(x.shape[:-1], dtype=np.float32)
+    # accumulate starts from x[..., 0] rather than from +0.0; adding +0.0
+    # maps the one difference, an all-(-0.0) slice, to +0.0 as well.
+    return np.add.accumulate(x, axis=-1)[..., -1] + np.float32(0.0)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with fixed left-to-right accumulation per dot product."""
+    """Matrix product with fixed left-to-right accumulation per dot product.
+
+    a: [..., n, k], b: [..., k, m] with identical leading batch axes; each
+    batch slice is the 2-D product of its operands.
+    """
     a, b = _f32(a), _f32(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    if a.ndim < 2 or b.ndim != a.ndim or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.float32)
+    out = np.zeros(a.shape[:-1] + b.shape[-1:], dtype=np.float32)
     term = np.empty_like(out)
-    for k in range(a.shape[1]):
-        np.multiply(a[:, k, np.newaxis], b[k, np.newaxis, :], out=term)
+    for k in range(a.shape[-1]):
+        np.multiply(a[..., k, np.newaxis], b[..., k, np.newaxis, :], out=term)
         np.add(out, term, out=out)
     return out
 
@@ -83,21 +95,27 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = RMS_NORM_EPS) -> Tensor:
     return x / denom * gain
 
 
-def rope_apply(x: Tensor, position: int, theta_base: float = ROPE_THETA) -> Tensor:
+def rope_apply(x: Tensor, position, theta_base: float = ROPE_THETA) -> Tensor:
     """Rotate trailing-axis pairs (x[2j], x[2j+1]) by position-scaled angles.
 
     Pair j turns by position * theta_base**(-2j / head_dim), so dot products
     between rotated queries and keys depend only on relative position. Each
-    pair keeps its Euclidean norm; position 0 is the identity.
+    pair keeps its Euclidean norm; position 0 is the identity. `position` is
+    one int for the whole input, or a 1-D sequence giving each row along
+    axis -2 its own position; both give the same bits per row.
     """
     x = _f32(x)
     head_dim = x.shape[-1]
     if head_dim % 2 != 0:
         raise ValueError(f"rope_apply needs an even trailing dimension, got {head_dim}")
-    if position < 0:
+    positions = np.asarray(position)
+    if positions.ndim > 1 or (positions.ndim == 1 and (x.ndim < 2 or x.shape[-2] != positions.size)):
+        raise ValueError(f"positions of shape {positions.shape} do not fit input shape {x.shape}")
+    if np.any(positions < 0):
         raise ValueError(f"position must be non-negative, got {position}")
     # Angles in float64; token positions stay exact well past any context_len.
-    angles = position * theta_base ** (-2.0 * np.arange(head_dim // 2) / head_dim)
+    freqs = theta_base ** (-2.0 * np.arange(head_dim // 2) / head_dim)
+    angles = positions[..., np.newaxis] * freqs  # [half] or [rows, half]
     cos = np.cos(angles).astype(np.float32)
     sin = np.sin(angles).astype(np.float32)
     even, odd = x[..., 0::2], x[..., 1::2]

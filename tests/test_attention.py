@@ -187,6 +187,27 @@ class TestGqaAttend:
                     assert np.all(out[h, i] >= rows.min(axis=0) - 1e-5)
                     assert np.all(out[h, i] <= rows.max(axis=0) + 1e-5)
 
+    @pytest.mark.parametrize("n_kv", [4, 2, 1])
+    def test_batched_heads_equal_per_head_reference(self, n_kv):
+        # Chunk 8..13 at W=4 over cache 4..7: cache keys in and out of the
+        # window, in-chunk keys cut by causality and by the window.
+        n_heads, head_dim = 4, 8
+        mask = rw.build_prefill_mask(8, 6, range(4, 8), window=4)
+        adm = mask.admissible
+        assert adm[:, :4].any() and not adm[:, :4].all()
+        assert not adm[0, 5] and not adm[5, 4]
+        rng = np.random.default_rng(n_kv)
+        q = rng.standard_normal((n_heads, 6, head_dim), dtype=np.float32)
+        k = rng.standard_normal((n_kv, 10, head_dim), dtype=np.float32)
+        v = rng.standard_normal((n_kv, 10, head_dim), dtype=np.float32)
+        grouping = HeadGrouping(n_heads, n_kv)
+        out = rw.gqa_attend(q, k, v, mask, grouping)
+        scale = np.float32(np.sqrt(head_dim))
+        for h in range(n_heads):
+            g = grouping.kv_head(h)
+            weights = rw.softmax_stable(rw.matmul(q[h], k[g].T) / scale, masked=~adm)
+            assert np.array_equal(out[h], rw.matmul(weights, v[g]))
+
     def test_all_masked_row_propagates(self):
         q, k, v = self._random_inputs(10, n_heads=2, n_kv=2, n_tokens=2, head_dim=4)
         mask = rw.build_swa_mask([0, 1], [0, 1], window=2)

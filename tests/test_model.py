@@ -5,6 +5,7 @@ import pytest
 
 import rollwin as rw
 from rollwin import attention as attention_module
+from rollwin import tensor as tensor_module
 
 from conftest import random_tokens
 
@@ -142,6 +143,49 @@ class TestPrefill:
         session.prefill(random_tokens(64, seed=64))
         assert seen, "prefill never reached attention"
         assert max(nq * nk for nq, nk in seen) <= window * 2 * window
+
+
+def unbatched_matmul(a, b):
+    """The 2-D ordered loop, applied to one batch slice (attention head) at a time."""
+    a, b = np.asarray(a, np.float32), np.asarray(b, np.float32)
+    if a.ndim > 2:
+        return np.stack([unbatched_matmul(x, y) for x, y in zip(a, b)])
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.float32)
+    term = np.empty_like(out)
+    for k in range(a.shape[1]):
+        np.multiply(a[:, k, np.newaxis], b[k, np.newaxis, :], out=term)
+        np.add(out, term, out=out)
+    return out
+
+
+class TestWideProductsChangeNoBit:
+    @pytest.mark.parametrize(
+        "changes",
+        [{}, {"window_size": 4, "n_layers": 2}, {"n_heads": 4, "n_kv_heads": 1, "window_size": 5}],
+        ids=["toy", "w4l2", "group4"],
+    )
+    def test_logits_equal_per_head_two_d_products(self, changes, monkeypatch):
+        config = replace(rw.PRESET_TOY, **changes)
+        weights = rw.init_random(config, 9)
+        prompt = random_tokens(2 * config.window_size + 3, seed=31)
+
+        def run():
+            session = rw.GenerationSession(weights)
+            rows = [session.prefill(prompt)]
+            for _ in range(5):
+                rows.append(session.forward_decode(int(np.argmax(rows[-1]))))
+            return np.stack(rows)
+
+        batched = run()
+        ranks = []
+
+        def recording(a, b):
+            ranks.append(np.ndim(a))
+            return unbatched_matmul(a, b)
+
+        monkeypatch.setattr(tensor_module, "matmul", recording)
+        assert np.array_equal(run(), batched)
+        assert 3 in ranks, "attention never made a batched product"
 
 
 class TestReceptiveField:

@@ -11,6 +11,32 @@ def f32(x):
     return np.asarray(x, dtype=np.float32)
 
 
+def ordered_total(values):
+    """Scalar reference: float32 sum from +0.0, strictly left to right."""
+    acc = np.float32(0.0)
+    for x in values:
+        acc = np.float32(acc + x)
+    return acc
+
+
+def reference_matmul(a, b):
+    """Scalar reference product: each dot product summed left to right in float32."""
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.float32)
+    for i in range(a.shape[0]):
+        for j in range(b.shape[1]):
+            acc = np.float32(0.0)
+            for k in range(a.shape[1]):
+                acc = np.float32(acc + a[i, k] * b[k, j])
+            out[i, j] = acc
+    return out
+
+
+def spread(rng, shape):
+    """float32 values over six decades, so any reordered sum shows in the bits."""
+    magnitude = np.float32(10.0) ** rng.uniform(-3, 3, size=shape).astype(np.float32)
+    return (rng.standard_normal(shape) * magnitude).astype(np.float32)
+
+
 class TestMatmul:
     def test_identity_left(self):
         b = f32([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
@@ -51,6 +77,64 @@ class TestMatmul:
         block = rw.matmul(a, b)
         for i in range(6):
             assert np.array_equal(rw.matmul(a[i : i + 1], b)[0], block[i])
+
+
+class TestKernelOrder:
+    """The kernels against scalar left-to-right references, bit for bit.
+
+    The engine-vs-oracle tests cannot see a reordered sum, because both sides
+    call the same kernels; these tests can.
+    """
+
+    @pytest.mark.parametrize("rows", [1, 3, 64])
+    def test_matmul_equals_scalar_reference(self, rows):
+        rng = np.random.default_rng(rows)
+        a, b = spread(rng, (rows, 32)), spread(rng, (32, 8))
+        assert np.array_equal(rw.matmul(a, b), reference_matmul(a, b))
+
+    def test_batched_matmul_equals_scalar_reference_per_slice(self):
+        rng = np.random.default_rng(21)
+        a, b = spread(rng, (3, 5, 17)), spread(rng, (3, 17, 4))
+        out = rw.matmul(a, b)
+        assert out.shape == (3, 5, 4)
+        for i in range(3):
+            assert np.array_equal(out[i], reference_matmul(a[i], b[i]))
+
+    def test_batched_matmul_rejects_mismatched_batch_axes(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            rw.matmul(np.ones((2, 3, 4), np.float32), np.ones((3, 4, 5), np.float32))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            rw.matmul(np.ones((2, 3, 4), np.float32), np.ones((4, 5), np.float32))
+
+    def test_negative_zero_products_sum_to_positive_zero(self):
+        # Summing from +0.0 turns an all-(-0.0) dot product into +0.0.
+        a = np.full((2, 3), -0.0, dtype=np.float32)
+        out = rw.matmul(a, np.ones((3, 2), np.float32))
+        assert not np.signbit(out).any()
+        assert not np.signbit(rw.tensor._ordered_sum(a)).any()
+
+    def test_softmax_normalizer_equals_scalar_reference(self):
+        rng = np.random.default_rng(22)
+        x = spread(rng, (4, 6, 40)) * np.float32(1e-2)
+        masked = rng.random((4, 6, 40)) < 0.3
+        masked[..., 0] = False
+        keep = ~masked
+        peak = np.max(x, axis=-1, keepdims=True, where=keep, initial=np.float32(-np.inf))
+        weights = np.where(keep, np.exp(np.where(keep, x - peak, np.float32(0.0))), np.float32(0.0))
+        totals = np.empty(x.shape[:-1], dtype=np.float32)
+        for index in np.ndindex(*totals.shape):
+            totals[index] = ordered_total(weights[index])
+        expected = weights / totals[..., np.newaxis]
+        assert np.array_equal(rw.softmax_stable(x, masked), expected)
+
+    def test_rms_norm_normalizer_equals_scalar_reference(self):
+        rng = np.random.default_rng(23)
+        x, gain = spread(rng, (5, 48)), spread(rng, 48)
+        expected = np.empty_like(x)
+        for i in range(5):
+            mean_sq = ordered_total(x[i] * x[i]) / np.float32(48)
+            expected[i] = x[i] / np.sqrt(mean_sq + np.float32(rw.tensor.RMS_NORM_EPS)) * gain
+        assert np.array_equal(rw.rms_norm(x, gain), expected)
 
 
 class TestSoftmax:
@@ -171,6 +255,25 @@ class TestRope:
     def test_negative_position_rejected(self):
         with pytest.raises(ValueError):
             rw.rope_apply(np.ones(8, np.float32), -1)
+
+    def test_position_vector_equals_per_row_calls(self):
+        rng = np.random.default_rng(14)
+        positions = [0, 5, 99, 1000, 31337, 2, 7]
+        x = rng.standard_normal((3, len(positions), 16), dtype=np.float32)
+        out = rw.rope_apply(x, np.asarray(positions))
+        for i, position in enumerate(positions):
+            assert np.array_equal(out[:, i, :], rw.rope_apply(x[:, i, :], position))
+        flat = rw.rope_apply(x[0], positions)
+        for i, position in enumerate(positions):
+            assert np.array_equal(flat[i], rw.rope_apply(x[0, i], position))
+
+    def test_negative_entry_in_position_vector_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            rw.rope_apply(np.ones((3, 8), np.float32), [0, -1, 2])
+
+    def test_position_vector_must_match_rows(self):
+        with pytest.raises(ValueError, match="do not fit"):
+            rw.rope_apply(np.ones((3, 8), np.float32), [0, 1])
 
 
 class TestSiluGate:
