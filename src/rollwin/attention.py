@@ -75,13 +75,13 @@ def build_swa_mask(
 def build_prefill_mask(
     chunk_start: int, chunk_len: int, cache_positions: Iterable[int], window: int
 ) -> AttentionMask:
-    """Mask for one prefill chunk attending the cache and itself.
+    """Mask for one chunk attending the cache and itself.
 
     The key axis is the cache positions followed by the chunk's own
     positions. Three regions emerge: in-chunk keys under a causal rule,
     recent cache keys inside the window, and older keys excluded entirely.
-    The admissibility predicate is identical to build_swa_mask over the
-    combined key list.
+    After checking its arguments this is build_swa_mask over the combined
+    key list, so the admissibility rule lives in one place.
     """
     if chunk_len < 1:
         raise ValueError(f"chunk_len must be >= 1, got {chunk_len}")
@@ -93,20 +93,8 @@ def build_prefill_mask(
     for p in cached:
         if p >= chunk_start:
             raise ValueError(f"cache position {p} is not before chunk start {chunk_start}")
-        if p < 0:
-            raise ValueError("positions must be non-negative")
-    qpos = np.arange(chunk_start, chunk_start + chunk_len, dtype=np.int64)
-    if cached:
-        # Cache block: causality is given (cache < chunk), only the window binds.
-        cache_block = qpos[:, None] - np.asarray(cached, dtype=np.int64)[None, :] <= window - 1
-    else:
-        cache_block = np.zeros((chunk_len, 0), dtype=bool)
-    # Chunk block: causal within the chunk, windowed for chunks wider than W.
-    delta = qpos[:, None] - qpos[None, :]
-    chunk_block = (delta >= 0) & (delta <= window - 1)
-    admissible = np.concatenate([cache_block, chunk_block], axis=1)
-    keys = cached + tuple(range(chunk_start, chunk_start + chunk_len))
-    return AttentionMask(tuple(int(p) for p in qpos), keys, admissible)
+    chunk = range(chunk_start, chunk_start + chunk_len)
+    return build_swa_mask(chunk, cached + tuple(chunk), window)
 
 
 def gqa_attend(

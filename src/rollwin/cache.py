@@ -1,7 +1,7 @@
 """Fixed-capacity key/value cache with modular slot placement.
 
 The entry for absolute position i lives in slot i % capacity, so once
-`capacity` positions have been written every new append overwrites the
+`capacity` positions have been written every new write overwrites the
 oldest entry and memory stops growing. Reads gather the retained positions
 back in ascending order regardless of physical slot layout: `gather`
 returns them with their K/V blocks from one index gather over
@@ -44,28 +44,13 @@ class RollingKvCache:
         """Absolute positions currently stored, oldest first."""
         return range(max(0, self.next_position - self.capacity), self.next_position)
 
-    def _row_shape(self) -> tuple[int, int]:
-        return self.keys.shape[0], self.keys.shape[2]
-
     def append(self, position: int, k_row: Tensor, v_row: Tensor) -> None:
         """Store one token's K/V rows ([n_kv_heads, head_dim]) at `position`.
 
-        Writes must be strictly sequential; the row lands in slot
-        position % capacity, overwriting any prior occupant.
+        A one-row prefill_bulk: writes must be strictly sequential, and the
+        row lands in slot position % capacity, overwriting any prior occupant.
         """
-        if position != self.next_position:
-            raise ValueError(
-                f"out-of-order append: expected position {self.next_position}, got {position}"
-            )
-        expected = self._row_shape()
-        if k_row.shape != expected or v_row.shape != expected:
-            raise ValueError(
-                f"row shapes {k_row.shape}/{v_row.shape} do not match cache rows {expected}"
-            )
-        slot = position % self.capacity
-        self.keys[:, slot, :] = k_row
-        self.values[:, slot, :] = v_row
-        self.next_position = position + 1
+        self.prefill_bulk(position, k_row[np.newaxis], v_row[np.newaxis])
 
     def gather(self) -> tuple[range, Tensor, Tensor]:
         """Retained positions, ascending, with their keys and values.
@@ -91,29 +76,28 @@ class RollingKvCache:
     def prefill_bulk(self, start_position: int, k_block: Tensor, v_block: Tensor) -> None:
         """Write a block of rows ([block_len, n_kv_heads, head_dim]) at once.
 
-        Equivalent to appending each row in order. Rows that would already
-        have been overwritten (anything before the trailing `capacity` rows)
-        are never materialized in the cache.
+        The cache's one write: `append` and every engine forward step come
+        here. Equivalent to appending each row in order. Rows that would
+        already have been overwritten (anything before the trailing
+        `capacity` rows) are never materialized in the cache.
         """
         if start_position != self.next_position:
             raise ValueError(
-                f"out-of-order bulk write: expected position {self.next_position}, got {start_position}"
+                f"out-of-order write: expected position {self.next_position}, got {start_position}"
             )
-        if k_block.ndim != 3 or k_block.shape != v_block.shape:
-            raise ValueError(f"block shapes {k_block.shape}/{v_block.shape} do not match")
-        n_kv, head_dim = self._row_shape()
+        row_shape = (self.keys.shape[0], self.keys.shape[2])
+        if k_block.shape != v_block.shape or k_block.shape[1:] != row_shape:
+            raise ValueError(
+                f"block shapes {k_block.shape}/{v_block.shape} do not match cache rows {row_shape}"
+            )
         block_len = k_block.shape[0]
         if block_len < 1:
             raise ValueError("bulk write needs at least one row")
-        if k_block.shape[1:] != (n_kv, head_dim):
-            raise ValueError(
-                f"block row shape {k_block.shape[1:]} does not match cache rows {(n_kv, head_dim)}"
-            )
         keep_from = max(0, block_len - self.capacity)
         positions = np.arange(start_position + keep_from, start_position + block_len)
         slots = positions % self.capacity
-        self.keys[:, slots, :] = np.moveaxis(k_block[keep_from:], 0, 1)
-        self.values[:, slots, :] = np.moveaxis(v_block[keep_from:], 0, 1)
+        self.keys[:, slots, :] = k_block[keep_from:].transpose(1, 0, 2)
+        self.values[:, slots, :] = v_block[keep_from:].transpose(1, 0, 2)
         self.next_position = start_position + block_len
 
 

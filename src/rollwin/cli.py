@@ -164,11 +164,6 @@ def cmd_generate(args) -> int:
     config = weights.config
 
     prompt = _parse_prompt_ids(args.prompt_ids)
-    for t in prompt:
-        if not 0 <= t < config.vocab_size:
-            raise UsageError(f"prompt id {t} outside vocabulary of size {config.vocab_size}")
-    if len(prompt) > config.context_len:
-        raise UsageError(f"prompt length {len(prompt)} exceeds context_len {config.context_len}")
     if args.max_tokens < 0:
         raise UsageError(f"--max-tokens must be >= 0, got {args.max_tokens}")
 
@@ -181,14 +176,14 @@ def cmd_generate(args) -> int:
     else:
         sampler = SamplerSpec("greedy")
 
-    if args.mode == "swa":
-        session = GenerationSession(weights)
-        result = session.generate(prompt, args.max_tokens, sampler)
-    else:
-        try:
+    # Both engines check prompt ids and length; their ValueError is a usage error.
+    try:
+        if args.mode == "swa":
+            result = GenerationSession(weights).generate(prompt, args.max_tokens, sampler)
+        else:
             result = _generate_via_oracle(weights, prompt, args.max_tokens, sampler, args.mode)
-        except ValueError as exc:
-            raise UsageError(str(exc))
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
     if result.tokens:
         print(" ".join(str(t) for t in result.tokens))

@@ -1,26 +1,30 @@
-"""Decoder stack over rolling caches: single-step decode, chunked prompt
-prefill, and the autoregressive generation loop.
+"""Decoder stack over rolling caches: one chunk forward path for decode and
+chunked prompt prefill, and the autoregressive generation loop.
 
 Weights are shared and immutable; a GenerationSession owns the mutable state
 (one rolling cache per layer plus the next absolute position) for exactly
-one sequence. Layer arithmetic: rms-norm, grouped-query attention with
-rotary positions under the sliding-window mask, then a gated feed-forward,
-each with a residual connection. A session concatenates each layer's
-Wq|Wk|Wv and W1|W3 by columns once, so each is one ordered product per
-layer; every output column is still its own left-to-right dot product.
+one sequence. `forward_chunk` is the only layer loop: it runs any number of
+tokens in window-sized pieces, so a decode step is a chunk of one token and
+prefill is the prompt as one chunk. On a full cache a decode step also
+scores the oldest cached key, one position outside the window; it is
+masked, so it adds exact zeros to the ordered sums. Layer arithmetic:
+rms-norm, grouped-query attention with rotary positions under the
+sliding-window mask, then a gated feed-forward, each with a residual
+connection. A session concatenates each layer's Wq|Wk|Wv and W1|W3 by
+columns once, so each is one ordered product per layer; every output
+column is still its own left-to-right dot product.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import attention, tensor
 from .attention import HeadGrouping
 from .cache import RollingKvCache, new_cache
-from .config import ModelConfig
 from .tensor import Tensor
 from .weights import DecoderWeights, LayerWeights
 
@@ -115,13 +119,20 @@ class GenerationSession:
     def total_cache_bytes(self) -> int:
         return sum(c.nbytes for c in self.caches)
 
-    def _check_token(self, token_id: int) -> int:
-        token_id = int(token_id)
-        if not 0 <= token_id < self.config.vocab_size:
+    def _check_tokens(self, tokens) -> list[int]:
+        cfg = self.config
+        tokens = [int(t) for t in tokens]
+        for t in tokens:
+            if not 0 <= t < cfg.vocab_size:
+                raise ValueError(f"token id {t} outside vocabulary of size {cfg.vocab_size}")
+        if not tokens:
+            raise ValueError("tokens must be non-empty")
+        if self.next_position + len(tokens) > cfg.context_len:
             raise ValueError(
-                f"token id {token_id} outside vocabulary of size {self.config.vocab_size}"
+                f"position overflow: position {self.next_position} plus {len(tokens)} tokens "
+                f"exceeds context_len {cfg.context_len}"
             )
-        return token_id
+        return tokens
 
     def _qkv(self, x: Tensor, layer: LayerWeights, Wqkv: Tensor, positions):
         """Rotated q, k and unrotated v, head-major: [heads, len(positions), head_dim]."""
@@ -143,61 +154,42 @@ class GenerationSession:
         gated = tensor.silu_gate(gates[:, :hidden], gates[:, hidden:])
         return x + tensor.matmul(gated, layer.W2)
 
-    def _logits(self, x_row: Tensor) -> Tensor:
-        h = tensor.rms_norm(x_row, self.weights.final_norm_gain)
-        return tensor.matmul(h, self.weights.output_proj)[0]
+    def forward_chunk(self, tokens) -> Tensor:
+        """Run tokens at the current position; return the last one's logit row.
 
-    def forward_decode(self, token_id: int) -> Tensor:
-        """Decode one token at the current position, returning its logit row.
-
-        The token's K/V rows are rotated and written to each layer's cache
-        before attending, so the query sees a window that includes itself.
+        The tokens are checked before any write, then run in window-sized
+        pieces: per layer a piece attends the rolling cache plus itself, then
+        its K/V rows are written. Each score matrix stays within W x 2W.
         """
-        cfg = self.config
-        if self.next_position >= cfg.context_len:
-            raise ValueError(f"position overflow: context_len {cfg.context_len} reached")
-        token_id = self._check_token(token_id)
-        pos = self.next_position
-        x = self.weights.token_embedding[token_id][np.newaxis, :]  # [1, dim]
-        for layer, (Wqkv, W13), cache in zip(self.weights.layers, self._fused, self.caches):
-            q, k, v = self._qkv(x, layer, Wqkv, pos)
-            cache.append(pos, k[:, 0, :], v[:, 0, :])
-            positions, keys, values = cache.gather()
-            mask = attention.build_swa_mask([pos], positions, cfg.window_size)
-            x = self._attend_ffn(x, layer, W13, q, keys, values, mask)
-        logits = self._logits(x)
-        self.next_position = pos + 1
-        return logits
-
-    def prefill(self, prompt) -> Tensor:
-        """Process a whole prompt in window-sized chunks on a fresh session.
-
-        Per chunk and layer: attend the rolling cache plus the chunk itself
-        under the combined mask, then bulk-write the chunk's K/V rows. The
-        resulting session state matches token-by-token decoding, and the
-        returned logits are those of the last prompt position.
-        """
-        cfg = self.config
-        if self.next_position != 0:
-            raise ValueError("prefill requires a fresh session (next_position 0)")
-        prompt = [self._check_token(t) for t in prompt]
-        if not prompt:
-            raise ValueError("prompt must be non-empty")
-        if len(prompt) > cfg.context_len:
-            raise ValueError(f"prompt length {len(prompt)} exceeds context_len {cfg.context_len}")
-        x = None
-        for start, end in chunk_prompt(len(prompt), cfg.window_size):
-            x = self.weights.token_embedding[np.asarray(prompt[start:end])]  # [n, dim]
+        tokens = self._check_tokens(tokens)
+        for lo, hi in chunk_prompt(len(tokens), self.config.window_size):
+            start, end = self.next_position, self.next_position + hi - lo
+            x = self.weights.token_embedding[np.asarray(tokens[lo:hi])]  # [n, dim]
             for layer, (Wqkv, W13), cache in zip(self.weights.layers, self._fused, self.caches):
                 q, k, v = self._qkv(x, layer, Wqkv, np.arange(start, end))
                 cache_positions, k_cache, v_cache = cache.gather()
                 keys = np.concatenate([k_cache, k], axis=1)
                 values = np.concatenate([v_cache, v], axis=1)
-                mask = attention.build_prefill_mask(start, end - start, cache_positions, cfg.window_size)
+                mask = attention.build_prefill_mask(start, end - start, cache_positions, self.config.window_size)
                 x = self._attend_ffn(x, layer, W13, q, keys, values, mask)
                 cache.prefill_bulk(start, k.transpose(1, 0, 2), v.transpose(1, 0, 2))
-        self.next_position = len(prompt)
-        return self._logits(x[-1:, :])
+            self.next_position = end
+        h = tensor.rms_norm(x[-1:, :], self.weights.final_norm_gain)
+        return tensor.matmul(h, self.weights.output_proj)[0]
+
+    def forward_decode(self, token_id: int) -> Tensor:
+        """Decode one token at the current position: a chunk of one."""
+        return self.forward_chunk([token_id])
+
+    def prefill(self, prompt) -> Tensor:
+        """Process a whole prompt as one chunk on a fresh session.
+
+        The resulting session state matches token-by-token decoding, and the
+        returned logits are those of the last prompt position.
+        """
+        if self.next_position != 0:
+            raise ValueError("prefill requires a fresh session (next_position 0)")
+        return self.forward_chunk(prompt)
 
     def generate(self, prompt, max_tokens: int = 0, sampler: SamplerSpec = SamplerSpec()) -> GenerationResult:
         """Prefill the prompt, then decode up to max_tokens continuation tokens.

@@ -66,8 +66,9 @@ def _guard(config: ModelConfig, n_tokens: int) -> None:
 
 def _embed(weights: DecoderWeights, tokens) -> Tensor:
     ids = np.asarray([int(t) for t in tokens])
-    if ids.size and (ids.min() < 0 or ids.max() >= weights.config.vocab_size):
-        raise ValueError(f"token ids outside vocabulary of size {weights.config.vocab_size}")
+    outside = [int(t) for t in ids if not 0 <= t < weights.config.vocab_size]
+    if outside:
+        raise ValueError(f"token ids {outside} outside vocabulary of size {weights.config.vocab_size}")
     return weights.token_embedding[ids]  # [len, dim]
 
 
