@@ -4,9 +4,12 @@ Tensors are plain numpy float32 ndarrays, row-major. Every reduction here
 (matrix products, softmax normalizers, mean-square norms) accumulates
 strictly left-to-right in float32, so a row pushed through a block operation
 is bit-identical to the same row pushed through alone. BLAS-backed matmul
-does not give that guarantee, which is why matmul loops over the shared axis
-explicitly and the other sums use `np.add.accumulate`, which is sequential
-by definition; elementwise work is delegated to numpy.
+does not give that guarantee, so matmul sums each dot product itself: small
+outputs (at most SMALL_OUTPUT_MAX elements) with one `np.add.accumulate` over
+all their terms, larger ones with an explicit loop over the shared axis.
+Both paths add the same terms in the same order, so the choice changes no
+bit. The other sums also use `np.add.accumulate`, which is sequential by
+definition; elementwise work is delegated to numpy.
 
 Because the order is fixed per output element, making an operation wider
 never changes a bit: matmul takes leading batch axes (one product for all
@@ -19,6 +22,8 @@ Operations never mutate their inputs. Results are fresh allocations.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 Tensor = np.ndarray
@@ -28,6 +33,14 @@ ROPE_THETA = 10000.0
 
 #: Variance floor for rms_norm.
 RMS_NORM_EPS = 1e-5
+
+#: Largest matmul output (elements, batch axes included) summed by one
+#: `np.add.accumulate` over all its terms instead of the per-k loop. Measured
+#: on a 2-core x86-64 host with numpy 2.4: 1x64x512 takes 192 us that way
+#: against 217 us looping, 1x64x768 ties (286 vs 287 us), and at 1x128x1024
+#: the loop wins (546 vs 764 us): accumulate is a scalar dependency chain per
+#: output, while each loop step vectorises across all outputs.
+SMALL_OUTPUT_MAX = 512
 
 
 def _f32(x) -> Tensor:
@@ -48,11 +61,28 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     a: [..., n, k], b: [..., k, m] with identical leading batch axes; each
     batch slice is the 2-D product of its operands.
+
+    Every output element is +0.0 + t_0 + ... + t_{k-1}, t_i = a_i * b_i, in
+    float32. Outputs of at most SMALL_OUTPUT_MAX elements form all terms at
+    once and `np.add.accumulate` them in place (sequential by definition;
+    the final +0.0 maps an all-(-0.0) sum to +0.0, as the loop does).
+    Larger outputs loop over k, vectorised across outputs. Both paths add
+    the same operands in the same order, so the path changes no bit of a
+    result; a NaN's sign and payload follow numpy's SIMD lanes on either.
     """
     a, b = _f32(a), _f32(b)
     if a.ndim < 2 or b.ndim != a.ndim or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    out = np.zeros(a.shape[:-1] + b.shape[-1:], dtype=np.float32)
+    out_shape = a.shape[:-1] + b.shape[-1:]
+    if 0 < a.shape[-1] and math.prod(out_shape) <= SMALL_OUTPUT_MAX:
+        # order="C" keeps k trailing and contiguous; by default the layout
+        # would follow b's strides.
+        terms = np.multiply(
+            a[..., :, np.newaxis, :], np.swapaxes(b, -1, -2)[..., np.newaxis, :, :], order="C"
+        )  # [..., n, m, k]
+        np.add.accumulate(terms, axis=-1, out=terms)
+        return terms[..., -1] + np.float32(0.0)
+    out = np.zeros(out_shape, dtype=np.float32)
     term = np.empty_like(out)
     for k in range(a.shape[-1]):
         np.multiply(a[..., k, np.newaxis], b[..., k, np.newaxis, :], out=term)

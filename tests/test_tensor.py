@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import rollwin as rw
 
@@ -29,6 +29,27 @@ def reference_matmul(a, b):
                 acc = np.float32(acc + a[i, k] * b[k, j])
             out[i, j] = acc
     return out
+
+
+def loop_matmul(a, b):
+    """The per-k loop kernel, verbatim: the reference for both matmul paths."""
+    out = np.zeros(a.shape[:-1] + b.shape[-1:], dtype=np.float32)
+    term = np.empty_like(out)
+    for k in range(a.shape[-1]):
+        np.multiply(a[..., k, np.newaxis], b[..., k, np.newaxis, :], out=term)
+        np.add(out, term, out=out)
+    return out
+
+
+def float_bits(x):
+    """Bytes of x with every NaN replaced by np.nan.
+
+    Signed zeros and infinities count bit for bit; NaN positions count, but
+    not a NaN's sign or payload. numpy picks those by the SIMD lane an
+    element lands in, not by a rule: with two NaN payloads in play the loop
+    kernel alone gives a row different NaN bits inside a block than alone.
+    """
+    return np.where(np.isnan(x), np.float32(np.nan), x).tobytes()
 
 
 def spread(rng, shape):
@@ -86,10 +107,16 @@ class TestKernelOrder:
     call the same kernels; these tests can.
     """
 
-    @pytest.mark.parametrize("rows", [1, 3, 64])
-    def test_matmul_equals_scalar_reference(self, rows):
+    # Output sizes 1 to 512 (64 x 8) take the accumulate path; 520 and 640
+    # take the per-k loop.
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [(1, 8), (3, 8), (64, 8), (1, 1), (65, 8), (16, 40)],
+        ids=["1", "3", "64", "1x1", "65x8", "16x40"],
+    )
+    def test_matmul_equals_scalar_reference(self, rows, cols):
         rng = np.random.default_rng(rows)
-        a, b = spread(rng, (rows, 32)), spread(rng, (32, 8))
+        a, b = spread(rng, (rows, 32)), spread(rng, (32, cols))
         assert np.array_equal(rw.matmul(a, b), reference_matmul(a, b))
 
     def test_batched_matmul_equals_scalar_reference_per_slice(self):
@@ -100,6 +127,31 @@ class TestKernelOrder:
         for i in range(3):
             assert np.array_equal(out[i], reference_matmul(a[i], b[i]))
 
+    # Outputs of 1, exactly 512 and 540 elements, batch axes included.
+    @pytest.mark.parametrize(
+        "batch, n, k, m",
+        [((1,), 1, 17, 1), ((4,), 8, 9, 16), ((2, 3), 5, 7, 18)],
+        ids=["out1", "out512", "out540"],
+    )
+    def test_batched_matmul_equals_scalar_reference_on_both_paths(self, batch, n, k, m):
+        rng = np.random.default_rng(24)
+        a, b = spread(rng, batch + (n, k)), spread(rng, batch + (k, m))
+        out = rw.matmul(a, b)
+        assert out.shape == batch + (n, m)
+        for index in np.ndindex(*batch):
+            assert np.array_equal(out[index], reference_matmul(a[index], b[index]))
+
+    @pytest.mark.parametrize(
+        "a_shape, b_shape",
+        [((3, 0), (0, 4)), ((0, 5), (5, 3)), ((2, 5, 0), (2, 0, 60))],
+        ids=["small", "no-rows", "large"],
+    )
+    def test_matmul_with_empty_shared_axis_returns_zeros(self, a_shape, b_shape):
+        out = rw.matmul(np.ones(a_shape, np.float32), np.ones(b_shape, np.float32))
+        expected = np.zeros(a_shape[:-1] + b_shape[-1:], dtype=np.float32)
+        assert out.dtype == np.float32 and out.shape == expected.shape
+        assert out.tobytes() == expected.tobytes()
+
     def test_batched_matmul_rejects_mismatched_batch_axes(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             rw.matmul(np.ones((2, 3, 4), np.float32), np.ones((3, 4, 5), np.float32))
@@ -107,11 +159,13 @@ class TestKernelOrder:
             rw.matmul(np.ones((2, 3, 4), np.float32), np.ones((4, 5), np.float32))
 
     def test_negative_zero_products_sum_to_positive_zero(self):
-        # Summing from +0.0 turns an all-(-0.0) dot product into +0.0.
-        a = np.full((2, 3), -0.0, dtype=np.float32)
-        out = rw.matmul(a, np.ones((3, 2), np.float32))
-        assert not np.signbit(out).any()
-        assert not np.signbit(rw.tensor._ordered_sum(a)).any()
+        # Summing from +0.0 turns an all-(-0.0) dot product into +0.0, on the
+        # accumulate path (4 outputs) and on the loop path (600 outputs).
+        for rows in (2, 300):
+            a = np.full((rows, 3), -0.0, dtype=np.float32)
+            out = rw.matmul(a, np.ones((3, 2), np.float32))
+            assert not np.signbit(out).any()
+            assert not np.signbit(rw.tensor._ordered_sum(a)).any()
 
     def test_softmax_normalizer_equals_scalar_reference(self):
         rng = np.random.default_rng(22)
@@ -135,6 +189,55 @@ class TestKernelOrder:
             mean_sq = ordered_total(x[i] * x[i]) / np.float32(48)
             expected[i] = x[i] / np.sqrt(mean_sq + np.float32(rw.tensor.RMS_NORM_EPS)) * gain
         assert np.array_equal(rw.rms_norm(x, gain), expected)
+
+
+def _laid_out(draw, rng, shape):
+    """A float32 operand of `shape`, contiguous or as a strided view."""
+    layout = draw(st.sampled_from(["contiguous", "transposed", "column-slice"]))
+    specials = draw(st.sampled_from([(), (-0.0,), (np.nan, np.inf, -np.inf, -0.0)]))
+    rate = draw(st.sampled_from([0.05, 0.3, 1.0]))
+    if layout == "transposed":  # like k[kv].transpose(0, 2, 1) in gqa_attend
+        base_shape = shape[:-2] + (shape[-1], shape[-2])
+    elif layout == "column-slice":  # like gates[:, :hidden] in the engine
+        base_shape = shape[:-1] + (shape[-1] + 5,)
+    else:
+        base_shape = shape
+    base = spread(rng, base_shape)
+    if specials:
+        hit = rng.random(base_shape) < rate
+        base[hit] = rng.choice(np.float32(specials), int(hit.sum()))
+    if layout == "transposed":
+        return base.swapaxes(-1, -2)
+    if layout == "column-slice":
+        return base[..., 2 : 2 + shape[-1]]
+    return base
+
+
+@st.composite
+def matmul_operands(draw):
+    """Operands with 0-2 batch axes whose output lands on a chosen side of the threshold."""
+    batch = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    n, k = draw(st.integers(1, 12)), draw(st.integers(0, 24))
+    per_column = math.prod(batch) * n
+    widest_small = rw.tensor.SMALL_OUTPUT_MAX // per_column
+    if draw(st.booleans()):
+        m = draw(st.integers(1, widest_small))
+    else:
+        m = draw(st.integers(widest_small + 1, widest_small + 24))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _laid_out(draw, rng, batch + (n, k)), _laid_out(draw, rng, batch + (k, m))
+
+
+class TestMatmulPaths:
+    @settings(max_examples=80, deadline=None)
+    @given(matmul_operands())
+    def test_matmul_matches_loop_kernel_bit_for_bit(self, operands):
+        a, b = operands
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = loop_matmul(a, b)
+            out = rw.matmul(a, b)
+        assert out.shape == expected.shape
+        assert float_bits(out) == float_bits(expected)
 
 
 class TestSoftmax:
