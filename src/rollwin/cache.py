@@ -7,6 +7,11 @@ back in ascending order regardless of physical slot layout: `gather`
 returns them with their K/V blocks from one index gather over
 position % capacity, so the slot layout is known only to this module.
 
+`restart(position)` empties the cache and moves it to any position: the
+retained range then starts there and grows with each write, as if the
+cache had been built from `position` onwards. A session uses it to skip
+the part of a long chunk that no retained entry can see.
+
 A cache belongs to exactly one generation session: single writer, no
 concurrent readers during a write. Distinct sessions are independent.
 """
@@ -28,12 +33,13 @@ class RollingKvCache:
         self.capacity = capacity
         self.keys = np.zeros((n_kv_heads, capacity, head_dim), dtype=np.float32)
         self.values = np.zeros((n_kv_heads, capacity, head_dim), dtype=np.float32)
+        self.first_position = 0
         self.next_position = 0
 
     @property
     def filled(self) -> int:
         """Count of valid entries, saturating at capacity."""
-        return min(self.next_position, self.capacity)
+        return len(self.retained_positions())
 
     @property
     def nbytes(self) -> int:
@@ -42,7 +48,17 @@ class RollingKvCache:
 
     def retained_positions(self) -> range:
         """Absolute positions currently stored, oldest first."""
-        return range(max(0, self.next_position - self.capacity), self.next_position)
+        return range(max(self.first_position, self.next_position - self.capacity), self.next_position)
+
+    def restart(self, position: int) -> None:
+        """Forget every entry; the next write must be at `position`.
+
+        Nothing is cleared or reallocated: stale slots are simply never
+        gathered again, and the retained range starts at `position`.
+        """
+        if position < 0:
+            raise ValueError(f"restart position must be >= 0, got {position}")
+        self.first_position = self.next_position = position
 
     def append(self, position: int, k_row: Tensor, v_row: Tensor) -> None:
         """Store one token's K/V rows ([n_kv_heads, head_dim]) at `position`.

@@ -92,6 +92,8 @@ def _read_config(path: str) -> ModelConfig:
             text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config {path} is not UTF-8: {exc}")
     try:
         return parse_config(text)
     except ConfigError as exc:

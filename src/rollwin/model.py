@@ -7,7 +7,12 @@ one sequence. `forward_chunk` is the only layer loop: it runs any number of
 tokens in window-sized pieces, so a decode step is a chunk of one token and
 prefill is the prompt as one chunk. On a full cache a decode step also
 scores the oldest cached key, one position outside the window; it is
-masked, so it adds exact zeros to the ordered sums. Layer arithmetic:
+masked, so it adds exact zeros to the ordered sums. A chunk longer than
+`exact_reach` tokens runs only its last `exact_reach` tokens, at their true
+positions, on caches restarted empty there: nothing the session keeps (the
+last row's logits and each layer's last W K/V rows) can see an earlier
+input, so the skipped tokens would change no bit of it and prefill work
+stops growing with prompt length. Layer arithmetic:
 rms-norm, grouped-query attention with rotary positions under the
 sliding-window mask, then a gated feed-forward, each with a residual
 connection. A session concatenates each layer's Wq|Wk|Wv and W1|W3 by
@@ -25,6 +30,7 @@ import numpy as np
 from . import attention, tensor
 from .attention import HeadGrouping
 from .cache import RollingKvCache, new_cache
+from .config import exact_reach
 from .tensor import Tensor
 from .weights import DecoderWeights, LayerWeights
 
@@ -160,8 +166,22 @@ class GenerationSession:
         The tokens are checked before any write, then run in window-sized
         pieces: per layer a piece attends the rolling cache plus itself, then
         its K/V rows are written. Each score matrix stays within W x 2W.
+
+        Only the last `exact_reach(config)` tokens are run. K/V of layer l
+        (from 0) at position p depend on inputs at positions >= p - l*(W-1),
+        so the returned logits and every retained cache row depend only on
+        those tokens. Earlier ones just advance the position, and every
+        cache restarts empty at the first token run. Rows near that restart
+        see a shortened history, but no retained row reads them, and the
+        results are bit-identical to running every token.
         """
         tokens = self._check_tokens(tokens)
+        skip = max(0, len(tokens) - exact_reach(self.config))
+        if skip:
+            self.next_position += skip
+            for cache in self.caches:
+                cache.restart(self.next_position)
+            tokens = tokens[skip:]
         for lo, hi in chunk_prompt(len(tokens), self.config.window_size):
             start, end = self.next_position, self.next_position + hi - lo
             x = self.weights.token_embedding[np.asarray(tokens[lo:hi])]  # [n, dim]

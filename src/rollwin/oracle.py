@@ -24,10 +24,12 @@ from .weights import DecoderWeights
 #: the oracles are for desk-scale verification only.
 MAX_HISTORY_ELEMENTS = 2**20
 
-#: Logit change regarded as influence in reach probes. Above float32
-#: rounding noise through toy-scale depth, far below the signal from the
-#: default probe shift. Tunable.
-REACH_THRESHOLD = 1e-7
+#: Logit change regarded as influence in reach probes: any change at all.
+#: The oracle's arithmetic is deterministic and masked keys add exact
+#: zeros, so an output outside the reach of the nudged input reproduces its
+#: logits bit for bit, while one just inside it may move by far less than
+#: any fixed tolerance (1e-7 missed real influence near the boundary).
+REACH_THRESHOLD = 0.0
 
 
 @dataclass
@@ -142,7 +144,7 @@ def reach_probe(
 
     The embedded input row at perturb_position is shifted by epsilon in its
     first coordinate; a position counts as affected when its max-abs logit
-    difference exceeds REACH_THRESHOLD.
+    difference exceeds REACH_THRESHOLD, that is, when any logit changed.
     """
     n = len(tokens)
     _guard(config, n)

@@ -237,3 +237,53 @@ class TestPrefillBulk:
         block = np.zeros((0, 1, 2), np.float32)
         with pytest.raises(ValueError):
             cache.prefill_bulk(0, block, block)
+
+
+class TestRestart:
+    @pytest.fixture
+    def restarted(self):
+        cache = rw.RollingKvCache(2, 4, 3)
+        rng = np.random.default_rng(12)
+        for pos in range(6):
+            cache.append(pos, *row_pair(rng))
+        cache.restart(20)
+        return cache
+
+    def test_restarted_cache_is_empty(self, restarted):
+        assert restarted.filled == 0
+        assert restarted.next_position == 20
+        assert list(restarted.retained_positions()) == []
+        positions, keys, values = restarted.gather()
+        assert list(positions) == []
+        assert keys.shape == values.shape == (2, 0, 3)
+
+    def test_next_write_must_be_at_the_restart_position(self, restarted):
+        row = np.zeros((1, 2, 3), np.float32)
+        for wrong in (6, 19, 21):
+            with pytest.raises(ValueError, match=f"expected position 20, got {wrong}"):
+                restarted.prefill_bulk(wrong, row, row)
+
+    def test_allocation_unchanged(self):
+        cache = rw.RollingKvCache(2, 4, 3)
+        keys_buffer, size = cache.keys, cache.nbytes
+        cache.restart(9)
+        assert cache.nbytes == size and cache.keys is keys_buffer
+
+    def test_retained_range_grows_from_the_restart(self, restarted):
+        rng = np.random.default_rng(13)
+        rows, filled = {}, []
+        for pos in range(20, 27):
+            rows[pos] = row_pair(rng)
+            restarted.append(pos, *rows[pos])
+            filled.append(restarted.filled)
+            assert list(restarted.retained_positions()) == list(range(max(20, pos - 3), pos + 1))
+        assert filled == [1, 2, 3, 4, 4, 4, 4]
+        positions, keys, values = restarted.gather()
+        assert list(positions) == [23, 24, 25, 26]
+        for i, pos in enumerate(positions):
+            assert np.array_equal(keys[:, i, :], rows[pos][0])
+            assert np.array_equal(values[:, i, :], rows[pos][1])
+
+    def test_negative_position_rejected(self):
+        with pytest.raises(ValueError, match="restart position"):
+            rw.RollingKvCache(1, 4, 2).restart(-1)

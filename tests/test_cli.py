@@ -1,5 +1,10 @@
 import json
+import os
+import struct
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,6 +178,59 @@ class TestExitCodes:
         assert code == cli.EXIT_TRUNCATED
         assert len(out.split()) >= 1
         assert last_report(err)["truncated"] is True
+
+
+def _saved_weights(tmp_path):
+    path = tmp_path / "saved.bin"
+    rw.save_weights(rw.init_random(rw.PRESET_TOY, 1), path)
+    return path.read_bytes()
+
+
+def _file(tmp_path, data: bytes) -> str:
+    path = tmp_path / "input.bin"
+    path.write_bytes(data)
+    return str(path)
+
+
+GENERATE_FROM = ("--prompt-ids", "1 2", "--max-tokens", "1")
+
+#: Hostile inputs, each as (argv builder, documented exit code).
+HOSTILE_INPUTS = {
+    "non-utf8-config": (
+        lambda tmp: ["verify", "--config", _file(tmp, b"\xff\xfe" + rw.config_to_json(rw.PRESET_TOY).encode())],
+        cli.EXIT_USAGE,
+    ),
+    "directory-as-config": (lambda tmp: ["verify", "--config", str(tmp)], cli.EXIT_USAGE),
+    "truncated-weights": (
+        lambda tmp: ["generate", "--weights", _file(tmp, _saved_weights(tmp)[:-100]), *GENERATE_FROM],
+        cli.EXIT_WEIGHTS,
+    ),
+    "bad-magic": (
+        lambda tmp: ["generate", "--weights", _file(tmp, b"JUNK" + _saved_weights(tmp)[4:]), *GENERATE_FROM],
+        cli.EXIT_WEIGHTS,
+    ),
+    "non-utf8-embedded-config": (
+        lambda tmp: ["generate", "--weights", _file(tmp, _saved_weights(tmp)[:8] + struct.pack("<I", 2) + b"\xff\xfe"),
+                     *GENERATE_FROM],
+        cli.EXIT_WEIGHTS,
+    ),
+    "window-zero": (lambda tmp: ["verify", "--window", "0"], cli.EXIT_USAGE),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_INPUTS))
+def test_hostile_input_exits_with_its_code_and_no_traceback(case, tmp_path):
+    build, expected = HOSTILE_INPUTS[case]
+    src = str(Path(rw.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "rollwin", *build(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == expected, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:")
+    assert proc.stdout == ""
 
 
 class TestVerify:

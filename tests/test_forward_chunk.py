@@ -4,7 +4,8 @@ Decode and prefill both run through GenerationSession.forward_chunk. These
 tests drive it directly at non-zero, window-unaligned positions, with chunks
 shorter and longer than the window, and check that it matches token-by-token
 decoding bit for bit, and that a rejected chunk leaves the session exactly
-as it was.
+as it was. A chunk longer than exact_reach runs only its last exact_reach
+tokens; the same comparisons cover that skip on both sides of the bound.
 """
 
 import copy
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import rollwin as rw
+from rollwin import tensor
 
 from conftest import random_tokens
 
@@ -92,3 +94,110 @@ class TestRejectedChunkChangesNothing:
         room = toy_config.context_len - session.next_position
         session.forward_chunk([1] * room)
         assert session.next_position == toy_config.context_len
+
+
+SKIP_CONFIGS = {
+    **CONFIGS,
+    "w1": replace(rw.PRESET_TOY, window_size=1),
+    "w3l1": replace(rw.PRESET_TOY, window_size=3, n_layers=1),
+    "group1": replace(rw.PRESET_TOY, n_kv_heads=4),
+}
+
+
+def snapshot(session):
+    return session.next_position, [
+        (c.keys.copy(), c.values.copy(), list(c.retained_positions())) for c in session.caches
+    ]
+
+
+def assert_matches_snapshot(session, snap):
+    position, layers = snap
+    assert session.next_position == position
+    for cache, (keys, values, retained) in zip(session.caches, layers):
+        assert np.array_equal(cache.keys, keys)
+        assert np.array_equal(cache.values, values)
+        assert list(cache.retained_positions()) == retained
+
+
+@pytest.fixture(scope="module", params=sorted(SKIP_CONFIGS))
+def stepped_run(request):
+    """Token-by-token decoding over a whole context: logits and state at every length."""
+    config = SKIP_CONFIGS[request.param]
+    weights = rw.init_random(config, 5)
+    tokens = random_tokens(config.context_len, seed=len(request.param), vocab=config.vocab_size)
+    session = rw.GenerationSession(weights)
+    logits, states = [], [snapshot(session)]
+    for t in tokens:
+        logits.append(session.forward_decode(t))
+        states.append(snapshot(session))
+    return weights, tokens, logits, states
+
+
+def skip_lengths(config):
+    reach, window = rw.exact_reach(config), config.window_size
+    lengths = {reach - 1, reach, reach + 1, reach + window + 3, config.context_len - 2}
+    return sorted(n for n in lengths if 1 <= n <= config.context_len)
+
+
+def test_prefill_past_exact_reach_equals_stepped_decoding(stepped_run):
+    weights, tokens, logits, states = stepped_run
+    for n in skip_lengths(weights.config):
+        session = rw.GenerationSession(weights)
+        assert np.array_equal(session.prefill(tokens[:n]), logits[n - 1])
+        assert_matches_snapshot(session, states[n])
+
+
+def test_long_continuation_chunk_equals_stepped_decoding(stepped_run):
+    weights, tokens, logits, states = stepped_run
+    config = weights.config
+    reach = rw.exact_reach(config)
+    for prefix, chunk in [(3, reach + 1), (config.window_size + 2, reach + config.window_size + 3)]:
+        session = rw.GenerationSession(weights)
+        session.prefill(tokens[:prefix])
+        end = prefix + chunk
+        assert np.array_equal(session.forward_chunk(tokens[prefix:end]), logits[end - 1])
+        assert_matches_snapshot(session, states[end])
+        for i in range(end, end + 3):
+            assert np.array_equal(session.forward_decode(tokens[i]), logits[i])
+        assert_matches_snapshot(session, states[end + 3])
+
+
+class TestSkippedPrefix:
+    def test_bad_token_in_the_skipped_prefix_is_rejected(self, toy_weights, toy_config):
+        session = rw.GenerationSession(toy_weights)
+        session.prefill(random_tokens(5, seed=8))
+        before = copy.deepcopy(session)
+        chunk = random_tokens(3 * rw.exact_reach(toy_config), seed=9)
+        chunk[1] = toy_config.vocab_size
+        with pytest.raises(ValueError, match="vocabulary"):
+            session.forward_chunk(chunk)
+        assert_same_state(session, before)
+        assert [c.retained_positions() for c in session.caches] == [
+            c.retained_positions() for c in before.caches
+        ]
+
+    def test_overflow_is_reported_on_the_full_length(self, toy_weights, toy_config):
+        session = rw.GenerationSession(toy_weights)
+        session.prefill(random_tokens(5, seed=8))
+        before = copy.deepcopy(session)
+        n = toy_config.context_len - 4
+        with pytest.raises(ValueError, match=f"position 5 plus {n} tokens"):
+            session.forward_chunk([1] * n)
+        assert_same_state(session, before)
+
+    def test_prefill_cost_stops_growing_at_exact_reach(self, toy_weights, toy_config, monkeypatch):
+        real = tensor.matmul
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tensor, "matmul", counting)
+        reach = rw.exact_reach(toy_config)
+        counts = []
+        for n in (reach, reach + 1, reach + 7, toy_config.context_len):
+            calls.clear()
+            rw.GenerationSession(toy_weights).prefill(random_tokens(n, seed=n))
+            counts.append(len(calls))
+        assert counts == [counts[0]] * 4

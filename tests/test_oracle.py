@@ -136,3 +136,13 @@ class TestIndependence:
                 imported.update(f"{module}.{alias.name}" if module else alias.name for alias in node.names)
         assert not any("cache" in name for name in imported)
         assert not any("model" in name for name in imported)
+
+
+def test_reach_probe_hits_the_boundary_exactly_at_window_16():
+    # Near the boundary a nudge's effect on the logits can be far below
+    # 1e-7; any changed bit counts as influence.
+    config = replace(rw.PRESET_TOY, window_size=16)
+    boundary = config.n_layers * (config.window_size - 1)
+    weights = rw.init_random(config, 0)
+    tokens = random_tokens(boundary + 6, seed=0)
+    assert rw.reach_probe(weights, config, tokens, 0) == list(range(0, boundary + 1))
