@@ -38,3 +38,5 @@ cfg = rw.PRESET_7B
 print(f"7B preset: {cfg.n_layers} layers x window {cfg.window_size}")
 print(f"  theoretical span  n_layers * W        = {rw.theoretical_span(cfg):,} tokens")
 print(f"  exact reach       n_layers*(W-1) + 1  = {rw.exact_reach(cfg):,} tokens")
+print("The span is the paper's \"approximately 131K tokens\"; with W keys counting")
+print("self, each layer reaches back W-1 positions, so the exact reach is the tight bound.")

@@ -113,10 +113,12 @@ def config_to_json(config: ModelConfig) -> str:
 
 
 def theoretical_span(config: ModelConfig) -> int:
-    """Upper bound on how far information can travel through the layer stack.
+    """The paper's theoretical attention span: n_layers * window_size.
 
-    Each attention layer moves information forward at most window_size
-    positions, so n_layers stacked layers span n_layers * window_size tokens.
+    Mistral 7B quotes "approximately 131K tokens" for 32 layers of a 4096
+    window (32 * 4096 = 131,072 at PRESET_7B). It is a loose upper bound on
+    how far information travels; under this window convention (W keys, self
+    included) the tight figure is `exact_reach`, n_layers - 1 smaller.
     """
     return config.n_layers * config.window_size
 

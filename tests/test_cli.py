@@ -31,6 +31,16 @@ def last_report(err):
     return json.loads(err.strip().splitlines()[-1])
 
 
+def untimed(err):
+    """The last report without its wall-clock fields."""
+    report = last_report(err)
+    report.pop("wall_time"), report.pop("tokens_per_second")
+    return report
+
+
+MODES = ("swa", "oracle-swa", "oracle-causal")
+
+
 GENERATE = (
     "generate", "--random-init", "--seed", "42",
     "--prompt-ids", "1 2 3", "--max-tokens", "8", "--greedy",
@@ -44,10 +54,7 @@ class TestGenerate:
         code_b, out_b, err_b = run_cli(capsys, *argv)
         assert code_a == code_b == cli.EXIT_OK
         assert out_a == out_b
-        report_a, report_b = last_report(err_a), last_report(err_b)
-        for timing in ("wall_time", "tokens_per_second"):
-            report_a.pop(timing), report_b.pop(timing)
-        assert report_a == report_b
+        assert untimed(err_a) == untimed(err_b)
 
     def test_stdout_carries_only_token_ids(self, capsys, toy_config_file):
         code, out, _ = run_cli(capsys, *GENERATE, "--config", toy_config_file)
@@ -98,13 +105,16 @@ class TestGenerate:
         assert len(out_a.split()) == 6
 
     def test_oracle_modes_agree_with_engine(self, capsys, toy_config_file):
+        # Seven positions fit in the toy window of 8, so even the plain
+        # causal oracle sees the same keys as the windowed engine.
         base = (
             "generate", "--random-init", "--seed", "3", "--config", toy_config_file,
-            "--prompt-ids", "7 8 9", "--max-tokens", "5", "--greedy",
+            "--prompt-ids", "7 8 9", "--max-tokens", "5",
         )
-        _, engine_out, _ = run_cli(capsys, *base, "--mode", "swa")
-        _, oracle_out, _ = run_cli(capsys, *base, "--mode", "oracle-swa")
-        assert engine_out == oracle_out
+        for sampler in (("--greedy",), ("--top-k", "7", "--temperature", "0.7")):
+            runs = [run_cli(capsys, *base, *sampler, "--mode", mode) for mode in MODES]
+            assert len(runs[0][1].split()) == 5
+            assert len({(code, out, json.dumps(untimed(err))) for code, out, err in runs}) == 1
 
     def test_oracle_causal_mode_runs(self, capsys, toy_config_file):
         code, out, _ = run_cli(
@@ -171,13 +181,21 @@ class TestExitCodes:
         tight = replace(rw.PRESET_TOY, context_len=6, window_size=4)
         cfg_path = tmp_path / "tight.json"
         cfg_path.write_text(rw.config_to_json(tight))
-        code, out, err = run_cli(
-            capsys, "generate", "--random-init", "--seed", "1", "--config", str(cfg_path),
-            "--prompt-ids", "1 2 3 4", "--max-tokens", "10",
-        )
-        assert code == cli.EXIT_TRUNCATED
-        assert len(out.split()) >= 1
-        assert last_report(err)["truncated"] is True
+        # Every mode shares the loop's truncation rule; at seed 1 the causal
+        # oracle's argmax also matches the windowed one at positions 4 and 5.
+        runs = [
+            run_cli(
+                capsys, "generate", "--random-init", "--seed", "1", "--config", str(cfg_path),
+                "--prompt-ids", "1 2 3 4", "--max-tokens", "10", "--mode", mode,
+            )
+            for mode in MODES
+        ]
+        for code, out, err in runs:
+            assert code == cli.EXIT_TRUNCATED
+            assert out == runs[0][1]
+            assert len(out.split()) == 3
+            assert untimed(err) == untimed(runs[0][2])
+            assert last_report(err)["truncated"] is True
 
 
 def _saved_weights(tmp_path):
@@ -217,6 +235,26 @@ HOSTILE_INPUTS = {
     "window-zero": (lambda tmp: ["verify", "--window", "0"], cli.EXIT_USAGE),
 }
 
+#: Sampler flags that only the generation loop rejects, tried in every mode.
+BAD_SAMPLER_FLAGS = {
+    "top-k-above-vocab": ["--top-k", "257"],
+    "temperature-zero": ["--top-k", "3", "--temperature", "0"],
+    "max-tokens-negative": ["--max-tokens", "-1"],
+}
+HOSTILE_INPUTS.update(
+    {
+        f"{name}-{mode}": (
+            lambda tmp, flags=flags, mode=mode: [
+                "generate", "--random-init", "--config", _file(tmp, rw.config_to_json(rw.PRESET_TOY).encode()),
+                "--prompt-ids", "1 2", "--max-tokens", "2", *flags, "--mode", mode,
+            ],
+            cli.EXIT_USAGE,
+        )
+        for name, flags in BAD_SAMPLER_FLAGS.items()
+        for mode in MODES
+    }
+)
+
 
 @pytest.mark.parametrize("case", sorted(HOSTILE_INPUTS))
 def test_hostile_input_exits_with_its_code_and_no_traceback(case, tmp_path):
@@ -231,6 +269,26 @@ def test_hostile_input_exits_with_its_code_and_no_traceback(case, tmp_path):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error:")
     assert proc.stdout == ""
+
+
+def _next_ulp(values):
+    return np.nextafter(values, np.float32(np.inf))
+
+
+#: One-ulp faults, each as (owner, attribute, wrapper of the original,
+#: the one verify check that must fail).
+ONE_ULP_FAULTS = {
+    "engine-logits": (
+        rw.GenerationSession, "forward_chunk",
+        lambda real: lambda self, tokens: _next_ulp(real(self, tokens)),
+        "oracle-equivalence",
+    ),
+    "multi-row-cache-keys": (
+        rw.RollingKvCache, "prefill_bulk",
+        lambda real: lambda self, start, k, v: real(self, start, _next_ulp(k) if len(k) > 1 else k, v),
+        "prefill-decode",
+    ),
+}
 
 
 class TestVerify:
@@ -259,6 +317,17 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify")
         assert code == cli.EXIT_VERIFY
         assert ": fail" in err
+
+    @pytest.mark.parametrize("fault", sorted(ONE_ULP_FAULTS))
+    def test_one_ulp_fault_fails_its_check(self, capsys, monkeypatch, fault):
+        # Negative controls for the bitwise contract: a single-ulp change
+        # is far inside any tolerance, yet exactly its check must fail.
+        owner, name, wrap, check = ONE_ULP_FAULTS[fault]
+        monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
+        code, _, err = run_cli(capsys, "verify")
+        assert code == cli.EXIT_VERIFY
+        failed = [line.split(":")[0] for line in err.splitlines() if line.endswith(": fail")]
+        assert failed == [check]
 
     def test_oversized_config_refused(self, capsys, tmp_path):
         cfg_path = tmp_path / "big.json"
