@@ -24,7 +24,6 @@ from .config import (
     cache_memory_ratio,
     config_to_json,
     exact_reach,
-    parameter_count,
     parse_config,
     theoretical_span,
     validate,
@@ -59,6 +58,7 @@ from .weights import (
     WeightFormatError,
     init_random,
     load_weights,
+    parameter_count,
     save_weights,
     tensor_shapes,
 )

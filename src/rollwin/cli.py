@@ -6,8 +6,9 @@ JSON or one-line text so the token stream stays machine-parseable.
 
 Every `generate --mode` runs the one `GenerationSession.generate` loop; the
 oracle modes only swap in logits recomputed over the full history, so a
-cross-check compares forwards, not loops. `verify` compares engine with
-oracle and chunked prefill with stepped decode bit for bit.
+cross-check compares forwards, not loops. `verify` steps one session through
+a random stream and compares it bit for bit with the oracle and with chunked
+prefills of its prefixes, some long enough to skip past `exact_reach`.
 
 Exit codes are a stable contract: 0 success, 1 usage, 2 weight file,
 3 truncated generation, 4 failed verification.
@@ -20,7 +21,7 @@ import json
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,10 +31,11 @@ from .config import (
     PRESET_TOY,
     ConfigError,
     ModelConfig,
+    exact_reach,
     parse_config,
     validate,
 )
-from .model import GenerationResult, GenerationSession, SamplerSpec
+from .model import GenerationSession, SamplerSpec
 from .model import sample_token  # noqa: F401  perfbench/tracer.py patches this name
 from .oracle import MAX_HISTORY_ELEMENTS, oracle_forward_causal, oracle_forward_swa, reach_probe
 from .weights import DecoderWeights, WeightFormatError, init_random, load_weights
@@ -52,37 +54,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit 2; remap to the usage code
         raise UsageError(message)
-
-
-@dataclass
-class RunReport:
-    tokens_generated: int
-    wall_time: float
-    tokens_per_second: float
-    cache_bytes_per_layer: int
-    total_cache_bytes: int
-    swa_score_pairs: int
-    full_score_pairs: int
-    pair_ratio: float
-    truncated: bool
-
-    @classmethod
-    def from_result(cls, result: GenerationResult) -> "RunReport":
-        rate = len(result.tokens) / result.wall_time if result.wall_time > 0 else 0.0
-        return cls(
-            tokens_generated=len(result.tokens),
-            wall_time=result.wall_time,
-            tokens_per_second=rate,
-            cache_bytes_per_layer=result.cache_bytes_per_layer,
-            total_cache_bytes=result.total_cache_bytes,
-            swa_score_pairs=result.swa_score_pairs,
-            full_score_pairs=result.full_score_pairs,
-            pair_ratio=result.full_score_pairs / result.swa_score_pairs,
-            truncated=result.truncated,
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
 
 
 @dataclass
@@ -169,26 +140,53 @@ def cmd_generate(args) -> int:
 
     if result.tokens:
         print(" ".join(str(t) for t in result.tokens))
-    print(RunReport.from_result(result).to_json(), file=sys.stderr)
+    report = {
+        "tokens_generated": len(result.tokens),
+        "wall_time": result.wall_time,
+        "tokens_per_second": len(result.tokens) / result.wall_time if result.wall_time > 0 else 0.0,
+        "cache_bytes_per_layer": result.cache_bytes_per_layer,
+        "total_cache_bytes": result.total_cache_bytes,
+        "swa_score_pairs": result.swa_score_pairs,
+        "full_score_pairs": result.full_score_pairs,
+        "pair_ratio": result.full_score_pairs / result.swa_score_pairs,
+        "truncated": result.truncated,
+    }
+    print(json.dumps(report), file=sys.stderr)
     return EXIT_TRUNCATED if result.truncated else EXIT_OK
 
 
 def run_verification(config: ModelConfig, seed: int) -> list[CheckResult]:
-    """The master equivalence and bound checks at the given desk-scale config."""
+    """The master equivalence and bound checks at the given desk-scale config.
+
+    One session decodes a random stream token by token; its logit rows are
+    checked against the oracle, and each chunked prefill of a prefix of the
+    stream against the row and every layer's cache the stream held there.
+    """
     weights = init_random(config, seed)
     rng = np.random.default_rng(seed)
     window = config.window_size
     checks: list[CheckResult] = []
 
-    # Rolling-cache engine vs full-history windowed oracle, step by step.
+    # Chunk sizes to prefill: awkward prompt lengths, both sides of the
+    # receptive-field skip, and a continuation chunk that skips at a
+    # non-zero position. Each must end within the stream.
     length = min(8 * window, config.context_len)
+    reach = exact_reach(config)
+    lengths = (1, window - 1, window, window + 1, 3 * window, 3 * window + 2, reach, reach + 1)
+    splits = {(n,) for n in lengths} | {(window, reach + 1)}
+    splits = sorted((s for s in splits if 0 not in s and sum(s) <= length), key=lambda s: (sum(s), len(s)))
+    ends = {sum(s) for s in splits}
+
+    # Rolling-cache engine vs full-history windowed oracle, step by step.
     tokens = [int(t) for t in rng.integers(0, config.vocab_size, size=length)]
     session = GenerationSession(weights)
-    rows = []
+    rows, snapshots = [], {}
     for t in tokens:
         rows.append(session.forward_decode(t))
         if session.next_position == window:
             bytes_at_window = session.total_cache_bytes
+        if session.next_position in ends:
+            snapshots[session.next_position] = [c.gather() for c in session.caches]
     engine_logits = np.stack(rows)
     oracle_logits = oracle_forward_swa(weights, config, tokens)
     err = float(np.max(np.abs(engine_logits - oracle_logits)))
@@ -200,29 +198,25 @@ def run_verification(config: ModelConfig, seed: int) -> list[CheckResult]:
         )
     )
 
-    # Chunked prefill vs token-by-token decode for awkward prompt lengths.
-    lengths = sorted(
-        {1, window - 1, window, window + 1, 3 * window, 3 * window + 2}
-        & set(range(1, config.context_len + 1))
-    )
+    # Chunked prefill of a stream prefix vs the stepped stream at its end.
     worst = 0.0
     same = True
-    for n in lengths:
-        prompt = [int(t) for t in rng.integers(0, config.vocab_size, size=n)]
+    for split in splits:
         chunked = GenerationSession(weights)
-        chunked_logits = chunked.prefill(prompt)
-        stepped = GenerationSession(weights)
-        for t in prompt:
-            stepped_logits = stepped.forward_decode(t)
-        worst = max(worst, float(np.max(np.abs(chunked_logits - stepped_logits))))
-        same = same and np.array_equal(chunked_logits, stepped_logits)
-        for a, b in zip(chunked.caches, stepped.caches):
-            (pos_a, k_a, v_a), (pos_b, k_b, v_b) = a.gather(), b.gather()
+        for size in split:
+            start = chunked.next_position
+            logits = chunked.forward_chunk(tokens[start:start + size])
+        stepped = rows[chunked.next_position - 1]
+        worst = max(worst, float(np.max(np.abs(logits - stepped))))
+        same = same and np.array_equal(logits, stepped)
+        for cache, (pos_b, k_b, v_b) in zip(chunked.caches, snapshots[chunked.next_position]):
+            pos_a, k_a, v_a = cache.gather()
             same = same and pos_a == pos_b and np.array_equal(k_a, k_b) and np.array_equal(v_a, v_b)
+    labels = ", ".join("+".join(str(size) for size in split) for split in splits)
     checks.append(
         CheckResult(
             "prefill-decode",
-            f"max |dlogit| {worst:.2e} over lengths {lengths}, caches identical",
+            f"max |dlogit| {worst:.2e} over lengths [{labels}], caches identical",
             same,
         )
     )

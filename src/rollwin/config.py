@@ -7,19 +7,7 @@ the package derives from the nine integers collected here.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
-
-CONFIG_KEYS: tuple[str, ...] = (
-    "dim",
-    "n_layers",
-    "head_dim",
-    "hidden_dim",
-    "n_heads",
-    "n_kv_heads",
-    "window_size",
-    "context_len",
-    "vocab_size",
-)
+from dataclasses import asdict, dataclass, fields
 
 
 class ConfigError(ValueError):
@@ -39,6 +27,9 @@ class ModelConfig:
     window_size: int  # sliding window width W in keys, self included
     context_len: int  # maximum supported positions
     vocab_size: int
+
+
+CONFIG_KEYS: tuple[str, ...] = tuple(f.name for f in fields(ModelConfig))
 
 
 #: Desk-scale preset used by the verification harness, demos, and tests.
@@ -131,32 +122,6 @@ def exact_reach(config: ModelConfig) -> int:
     i - n_layers*(W - 1): that is n_layers*(W - 1) + 1 distinct positions.
     """
     return config.n_layers * (config.window_size - 1) + 1
-
-
-def parameter_count(config: ModelConfig) -> int:
-    """Total scalar count over all decoder weight tensors.
-
-    Per layer: two norm gains, the query/key/value/output projections, and
-    the three gated feed-forward projections. The token embedding and the
-    output projection are separate (untied) tensors.
-    """
-    d, hidden = config.dim, config.hidden_dim
-    q_width = config.n_heads * config.head_dim
-    kv_width = config.n_kv_heads * config.head_dim
-    per_layer = (
-        2 * d                 # attention + feed-forward norm gains
-        + d * q_width         # Wq
-        + 2 * d * kv_width    # Wk, Wv
-        + q_width * d         # Wo
-        + 2 * d * hidden      # W1, W3
-        + hidden * d          # W2
-    )
-    return (
-        config.vocab_size * d
-        + config.n_layers * per_layer
-        + d                   # final norm gain
-        + d * config.vocab_size
-    )
 
 
 def cache_memory_ratio(seq_len: int, config: ModelConfig) -> float:

@@ -11,17 +11,15 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .config import ConfigError, ModelConfig, config_to_json, parameter_count, parse_config, validate
+from .config import ConfigError, ModelConfig, config_to_json, parse_config, validate
 from .tensor import Tensor
 
 WEIGHT_MAGIC = b"MWDC"
 WEIGHT_VERSION = 1
-
-_LAYER_FIELDS = ("attn_norm_gain", "Wq", "Wk", "Wv", "Wo", "ffn_norm_gain", "W1", "W2", "W3")
 
 
 class WeightFormatError(ValueError):
@@ -39,6 +37,9 @@ class LayerWeights:
     W1: Tensor              # [dim, hidden_dim]
     W2: Tensor              # [hidden_dim, dim]
     W3: Tensor              # [dim, hidden_dim]
+
+
+_LAYER_FIELDS = tuple(f.name for f in fields(LayerWeights))
 
 
 @dataclass
@@ -64,26 +65,28 @@ class DecoderWeights:
 
 def tensor_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     """Canonical (name, shape) list, in serialization order, for a config."""
-    d = config.dim
+    d, hidden = config.dim, config.hidden_dim
     q_width = config.n_heads * config.head_dim
     kv_width = config.n_kv_heads * config.head_dim
-    shapes: list[tuple[str, tuple[int, ...]]] = [
-        ("token_embedding", (config.vocab_size, d))
+    layer = {
+        "attn_norm_gain": (d,), "Wq": (d, q_width), "Wk": (d, kv_width), "Wv": (d, kv_width),
+        "Wo": (q_width, d), "ffn_norm_gain": (d,), "W1": (d, hidden), "W2": (hidden, d), "W3": (d, hidden),
+    }
+    return [
+        ("token_embedding", (config.vocab_size, d)),
+        *((f"layers[{i}].{name}", layer[name]) for i in range(config.n_layers) for name in _LAYER_FIELDS),
+        ("final_norm_gain", (d,)),
+        ("output_proj", (d, config.vocab_size)),
     ]
-    for i in range(config.n_layers):
-        shapes += [
-            (f"layers[{i}].attn_norm_gain", (d,)),
-            (f"layers[{i}].Wq", (d, q_width)),
-            (f"layers[{i}].Wk", (d, kv_width)),
-            (f"layers[{i}].Wv", (d, kv_width)),
-            (f"layers[{i}].Wo", (q_width, d)),
-            (f"layers[{i}].ffn_norm_gain", (d,)),
-            (f"layers[{i}].W1", (d, config.hidden_dim)),
-            (f"layers[{i}].W2", (config.hidden_dim, d)),
-            (f"layers[{i}].W3", (d, config.hidden_dim)),
-        ]
-    shapes += [("final_norm_gain", (d,)), ("output_proj", (d, config.vocab_size))]
-    return shapes
+
+
+def parameter_count(config: ModelConfig) -> int:
+    """Total scalar count over all decoder weight tensors.
+
+    The token embedding and the output projection are separate (untied)
+    tensors.
+    """
+    return sum(math.prod(shape) for _, shape in tensor_shapes(config))
 
 
 def _assemble(config: ModelConfig, tensors: list[Tensor]) -> DecoderWeights:

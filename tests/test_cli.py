@@ -275,7 +275,8 @@ def _next_ulp(values):
     return np.nextafter(values, np.float32(np.inf))
 
 
-#: One-ulp faults, each as (owner, attribute, wrapper of the original,
+#: Faults far inside any tolerance (one ulp, or one skipped token whose
+#: influence is tiny), each as (owner, attribute, wrapper of the original,
 #: the one verify check that must fail).
 ONE_ULP_FAULTS = {
     "engine-logits": (
@@ -286,6 +287,13 @@ ONE_ULP_FAULTS = {
     "multi-row-cache-keys": (
         rw.RollingKvCache, "prefill_bulk",
         lambda real: lambda self, start, k, v: real(self, start, _next_ulp(k) if len(k) > 1 else k, v),
+        "prefill-decode",
+    ),
+    # The receptive-field skip drops one token too many; only chunks longer
+    # than exact_reach - 1 tokens run differently.
+    "exact-reach-minus-one": (
+        rw.model, "exact_reach",
+        lambda real: lambda config: real(config) - 1,
         "prefill-decode",
     ),
 }
@@ -299,6 +307,25 @@ class TestVerify:
         lines = [line for line in err.strip().splitlines() if line]
         assert len(lines) == 4
         assert all(line.endswith(": pass") for line in lines)
+        # Prefill lengths reach past exact_reach (29), and a continuation
+        # chunk of 30 tokens after 8 skips at a non-zero position.
+        assert "over lengths [1, 7, 8, 9, 24, 26, 29, 30, 8+30]," in lines[1]
+
+    def test_one_stepped_session_serves_every_check(self, monkeypatch):
+        # prefill-decode reads its stepped reference off the
+        # oracle-equivalence stream rather than decoding each length again.
+        sessions = []
+        real = rw.GenerationSession.forward_decode
+
+        def counted(self, token_id):
+            sessions.append(id(self))
+            return real(self, token_id)
+
+        monkeypatch.setattr(rw.GenerationSession, "forward_decode", counted)
+        checks = cli.run_verification(rw.PRESET_TOY, 0)
+        assert all(check.passed for check in checks)
+        assert len(sessions) == 64 == min(8 * rw.PRESET_TOY.window_size, rw.PRESET_TOY.context_len)
+        assert len(set(sessions)) == 1
 
     def test_reach_override_line(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--window", "4", "--layers", "2")
