@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Chunked prefill: bulk-load a prompt without giant score matrices.
 
-A known prompt does not need token-by-token decoding. It is processed in
-window-sized chunks, each attending the cache plus itself, and the final
-state is provably identical to having decoded every token one at a time.
+A known prompt does not need token-by-token decoding. It runs as one chunk,
+layer by layer. Each layer computes only the rows a kept result can read
+(the last row's logits and each layer's last W cache rows), so later layers
+run fewer rows, and query rows attend in window-sized tiles. The final
+state is identical to having decoded every token one at a time.
 """
 
 import numpy as np
@@ -15,7 +17,12 @@ weights = rw.init_random(cfg, 42)
 prompt = [int(t) for t in np.random.default_rng(0).integers(0, cfg.vocab_size, size=26)]
 
 print(f"prompt of {len(prompt)} tokens, window {cfg.window_size}")
-print("chunk ranges:", rw.chunk_prompt(len(prompt), cfg.window_size))
+# Layer l computes K/V for its last kv_l rows and queries, Wo and the
+# feed-forward for its last out_l rows: W - 1 fewer per layer, 1 at the top.
+reach, W = rw.exact_reach(cfg), cfg.window_size
+kv = [min(len(prompt), reach - layer * (W - 1)) for layer in range(cfg.n_layers)]
+for layer, (kv_rows, out_rows) in enumerate(zip(kv, kv[1:] + [1])):
+    print(f"  layer {layer}: K/V rows {kv_rows:2d}, query/Wo/FFN rows {out_rows:2d}")
 print()
 
 chunked = rw.GenerationSession(weights)
@@ -40,7 +47,6 @@ print(f"  retained positions identical: {positions_equal}")
 print(f"  cache contents bit-identical: {contents_equal}")
 print()
 
-# The whole point of chunking: transient score matrices stay W x 2W.
+# The point of the tiles: transient score matrices stay within W x 2W.
 print("largest score matrix a single head ever sees during this prefill:")
-W = cfg.window_size
 print(f"  {W} queries x {2 * W} keys = {W * 2 * W} scores (vs {len(prompt)}^2 = {len(prompt) ** 2} unchunked)")

@@ -9,8 +9,9 @@ position % capacity, so the slot layout is known only to this module.
 
 `restart(position)` empties the cache and moves it to any position: the
 retained range then starts there and grows with each write, as if the
-cache had been built from `position` onwards. A session uses it to skip
-the part of a long chunk that no retained entry can see.
+cache had been built from `position` onwards. A session uses it when a
+layer of a long chunk starts computing rows past the cache's end, because
+no result it keeps can read the rows in between.
 
 A cache belongs to exactly one generation session: single writer, no
 concurrent readers during a write. Distinct sessions are independent.

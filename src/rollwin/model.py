@@ -3,21 +3,25 @@ chunked prompt prefill, and the autoregressive generation loop.
 
 Weights are shared and immutable; a GenerationSession owns the mutable state
 (one rolling cache per layer plus the next absolute position) for exactly
-one sequence. `forward_chunk` is the only layer loop: it runs any number of
-tokens in window-sized pieces, so a decode step is a chunk of one token and
-prefill is the prompt as one chunk. On a full cache a decode step also
-scores the oldest cached key, one position outside the window; it is
-masked, so it adds exact zeros to the ordered sums. A chunk longer than
-`exact_reach` tokens runs only its last `exact_reach` tokens, at their true
-positions, on caches restarted empty there: nothing the session keeps (the
-last row's logits and each layer's last W K/V rows) can see an earlier
-input, so the skipped tokens would change no bit of it and prefill work
-stops growing with prompt length. Layer arithmetic:
-rms-norm, grouped-query attention with rotary positions under the
-sliding-window mask, then a gated feed-forward, each with a residual
-connection. A session concatenates each layer's Wq|Wk|Wv and W1|W3 by
-columns once, so each is one ordered product per layer; every output
-column is still its own left-to-right dot product.
+one sequence. `forward_chunk` is the only layer loop: decode is a chunk of
+one token and prefill is the prompt as one chunk. It runs layer by layer,
+each layer on only the rows that a kept result can read. What a session
+keeps is the last row's logits and each layer's last W K/V rows, and a
+query reads W - 1 positions back, so layer l (from 0) of a chunk of n
+tokens computes K/V for its last kv_l = min(n, exact_reach - l*(W-1)) rows
+and queries, Wo and the feed-forward for its last kv_{l+1} rows (one row
+at the last layer). Layer 0 starts `exact_reach` tokens from the end, so
+prefill work stops growing with prompt length, and the later layers shrink
+by W - 1 rows each. Every row computed sees its whole window, so the
+results are bit-identical to running every row.
+
+Layer arithmetic: rms-norm, grouped-query attention with rotary positions
+under the sliding-window mask, then a gated feed-forward, each with a
+residual connection. A session concatenates each layer's Wq|Wk|Wv and
+W1|W3 by columns once, so each is one ordered product per layer; every
+output column is still its own left-to-right dot product. The Wq|Wk|Wv
+product runs on all kv_l rows: its W - 1 unused query rows per layer cost
+less than a second product would on every decode step.
 """
 
 from __future__ import annotations
@@ -163,38 +167,53 @@ class GenerationSession:
     def forward_chunk(self, tokens) -> Tensor:
         """Run tokens at the current position; return the last one's logit row.
 
-        The tokens are checked before any write, then run in window-sized
-        pieces: per layer a piece attends the rolling cache plus itself, then
-        its K/V rows are written. Each score matrix stays within W x 2W.
+        The tokens are checked before any write. Layer l then computes K/V
+        for its last kv_l = min(n, exact_reach - l*(W-1)) rows and queries,
+        Wo and the feed-forward for its last kv_{l+1} rows (one at the last
+        layer): only the rows a kept result can read (see the module
+        docstring). A layer whose first K/V row lies past its cache restarts
+        the cache there. Query rows are attended in W-row tiles, each against
+        only the keys its window reaches, so a score matrix stays within
+        W x (2W-1).
 
-        Only the last `exact_reach(config)` tokens are run. K/V of layer l
-        (from 0) at position p depend on inputs at positions >= p - l*(W-1),
-        so the returned logits and every retained cache row depend only on
-        those tokens. Earlier ones just advance the position, and every
-        cache restarts empty at the first token run. Rows near that restart
-        see a shortened history, but no retained row reads them, and the
-        results are bit-identical to running every token.
+        This is exact. Each row of every product is its own ordered dot
+        product, so computing fewer rows changes no bit of the others. Every
+        row computed sees its whole window, in the cache or in the chunk,
+        and keys left out of a tile would only have added exact zeros.
         """
         tokens = self._check_tokens(tokens)
-        skip = max(0, len(tokens) - exact_reach(self.config))
-        if skip:
-            self.next_position += skip
-            for cache in self.caches:
-                cache.restart(self.next_position)
-            tokens = tokens[skip:]
-        for lo, hi in chunk_prompt(len(tokens), self.config.window_size):
-            start, end = self.next_position, self.next_position + hi - lo
-            x = self.weights.token_embedding[np.asarray(tokens[lo:hi])]  # [n, dim]
-            for layer, (Wqkv, W13), cache in zip(self.weights.layers, self._fused, self.caches):
-                q, k, v = self._qkv(x, layer, Wqkv, np.arange(start, end))
-                cache_positions, k_cache, v_cache = cache.gather()
-                keys = np.concatenate([k_cache, k], axis=1)
-                values = np.concatenate([v_cache, v], axis=1)
-                mask = attention.build_prefill_mask(start, end - start, cache_positions, self.config.window_size)
-                x = self._attend_ffn(x, layer, W13, q, keys, values, mask)
-                cache.prefill_bulk(start, k.transpose(1, 0, 2), v.transpose(1, 0, 2))
-            self.next_position = end
-        h = tensor.rms_norm(x[-1:, :], self.weights.final_norm_gain)
+        window = self.config.window_size
+        end = self.next_position + len(tokens)
+        reach = exact_reach(self.config)
+        kv_rows = [min(len(tokens), reach - i * (window - 1)) for i in range(self.config.n_layers)] + [1]
+        x = self.weights.token_embedding[np.asarray(tokens[len(tokens) - kv_rows[0]:])]  # [kv_0, dim]
+        for n_kv, n_out, layer, (Wqkv, W13), cache in zip(
+            kv_rows, kv_rows[1:], self.weights.layers, self._fused, self.caches
+        ):
+            first = end - n_kv
+            if first > cache.next_position:
+                cache.restart(first)
+            q, k, v = self._qkv(x, layer, Wqkv, np.arange(first, end))
+            cached, k_cache, v_cache = cache.gather()
+            keys = np.concatenate([k_cache, k], axis=1)  # positions [cached.start, end)
+            values = np.concatenate([v_cache, v], axis=1)
+            cache.prefill_bulk(first, k.transpose(1, 0, 2), v.transpose(1, 0, 2))
+            q_first, pieces = end - n_out, []
+            x, q = x[n_kv - n_out:], q[:, n_kv - n_out:]
+            for tile_start in range(q_first, end, window):
+                tile_end = min(tile_start + window, end)
+                k_from = max(cached.start, tile_start - window + 1)
+                mask = attention.build_prefill_mask(
+                    tile_start, tile_end - tile_start, range(k_from, tile_start), window
+                )
+                tile_rows = slice(tile_start - q_first, tile_end - q_first)
+                tile_keys = slice(k_from - cached.start, tile_end - cached.start)
+                pieces.append(self._attend_ffn(
+                    x[tile_rows], layer, W13, q[:, tile_rows], keys[:, tile_keys], values[:, tile_keys], mask
+                ))
+            x = np.concatenate(pieces)
+        self.next_position = end
+        h = tensor.rms_norm(x, self.weights.final_norm_gain)
         return tensor.matmul(h, self.weights.output_proj)[0]
 
     def forward_decode(self, token_id: int) -> Tensor:

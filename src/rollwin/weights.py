@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -63,15 +63,21 @@ class DecoderWeights:
         return sum(t.size for _, t in self.named_tensors())
 
 
-def tensor_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
-    """Canonical (name, shape) list, in serialization order, for a config."""
+def _layer_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Shape of each per-layer tensor, by LayerWeights field name."""
     d, hidden = config.dim, config.hidden_dim
     q_width = config.n_heads * config.head_dim
     kv_width = config.n_kv_heads * config.head_dim
-    layer = {
+    return {
         "attn_norm_gain": (d,), "Wq": (d, q_width), "Wk": (d, kv_width), "Wv": (d, kv_width),
         "Wo": (q_width, d), "ffn_norm_gain": (d,), "W1": (d, hidden), "W2": (hidden, d), "W3": (d, hidden),
     }
+
+
+def tensor_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """Canonical (name, shape) list, in serialization order, for a config."""
+    d = config.dim
+    layer = _layer_shapes(config)
     return [
         ("token_embedding", (config.vocab_size, d)),
         *((f"layers[{i}].{name}", layer[name]) for i in range(config.n_layers) for name in _LAYER_FIELDS),
@@ -84,9 +90,12 @@ def parameter_count(config: ModelConfig) -> int:
     """Total scalar count over all decoder weight tensors.
 
     The token embedding and the output projection are separate (untied)
-    tensors.
+    tensors. The count is closed-form, global tensors (those of a
+    zero-layer config) plus n_layers times one layer, so it costs the same
+    at any n_layers.
     """
-    return sum(math.prod(shape) for _, shape in tensor_shapes(config))
+    global_tensors = sum(math.prod(shape) for _, shape in tensor_shapes(replace(config, n_layers=0)))
+    return global_tensors + config.n_layers * sum(math.prod(shape) for shape in _layer_shapes(config).values())
 
 
 def _assemble(config: ModelConfig, tensors: list[Tensor]) -> DecoderWeights:

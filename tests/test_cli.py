@@ -210,6 +210,13 @@ def _file(tmp_path, data: bytes) -> str:
     return str(path)
 
 
+def _embedded_config(saved: bytes, config) -> bytes:
+    """A saved weight file's tensors behind another embedded config document."""
+    (doc_len,) = struct.unpack_from("<I", saved, 8)
+    doc = rw.config_to_json(config).encode()
+    return saved[:8] + struct.pack("<I", len(doc)) + doc + saved[12 + doc_len:]
+
+
 GENERATE_FROM = ("--prompt-ids", "1 2", "--max-tokens", "1")
 
 #: Hostile inputs, each as (argv builder, documented exit code).
@@ -233,6 +240,13 @@ HOSTILE_INPUTS = {
         cli.EXIT_WEIGHTS,
     ),
     "window-zero": (lambda tmp: ["verify", "--window", "0"], cli.EXIT_USAGE),
+    # The length check must not build a per-layer list for 10**12 layers.
+    "huge-n-layers-embedded-config": (
+        lambda tmp: ["generate", "--weights",
+                     _file(tmp, _embedded_config(_saved_weights(tmp), replace(rw.PRESET_TOY, n_layers=10**12))),
+                     *GENERATE_FROM],
+        cli.EXIT_WEIGHTS,
+    ),
 }
 
 #: Sampler flags that only the generation loop rejects, tried in every mode.

@@ -4,8 +4,9 @@ Decode and prefill both run through GenerationSession.forward_chunk. These
 tests drive it directly at non-zero, window-unaligned positions, with chunks
 shorter and longer than the window, and check that it matches token-by-token
 decoding bit for bit, and that a rejected chunk leaves the session exactly
-as it was. A chunk longer than exact_reach runs only its last exact_reach
-tokens; the same comparisons cover that skip on both sides of the bound.
+as it was. Each layer computes only the rows a kept result can read (at
+most exact_reach, fewer in each later layer); the same comparisons cover
+every layer's row count on both sides, and a matmul counter pins the plan.
 """
 
 import copy
@@ -139,6 +140,37 @@ def skip_lengths(config):
     return sorted(n for n in lengths if 1 <= n <= config.context_len)
 
 
+def layer_boundaries(config):
+    """Rows each layer computes K/V for on a long chunk: exact_reach - l*(W-1)."""
+    reach, window = rw.exact_reach(config), config.window_size
+    return [reach - layer * (window - 1) for layer in range(config.n_layers)]
+
+
+def test_prefill_at_each_layer_boundary_equals_stepped_decoding(stepped_run):
+    # Toy: 29, 22, 15 and 8 rows; a prompt one longer restarts that layer.
+    weights, tokens, logits, states = stepped_run
+    for n in sorted({b + extra for b in layer_boundaries(weights.config) for extra in (0, 1)}):
+        session = rw.GenerationSession(weights)
+        assert np.array_equal(session.prefill(tokens[:n]), logits[n - 1])
+        assert_matches_snapshot(session, states[n])
+        for i in range(n, n + 3):
+            assert np.array_equal(session.forward_decode(tokens[i]), logits[i])
+        assert_matches_snapshot(session, states[n + 3])
+
+
+def test_continuation_straddling_each_layer_boundary_equals_stepped_decoding(stepped_run):
+    weights, tokens, logits, states = stepped_run
+    prefix = weights.config.window_size + 1
+    for chunk in sorted({b + extra for b in layer_boundaries(weights.config) for extra in (0, 1)}):
+        session = rw.GenerationSession(weights)
+        session.prefill(tokens[:prefix])
+        end = prefix + chunk
+        assert np.array_equal(session.forward_chunk(tokens[prefix:end]), logits[end - 1])
+        assert_matches_snapshot(session, states[end])
+        assert np.array_equal(session.forward_decode(tokens[end]), logits[end])
+        assert_matches_snapshot(session, states[end + 1])
+
+
 def test_prefill_past_exact_reach_equals_stepped_decoding(stepped_run):
     weights, tokens, logits, states = stepped_run
     for n in skip_lengths(weights.config):
@@ -201,3 +233,33 @@ class TestSkippedPrefix:
             rw.GenerationSession(toy_weights).prefill(random_tokens(n, seed=n))
             counts.append(len(calls))
         assert counts == [counts[0]] * 4
+
+
+@pytest.mark.parametrize("name,prefix,n", [("toy", 0, 40), ("toy", 11, 20), ("w4l2", 0, 40), ("w4l2", 5, 6)])
+def test_each_layer_computes_only_the_rows_a_kept_output_reads(name, prefix, n, monkeypatch):
+    config = CONFIGS[name]
+    session = rw.GenerationSession(rw.init_random(config, 2))
+    if prefix:
+        session.prefill(random_tokens(prefix, seed=1))
+    stage_of = {}
+    for i, (layer, (Wqkv, _)) in enumerate(zip(session.weights.layers, session._fused)):
+        stage_of.update({id(Wqkv): ("qkv", i), id(layer.Wo): ("Wo", i), id(layer.W2): ("W2", i)})
+    rows = {}
+    real = tensor.matmul
+
+    def counting(a, b):
+        if id(b) in stage_of:
+            rows[stage_of[id(b)]] = rows.get(stage_of[id(b)], 0) + a.shape[0]
+        return real(a, b)
+
+    monkeypatch.setattr(tensor, "matmul", counting)
+    session.forward_chunk(random_tokens(n, seed=n))
+    layers = range(config.n_layers)
+    kv = [min(n, rw.exact_reach(config) - layer * (config.window_size - 1)) for layer in layers]
+    out = kv[1:] + [1]
+    assert [rows["qkv", layer] for layer in layers] == kv
+    assert [rows["Wo", layer] for layer in layers] == out
+    assert [rows["W2", layer] for layer in layers] == out
+    if (name, n) == ("toy", 40):
+        # Running all exact_reach = 29 rows in every layer would be 116.
+        assert (sum(kv), sum(out)) == (74, 46)
