@@ -32,7 +32,6 @@ from .model import (
     GenerationResult,
     GenerationSession,
     SamplerSpec,
-    chunk_prompt,
     sample_token,
 )
 from .oracle import (
@@ -86,7 +85,6 @@ __all__ = [
     "build_prefill_mask",
     "build_swa_mask",
     "cache_memory_ratio",
-    "chunk_prompt",
     "config_to_json",
     "exact_reach",
     "full_pair_count",

@@ -38,13 +38,19 @@ from .config import (
 from .model import GenerationSession, SamplerSpec
 from .model import sample_token  # noqa: F401  perfbench/tracer.py patches this name
 from .oracle import MAX_HISTORY_ELEMENTS, oracle_forward_causal, oracle_forward_swa, reach_probe
-from .weights import DecoderWeights, WeightFormatError, init_random, load_weights
+from .weights import DecoderWeights, WeightFormatError, init_random, load_weights, parameter_count
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_WEIGHTS = 2
 EXIT_TRUNCATED = 3
 EXIT_VERIFY = 4
+
+#: Most weights `generate --random-init` and `verify` draw: 2**26 float32
+#: scalars (256 MiB), against about 1.4M for the benchmark's desk preset and
+#: 0.2M for the toy. Checked with the closed-form `parameter_count` before
+#: any allocation, so a config with 10**12 layers fails fast.
+MAX_RANDOM_PARAMETERS = 2**26
 
 
 class UsageError(Exception):
@@ -75,6 +81,15 @@ def _read_config(path: str) -> ModelConfig:
         return parse_config(text)
     except ConfigError as exc:
         raise UsageError(f"config {path}: {exc}")
+
+
+def _check_random_size(config: ModelConfig) -> None:
+    count = parameter_count(config)
+    if count > MAX_RANDOM_PARAMETERS:
+        raise UsageError(
+            f"config too large for desk-scale random weights: {count} parameters "
+            f"exceed {MAX_RANDOM_PARAMETERS}"
+        )
 
 
 def _parse_prompt_ids(text: str) -> list[int]:
@@ -118,7 +133,9 @@ def cmd_generate(args) -> int:
     else:
         if not args.config:
             raise UsageError("--random-init requires --config")
-        weights = init_random(_read_config(args.config), args.seed)
+        config = _read_config(args.config)
+        _check_random_size(config)
+        weights = init_random(config, args.seed)
 
     prompt = _parse_prompt_ids(args.prompt_ids)
     if args.top_k is not None:
@@ -259,6 +276,7 @@ def cmd_verify(args) -> int:
         raise UsageError("invalid config: " + "; ".join(violations))
     if min(8 * config.window_size, config.context_len) * config.dim > MAX_HISTORY_ELEMENTS:
         raise UsageError("config too large for desk-scale verification")
+    _check_random_size(config)
     checks = run_verification(config, args.seed)
     for check in checks:
         print(f"{check.name}: {check.detail}: {'pass' if check.passed else 'fail'}", file=sys.stderr)

@@ -68,18 +68,6 @@ class GenerationResult:
     full_score_pairs: int
 
 
-def chunk_prompt(prompt_len: int, window: int) -> list[tuple[int, int]]:
-    """Split [0, prompt_len) into consecutive window-sized half-open ranges.
-
-    The last range may be shorter; together they cover the prompt exactly.
-    """
-    if prompt_len < 1:
-        raise ValueError(f"prompt_len must be >= 1, got {prompt_len}")
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    return [(start, min(start + window, prompt_len)) for start in range(0, prompt_len, window)]
-
-
 def _check_sampler(sampler: SamplerSpec, vocab_size: int) -> None:
     if sampler.mode not in ("greedy", "top-k"):
         raise ValueError(f"unknown sampler mode: {sampler.mode!r}")
@@ -153,9 +141,9 @@ class GenerationSession:
         qk = tensor.rope_apply(heads[:n_rotated], positions)
         return qk[: cfg.n_heads], qk[cfg.n_heads:], heads[n_rotated:]
 
-    def _attend_ffn(self, x: Tensor, layer: LayerWeights, W13: Tensor, q, keys, values, mask) -> Tensor:
-        """Attention output and residual through Wo, then the gated feed-forward."""
-        ctx = attention.gqa_attend(q, keys, values, mask, self.grouping)
+    def _residual_ffn(self, x: Tensor, layer: LayerWeights, W13: Tensor, ctx: Tensor) -> Tensor:
+        """Attention context [heads, rows, head_dim] through Wo into the
+        residual, then the gated feed-forward with its residual."""
         merged = ctx.transpose(1, 0, 2).reshape(x.shape[0], -1)
         x = x + tensor.matmul(merged, layer.Wo)
         h = tensor.rms_norm(x, layer.ffn_norm_gain)
@@ -174,12 +162,14 @@ class GenerationSession:
         docstring). A layer whose first K/V row lies past its cache restarts
         the cache there. Query rows are attended in W-row tiles, each against
         only the keys its window reaches, so a score matrix stays within
-        W x (2W-1).
+        W x (2W-1); the tiles fill one context, and Wo and the feed-forward
+        then run once over all of the layer's output rows.
 
         This is exact. Each row of every product is its own ordered dot
-        product, so computing fewer rows changes no bit of the others. Every
-        row computed sees its whole window, in the cache or in the chunk,
-        and keys left out of a tile would only have added exact zeros.
+        product, so computing fewer rows, or more in one product, changes no
+        bit of the others. Every row computed sees its whole window, in the
+        cache or in the chunk, and keys left out of a tile would only have
+        added exact zeros.
         """
         tokens = self._check_tokens(tokens)
         window = self.config.window_size
@@ -198,8 +188,9 @@ class GenerationSession:
             keys = np.concatenate([k_cache, k], axis=1)  # positions [cached.start, end)
             values = np.concatenate([v_cache, v], axis=1)
             cache.prefill_bulk(first, k.transpose(1, 0, 2), v.transpose(1, 0, 2))
-            q_first, pieces = end - n_out, []
+            q_first = end - n_out
             x, q = x[n_kv - n_out:], q[:, n_kv - n_out:]
+            ctx = np.empty_like(q)  # [n_heads, n_out, head_dim]
             for tile_start in range(q_first, end, window):
                 tile_end = min(tile_start + window, end)
                 k_from = max(cached.start, tile_start - window + 1)
@@ -208,10 +199,10 @@ class GenerationSession:
                 )
                 tile_rows = slice(tile_start - q_first, tile_end - q_first)
                 tile_keys = slice(k_from - cached.start, tile_end - cached.start)
-                pieces.append(self._attend_ffn(
-                    x[tile_rows], layer, W13, q[:, tile_rows], keys[:, tile_keys], values[:, tile_keys], mask
-                ))
-            x = np.concatenate(pieces)
+                ctx[:, tile_rows] = attention.gqa_attend(
+                    q[:, tile_rows], keys[:, tile_keys], values[:, tile_keys], mask, self.grouping
+                )
+            x = self._residual_ffn(x, layer, W13, ctx)
         self.next_position = end
         h = tensor.rms_norm(x, self.weights.final_norm_gain)
         return tensor.matmul(h, self.weights.output_proj)[0]

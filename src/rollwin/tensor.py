@@ -4,12 +4,14 @@ Tensors are plain numpy float32 ndarrays, row-major. Every reduction here
 (matrix products, softmax normalizers, mean-square norms) accumulates
 strictly left-to-right in float32, so a row pushed through a block operation
 is bit-identical to the same row pushed through alone. BLAS-backed matmul
-does not give that guarantee, so matmul sums each dot product itself: small
-outputs (at most SMALL_OUTPUT_MAX elements) with one `np.add.accumulate` over
-all their terms, larger ones with an explicit loop over the shared axis.
-Both paths add the same terms in the same order, so the choice changes no
-bit. The other sums also use `np.add.accumulate`, which is sequential by
-definition; elementwise work is delegated to numpy.
+does not give that guarantee, so matmul sums each dot product itself, with
+no BLAS call, in blocks along the shared axis. Products of up to
+BLOCK_ELEMENTS / 3 outputs form a block's terms in one call and add them
+with one `np.add.reduce` across a non-contiguous axis, which numpy does one
+slice at a time; larger ones form each term with an einsum that sums over
+no index, then add it. Both regimes add the same terms in the same order,
+so the choice changes no bit. The other sums use `np.add.accumulate`, which
+is sequential by definition; elementwise work is delegated to numpy.
 
 Because the order is fixed per output element, making an operation wider
 never changes a bit: matmul takes leading batch axes (one product for all
@@ -34,13 +36,14 @@ ROPE_THETA = 10000.0
 #: Variance floor for rms_norm.
 RMS_NORM_EPS = 1e-5
 
-#: Largest matmul output (elements, batch axes included) summed by one
-#: `np.add.accumulate` over all its terms instead of the per-k loop. Measured
-#: on a 2-core x86-64 host with numpy 2.4: 1x64x512 takes 192 us that way
-#: against 217 us looping, 1x64x768 ties (286 vs 287 us), and at 1x128x1024
-#: the loop wins (546 vs 764 us): accumulate is a scalar dependency chain per
-#: output, while each loop step vectorises across all outputs.
-SMALL_OUTPUT_MAX = 512
+#: Floats in one k-block of matmul terms (256 KiB): a product with `outputs`
+#: elements forms BLOCK_ELEMENTS // (outputs + 1) - 1 terms per output in one
+#: call, and takes the per-k einsum regime above BLOCK_ELEMENTS / 3 outputs.
+#: Measured on a 2-core x86-64 host with numpy 2.4, desk-preset prefill of
+#: 150-1000-token prompts (CPU time, median of 5) took 848, 840, 935 and
+#: 1370 ms at 2**14, 2**16, 2**18 and 2**20: larger blocks spill L2. Toy
+#: decode, whose products all fit one block, did not move (1.52-1.65 ms).
+BLOCK_ELEMENTS = 2**16
 
 
 def _f32(x) -> Tensor:
@@ -63,29 +66,46 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     batch slice is the 2-D product of its operands.
 
     Every output element is +0.0 + t_0 + ... + t_{k-1}, t_i = a_i * b_i, in
-    float32. Outputs of at most SMALL_OUTPUT_MAX elements form all terms at
-    once and `np.add.accumulate` them in place (sequential by definition;
-    the final +0.0 maps an all-(-0.0) sum to +0.0, as the loop does).
-    Larger outputs loop over k, vectorised across outputs. Both paths add
-    the same operands in the same order, so the path changes no bit of a
-    result; a NaN's sign and payload follow numpy's SIMD lanes on either.
+    float32. The shared axis goes in blocks of
+    step = min(k, BLOCK_ELEMENTS // (outputs + 1) - 1) indices.
+
+    step >= 2: one `np.multiply` writes a block's terms into rows 1.. of a
+    [step + 1, outputs + 1] buffer whose row 0 holds the running sum, and
+    `np.add.reduce(axis=0)` adds the rows into row 0. That sum is strictly
+    row by row: numpy reduces along a non-contiguous axis one slice at a
+    time and sums pairwise only along the fast axis (`numpy.sum`, Notes).
+    The spare, always-zero column keeps the fast axis at least 2 wide, so a
+    one-output product is not reduced along a contiguous axis.
+
+    step < 2 (outputs past BLOCK_ELEMENTS / 3): per k, an einsum with no
+    summed index writes each term as one rounded product, and `np.add` adds
+    it to the running sum. Without a summed index einsum calls no BLAS.
+
+    Both regimes add the same terms in the same order, so the regime
+    changes no bit of a result; a NaN's sign and payload follow numpy's
+    SIMD lanes on either.
     """
     a, b = _f32(a), _f32(b)
     if a.ndim < 2 or b.ndim != a.ndim or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
+    k = a.shape[-1]
     out_shape = a.shape[:-1] + b.shape[-1:]
-    if 0 < a.shape[-1] and math.prod(out_shape) <= SMALL_OUTPUT_MAX:
-        # order="C" keeps k trailing and contiguous; by default the layout
-        # would follow b's strides.
-        terms = np.multiply(
-            a[..., :, np.newaxis, :], np.swapaxes(b, -1, -2)[..., np.newaxis, :, :], order="C"
-        )  # [..., n, m, k]
-        np.add.accumulate(terms, axis=-1, out=terms)
-        return terms[..., -1] + np.float32(0.0)
+    outputs = math.prod(out_shape)
+    step = min(k, BLOCK_ELEMENTS // (outputs + 1) - 1)
+    if step >= 2:
+        block = np.zeros((step + 1, outputs + 1), dtype=np.float32)
+        terms = block[1:, :outputs].reshape((step,) + out_shape)
+        a_k = np.moveaxis(a, -1, 0)[..., np.newaxis]      # [k, ..., n, 1]
+        b_k = np.moveaxis(b, -2, 0)[..., np.newaxis, :]   # [k, ..., 1, m]
+        for start in range(0, k, step):
+            stop = min(start + step, k)
+            np.multiply(a_k[start:stop], b_k[start:stop], out=terms[: stop - start])
+            np.add.reduce(block[: stop - start + 1], axis=0, out=block[0])
+        return block[0, :outputs].reshape(out_shape).copy()  # frees the block
     out = np.zeros(out_shape, dtype=np.float32)
     term = np.empty_like(out)
-    for k in range(a.shape[-1]):
-        np.multiply(a[..., k, np.newaxis], b[..., k, np.newaxis, :], out=term)
+    for i in range(k):
+        np.einsum("...i,...j->...ij", a[..., i], b[..., i, :], out=term)
         np.add(out, term, out=out)
     return out
 

@@ -247,6 +247,13 @@ HOSTILE_INPUTS = {
                      *GENERATE_FROM],
         cli.EXIT_WEIGHTS,
     ),
+    # The parameter cap must be checked before init_random builds 10**12 layers.
+    "huge-n-layers-verify": (lambda tmp: ["verify", "--layers", str(10**12)], cli.EXIT_USAGE),
+    "huge-n-layers-random-init": (
+        lambda tmp: ["generate", "--random-init", "--prompt-ids", "1 2", "--config",
+                     _file(tmp, rw.config_to_json(replace(rw.PRESET_TOY, n_layers=10**12)).encode())],
+        cli.EXIT_USAGE,
+    ),
 }
 
 #: Sampler flags that only the generation loop rejects, tried in every mode.

@@ -10,29 +10,6 @@ from rollwin import tensor as tensor_module
 from conftest import random_tokens
 
 
-class TestChunkPrompt:
-    def test_three_even_chunks(self):
-        assert rw.chunk_prompt(12, 4) == [(0, 4), (4, 8), (8, 12)]
-
-    def test_prompt_inside_one_chunk(self):
-        assert rw.chunk_prompt(3, 8) == [(0, 3)]
-
-    def test_ragged_tail(self):
-        assert rw.chunk_prompt(9, 4) == [(0, 4), (4, 8), (8, 9)]
-
-    def test_covers_exactly(self):
-        for n in range(1, 40):
-            for w in range(1, 12):
-                ranges = rw.chunk_prompt(n, w)
-                flat = [p for s, e in ranges for p in range(s, e)]
-                assert flat == list(range(n))
-                assert all(e - s <= w for s, e in ranges)
-
-    def test_rejects_empty_prompt(self):
-        with pytest.raises(ValueError):
-            rw.chunk_prompt(0, 4)
-
-
 class TestForwardDecode:
     def test_logits_shape_and_finiteness(self, toy_config, toy_weights):
         session = rw.GenerationSession(toy_weights)

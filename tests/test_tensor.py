@@ -52,6 +52,20 @@ def float_bits(x):
     return np.where(np.isnan(x), np.float32(np.nan), x).tobytes()
 
 
+#: The largest output matmul sums in blocks of at least 2 terms; larger
+#: outputs take the per-k path.
+LARGEST_BLOCKED = rw.tensor.BLOCK_ELEMENTS // 3 - 1
+
+
+def sampled_columns(count, at_most=48):
+    """Up to `at_most` column indices spread over [0, count), both ends included.
+
+    Each output column is its own set of dot products, so checking a wide
+    product against reference_matmul on these columns is exact for them.
+    """
+    return np.unique(np.linspace(0, count - 1, min(count, at_most)).astype(int))
+
+
 def spread(rng, shape):
     """float32 values over six decades, so any reordered sum shows in the bits."""
     magnitude = np.float32(10.0) ** rng.uniform(-3, 3, size=shape).astype(np.float32)
@@ -107,16 +121,27 @@ class TestKernelOrder:
     call the same kernels; these tests can.
     """
 
-    # Output sizes 1 to 512 (64 x 8) take the accumulate path; 520 and 640
-    # take the per-k loop.
+    # Over k = 32: outputs up to 512 sum in one block, 8192 (64 x 128) in 6
+    # blocks of 6 and LARGEST_BLOCKED (4 x 5461) in 16 blocks of 2; one more
+    # output column (4 x 5462) takes the per-k path.
     @pytest.mark.parametrize(
         "rows, cols",
-        [(1, 8), (3, 8), (64, 8), (1, 1), (65, 8), (16, 40)],
-        ids=["1", "3", "64", "1x1", "65x8", "16x40"],
+        [(1, 8), (3, 8), (64, 8), (1, 1), (65, 8), (16, 40), (64, 128), (4, 5461), (4, 5462)],
+        ids=["1", "3", "64", "1x1", "65x8", "16x40", "64x128", "4x5461", "4x5462"],
     )
     def test_matmul_equals_scalar_reference(self, rows, cols):
         rng = np.random.default_rng(rows)
         a, b = spread(rng, (rows, 32)), spread(rng, (32, cols))
+        out = rw.matmul(a, b)
+        cols = sampled_columns(cols)
+        assert np.array_equal(out[:, cols], reference_matmul(a, b[:, cols]))
+
+    @pytest.mark.parametrize("k", [64, 200])
+    def test_one_output_sums_in_order(self, k):
+        # A [k + 1, 1] block reduced along its only axis would be summed
+        # pairwise; the spare zero column keeps the reduction row by row.
+        rng = np.random.default_rng(k)
+        a, b = spread(rng, (1, k)), spread(rng, (k, 1))
         assert np.array_equal(rw.matmul(a, b), reference_matmul(a, b))
 
     def test_batched_matmul_equals_scalar_reference_per_slice(self):
@@ -127,19 +152,21 @@ class TestKernelOrder:
         for i in range(3):
             assert np.array_equal(out[i], reference_matmul(a[i], b[i]))
 
-    # Outputs of 1, exactly 512 and 540 elements, batch axes included.
+    # Outputs of 1, 512 and 540 elements (one block each), LARGEST_BLOCKED
+    # (blocks of 2) and just past it (per k), batch axes included.
     @pytest.mark.parametrize(
         "batch, n, k, m",
-        [((1,), 1, 17, 1), ((4,), 8, 9, 16), ((2, 3), 5, 7, 18)],
-        ids=["out1", "out512", "out540"],
+        [((1,), 1, 17, 1), ((4,), 8, 9, 16), ((2, 3), 5, 7, 18), ((4,), 1, 9, 5461), ((2, 2), 1, 9, 5462)],
+        ids=["out1", "out512", "out540", "out21844", "out21848"],
     )
     def test_batched_matmul_equals_scalar_reference_on_both_paths(self, batch, n, k, m):
         rng = np.random.default_rng(24)
         a, b = spread(rng, batch + (n, k)), spread(rng, batch + (k, m))
         out = rw.matmul(a, b)
         assert out.shape == batch + (n, m)
+        cols = sampled_columns(m)
         for index in np.ndindex(*batch):
-            assert np.array_equal(out[index], reference_matmul(a[index], b[index]))
+            assert np.array_equal(out[index][:, cols], reference_matmul(a[index], b[index][:, cols]))
 
     @pytest.mark.parametrize(
         "a_shape, b_shape",
@@ -159,11 +186,11 @@ class TestKernelOrder:
             rw.matmul(np.ones((2, 3, 4), np.float32), np.ones((4, 5), np.float32))
 
     def test_negative_zero_products_sum_to_positive_zero(self):
-        # Summing from +0.0 turns an all-(-0.0) dot product into +0.0, on the
-        # accumulate path (4 outputs) and on the loop path (600 outputs).
-        for rows in (2, 300):
-            a = np.full((rows, 3), -0.0, dtype=np.float32)
-            out = rw.matmul(a, np.ones((3, 2), np.float32))
+        # Summing from +0.0 turns an all-(-0.0) dot product into +0.0: in one
+        # block (4 outputs), in three (LARGEST_BLOCKED) and per k (one more).
+        for rows in (2, LARGEST_BLOCKED // 2, LARGEST_BLOCKED // 2 + 1):
+            a = np.full((rows, 5), -0.0, dtype=np.float32)
+            out = rw.matmul(a, np.ones((5, 2), np.float32))
             assert not np.signbit(out).any()
             assert not np.signbit(rw.tensor._ordered_sum(a)).any()
 
@@ -215,15 +242,23 @@ def _laid_out(draw, rng, shape):
 
 @st.composite
 def matmul_operands(draw):
-    """Operands with 0-2 batch axes whose output lands on a chosen side of the threshold."""
+    """Operands with 0-2 batch axes and a chosen output size: a few columns
+    (k in one block), up to LARGEST_BLOCKED or just past it, the last two
+    with k spanning up to four blocks (or k-steps)."""
     batch = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
-    n, k = draw(st.integers(1, 12)), draw(st.integers(0, 24))
+    n = draw(st.integers(1, 12))
     per_column = math.prod(batch) * n
-    widest_small = rw.tensor.SMALL_OUTPUT_MAX // per_column
-    if draw(st.booleans()):
-        m = draw(st.integers(1, widest_small))
+    widest_blocked = LARGEST_BLOCKED // per_column
+    size = draw(st.sampled_from(["few", "blocked", "per-k"]))
+    if size == "few":
+        m, k = draw(st.integers(1, 8)), draw(st.integers(0, 24))
     else:
-        m = draw(st.integers(widest_small + 1, widest_small + 24))
+        if size == "blocked":
+            m = draw(st.integers(max(1, widest_blocked // 8), widest_blocked))
+        else:
+            m = draw(st.integers(widest_blocked + 1, widest_blocked + 24))
+        step = max(1, rw.tensor.BLOCK_ELEMENTS // (per_column * m + 1) - 1)
+        k = draw(st.integers(0, 4 * step))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return _laid_out(draw, rng, batch + (n, k)), _laid_out(draw, rng, batch + (k, m))
 
