@@ -4,8 +4,9 @@
 A known prompt does not need token-by-token decoding. It runs as one chunk,
 layer by layer. Each layer computes only the rows a kept result can read
 (the last row's logits and each layer's last W cache rows), so later layers
-run fewer rows, and query rows attend in window-sized tiles. The final
-state is identical to having decoded every token one at a time.
+run fewer rows, and each query row scores exactly the W keys of its
+window. The final state is identical to having decoded every token one at
+a time.
 """
 
 import numpy as np
@@ -47,6 +48,10 @@ print(f"  retained positions identical: {positions_equal}")
 print(f"  cache contents bit-identical: {contents_equal}")
 print()
 
-# The point of the tiles: transient score matrices stay within W x 2W.
-print("largest score matrix a single head ever sees during this prefill:")
-print(f"  {W} queries x {2 * W} keys = {W * 2 * W} scores (vs {len(prompt)}^2 = {len(prompt) ** 2} unchunked)")
+# Each query row scores exactly its W keys, and a layer runs at most
+# kv_1 = exact_reach - W + 1 query rows, so a head's score block stays
+# within (exact_reach - W + 1) x W however long the prompt is.
+rows = min(len(prompt), reach - W + 1)
+print("largest score block a single head ever sees during this prefill:")
+print(f"  {rows} queries x {W} keys = {rows * W} scores "
+      f"(vs {len(prompt)}^2 = {len(prompt) ** 2} for dense attention over the prompt)")

@@ -14,6 +14,7 @@ from .attention import (
     full_pair_count,
     gqa_attend,
     score_pair_count,
+    window_attend,
 )
 from .cache import RollingKvCache, new_cache
 from .config import (
@@ -109,4 +110,5 @@ __all__ = [
     "tensor_shapes",
     "theoretical_span",
     "validate",
+    "window_attend",
 ]

@@ -2,7 +2,10 @@
 
 Pure functions over immutable inputs. Masks carry absolute token positions;
 keys and values are always consumed in ascending absolute-position order so
-that every caller accumulates attention sums identically.
+that every caller accumulates attention sums identically. The engine calls
+`window_attend`, which reads each query's window as a band of contiguous
+key rows; `gqa_attend` under an explicit mask is its dense reference, and
+the oracle builds its masks with `build_swa_mask`.
 """
 
 from __future__ import annotations
@@ -130,6 +133,77 @@ def gqa_attend(
     masked = np.broadcast_to(~mask.admissible, scores.shape)
     weights = tensor.softmax_stable(scores, masked=masked)
     return tensor.matmul(weights, v[kv])
+
+
+def _bands(rows: Tensor, first: int, n_q: int, window: int) -> Tensor:
+    """Read-only [n_kv_heads, n_q, window, head_dim] view of rows
+    [n_kv_heads, n_k, head_dim]: band i is rows[:, first + i : first + i + window]."""
+    kv_stride, row_stride, dim_stride = rows.strides
+    return np.lib.stride_tricks.as_strided(
+        rows[:, first:],
+        shape=(rows.shape[0], n_q, window, rows.shape[2]),
+        strides=(kv_stride, row_stride, row_stride, dim_stride),
+        writeable=False,
+    )
+
+
+def window_attend(
+    q: Tensor,
+    keys: Tensor,
+    values: Tensor,
+    q_start: int,
+    key_start: int,
+    window: int,
+    grouping: HeadGrouping,
+) -> Tensor:
+    """Sliding-window grouped-query attention as one banded product.
+
+    q: [n_heads, n_q, head_dim] for positions [q_start, q_start + n_q);
+    keys, values: [n_kv_heads, n_k, head_dim] for the contiguous positions
+    [key_start, q_start + n_q). Query i scores exactly the `window` keys at
+    positions q_start + i - window + 1 ... q_start + i, read as strided
+    bands over the key rows without a copy. Slots before key_start are zero
+    rows, masked; there are none once the keys reach W - 1 positions before
+    q_start, so the steady state runs softmax without a mask. Query heads
+    sit as rows on the kv head they read, so K/V are never repeated per
+    query head, and a call is one scores product, one softmax and one AV
+    product for all heads.
+
+    Bit-identical to gqa_attend under build_swa_mask over the same keys:
+    every admissible score is the same ordered dot product, and the keys a
+    band leaves out would only have added exact zeros to ordered sums that
+    start at +0.0.
+    """
+    n_heads, n_q, head_dim = q.shape
+    n_kv, group = grouping.n_kv_heads, grouping.group_size
+    if n_heads != grouping.n_heads:
+        raise ValueError(f"q shape {q.shape} does not fit {grouping.n_heads} query heads")
+    if window < 1:
+        raise ValueError(f"window must be >= 1, got {window}")
+    if key_start < 0 or key_start > q_start:
+        raise ValueError(f"key_start {key_start} must lie in [0, q_start {q_start}]")
+    expected = (n_kv, q_start + n_q - key_start, head_dim)
+    if keys.shape != expected or values.shape != expected:
+        raise ValueError(f"k/v shapes {keys.shape}/{values.shape}, expected {expected}")
+
+    first = q_start - window + 1 - key_start  # key row of query 0's oldest slot
+    masked = None
+    if first < 0:
+        pad = np.zeros((n_kv, -first, head_dim), dtype=np.float32)
+        keys = np.concatenate([pad, keys], axis=1)
+        values = np.concatenate([pad, values], axis=1)
+        slot_positions = q_start - window + 1 + np.arange(n_q)[:, None] + np.arange(window)
+        masked = np.broadcast_to((slot_positions < key_start)[:, None, :], (n_kv, n_q, group, window))
+        first = 0
+    k_bands = _bands(keys, first, n_q, window)
+    v_bands = _bands(values, first, n_q, window)
+    # Query head h = kv * group + g becomes row g of kv head kv's band product.
+    grouped = q.reshape(n_kv, group, n_q, head_dim).transpose(0, 2, 1, 3)
+    scale = np.float32(math.sqrt(head_dim))
+    scores = tensor.matmul(grouped, k_bands.transpose(0, 1, 3, 2)) / scale  # [n_kv, n_q, group, W]
+    weights = tensor.softmax_stable(scores, masked=masked)
+    out = tensor.matmul(weights, v_bands)  # [n_kv, n_q, group, head_dim]
+    return out.transpose(0, 2, 1, 3).reshape(n_heads, n_q, head_dim)
 
 
 def full_pair_count(seq_len: int) -> int:

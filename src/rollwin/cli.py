@@ -52,6 +52,12 @@ EXIT_VERIFY = 4
 #: any allocation, so a config with 10**12 layers fails fast.
 MAX_RANDOM_PARAMETERS = 2**26
 
+#: Most rolling-cache bytes a session may allocate: 256 MiB, against 96 KiB
+#: for the desk preset and 8 KiB for the toy. The caches do not depend on
+#: the weights, so a small model with a huge window_size fits the parameter
+#: cap; this is checked before any GenerationSession is built.
+MAX_CACHE_BYTES = 2**28
+
 
 class UsageError(Exception):
     """Bad flags or unusable inputs; mapped to exit code 1."""
@@ -92,6 +98,12 @@ def _check_random_size(config: ModelConfig) -> None:
         )
 
 
+def _check_cache_size(config: ModelConfig) -> None:
+    size = config.n_layers * 2 * config.n_kv_heads * config.window_size * config.head_dim * 4
+    if size > MAX_CACHE_BYTES:
+        raise UsageError(f"config too large for the rolling caches: {size} bytes exceed {MAX_CACHE_BYTES}")
+
+
 def _parse_prompt_ids(text: str) -> list[int]:
     ids = []
     for piece in text.split():
@@ -127,7 +139,8 @@ def cmd_generate(args) -> int:
     if args.weights:
         try:
             weights = load_weights(args.weights)
-        except (WeightFormatError, OSError) as exc:
+            _check_cache_size(weights.config)
+        except (WeightFormatError, OSError, UsageError) as exc:
             print(f"error: weight file: {exc}", file=sys.stderr)
             return EXIT_WEIGHTS
     else:
@@ -135,6 +148,7 @@ def cmd_generate(args) -> int:
             raise UsageError("--random-init requires --config")
         config = _read_config(args.config)
         _check_random_size(config)
+        _check_cache_size(config)
         weights = init_random(config, args.seed)
 
     prompt = _parse_prompt_ids(args.prompt_ids)
@@ -277,6 +291,7 @@ def cmd_verify(args) -> int:
     if min(8 * config.window_size, config.context_len) * config.dim > MAX_HISTORY_ELEMENTS:
         raise UsageError("config too large for desk-scale verification")
     _check_random_size(config)
+    _check_cache_size(config)
     checks = run_verification(config, args.seed)
     for check in checks:
         print(f"{check.name}: {check.detail}: {'pass' if check.passed else 'fail'}", file=sys.stderr)

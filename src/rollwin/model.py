@@ -16,12 +16,14 @@ by W - 1 rows each. Every row computed sees its whole window, so the
 results are bit-identical to running every row.
 
 Layer arithmetic: rms-norm, grouped-query attention with rotary positions
-under the sliding-window mask, then a gated feed-forward, each with a
-residual connection. A session concatenates each layer's Wq|Wk|Wv and
-W1|W3 by columns once, so each is one ordered product per layer; every
-output column is still its own left-to-right dot product. The Wq|Wk|Wv
-product runs on all kv_l rows: its W - 1 unused query rows per layer cost
-less than a second product would on every decode step.
+over the sliding window, then a gated feed-forward, each with a residual
+connection. Attention is one banded product per layer: every query row
+scores exactly its W keys (`attention.window_attend`). A session
+concatenates each layer's Wq|Wk|Wv and W1|W3 by columns once, so each is
+one ordered product per layer; every output column is still its own
+left-to-right dot product. The Wq|Wk|Wv product runs on all kv_l rows:
+its W - 1 unused query rows per layer cost less than a second product
+would on every decode step.
 """
 
 from __future__ import annotations
@@ -160,16 +162,17 @@ class GenerationSession:
         Wo and the feed-forward for its last kv_{l+1} rows (one at the last
         layer): only the rows a kept result can read (see the module
         docstring). A layer whose first K/V row lies past its cache restarts
-        the cache there. Query rows are attended in W-row tiles, each against
-        only the keys its window reaches, so a score matrix stays within
-        W x (2W-1); the tiles fill one context, and Wo and the feed-forward
-        then run once over all of the layer's output rows.
+        the cache there. The layer's query rows then attend in one banded
+        call over the cached keys followed by the chunk's: each row scores
+        exactly the W keys of its window, so a head's score block is
+        kv_{l+1} x W. Wo and the feed-forward run once over all of the
+        layer's output rows. Decode is the one-row case of the same call.
 
         This is exact. Each row of every product is its own ordered dot
         product, so computing fewer rows, or more in one product, changes no
         bit of the others. Every row computed sees its whole window, in the
-        cache or in the chunk, and keys left out of a tile would only have
-        added exact zeros.
+        cache or in the chunk, and keys outside it would only have added
+        exact zeros.
         """
         tokens = self._check_tokens(tokens)
         window = self.config.window_size
@@ -188,21 +191,10 @@ class GenerationSession:
             keys = np.concatenate([k_cache, k], axis=1)  # positions [cached.start, end)
             values = np.concatenate([v_cache, v], axis=1)
             cache.prefill_bulk(first, k.transpose(1, 0, 2), v.transpose(1, 0, 2))
-            q_first = end - n_out
-            x, q = x[n_kv - n_out:], q[:, n_kv - n_out:]
-            ctx = np.empty_like(q)  # [n_heads, n_out, head_dim]
-            for tile_start in range(q_first, end, window):
-                tile_end = min(tile_start + window, end)
-                k_from = max(cached.start, tile_start - window + 1)
-                mask = attention.build_prefill_mask(
-                    tile_start, tile_end - tile_start, range(k_from, tile_start), window
-                )
-                tile_rows = slice(tile_start - q_first, tile_end - q_first)
-                tile_keys = slice(k_from - cached.start, tile_end - cached.start)
-                ctx[:, tile_rows] = attention.gqa_attend(
-                    q[:, tile_rows], keys[:, tile_keys], values[:, tile_keys], mask, self.grouping
-                )
-            x = self._residual_ffn(x, layer, W13, ctx)
+            ctx = attention.window_attend(
+                q[:, n_kv - n_out:], keys, values, end - n_out, cached.start, window, self.grouping
+            )
+            x = self._residual_ffn(x[n_kv - n_out:], layer, W13, ctx)
         self.next_position = end
         h = tensor.rms_norm(x, self.weights.final_norm_gain)
         return tensor.matmul(h, self.weights.output_proj)[0]

@@ -5,8 +5,8 @@ Tensors are plain numpy float32 ndarrays, row-major. Every reduction here
 strictly left-to-right in float32, so a row pushed through a block operation
 is bit-identical to the same row pushed through alone. BLAS-backed matmul
 does not give that guarantee, so matmul sums each dot product itself, with
-no BLAS call, in blocks along the shared axis. Products of up to
-BLOCK_ELEMENTS / 3 outputs form a block's terms in one call and add them
+no BLAS call, in blocks along the shared axis. Products of fewer than
+BLOCK_ELEMENTS / 8 outputs form a block's terms in one call and add them
 with one `np.add.reduce` across a non-contiguous axis, which numpy does one
 slice at a time; larger ones form each term with an einsum that sums over
 no index, then add it. Both regimes add the same terms in the same order,
@@ -38,7 +38,8 @@ RMS_NORM_EPS = 1e-5
 
 #: Floats in one k-block of matmul terms (256 KiB): a product with `outputs`
 #: elements forms BLOCK_ELEMENTS // (outputs + 1) - 1 terms per output in one
-#: call, and takes the per-k einsum regime above BLOCK_ELEMENTS / 3 outputs.
+#: call, and takes the per-k einsum regime when that is below 7, i.e. above
+#: BLOCK_ELEMENTS / 8 - 1 = 8,191 outputs.
 #: Measured on a 2-core x86-64 host with numpy 2.4, desk-preset prefill of
 #: 150-1000-token prompts (CPU time, median of 5) took 848, 840, 935 and
 #: 1370 ms at 2**14, 2**16, 2**18 and 2**20: larger blocks spill L2. Toy
@@ -66,20 +67,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     batch slice is the 2-D product of its operands.
 
     Every output element is +0.0 + t_0 + ... + t_{k-1}, t_i = a_i * b_i, in
-    float32. The shared axis goes in blocks of
-    step = min(k, BLOCK_ELEMENTS // (outputs + 1) - 1) indices.
+    float32. A block holds room = BLOCK_ELEMENTS // (outputs + 1) - 1 terms
+    per output.
 
-    step >= 2: one `np.multiply` writes a block's terms into rows 1.. of a
-    [step + 1, outputs + 1] buffer whose row 0 holds the running sum, and
-    `np.add.reduce(axis=0)` adds the rows into row 0. That sum is strictly
-    row by row: numpy reduces along a non-contiguous axis one slice at a
-    time and sums pairwise only along the fast axis (`numpy.sum`, Notes).
-    The spare, always-zero column keeps the fast axis at least 2 wide, so a
-    one-output product is not reduced along a contiguous axis.
+    room >= 7 (up to 8,191 outputs): the shared axis goes in blocks of
+    step = min(k, room) indices. One `np.multiply` writes a block's terms
+    into rows 1.. of a [step + 1, outputs + 1] buffer whose row 0 holds the
+    running sum, and `np.add.reduce(axis=0)` adds the rows into row 0. That
+    sum is strictly row by row: numpy reduces along a non-contiguous axis
+    one slice at a time and sums pairwise only along the fast axis
+    (`numpy.sum`, Notes). The spare, always-zero column keeps the fast axis
+    at least 2 wide, so a one-output product is not reduced along a
+    contiguous axis.
 
-    step < 2 (outputs past BLOCK_ELEMENTS / 3): per k, an einsum with no
-    summed index writes each term as one rounded product, and `np.add` adds
-    it to the running sum. Without a summed index einsum calls no BLAS.
+    room < 7 (more outputs): per k, an einsum with no summed index writes
+    each term as one rounded product, and `np.add` adds it to the running
+    sum. Without a summed index einsum calls no BLAS. With so few terms per
+    block, a blocked product cost more than this: on 64 x 1024 products,
+    16 rows (room 2) took 1.7x as long blocked as per k.
 
     Both regimes add the same terms in the same order, so the regime
     changes no bit of a result; a NaN's sign and payload follow numpy's
@@ -91,8 +96,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     k = a.shape[-1]
     out_shape = a.shape[:-1] + b.shape[-1:]
     outputs = math.prod(out_shape)
-    step = min(k, BLOCK_ELEMENTS // (outputs + 1) - 1)
-    if step >= 2:
+    room = BLOCK_ELEMENTS // (outputs + 1) - 1
+    if k and room >= 7:
+        step = min(k, room)
         block = np.zeros((step + 1, outputs + 1), dtype=np.float32)
         terms = block[1:, :outputs].reshape((step,) + out_shape)
         a_k = np.moveaxis(a, -1, 0)[..., np.newaxis]      # [k, ..., n, 1]
@@ -115,20 +121,23 @@ def softmax_stable(x: Tensor, masked: Tensor | None = None) -> Tensor:
 
     `masked` marks entries to exclude: they are dropped from the max and the
     normalizer (never set to -inf) and come back as exactly 0. Each slice
-    must keep at least one entry.
+    must keep at least one entry. Without a mask the same values come from
+    plain elementwise steps, with no keep array to build.
     """
     x = _f32(x)
     if masked is None:
-        keep = np.ones(x.shape, dtype=bool)
+        if x.shape[-1] == 0:
+            raise ValueError("degenerate attention row: all entries masked")
+        weights = np.exp(x - np.max(x, axis=-1, keepdims=True))
     else:
         keep = ~np.asarray(masked, dtype=bool)
         if keep.shape != x.shape:
             raise ValueError(f"mask shape {keep.shape} != input shape {x.shape}")
-    if not keep.any(axis=-1).all():
-        raise ValueError("degenerate attention row: all entries masked")
-    peak = np.max(x, axis=-1, keepdims=True, where=keep, initial=np.float32(-np.inf))
-    shifted = np.where(keep, x - peak, np.float32(0.0))
-    weights = np.where(keep, np.exp(shifted), np.float32(0.0))
+        if not keep.any(axis=-1).all():
+            raise ValueError("degenerate attention row: all entries masked")
+        peak = np.max(x, axis=-1, keepdims=True, where=keep, initial=np.float32(-np.inf))
+        shifted = np.where(keep, x - peak, np.float32(0.0))
+        weights = np.where(keep, np.exp(shifted), np.float32(0.0))
     total = _ordered_sum(weights)[..., np.newaxis]
     return weights / total
 

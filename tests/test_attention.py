@@ -228,6 +228,72 @@ class TestGqaAttend:
             rw.gqa_attend(q, k, v, mask, HeadGrouping(2, 2))
 
 
+def spread_normal(rng, shape):
+    """float32 values over four decades, so a reordered or padded sum shows in the bits."""
+    magnitude = np.float32(10.0) ** rng.uniform(-2, 2, size=shape).astype(np.float32)
+    return (rng.standard_normal(shape) * magnitude).astype(np.float32)
+
+
+class TestWindowAttend:
+    """The banded product against gqa_attend under the dense window mask."""
+
+    def _dense(self, q, keys, values, q_start, key_start, window, grouping):
+        n_q = q.shape[1]
+        mask = rw.build_swa_mask(range(q_start, q_start + n_q), range(key_start, q_start + n_q), window)
+        return rw.gqa_attend(q, keys, values, mask, grouping)
+
+    def _inputs(self, seed, n_heads, n_kv, n_q, n_k, head_dim=8):
+        rng = np.random.default_rng(seed)
+        return (spread_normal(rng, (n_heads, n_q, head_dim)),
+                spread_normal(rng, (n_kv, n_k, head_dim)),
+                spread_normal(rng, (n_kv, n_k, head_dim)))
+
+    # (window, q_start, key_start, n_q): full bands with extra older keys
+    # (decode over W + 1 retained keys), pad rows at position 0 and after a
+    # shallow cache, n_q from 1 to past W, and W = 1.
+    @pytest.mark.parametrize(
+        "window, q_start, key_start, n_q",
+        [(4, 20, 16, 1), (4, 20, 17, 1), (4, 20, 17, 3), (4, 20, 17, 4), (4, 20, 17, 9),
+         (4, 20, 10, 6), (4, 0, 0, 1), (4, 0, 0, 3), (4, 0, 0, 10), (4, 2, 0, 5),
+         (4, 9, 8, 7), (1, 5, 5, 1), (1, 5, 3, 6), (1, 0, 0, 4), (7, 3, 0, 20)],
+    )
+    @pytest.mark.parametrize("n_kv", [4, 2, 1], ids=["group1", "group2", "group4"])
+    def test_equals_gqa_attend_under_dense_mask(self, window, q_start, key_start, n_q, n_kv):
+        grouping = HeadGrouping(4, n_kv)
+        n_k = q_start + n_q - key_start
+        q, keys, values = self._inputs(window * 100 + q_start + n_q, 4, n_kv, n_q, n_k)
+        banded = rw.window_attend(q, keys, values, q_start, key_start, window, grouping)
+        dense = self._dense(q, keys, values, q_start, key_start, window, grouping)
+        assert banded.shape == (4, n_q, 8)
+        assert np.array_equal(banded, dense)
+
+    def test_strided_query_rows_equal_contiguous(self):
+        # The engine passes q[:, n_kv - n_out:], a view into a wider block.
+        grouping = HeadGrouping(4, 2)
+        q, keys, values = self._inputs(3, 4, 2, 12, 16)
+        view = rw.window_attend(q[:, 4:], keys[:, 4:], values[:, 4:], 8, 4, 4, grouping)
+        copy = rw.window_attend(q[:, 4:].copy(), keys[:, 4:].copy(), values[:, 4:].copy(), 8, 4, 4, grouping)
+        assert np.array_equal(view, copy)
+
+    def test_inputs_left_unchanged(self):
+        q, keys, values = self._inputs(4, 4, 2, 3, 5)
+        before = [a.copy() for a in (q, keys, values)]
+        rw.window_attend(q, keys, values, 2, 0, 4, HeadGrouping(4, 2))
+        assert all(np.array_equal(a, b) for a, b in zip((q, keys, values), before))
+
+    def test_shape_mismatches_rejected(self):
+        q, keys, values = self._inputs(5, 4, 2, 3, 6)
+        grouping = HeadGrouping(4, 2)
+        with pytest.raises(ValueError, match="k/v shapes"):
+            rw.window_attend(q, keys, values, 2, 0, 4, grouping)  # keys need positions [0, 5)
+        with pytest.raises(ValueError, match="query heads"):
+            rw.window_attend(q[:2], keys, values, 3, 0, 4, grouping)
+        with pytest.raises(ValueError, match="key_start"):
+            rw.window_attend(q, keys[:, :2], values[:, :2], 3, 4, 4, grouping)
+        with pytest.raises(ValueError, match="window"):
+            rw.window_attend(q, keys, values, 3, 0, 0, grouping)
+
+
 class TestPairCounts:
     def test_production_scale_ratio(self):
         swa = rw.score_pair_count(16384, 4096)

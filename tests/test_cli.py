@@ -219,6 +219,16 @@ def _embedded_config(saved: bytes, config) -> bytes:
 
 GENERATE_FROM = ("--prompt-ids", "1 2", "--max-tokens", "1")
 
+#: Toy weights with 119 GiB of rolling caches.
+HUGE_WINDOW_TOY = replace(rw.PRESET_TOY, window_size=10**9, context_len=10**9)
+
+#: 512 MiB of caches from a model small enough for verify's oracle guard:
+#: min(8W, context_len) * dim is exactly its 2**20 elements.
+HUGE_CACHE_TINY = rw.ModelConfig(
+    dim=2, n_layers=64, head_dim=2, hidden_dim=1, n_heads=1, n_kv_heads=1,
+    window_size=2**19, context_len=2**19, vocab_size=2,
+)
+
 #: Hostile inputs, each as (argv builder, documented exit code).
 HOSTILE_INPUTS = {
     "non-utf8-config": (
@@ -252,6 +262,22 @@ HOSTILE_INPUTS = {
     "huge-n-layers-random-init": (
         lambda tmp: ["generate", "--random-init", "--prompt-ids", "1 2", "--config",
                      _file(tmp, rw.config_to_json(replace(rw.PRESET_TOY, n_layers=10**12)).encode())],
+        cli.EXIT_USAGE,
+    ),
+    # The cache cap must be checked before a session allocates its caches;
+    # these configs pass the parameter cap (and, for verify, the oracle guard).
+    "huge-window-embedded-config": (
+        lambda tmp: ["generate", "--weights",
+                     _file(tmp, _embedded_config(_saved_weights(tmp), HUGE_WINDOW_TOY)), *GENERATE_FROM],
+        cli.EXIT_WEIGHTS,
+    ),
+    "huge-window-random-init": (
+        lambda tmp: ["generate", "--random-init", "--prompt-ids", "1 2", "--config",
+                     _file(tmp, rw.config_to_json(HUGE_WINDOW_TOY).encode())],
+        cli.EXIT_USAGE,
+    ),
+    "huge-cache-verify": (
+        lambda tmp: ["verify", "--config", _file(tmp, rw.config_to_json(HUGE_CACHE_TINY).encode())],
         cli.EXIT_USAGE,
     ),
 }

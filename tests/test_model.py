@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import rollwin as rw
-from rollwin import attention as attention_module
 from rollwin import tensor as tensor_module
 
 from conftest import random_tokens
@@ -106,20 +105,52 @@ class TestPrefill:
             rw.GenerationSession(toy_weights).prefill([])
 
     def test_transient_score_matrices_stay_bounded(self, toy_config, toy_weights, monkeypatch):
-        # Chunking exists to cap the score matrix at W x 2W per head.
+        # Each query row scores exactly its W keys, and a layer runs at most
+        # kv_1 = exact_reach - W + 1 query rows, so a head's score block is
+        # at most (exact_reach - W + 1) x W whatever the prompt length.
         window = toy_config.window_size
-        seen = []
-        original = attention_module.gqa_attend
+        rows_bound = rw.exact_reach(toy_config) - window + 1
+        original = tensor_module.softmax_stable
+        for length in (64, 3 * rw.exact_reach(toy_config), toy_config.context_len):
+            seen = []
 
-        def recording(q, k, v, mask, grouping):
-            seen.append(mask.admissible.shape)
-            return original(q, k, v, mask, grouping)
+            def recording(scores, masked=None):
+                seen.append(scores.shape)  # [n_kv_heads, n_q, group, W]
+                return original(scores, masked)
 
-        monkeypatch.setattr(attention_module, "gqa_attend", recording)
-        session = rw.GenerationSession(toy_weights)
-        session.prefill(random_tokens(64, seed=64))
-        assert seen, "prefill never reached attention"
-        assert max(nq * nk for nq, nk in seen) <= window * 2 * window
+            monkeypatch.setattr(tensor_module, "softmax_stable", recording)
+            session = rw.GenerationSession(toy_weights)
+            session.prefill(random_tokens(length, seed=length))
+            assert seen, "prefill never reached attention"
+            assert all(shape[-1] == window for shape in seen)
+            assert max(shape[1] for shape in seen) == rows_bound
+
+    def test_attention_scores_exactly_each_window(self, monkeypatch):
+        # One softmax per layer per chunk over n_heads * W scores per output
+        # row; at the desk preset of the benchmark's prefill workload, its
+        # five prompt lengths make 2,276,352 scores in all.
+        config = rw.ModelConfig(dim=128, n_layers=6, head_dim=16, hidden_dim=384, n_heads=8,
+                                n_kv_heads=2, window_size=64, context_len=2048, vocab_size=1024)
+        weights = rw.init_random(config, 5)
+        window, reach = config.window_size, rw.exact_reach(config)
+        calls = []
+        original = tensor_module.softmax_stable
+
+        def recording(scores, masked=None):
+            calls.append(scores.size)
+            return original(scores, masked)
+
+        monkeypatch.setattr(tensor_module, "softmax_stable", recording)
+        total = 0
+        for length in (150, 363, 576, 789, 1000):
+            calls.clear()
+            rw.GenerationSession(weights).prefill(random_tokens(length, seed=length, vocab=config.vocab_size))
+            kv_rows = [min(length, reach - i * (window - 1)) for i in range(config.n_layers)]
+            out_rows = kv_rows[1:] + [1]
+            assert len(calls) == config.n_layers
+            assert calls == [config.n_heads * window * rows for rows in out_rows]
+            total += sum(calls)
+        assert total == 2_276_352
 
 
 def unbatched_matmul(a, b):
@@ -162,7 +193,7 @@ class TestWideProductsChangeNoBit:
 
         monkeypatch.setattr(tensor_module, "matmul", recording)
         assert np.array_equal(run(), batched)
-        assert 3 in ranks, "attention never made a batched product"
+        assert 4 in ranks, "attention never made a banded product"
 
 
 class TestReceptiveField:

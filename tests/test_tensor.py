@@ -52,9 +52,9 @@ def float_bits(x):
     return np.where(np.isnan(x), np.float32(np.nan), x).tobytes()
 
 
-#: The largest output matmul sums in blocks of at least 2 terms; larger
+#: The largest output matmul sums in blocks of at least 7 terms; larger
 #: outputs take the per-k path.
-LARGEST_BLOCKED = rw.tensor.BLOCK_ELEMENTS // 3 - 1
+LARGEST_BLOCKED = rw.tensor.BLOCK_ELEMENTS // 8 - 1
 
 
 def sampled_columns(count, at_most=48):
@@ -121,13 +121,16 @@ class TestKernelOrder:
     call the same kernels; these tests can.
     """
 
-    # Over k = 32: outputs up to 512 sum in one block, 8192 (64 x 128) in 6
-    # blocks of 6 and LARGEST_BLOCKED (4 x 5461) in 16 blocks of 2; one more
-    # output column (4 x 5462) takes the per-k path.
+    # Over k = 32: outputs up to 512 sum in one block, 4096 (32 x 128) in
+    # 3 blocks of up to 14 and 8188 (4 x 2047, just under LARGEST_BLOCKED)
+    # in 5 blocks of up to 7; one more output column (4 x 2048) and the
+    # larger products take the per-k path.
     @pytest.mark.parametrize(
         "rows, cols",
-        [(1, 8), (3, 8), (64, 8), (1, 1), (65, 8), (16, 40), (64, 128), (4, 5461), (4, 5462)],
-        ids=["1", "3", "64", "1x1", "65x8", "16x40", "64x128", "4x5461", "4x5462"],
+        [(1, 8), (3, 8), (64, 8), (1, 1), (65, 8), (16, 40), (32, 128), (4, 2047), (4, 2048),
+         (64, 128), (4, 5461), (4, 5462)],
+        ids=["1", "3", "64", "1x1", "65x8", "16x40", "32x128", "4x2047", "4x2048",
+             "64x128", "4x5461", "4x5462"],
     )
     def test_matmul_equals_scalar_reference(self, rows, cols):
         rng = np.random.default_rng(rows)
@@ -152,12 +155,14 @@ class TestKernelOrder:
         for i in range(3):
             assert np.array_equal(out[i], reference_matmul(a[i], b[i]))
 
-    # Outputs of 1, 512 and 540 elements (one block each), LARGEST_BLOCKED
-    # (blocks of 2) and just past it (per k), batch axes included.
+    # Outputs of 1, 512 and 540 elements (one block each), 8188 (just under
+    # LARGEST_BLOCKED, blocks of 7), and 8192, 21844 and 21848 (per k),
+    # batch axes included.
     @pytest.mark.parametrize(
         "batch, n, k, m",
-        [((1,), 1, 17, 1), ((4,), 8, 9, 16), ((2, 3), 5, 7, 18), ((4,), 1, 9, 5461), ((2, 2), 1, 9, 5462)],
-        ids=["out1", "out512", "out540", "out21844", "out21848"],
+        [((1,), 1, 17, 1), ((4,), 8, 9, 16), ((2, 3), 5, 7, 18), ((4,), 1, 9, 2047),
+         ((2, 2), 1, 9, 2048), ((4,), 1, 9, 5461), ((2, 2), 1, 9, 5462)],
+        ids=["out1", "out512", "out540", "out8188", "out8192", "out21844", "out21848"],
     )
     def test_batched_matmul_equals_scalar_reference_on_both_paths(self, batch, n, k, m):
         rng = np.random.default_rng(24)
@@ -187,10 +192,10 @@ class TestKernelOrder:
 
     def test_negative_zero_products_sum_to_positive_zero(self):
         # Summing from +0.0 turns an all-(-0.0) dot product into +0.0: in one
-        # block (4 outputs), in three (LARGEST_BLOCKED) and per k (one more).
+        # block (4 outputs), in two (LARGEST_BLOCKED - 1) and per k (one more row).
         for rows in (2, LARGEST_BLOCKED // 2, LARGEST_BLOCKED // 2 + 1):
-            a = np.full((rows, 5), -0.0, dtype=np.float32)
-            out = rw.matmul(a, np.ones((5, 2), np.float32))
+            a = np.full((rows, 9), -0.0, dtype=np.float32)
+            out = rw.matmul(a, np.ones((9, 2), np.float32))
             assert not np.signbit(out).any()
             assert not np.signbit(rw.tensor._ordered_sum(a)).any()
 
@@ -298,6 +303,21 @@ class TestSoftmax:
     def test_all_masked_row_rejected(self):
         with pytest.raises(ValueError, match="degenerate attention row"):
             rw.softmax_stable(f32([[1.0, 2.0]]), np.array([[True, True]]))
+        with pytest.raises(ValueError, match="degenerate attention row"):
+            rw.softmax_stable(np.zeros((2, 0), np.float32))
+
+    def test_unmasked_path_equals_an_all_false_mask(self):
+        # The no-mask fast path skips the keep array and both np.where
+        # calls; it must give the masked path's bits, signed zeros included.
+        rng = np.random.default_rng(25)
+        x = spread(rng, (3, 5, 17)) * np.float32(1e-2)
+        x[0, 0, :4] = [-0.0, 0.0, -0.0, -0.0]
+        x[1, 2] = np.float32(-0.0)
+        x[2, 1, 3] = np.inf
+        with np.errstate(invalid="ignore"):
+            fast = rw.softmax_stable(x)
+            full = rw.softmax_stable(x, np.zeros(x.shape, dtype=bool))
+        assert float_bits(fast) == float_bits(full)
 
     def test_mask_shape_mismatch(self):
         with pytest.raises(ValueError):
