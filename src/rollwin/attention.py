@@ -138,13 +138,12 @@ def gqa_attend(
 def _bands(rows: Tensor, first: int, n_q: int, window: int) -> Tensor:
     """Read-only [n_kv_heads, n_q, window, head_dim] view of rows
     [n_kv_heads, n_k, head_dim]: band i is rows[:, first + i : first + i + window]."""
+    rows = np.ascontiguousarray(rows)
     kv_stride, row_stride, dim_stride = rows.strides
-    return np.lib.stride_tricks.as_strided(
-        rows[:, first:],
-        shape=(rows.shape[0], n_q, window, rows.shape[2]),
-        strides=(kv_stride, row_stride, row_stride, dim_stride),
-        writeable=False,
-    )
+    bands = np.ndarray((rows.shape[0], n_q, window, rows.shape[2]), rows.dtype, rows,
+                       first * row_stride, (kv_stride, row_stride, row_stride, dim_stride))
+    bands.flags.writeable = False
+    return bands
 
 
 def window_attend(
@@ -162,12 +161,12 @@ def window_attend(
     keys, values: [n_kv_heads, n_k, head_dim] for the contiguous positions
     [key_start, q_start + n_q). Query i scores exactly the `window` keys at
     positions q_start + i - window + 1 ... q_start + i, read as strided
-    bands over the key rows without a copy. Slots before key_start are zero
-    rows, masked; there are none once the keys reach W - 1 positions before
-    q_start, so the steady state runs softmax without a mask. Query heads
-    sit as rows on the kv head they read, so K/V are never repeated per
-    query head, and a call is one scores product, one softmax and one AV
-    product for all heads.
+    bands over the key rows (copied only if not C-contiguous; the engine's
+    are). Slots before key_start are zero rows, masked; there are none once
+    the keys reach W - 1 positions before q_start, so the steady state runs
+    softmax without a mask. Query heads sit as rows on the kv head they
+    read, so K/V are never repeated per query head, and a call is one
+    scores product, one softmax and one AV product for all heads.
 
     Bit-identical to gqa_attend under build_swa_mask over the same keys:
     every admissible score is the same ordered dot product, and the keys a

@@ -68,6 +68,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def non_negative_int(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
+    return int(text)
+
+
 @dataclass
 class CheckResult:
     name: str
@@ -368,7 +374,7 @@ def _build_parser() -> _Parser:
     source.add_argument("--weights", help="binary weight file")
     source.add_argument("--random-init", action="store_true", help="seeded random weights")
     gen.add_argument("--config", help="JSON config document (required with --random-init)")
-    gen.add_argument("--seed", type=int, default=0, help="weight-init and sampling seed")
+    gen.add_argument("--seed", type=non_negative_int, default=0, help="weight-init and sampling seed")
     gen.add_argument("--prompt-ids", required=True, help='prompt token ids, e.g. "1 2 3"')
     gen.add_argument("--max-tokens", type=int, default=0)
     picker = gen.add_mutually_exclusive_group()
@@ -382,14 +388,14 @@ def _build_parser() -> _Parser:
     ver.add_argument("--config", help="JSON config document (default: toy preset)")
     ver.add_argument("--window", type=int, default=None, help="override window_size")
     ver.add_argument("--layers", type=int, default=None, help="override n_layers")
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--seed", type=non_negative_int, default=0)
     ver.set_defaults(func=cmd_verify)
 
     ben = sub.add_parser("bench", help="analytic operation and memory comparisons")
     ben.add_argument("--bench", required=True, help='scenarios as "L:W,L:W,..."')
     ben.add_argument("--config", help="JSON config document for byte figures (default: 7B preset)")
     ben.add_argument("--execute", action="store_true", help="also time a real toy-model decode")
-    ben.add_argument("--seed", type=int, default=0)
+    ben.add_argument("--seed", type=non_negative_int, default=0)
     ben.set_defaults(func=cmd_bench)
     return parser
 

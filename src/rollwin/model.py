@@ -76,8 +76,8 @@ def _check_sampler(sampler: SamplerSpec, vocab_size: int) -> None:
     if sampler.mode == "top-k":
         if not (1 <= sampler.k <= vocab_size):
             raise ValueError(f"top-k k={sampler.k} outside [1, {vocab_size}]")
-        if sampler.temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {sampler.temperature}")
+        if not 0 < sampler.temperature < np.inf:
+            raise ValueError(f"temperature must be finite and positive, got {sampler.temperature}")
 
 
 def sample_token(logits: Tensor, sampler: SamplerSpec, rng: np.random.Generator) -> int:

@@ -17,13 +17,15 @@ Because the order is fixed per output element, making an operation wider
 never changes a bit: matmul takes leading batch axes (one product for all
 attention heads), a product against column-concatenated weights equals the
 separate products column for column, and rope_apply takes one position per
-row so a whole chunk rotates in one call.
+row so a whole chunk rotates in one call. matmul reads strided operands as
+views; rope_apply memoises its float64 frequencies per head_dim and base.
 
 Operations never mutate their inputs. Results are fresh allocations.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -38,8 +40,8 @@ RMS_NORM_EPS = 1e-5
 
 #: Floats in one k-block of matmul terms (256 KiB): a product with `outputs`
 #: elements forms BLOCK_ELEMENTS // (outputs + 1) - 1 terms per output in one
-#: call, and takes the per-k einsum regime when that is below 7, i.e. above
-#: BLOCK_ELEMENTS / 8 - 1 = 8,191 outputs.
+#: call (a block holds a running-sum row, and one spare column if outputs
+#: is 1), and takes the per-k regime below 7, i.e. above 8,191 outputs.
 #: Measured on a 2-core x86-64 host with numpy 2.4, desk-preset prefill of
 #: 150-1000-token prompts (CPU time, median of 5) took 848, 840, 935 and
 #: 1370 ms at 2**14, 2**16, 2**18 and 2**20: larger blocks spill L2. Toy
@@ -71,14 +73,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     per output.
 
     room >= 7 (up to 8,191 outputs): the shared axis goes in blocks of
-    step = min(k, room) indices. One `np.multiply` writes a block's terms
-    into rows 1.. of a [step + 1, outputs + 1] buffer whose row 0 holds the
+    step = min(k, room) indices. One `np.multiply` of [k, ..., n, 1] and
+    [k, ..., 1, m] transposed views (no copy) writes a block's terms into
+    rows 1.. of a contiguous [step + 1, width] buffer whose row 0 holds the
     running sum, and `np.add.reduce(axis=0)` adds the rows into row 0. That
     sum is strictly row by row: numpy reduces along a non-contiguous axis
     one slice at a time and sums pairwise only along the fast axis
-    (`numpy.sum`, Notes). The spare, always-zero column keeps the fast axis
-    at least 2 wide, so a one-output product is not reduced along a
-    contiguous axis.
+    (`numpy.sum`, Notes). width is outputs, plus one spare, always-zero
+    column for a one-output product, which would otherwise be reduced
+    along a contiguous axis.
 
     room < 7 (more outputs): per k, an einsum with no summed index writes
     each term as one rounded product, and `np.add` adds it to the running
@@ -98,11 +101,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     outputs = math.prod(out_shape)
     room = BLOCK_ELEMENTS // (outputs + 1) - 1
     if k and room >= 7:
-        step = min(k, room)
-        block = np.zeros((step + 1, outputs + 1), dtype=np.float32)
+        step, width = min(k, room), outputs + (outputs == 1)
+        block = np.zeros((step + 1, width), dtype=np.float32)
         terms = block[1:, :outputs].reshape((step,) + out_shape)
-        a_k = np.moveaxis(a, -1, 0)[..., np.newaxis]      # [k, ..., n, 1]
-        b_k = np.moveaxis(b, -2, 0)[..., np.newaxis, :]   # [k, ..., 1, m]
+        a_k = a.transpose(a.ndim - 1, *range(a.ndim - 1))[..., np.newaxis]  # [k, ..., n, 1]
+        b_k = b.transpose(b.ndim - 2, *range(b.ndim - 2), b.ndim - 1)[..., np.newaxis, :]  # [k, ..., 1, m]
         for start in range(0, k, step):
             stop = min(start + step, k)
             np.multiply(a_k[start:stop], b_k[start:stop], out=terms[: stop - start])
@@ -128,14 +131,14 @@ def softmax_stable(x: Tensor, masked: Tensor | None = None) -> Tensor:
     if masked is None:
         if x.shape[-1] == 0:
             raise ValueError("degenerate attention row: all entries masked")
-        weights = np.exp(x - np.max(x, axis=-1, keepdims=True))
+        weights = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
     else:
         keep = ~np.asarray(masked, dtype=bool)
         if keep.shape != x.shape:
             raise ValueError(f"mask shape {keep.shape} != input shape {x.shape}")
         if not keep.any(axis=-1).all():
             raise ValueError("degenerate attention row: all entries masked")
-        peak = np.max(x, axis=-1, keepdims=True, where=keep, initial=np.float32(-np.inf))
+        peak = np.maximum.reduce(x, axis=-1, keepdims=True, where=keep, initial=np.float32(-np.inf))
         shifted = np.where(keep, x - peak, np.float32(0.0))
         weights = np.where(keep, np.exp(shifted), np.float32(0.0))
     total = _ordered_sum(weights)[..., np.newaxis]
@@ -152,6 +155,14 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = RMS_NORM_EPS) -> Tensor:
     mean_sq = _ordered_sum(x * x) / np.float32(x.shape[-1])
     denom = np.sqrt(mean_sq + np.float32(eps))[..., np.newaxis]
     return x / denom * gain
+
+
+@functools.lru_cache(maxsize=64)
+def _rope_freqs(head_dim: int, theta_base: float) -> Tensor:
+    """Read-only float64 pair frequencies theta_base**(-2j / head_dim)."""
+    freqs = theta_base ** (-2.0 * np.arange(head_dim // 2) / head_dim)
+    freqs.flags.writeable = False
+    return freqs
 
 
 def rope_apply(x: Tensor, position, theta_base: float = ROPE_THETA) -> Tensor:
@@ -173,8 +184,7 @@ def rope_apply(x: Tensor, position, theta_base: float = ROPE_THETA) -> Tensor:
     if np.any(positions < 0):
         raise ValueError(f"position must be non-negative, got {position}")
     # Angles in float64; token positions stay exact well past any context_len.
-    freqs = theta_base ** (-2.0 * np.arange(head_dim // 2) / head_dim)
-    angles = positions[..., np.newaxis] * freqs  # [half] or [rows, half]
+    angles = positions[..., np.newaxis] * _rope_freqs(head_dim, theta_base)  # [half] or [rows, half]
     cos = np.cos(angles).astype(np.float32)
     sin = np.sin(angles).astype(np.float32)
     even, odd = x[..., 0::2], x[..., 1::2]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import rollwin as rw
+from rollwin import attention as attention_module
 from rollwin.attention import HeadGrouping
 
 
@@ -274,6 +275,39 @@ class TestWindowAttend:
         view = rw.window_attend(q[:, 4:], keys[:, 4:], values[:, 4:], 8, 4, 4, grouping)
         copy = rw.window_attend(q[:, 4:].copy(), keys[:, 4:].copy(), values[:, 4:].copy(), 8, 4, 4, grouping)
         assert np.array_equal(view, copy)
+
+    @pytest.mark.parametrize("q_start, key_start, n_q", [(20, 16, 1), (20, 17, 6), (2, 0, 5)],
+                             ids=["decode", "chunk", "padded"])
+    def test_non_contiguous_keys_and_values_equal_contiguous(self, q_start, key_start, n_q):
+        # Keys laid out row-major per position, [n_k, n_kv, head_dim], read
+        # head-major through a transposed view.
+        grouping = HeadGrouping(4, 2)
+        n_k = q_start + n_q - key_start
+        q, keys, values = self._inputs(6, 4, 2, n_q, n_k)
+        k_view = np.ascontiguousarray(keys.transpose(1, 0, 2)).transpose(1, 0, 2)
+        v_view = np.ascontiguousarray(values.transpose(1, 0, 2)).transpose(1, 0, 2)
+        assert not k_view.flags.c_contiguous and np.array_equal(k_view, keys)
+        view = rw.window_attend(q, k_view, v_view, q_start, key_start, 4, grouping)
+        assert np.array_equal(view, rw.window_attend(q, keys, values, q_start, key_start, 4, grouping))
+
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed", "row-slice"])
+    def test_bands_are_read_only_windows_of_rows(self, layout):
+        rng = np.random.default_rng(9)
+        if layout == "transposed":
+            rows = spread_normal(rng, (11, 2, 8)).transpose(1, 0, 2)
+        elif layout == "row-slice":
+            rows = spread_normal(rng, (2, 14, 8))[:, 3:]
+        else:
+            rows = spread_normal(rng, (2, 11, 8))
+        before = rows.copy()
+        bands = attention_module._bands(rows, 2, 6, 4)
+        assert bands.shape == (2, 6, 4, 8) and not bands.flags.writeable
+        for i in range(6):
+            assert np.array_equal(bands[:, i], rows[:, 2 + i : 6 + i])
+        assert np.array_equal(bands, attention_module._bands(before, 2, 6, 4))
+        with pytest.raises(ValueError, match="read-only"):
+            bands[0, 0, 0, 0] = 1.0
+        assert np.array_equal(rows, before)
 
     def test_inputs_left_unchanged(self):
         q, keys, values = self._inputs(4, 4, 2, 3, 5)

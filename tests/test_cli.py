@@ -280,12 +280,37 @@ HOSTILE_INPUTS = {
         lambda tmp: ["verify", "--config", _file(tmp, rw.config_to_json(HUGE_CACHE_TINY).encode())],
         cli.EXIT_USAGE,
     ),
+    # numpy's default_rng rejects a negative seed; argparse must catch it first.
+    "negative-seed-generate": (
+        lambda tmp: ["generate", "--random-init", "--seed", "-1", "--config",
+                     _file(tmp, rw.config_to_json(rw.PRESET_TOY).encode()), *GENERATE_FROM],
+        cli.EXIT_USAGE,
+    ),
+    "negative-seed-verify": (lambda tmp: ["verify", "--seed", "-1"], cli.EXIT_USAGE),
+    "negative-seed-bench": (lambda tmp: ["bench", "--bench", "16:4", "--execute", "--seed", "-1"], cli.EXIT_USAGE),
+    "non-integer-seed": (lambda tmp: ["verify", "--seed", "1.5"], cli.EXIT_USAGE),
+    "doc-len-max": (
+        lambda tmp: ["generate", "--weights", _file(tmp, _saved_weights(tmp)[:8] + struct.pack("<I", 2**32 - 1)
+                                                     + _saved_weights(tmp)[12:]), *GENERATE_FROM],
+        cli.EXIT_WEIGHTS,
+    ),
+    "payload-one-float-short": (
+        lambda tmp: ["generate", "--weights", _file(tmp, _saved_weights(tmp)[:-4]), *GENERATE_FROM],
+        cli.EXIT_WEIGHTS,
+    ),
+    "payload-one-float-long": (
+        lambda tmp: ["generate", "--weights", _file(tmp, _saved_weights(tmp) + struct.pack("<f", 1.0)),
+                     *GENERATE_FROM],
+        cli.EXIT_WEIGHTS,
+    ),
 }
 
 #: Sampler flags that only the generation loop rejects, tried in every mode.
 BAD_SAMPLER_FLAGS = {
     "top-k-above-vocab": ["--top-k", "257"],
     "temperature-zero": ["--top-k", "3", "--temperature", "0"],
+    "temperature-nan": ["--top-k", "3", "--temperature", "nan"],
+    "temperature-inf": ["--top-k", "3", "--temperature", "inf"],
     "max-tokens-negative": ["--max-tokens", "-1"],
 }
 HOSTILE_INPUTS.update(
@@ -316,6 +341,15 @@ def test_hostile_input_exits_with_its_code_and_no_traceback(case, tmp_path):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error:")
     assert proc.stdout == ""
+
+
+def test_weight_file_truncated_anywhere_in_its_header_exits_with_weights_code(tmp_path, capsys):
+    saved = _saved_weights(tmp_path)
+    (doc_len,) = struct.unpack_from("<I", saved, 8)
+    for end in range(12 + doc_len + 1):
+        code, out, err = run_cli(capsys, "generate", "--weights", _file(tmp_path, saved[:end]), *GENERATE_FROM)
+        assert (code, out) == (cli.EXIT_WEIGHTS, ""), end
+        assert err.startswith("error: weight file:"), end
 
 
 def _next_ulp(values):

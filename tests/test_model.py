@@ -237,6 +237,19 @@ class TestCacheBoundDuringDecode:
         assert session.total_cache_bytes == snapshot
         assert all(c.filled == window for c in session.caches)
 
+    def test_no_state_grows_with_context_len(self, toy_config, toy_weights):
+        # A context_len of 2**40 runs like the toy: nothing (caches, RoPE
+        # tables) is sized by the context, only by the window.
+        huge = rw.GenerationSession(replace(toy_weights, config=replace(toy_config, context_len=2**40)))
+        plain = rw.GenerationSession(toy_weights)
+        assert huge.total_cache_bytes == plain.total_cache_bytes
+        prompt = random_tokens(12, seed=8)
+        assert np.array_equal(huge.prefill(prompt), plain.prefill(prompt))
+        for t in random_tokens(3, seed=9):
+            assert np.array_equal(huge.forward_decode(t), plain.forward_decode(t))
+        for a, b in zip(huge.caches, plain.caches):
+            assert np.array_equal(a.keys, b.keys) and np.array_equal(a.values, b.values)
+
 
 class TestSampling:
     def test_greedy_picks_lowest_id_on_ties(self):
@@ -297,6 +310,13 @@ class TestGenerate:
         a = rw.GenerationSession(toy_weights).generate([9], 20, spec)
         b = rw.GenerationSession(toy_weights).generate([9], 20, spec)
         assert a.tokens == b.tokens
+
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan"), float("inf")])
+    def test_non_finite_or_non_positive_temperature_rejected_before_prefill(self, toy_weights, temperature):
+        session = rw.GenerationSession(toy_weights)
+        with pytest.raises(ValueError, match="finite and positive"):
+            session.generate([1, 2], 2, rw.SamplerSpec("top-k", k=3, temperature=temperature))
+        assert session.next_position == 0
 
     def test_context_overflow_truncates_cleanly(self):
         config = replace(rw.PRESET_TOY, context_len=6, window_size=4)

@@ -142,7 +142,8 @@ class TestKernelOrder:
     @pytest.mark.parametrize("k", [64, 200])
     def test_one_output_sums_in_order(self, k):
         # A [k + 1, 1] block reduced along its only axis would be summed
-        # pairwise; the spare zero column keeps the reduction row by row.
+        # pairwise; the spare zero column that only one-output products get
+        # keeps the reduction row by row.
         rng = np.random.default_rng(k)
         a, b = spread(rng, (1, k)), spread(rng, (k, 1))
         assert np.array_equal(rw.matmul(a, b), reference_matmul(a, b))
@@ -266,6 +267,49 @@ def matmul_operands(draw):
         k = draw(st.integers(0, 4 * step))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return _laid_out(draw, rng, batch + (n, k)), _laid_out(draw, rng, batch + (k, m))
+
+
+def band_view(rows, window):
+    """[..., n - window + 1, window, d] read-only windows over rows [..., n, d]."""
+    return np.lib.stride_tricks.sliding_window_view(rows, window, axis=-2).swapaxes(-1, -2)
+
+
+class TestMatmulOnViews:
+    """matmul reads its operands through transposed views of any strides, so
+    a strided operand gives the same bits as its contiguous copy."""
+
+    # (a, b) builders per rank; "blocked" has few outputs, "per-k" more than
+    # LARGEST_BLOCKED.
+    CASES = {
+        "rank2-blocked": lambda rng: (spread(rng, (40, 6)).T, spread(rng, (40, 50))[:, 3:43]),
+        "rank2-per-k": lambda rng: (spread(rng, (32, 4)).T, spread(rng, (2100, 32)).T),
+        # Grouped queries against key bands, as window_attend reads them: the
+        # scores product and then the weights against value bands.
+        "rank4-blocked": lambda rng: (
+            spread(rng, (2, 4, 5, 16)).transpose(0, 2, 1, 3),
+            band_view(spread(rng, (2, 12, 16)), 8).transpose(0, 1, 3, 2),
+        ),
+        "rank4-per-k": lambda rng: (
+            spread(rng, (2, 4, 64, 16)).transpose(0, 2, 1, 3),
+            band_view(spread(rng, (2, 83, 16)), 20).transpose(0, 1, 3, 2),
+        ),
+        "rank4-band-values-blocked": lambda rng: (
+            spread(rng, (2, 5, 4, 8)), band_view(spread(rng, (2, 12, 16)), 8),
+        ),
+        "rank4-band-values-per-k": lambda rng: (
+            spread(rng, (2, 70, 4, 8)), band_view(spread(rng, (2, 77, 16)), 8),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_strided_operands_equal_contiguous_copies(self, case):
+        a, b = self.CASES[case](np.random.default_rng(31))
+        assert not (a.flags.c_contiguous and b.flags.c_contiguous)
+        outputs = math.prod(a.shape[:-1]) * b.shape[-1]
+        assert (outputs <= LARGEST_BLOCKED) == case.endswith("-blocked")
+        out = rw.matmul(a, b)
+        assert np.array_equal(out, rw.matmul(np.ascontiguousarray(a), np.ascontiguousarray(b)))
+        assert out.flags.c_contiguous and out.flags.writeable
 
 
 class TestMatmulPaths:
@@ -432,6 +476,44 @@ class TestRope:
     def test_position_vector_must_match_rows(self):
         with pytest.raises(ValueError, match="do not fit"):
             rw.rope_apply(np.ones((3, 8), np.float32), [0, 1])
+
+    @staticmethod
+    def unmemoised_rope(x, positions, theta_base=rw.tensor.ROPE_THETA):
+        """rope_apply's arithmetic with its float64 frequencies built afresh."""
+        head_dim = x.shape[-1]
+        freqs = theta_base ** (-2.0 * np.arange(head_dim // 2) / head_dim)
+        angles = np.asarray(positions)[..., np.newaxis] * freqs
+        cos, sin = np.cos(angles).astype(np.float32), np.sin(angles).astype(np.float32)
+        even, odd = x[..., 0::2], x[..., 1::2]
+        out = np.empty_like(x)
+        out[..., 0::2] = even * cos - odd * sin
+        out[..., 1::2] = even * sin + odd * cos
+        return out
+
+    def test_memoised_frequencies_equal_recomputed_at_every_position(self):
+        rng = np.random.default_rng(15)
+        positions = np.arange(2048)
+        x = spread(rng, (3, positions.size, 16))
+        assert np.array_equal(rw.rope_apply(x, positions), self.unmemoised_rope(x, positions))
+        for position in (0, 1, 1000, 2047):
+            assert np.array_equal(rw.rope_apply(x[:, position], position),
+                                  self.unmemoised_rope(x[:, position], position))
+
+    @pytest.mark.parametrize("head_dim", [2, 4, 8, 32, 64, 128])
+    def test_memoised_frequencies_equal_recomputed_per_head_dim(self, head_dim):
+        rng = np.random.default_rng(head_dim)
+        positions = np.concatenate([np.arange(64), [1000, 4095, 2**20, 2**40]])
+        x = spread(rng, (2, positions.size, head_dim))
+        assert np.array_equal(rw.rope_apply(x, positions), self.unmemoised_rope(x, positions))
+        assert np.array_equal(rw.rope_apply(x, positions, 500.0), self.unmemoised_rope(x, positions, 500.0))
+
+    def test_cached_frequencies_are_read_only(self):
+        rw.rope_apply(np.ones((2, 16), np.float32), [0, 1])
+        freqs = rw.tensor._rope_freqs(16, rw.tensor.ROPE_THETA)
+        assert freqs is rw.tensor._rope_freqs(16, rw.tensor.ROPE_THETA)
+        assert freqs.dtype == np.float64 and not freqs.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            freqs[0] = 2.0
 
 
 class TestSiluGate:

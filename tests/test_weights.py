@@ -122,3 +122,35 @@ class TestWeightFile:
         a = rw.GenerationSession(toy_weights).forward_decode(7)
         b = rw.GenerationSession(loaded).forward_decode(7)
         assert np.array_equal(a, b)
+
+
+class TestLoadWeightsFuzz:
+    """Damaged weight files fail with WeightFormatError, never another error."""
+
+    @pytest.fixture
+    def saved(self, toy_weights, tmp_path):
+        path = tmp_path / "toy.bin"
+        rw.save_weights(toy_weights, path)
+        return path.read_bytes()
+
+    def _load(self, tmp_path, blob):
+        path = tmp_path / "fuzzed.bin"
+        path.write_bytes(blob)
+        return rw.load_weights(path)
+
+    def test_truncation_at_every_header_and_config_offset(self, saved, tmp_path):
+        (doc_len,) = struct.unpack_from("<I", saved, 8)
+        for end in range(12 + doc_len + 1):
+            with pytest.raises(rw.WeightFormatError):
+                self._load(tmp_path, saved[:end])
+
+    def test_largest_doc_len(self, saved, tmp_path):
+        blob = saved[:8] + struct.pack("<I", 2**32 - 1) + saved[12:]
+        with pytest.raises(rw.WeightFormatError, match="truncated"):
+            self._load(tmp_path, blob)
+
+    @pytest.mark.parametrize("edit", [lambda b: b[:-4], lambda b: b + struct.pack("<f", 1.0)],
+                             ids=["one-float-short", "one-float-long"])
+    def test_payload_off_by_one_float(self, saved, tmp_path, edit):
+        with pytest.raises(rw.WeightFormatError, match="length"):
+            self._load(tmp_path, edit(saved))
