@@ -51,10 +51,6 @@ class HeadGrouping:
     def group_size(self) -> int:
         return self.n_heads // self.n_kv_heads
 
-    def kv_head(self, query_head: int) -> int:
-        """KV head serving the given query head."""
-        return query_head // self.group_size
-
 
 def build_swa_mask(
     query_positions: Iterable[int], key_positions: Iterable[int], window: int

@@ -33,11 +33,10 @@ from .config import (
     ModelConfig,
     exact_reach,
     parse_config,
-    validate,
 )
 from .model import GenerationSession, SamplerSpec
 from .model import sample_token  # noqa: F401  perfbench/tracer.py patches this name
-from .oracle import MAX_HISTORY_ELEMENTS, oracle_forward_causal, oracle_forward_swa, reach_probe
+from .oracle import OracleSizeError, guard, oracle_forward_causal, oracle_forward_swa, reach_probe
 from .weights import DecoderWeights, WeightFormatError, init_random, load_weights, parameter_count
 
 EXIT_OK = 0
@@ -198,16 +197,21 @@ def run_verification(config: ModelConfig, seed: int) -> list[CheckResult]:
     One session decodes a random stream token by token; its logit rows are
     checked against the oracle, and each chunked prefill of a prefix of the
     stream against the row and every layer's cache the stream held there.
+    A reach probe runs the oracle on a second stream; the longer oracle run
+    passes `oracle.guard` before any weights are drawn.
     """
+    window = config.window_size
+    boundary = config.n_layers * (window - 1)
+    length = min(8 * window, config.context_len)
+    probe_length = min(boundary + 6, config.context_len)
+    guard(config, max(length, probe_length))
     weights = init_random(config, seed)
     rng = np.random.default_rng(seed)
-    window = config.window_size
     checks: list[CheckResult] = []
 
     # Chunk sizes to prefill: awkward prompt lengths, both sides of the
     # receptive-field skip, and a continuation chunk that skips at a
     # non-zero position. Each must end within the stream.
-    length = min(8 * window, config.context_len)
     reach = exact_reach(config)
     lengths = (1, window - 1, window, window + 1, 3 * window, 3 * window + 2, reach, reach + 1)
     splits = {(n,) for n in lengths} | {(window, reach + 1)}
@@ -259,11 +263,9 @@ def run_verification(config: ModelConfig, seed: int) -> list[CheckResult]:
     )
 
     # Influence propagates exactly n_layers*(window-1) positions forward.
-    boundary = config.n_layers * (window - 1)
-    length = min(boundary + 6, config.context_len)
-    tokens = [int(t) for t in rng.integers(0, config.vocab_size, size=length)]
+    tokens = [int(t) for t in rng.integers(0, config.vocab_size, size=probe_length)]
     affected = reach_probe(weights, config, tokens, 0, 1e-2)
-    expected = list(range(0, min(boundary, length - 1) + 1))
+    expected = list(range(0, min(boundary, probe_length - 1) + 1))
     checks.append(
         CheckResult("reach", f"affected <= {boundary}, boundary exact", affected == expected)
     )
@@ -284,18 +286,11 @@ def run_verification(config: ModelConfig, seed: int) -> list[CheckResult]:
 
 def cmd_verify(args) -> int:
     config = _read_config(args.config) if args.config else PRESET_TOY
-    overrides = {}
-    if args.window is not None:
-        overrides["window_size"] = args.window
-    if args.layers is not None:
-        overrides["n_layers"] = args.layers
-    if overrides:
-        config = replace(config, **overrides)
-    violations = validate(config)
-    if violations:
-        raise UsageError("invalid config: " + "; ".join(violations))
-    if min(8 * config.window_size, config.context_len) * config.dim > MAX_HISTORY_ELEMENTS:
-        raise UsageError("config too large for desk-scale verification")
+    overrides = {"window_size": args.window, "n_layers": args.layers}
+    try:
+        config = replace(config, **{name: value for name, value in overrides.items() if value is not None})
+    except ConfigError as exc:
+        raise UsageError(str(exc))
     _check_random_size(config)
     _check_cache_size(config)
     checks = run_verification(config, args.seed)
@@ -325,8 +320,7 @@ def _timed_execution(length: int, window: int, seed: int) -> dict:
     exec_config = replace(
         PRESET_TOY, window_size=min(window, length), context_len=length
     )
-    if length * exec_config.dim > MAX_HISTORY_ELEMENTS:
-        raise UsageError(f"--execute scenario {length}:{window} exceeds the oracle size guard")
+    guard(exec_config, length)
     weights = init_random(exec_config, seed)
     tokens = [int(t) for t in np.random.default_rng(seed).integers(0, exec_config.vocab_size, size=length)]
     session = GenerationSession(weights)
@@ -405,7 +399,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, OracleSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, fields
 
 
 class ConfigError(ValueError):
-    """Raised for unparseable or invalid configuration documents."""
+    """Raised for unparseable configuration documents and invalid configs."""
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,34 @@ class ModelConfig:
     context_len: int  # maximum supported positions
     vocab_size: int
 
+    def __post_init__(self):
+        violations = validate(self)
+        if violations:
+            raise ConfigError("invalid config: " + "; ".join(violations))
+
 
 CONFIG_KEYS: tuple[str, ...] = tuple(f.name for f in fields(ModelConfig))
+
+
+def validate(config: ModelConfig) -> list[str]:
+    """The names of all violated invariants, empty when every one holds.
+
+    The one rule list: `ModelConfig` construction (and so `replace`) runs it
+    and raises ConfigError naming every violated rule, so a config that
+    exists is valid and nothing downstream checks again. Never raises on
+    int fields.
+    """
+    violations: list[str] = []
+    for name in CONFIG_KEYS:
+        if getattr(config, name) <= 0:
+            violations.append(f"{name} > 0")
+    if config.dim != config.n_heads * config.head_dim:
+        violations.append("dim == n_heads*head_dim")
+    if config.n_kv_heads >= 1 and config.n_heads % config.n_kv_heads != 0:
+        violations.append("n_heads % n_kv_heads == 0")
+    if not (1 <= config.window_size <= config.context_len):
+        violations.append("1 <= window_size <= context_len")
+    return violations
 
 
 #: Desk-scale preset used by the verification harness, demos, and tests.
@@ -46,31 +72,12 @@ PRESET_7B = ModelConfig(
 )
 
 
-def validate(config: ModelConfig) -> list[str]:
-    """Return the list of violated invariants, empty when the config is valid.
-
-    Total: never raises. Every input yields either an empty list (ok) or the
-    names of all violated rules.
-    """
-    violations: list[str] = []
-    for name in CONFIG_KEYS:
-        if getattr(config, name) <= 0:
-            violations.append(f"{name} > 0")
-    if config.dim != config.n_heads * config.head_dim:
-        violations.append("dim == n_heads*head_dim")
-    if config.n_kv_heads >= 1 and config.n_heads % config.n_kv_heads != 0:
-        violations.append("n_heads % n_kv_heads == 0")
-    if not (1 <= config.window_size <= config.context_len):
-        violations.append("1 <= window_size <= context_len")
-    return violations
-
-
 def parse_config(text: str) -> ModelConfig:
     """Parse a JSON configuration document carrying exactly the nine known keys.
 
     Raises ConfigError naming the offending key for a missing key, an
-    unexpected key, or a non-integer value, and naming the violated rules
-    when the parsed values fail validation.
+    unexpected key, or a non-integer value; construction names the violated
+    rules when the parsed values are invalid.
     """
     try:
         doc = json.loads(text)
@@ -91,11 +98,7 @@ def parse_config(text: str) -> ModelConfig:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"non-integer value for {key!r}: {value!r}")
         values[key] = value
-    config = ModelConfig(**values)
-    violations = validate(config)
-    if violations:
-        raise ConfigError("invalid config: " + "; ".join(violations))
-    return config
+    return ModelConfig(**values)
 
 
 def config_to_json(config: ModelConfig) -> str:

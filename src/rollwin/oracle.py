@@ -24,6 +24,10 @@ from .weights import DecoderWeights
 #: the oracles are for desk-scale verification only.
 MAX_HISTORY_ELEMENTS = 2**20
 
+#: Refuse runs longer than this many tokens: each head's n x n score block
+#: costs 25-29 bytes of peak memory per entry, about 230 MiB at 3072.
+MAX_ORACLE_TOKENS = 3072
+
 #: Logit change regarded as influence in reach probes: any change at all.
 #: The oracle's arithmetic is deterministic and masked keys add exact
 #: zeros, so an output outside the reach of the nudged input reproduces its
@@ -54,15 +58,21 @@ class FullHistoryState:
         )
 
 
-def _guard(config: ModelConfig, n_tokens: int) -> None:
+class OracleSizeError(ValueError):
+    """An oracle run beyond desk scale; the CLI maps it to exit code 1."""
+
+
+def guard(config: ModelConfig, n_tokens: int) -> None:
+    """The one oracle size rule: every oracle entry point checks it, and
+    `verify` and `bench --execute` check their longest run before set-up."""
     if n_tokens < 1:
         raise ValueError("token list must be non-empty")
     if n_tokens > config.context_len:
         raise ValueError(f"length {n_tokens} exceeds context_len {config.context_len}")
-    if n_tokens * config.dim > MAX_HISTORY_ELEMENTS:
-        raise ValueError(
-            f"refusing oracle run: {n_tokens} tokens x dim {config.dim} "
-            f"exceeds {MAX_HISTORY_ELEMENTS} history elements"
+    if n_tokens > MAX_ORACLE_TOKENS or n_tokens * config.dim > MAX_HISTORY_ELEMENTS:
+        raise OracleSizeError(
+            f"refusing oracle run: {n_tokens} tokens x dim {config.dim} exceeds "
+            f"{MAX_ORACLE_TOKENS} tokens or {MAX_HISTORY_ELEMENTS} history elements"
         )
 
 
@@ -114,7 +124,7 @@ def run_swa_with_history(
     weights: DecoderWeights, config: ModelConfig, tokens
 ) -> tuple[Tensor, FullHistoryState]:
     """Windowed forward pass returning logits plus the K/V log it built."""
-    _guard(config, len(tokens))
+    guard(config, len(tokens))
     n = len(tokens)
     mask = attention.build_swa_mask(range(n), range(n), config.window_size)
     return _forward_embedded(weights, config, _embed(weights, tokens), mask.admissible)
@@ -127,7 +137,7 @@ def oracle_forward_swa(weights: DecoderWeights, config: ModelConfig, tokens) -> 
 
 def oracle_forward_causal(weights: DecoderWeights, config: ModelConfig, tokens) -> Tensor:
     """Per-position logits under plain causal attention, no window."""
-    _guard(config, len(tokens))
+    guard(config, len(tokens))
     n = len(tokens)
     admissible = np.tril(np.ones((n, n), dtype=bool))
     return _forward_embedded(weights, config, _embed(weights, tokens), admissible)[0]
@@ -147,7 +157,7 @@ def reach_probe(
     difference exceeds REACH_THRESHOLD, that is, when any logit changed.
     """
     n = len(tokens)
-    _guard(config, n)
+    guard(config, n)
     if not 0 <= perturb_position < n:
         raise ValueError(f"perturb_position {perturb_position} outside [0, {n})")
     if epsilon <= 0:

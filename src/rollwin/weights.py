@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .config import ConfigError, ModelConfig, config_to_json, parse_config, validate
+from .config import ConfigError, ModelConfig, config_to_json, parse_config
 from .tensor import Tensor
 
 WEIGHT_MAGIC = b"MWDC"
@@ -90,11 +90,10 @@ def parameter_count(config: ModelConfig) -> int:
     """Total scalar count over all decoder weight tensors.
 
     The token embedding and the output projection are separate (untied)
-    tensors. The count is closed-form, global tensors (those of a
-    zero-layer config) plus n_layers times one layer, so it costs the same
-    at any n_layers.
+    tensors. The count is closed-form, those two plus the final norm gain
+    and n_layers times one layer, so it costs the same at any n_layers.
     """
-    global_tensors = sum(math.prod(shape) for _, shape in tensor_shapes(replace(config, n_layers=0)))
+    global_tensors = config.dim * (2 * config.vocab_size + 1)
     return global_tensors + config.n_layers * sum(math.prod(shape) for shape in _layer_shapes(config).values())
 
 
@@ -113,9 +112,6 @@ def init_random(config: ModelConfig, seed: int) -> DecoderWeights:
     Projection tensors are scaled by 0.02/sqrt(n_layers); norm gains keep
     the generator's unit scale.
     """
-    violations = validate(config)
-    if violations:
-        raise ValueError("invalid config: " + "; ".join(violations))
     rng = np.random.default_rng(seed)
     proj_scale = np.float32(0.02 / math.sqrt(config.n_layers))
     tensors = []

@@ -122,11 +122,10 @@ class TestHeadGrouping:
     def test_preset_7b_mapping(self):
         grouping = HeadGrouping(32, 8)
         assert grouping.group_size == 4
-        assert grouping.kv_head(5) == 1
 
     def test_identity_grouping(self):
         grouping = HeadGrouping(4, 4)
-        assert [grouping.kv_head(h) for h in range(4)] == [0, 1, 2, 3]
+        assert grouping.group_size == 1
 
     def test_uneven_grouping_rejected(self):
         with pytest.raises(ValueError):
@@ -205,7 +204,7 @@ class TestGqaAttend:
         out = rw.gqa_attend(q, k, v, mask, grouping)
         scale = np.float32(np.sqrt(head_dim))
         for h in range(n_heads):
-            g = grouping.kv_head(h)
+            g = h // grouping.group_size
             weights = rw.softmax_stable(rw.matmul(q[h], k[g].T) / scale, masked=~adm)
             assert np.array_equal(out[h], rw.matmul(weights, v[g]))
 

@@ -42,7 +42,8 @@ class TestConstruction:
     def test_invalid_config_rejected(self):
         from dataclasses import replace
 
-        with pytest.raises(ValueError, match="window_size"):
+        # An invalid config cannot be built, so it never reaches new_cache.
+        with pytest.raises(rw.ConfigError, match="window_size"):
             rw.new_cache(replace(rw.PRESET_TOY, window_size=0))
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import struct
 import subprocess
 import sys
@@ -222,12 +223,24 @@ GENERATE_FROM = ("--prompt-ids", "1 2", "--max-tokens", "1")
 #: Toy weights with 119 GiB of rolling caches.
 HUGE_WINDOW_TOY = replace(rw.PRESET_TOY, window_size=10**9, context_len=10**9)
 
-#: 512 MiB of caches from a model small enough for verify's oracle guard:
-#: min(8W, context_len) * dim is exactly its 2**20 elements.
+#: 512 MiB of caches from a model with 1,674 parameters. Its oracle runs
+#: are too long as well, but verify checks parameters, then caches, then
+#: the oracle size, so this reaches the cache cap.
 HUGE_CACHE_TINY = rw.ModelConfig(
     dim=2, n_layers=64, head_dim=2, hidden_dim=1, n_heads=1, n_kv_heads=1,
     window_size=2**19, context_len=2**19, vocab_size=2,
 )
+
+#: Parameters and caches fit, and so does the verify stream (512 tokens x
+#: dim 64), but the reach probe is 260 * 63 + 6 = 16,386 tokens.
+DEEP_REACH_PROBE = rw.ModelConfig(
+    dim=64, n_layers=260, head_dim=16, hidden_dim=128, n_heads=4, n_kv_heads=2,
+    window_size=64, context_len=16400, vocab_size=256,
+)
+
+#: A 16,384-token verify stream at toy dims: 2**20 history elements, within
+#: the element bound, but its n x n score blocks would need gigabytes.
+LONG_STREAM_TOY = replace(rw.PRESET_TOY, window_size=2048, context_len=16384)
 
 #: Hostile inputs, each as (argv builder, documented exit code).
 HOSTILE_INPUTS = {
@@ -286,6 +299,15 @@ HOSTILE_INPUTS = {
                      _file(tmp, rw.config_to_json(rw.PRESET_TOY).encode()), *GENERATE_FROM],
         cli.EXIT_USAGE,
     ),
+    "deep-reach-probe-verify": (
+        lambda tmp: ["verify", "--config", _file(tmp, rw.config_to_json(DEEP_REACH_PROBE).encode())],
+        cli.EXIT_USAGE,
+    ),
+    "long-stream-verify": (
+        lambda tmp: ["verify", "--config", _file(tmp, rw.config_to_json(LONG_STREAM_TOY).encode())],
+        cli.EXIT_USAGE,
+    ),
+    "long-oracle-bench": (lambda tmp: ["bench", "--bench", "16384:4096", "--execute"], cli.EXIT_USAGE),
     "negative-seed-verify": (lambda tmp: ["verify", "--seed", "-1"], cli.EXIT_USAGE),
     "negative-seed-bench": (lambda tmp: ["bench", "--bench", "16:4", "--execute", "--seed", "-1"], cli.EXIT_USAGE),
     "non-integer-seed": (lambda tmp: ["verify", "--seed", "1.5"], cli.EXIT_USAGE),
@@ -328,6 +350,12 @@ HOSTILE_INPUTS.update(
 )
 
 
+def _cap_address_space():
+    # A hostile input that slips past its check fails with a MemoryError
+    # (and so a traceback) instead of taking the machine's memory.
+    resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+
 @pytest.mark.parametrize("case", sorted(HOSTILE_INPUTS))
 def test_hostile_input_exits_with_its_code_and_no_traceback(case, tmp_path):
     build, expected = HOSTILE_INPUTS[case]
@@ -335,7 +363,7 @@ def test_hostile_input_exits_with_its_code_and_no_traceback(case, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "rollwin", *build(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=env, timeout=120, preexec_fn=_cap_address_space,
     )
     assert proc.returncode == expected, proc.stderr
     assert "Traceback" not in proc.stderr

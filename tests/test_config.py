@@ -9,10 +9,8 @@ import rollwin as rw
 from rollwin.config import CONFIG_KEYS
 
 
-@st.composite
-def arbitrary_configs(draw):
-    values = {key: draw(st.integers(-3, 64)) for key in CONFIG_KEYS}
-    return rw.ModelConfig(**values)
+#: Nine raw ints, mostly violating some rule.
+raw_values = st.fixed_dictionaries({key: st.integers(-2, 12) for key in CONFIG_KEYS})
 
 
 @st.composite
@@ -34,41 +32,55 @@ def valid_configs(draw):
     )
 
 
+@st.composite
+def nudged_values(draw):
+    """A valid config's fields with one of them moved by one, often onto a rule's edge."""
+    values = asdict(draw(valid_configs()))
+    key = draw(st.sampled_from(CONFIG_KEYS))
+    values[key] += draw(st.sampled_from((-1, 1)))
+    return values
+
+
 class TestValidate:
     def test_preset_7b_is_valid(self):
         assert rw.validate(rw.PRESET_7B) == []
+        assert replace(rw.PRESET_7B) == rw.PRESET_7B
 
     def test_preset_toy_is_valid(self):
         assert rw.validate(rw.PRESET_TOY) == []
+        assert replace(rw.PRESET_TOY) == rw.PRESET_TOY
 
     def test_dim_head_product_mismatch(self):
-        bad = replace(rw.PRESET_7B, head_dim=64)
-        assert "dim == n_heads*head_dim" in rw.validate(bad)
+        with pytest.raises(rw.ConfigError, match=r"invalid config: dim == n_heads\*head_dim$"):
+            replace(rw.PRESET_7B, head_dim=64)
 
     def test_kv_head_divisibility(self):
-        bad = replace(rw.PRESET_7B, n_kv_heads=5)
-        assert "n_heads % n_kv_heads == 0" in rw.validate(bad)
+        with pytest.raises(rw.ConfigError, match="invalid config: n_heads % n_kv_heads == 0$"):
+            replace(rw.PRESET_7B, n_kv_heads=5)
 
     def test_window_bounds(self):
-        bad = replace(rw.PRESET_7B, window_size=rw.PRESET_7B.context_len + 1)
-        assert "1 <= window_size <= context_len" in rw.validate(bad)
+        with pytest.raises(rw.ConfigError, match="invalid config: 1 <= window_size <= context_len$"):
+            replace(rw.PRESET_7B, window_size=rw.PRESET_7B.context_len + 1)
 
     def test_nonpositive_field_named(self):
-        bad = replace(rw.PRESET_7B, vocab_size=0)
-        assert "vocab_size > 0" in rw.validate(bad)
+        with pytest.raises(rw.ConfigError, match="invalid config: vocab_size > 0$"):
+            replace(rw.PRESET_7B, vocab_size=0)
 
-    @given(arbitrary_configs())
-    def test_total_and_consistent(self, cfg):
-        # Never raises; empty result exactly when every invariant holds.
-        violations = rw.validate(cfg)
-        assert isinstance(violations, list)
-        ok = (
-            all(getattr(cfg, k) > 0 for k in CONFIG_KEYS)
-            and cfg.dim == cfg.n_heads * cfg.head_dim
-            and cfg.n_heads % cfg.n_kv_heads == 0
-            and 1 <= cfg.window_size <= cfg.context_len
-        )
-        assert (violations == []) == ok
+    @given(st.one_of(raw_values, nudged_values(), valid_configs().map(asdict)))
+    def test_total_and_consistent(self, values):
+        # Construction succeeds exactly when every invariant holds, and
+        # otherwise names every violated rule, in rule-list order.
+        holds = {f"{key} > 0": values[key] > 0 for key in CONFIG_KEYS}
+        holds["dim == n_heads*head_dim"] = values["dim"] == values["n_heads"] * values["head_dim"]
+        holds["n_heads % n_kv_heads == 0"] = values["n_kv_heads"] < 1 or values["n_heads"] % values["n_kv_heads"] == 0
+        holds["1 <= window_size <= context_len"] = 1 <= values["window_size"] <= values["context_len"]
+        violated = [rule for rule, ok in holds.items() if not ok]
+        if not violated:
+            assert asdict(rw.ModelConfig(**values)) == values
+            return
+        with pytest.raises(rw.ConfigError) as raised:
+            rw.ModelConfig(**values)
+        assert str(raised.value) == "invalid config: " + "; ".join(violated)
 
 
 class TestParseConfig:
@@ -150,6 +162,10 @@ class TestAnalytics:
 
     def test_parameter_count_toy(self):
         assert rw.parameter_count(rw.PRESET_TOY) == 180_800
+
+    def test_parameter_count_is_closed_form_at_any_depth(self):
+        one, two = (rw.parameter_count(replace(rw.PRESET_TOY, n_layers=n)) for n in (1, 2))
+        assert rw.parameter_count(replace(rw.PRESET_TOY, n_layers=10**12)) == one + (10**12 - 1) * (two - one)
 
     @pytest.mark.parametrize("cfg", [rw.PRESET_TOY, rw.PRESET_7B])
     def test_parameter_count_matches_shape_enumeration(self, cfg):

@@ -116,6 +116,29 @@ class TestGuards:
         with pytest.raises(ValueError, match="refusing oracle run"):
             rw.oracle_forward_swa(weights, fat, [0] * 513)
 
+    def test_refuses_more_tokens_than_the_token_bound(self):
+        # The n x n score blocks grow with the token count alone: a dim-2
+        # model is far inside the history-element bound, yet refused.
+        tiny = rw.ModelConfig(
+            dim=2, n_layers=1, head_dim=2, hidden_dim=1,
+            n_heads=1, n_kv_heads=1, window_size=8, context_len=10**6, vocab_size=2,
+        )
+        limit = rollwin.oracle.MAX_ORACLE_TOKENS
+        rollwin.oracle.guard(tiny, limit)
+        with pytest.raises(rollwin.oracle.OracleSizeError, match="refusing oracle run"):
+            rollwin.oracle.guard(tiny, limit + 1)
+        with pytest.raises(rollwin.oracle.OracleSizeError, match="refusing oracle run"):
+            rw.oracle_forward_swa(rw.init_random(tiny, 0), tiny, [0] * (limit + 1))
+
+    def test_admits_the_longest_benchmark_oracle_run(self):
+        # The desk preset's 1,000-token prompt, the longest oracle run
+        # the benchmark gates on.
+        desk = rw.ModelConfig(
+            dim=128, n_layers=6, head_dim=16, hidden_dim=384,
+            n_heads=8, n_kv_heads=2, window_size=64, context_len=2048, vocab_size=1024,
+        )
+        rollwin.oracle.guard(desk, 1000)
+
     def test_invalid_token_id_rejected(self, toy_config, toy_weights):
         with pytest.raises(ValueError, match="vocabulary"):
             rw.oracle_forward_swa(toy_weights, toy_config, [99999])
