@@ -9,17 +9,16 @@ how a small window still serves long-range information flow.
 import rollwin as rw
 
 
-def draw(mask):
-    header = "      " + " ".join(f"{k:2d}" for k in mask.key_positions)
+def draw(query_positions, key_positions, admissible):
+    header = "      " + " ".join(f"{k:2d}" for k in key_positions)
     print(header)
-    for q, row in zip(mask.query_positions, mask.admissible):
+    for q, row in zip(query_positions, admissible):
         cells = " ".join(" x" if ok else " ." for ok in row)
         print(f"q={q:2d} | {cells}")
 
 
 print("=== one layer, W=3, ten tokens ===")
-mask = rw.build_swa_mask(range(10), range(10), window=3)
-draw(mask)
+draw(range(10), range(10), rw.build_swa_mask(range(10), range(10), window=3))
 print()
 print("Row q=4 admits keys 2, 3, 4: the window is W keys counting itself.")
 print()
@@ -27,7 +26,7 @@ print()
 print("=== the same predicate during a chunked prefill ===")
 print("Chunk at positions 8..11, cache holding 4..7, W=4:")
 prefill = rw.build_prefill_mask(8, 4, [4, 5, 6, 7], window=4)
-draw(prefill)
+draw(range(8, 12), range(4, 12), prefill)
 print()
 print("Left keys fell out of the window, the middle block is the windowed")
 print("cache, and the right block is plain causal attention inside the chunk.")

@@ -34,7 +34,7 @@ for position, k_row, _ in cache.window_view():
 print()
 print("Bulk writes behave exactly like repeated appends:")
 bulk = rw.RollingKvCache(1, W, 2)
-block = np.arange(12, dtype=np.float32).reshape(6, 1, 2)
+block = np.arange(12, dtype=np.float32).reshape(1, 6, 2)  # [n_kv_heads, rows, head_dim]
 bulk.prefill_bulk(0, block, block.copy())
 print(f"  after one 6-row block: retained {list(bulk.retained_positions())}")
 print("  rows older than the trailing W were never stored at all")

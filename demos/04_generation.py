@@ -39,4 +39,5 @@ print(f"max |dlogit| over {len(tokens)} steps: {np.max(np.abs(engine_logits - or
 _, history = rw.run_swa_with_history(weights, cfg, tokens)
 engine_floats = sum(c.nbytes for c in session.caches) // 4
 print(f"engine cache floats: {engine_floats:,} (constant)")
-print(f"oracle history floats: {history.float_count():,} (keeps growing)")
+history_floats = sum(k.size + v.size for k, v in history)
+print(f"oracle history floats: {history_floats:,} (keeps growing)")

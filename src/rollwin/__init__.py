@@ -7,7 +7,6 @@ fast path exact.
 """
 
 from .attention import (
-    AttentionMask,
     HeadGrouping,
     build_prefill_mask,
     build_swa_mask,
@@ -36,7 +35,6 @@ from .model import (
     sample_token,
 )
 from .oracle import (
-    FullHistoryState,
     oracle_forward_causal,
     oracle_forward_swa,
     reach_probe,
@@ -66,10 +64,8 @@ from .weights import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttentionMask",
     "ConfigError",
     "DecoderWeights",
-    "FullHistoryState",
     "GenerationResult",
     "GenerationSession",
     "HeadGrouping",

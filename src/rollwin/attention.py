@@ -1,11 +1,12 @@
 """Grouped-query scaled-dot-product attention under sliding-window masks.
 
-Pure functions over immutable inputs. Masks carry absolute token positions;
-keys and values are always consumed in ascending absolute-position order so
-that every caller accumulates attention sums identically. The engine calls
-`window_attend`, which reads each query's window as a band of contiguous
-key rows; `gqa_attend` under an explicit mask is its dense reference, and
-the oracle builds its masks with `build_swa_mask`.
+Pure functions over immutable inputs. A mask is a boolean [n_q, n_k] array
+over given query and key positions; keys and values are always consumed in
+ascending absolute-position order so that every caller accumulates
+attention sums identically. The engine calls `window_attend`, which reads
+each query's window as a band of contiguous key rows; `gqa_attend` under
+an explicit mask is its dense reference, and the oracle builds its masks
+with `build_swa_mask`.
 """
 
 from __future__ import annotations
@@ -18,20 +19,6 @@ import numpy as np
 
 from . import tensor
 from .tensor import Tensor
-
-
-@dataclass(frozen=True, eq=False)
-class AttentionMask:
-    """Admissibility of (query, key) pairs at absolute token positions.
-
-    admissible[i, j] says whether the query at query_positions[i] may attend
-    the key at key_positions[j]. Admissible pairs are always causal
-    (key <= query) and within the window (query - key <= window - 1).
-    """
-
-    query_positions: tuple[int, ...]
-    key_positions: tuple[int, ...]
-    admissible: np.ndarray  # bool, [n_queries, n_keys]
 
 
 @dataclass(frozen=True)
@@ -54,59 +41,57 @@ class HeadGrouping:
 
 def build_swa_mask(
     query_positions: Iterable[int], key_positions: Iterable[int], window: int
-) -> AttentionMask:
-    """Admit (q, k) iff 0 <= q - k <= window - 1.
+) -> np.ndarray:
+    """Admit (q, k) iff 0 <= q - k <= window - 1: a bool [n_q, n_k] array.
 
     The window counts `window` keys including the query's own position, so a
     query at position i sees keys in [max(0, i - window + 1), i].
     """
-    qpos = tuple(int(p) for p in query_positions)
-    kpos = tuple(int(p) for p in key_positions)
+    qpos = np.asarray([int(p) for p in query_positions], dtype=np.int64)
+    kpos = np.asarray([int(p) for p in key_positions], dtype=np.int64)
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    if any(p < 0 for p in qpos + kpos):
+    if (qpos < 0).any() or (kpos < 0).any():
         raise ValueError("positions must be non-negative")
-    delta = np.asarray(qpos, dtype=np.int64)[:, None] - np.asarray(kpos, dtype=np.int64)[None, :]
-    admissible = (delta >= 0) & (delta <= window - 1)
-    return AttentionMask(qpos, kpos, admissible)
+    delta = qpos[:, None] - kpos[None, :]
+    return (delta >= 0) & (delta <= window - 1)
 
 
 def build_prefill_mask(
     chunk_start: int, chunk_len: int, cache_positions: Iterable[int], window: int
-) -> AttentionMask:
+) -> np.ndarray:
     """Mask for one chunk attending the cache and itself.
 
     The key axis is the cache positions followed by the chunk's own
     positions. Three regions emerge: in-chunk keys under a causal rule,
     recent cache keys inside the window, and older keys excluded entirely.
-    After checking its arguments this is build_swa_mask over the combined
-    key list, so the admissibility rule lives in one place.
+    After checking the chunk against the cache this is build_swa_mask over
+    the combined key list, which checks the window and the positions, so
+    the admissibility rule lives in one place.
     """
     if chunk_len < 1:
         raise ValueError(f"chunk_len must be >= 1, got {chunk_len}")
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window}")
-    if chunk_start < 0:
-        raise ValueError(f"chunk_start must be non-negative, got {chunk_start}")
-    cached = tuple(int(p) for p in cache_positions)
+    cached = [int(p) for p in cache_positions]
     for p in cached:
         if p >= chunk_start:
             raise ValueError(f"cache position {p} is not before chunk start {chunk_start}")
     chunk = range(chunk_start, chunk_start + chunk_len)
-    return build_swa_mask(chunk, cached + tuple(chunk), window)
+    return build_swa_mask(chunk, cached + list(chunk), window)
 
 
 def gqa_attend(
-    q: Tensor, k: Tensor, v: Tensor, mask: AttentionMask, grouping: HeadGrouping
+    q: Tensor, k: Tensor, v: Tensor, admissible: np.ndarray, grouping: HeadGrouping
 ) -> Tensor:
     """Grouped-query attention over position-ordered keys.
 
-    q: [n_heads, n_q, head_dim]; k, v: [n_kv_heads, n_k, head_dim] with rows
-    in ascending absolute-position order (mask.key_positions). Query head h
-    reads kv head h // group_size; per head the output is
-    softmax(q k^T / sqrt(head_dim)) v with masked pairs excluded from the
-    max and the normalizer. All heads share one batched product per stage,
-    bit-identical to one 2-D product per head.
+    q: [n_heads, n_q, head_dim]; k, v: [n_kv_heads, n_k, head_dim];
+    admissible: bool [n_q, n_k], as build_swa_mask returns. The caller
+    gives the key rows in ascending absolute-position order, the order
+    every other attention path sums in. Query head h reads kv head
+    h // group_size; per head the output is softmax(q k^T / sqrt(head_dim)) v
+    with inadmissible pairs excluded from the max and the normalizer. All
+    heads share one batched product per stage, bit-identical to one 2-D
+    product per head.
     """
     if q.ndim != 3 or q.shape[0] != grouping.n_heads:
         raise ValueError(f"q shape {q.shape} does not fit {grouping.n_heads} query heads")
@@ -117,16 +102,14 @@ def gqa_attend(
     if q.shape[2] != k.shape[2]:
         raise ValueError(f"head_dim mismatch: q {q.shape[2]} vs k {k.shape[2]}")
     n_q, n_k = q.shape[1], k.shape[1]
-    if mask.admissible.shape != (n_q, n_k):
-        raise ValueError(f"mask shape {mask.admissible.shape}, expected {(n_q, n_k)}")
-    if any(b <= a for a, b in zip(mask.key_positions, mask.key_positions[1:])):
-        raise ValueError("key positions must be strictly ascending")
+    if admissible.shape != (n_q, n_k):
+        raise ValueError(f"mask shape {admissible.shape}, expected {(n_q, n_k)}")
 
     # One batched product per stage: query head h reads kv head h // group_size.
     kv = np.arange(grouping.n_heads) // grouping.group_size
     scale = np.float32(math.sqrt(q.shape[2]))
     scores = tensor.matmul(q, k[kv].transpose(0, 2, 1)) / scale    # [n_heads, n_q, n_k]
-    masked = np.broadcast_to(~mask.admissible, scores.shape)
+    masked = np.broadcast_to(~admissible, scores.shape)
     weights = tensor.softmax_stable(scores, masked=masked)
     return tensor.matmul(weights, v[kv])
 

@@ -2,9 +2,11 @@
 
 The entry for absolute position i lives in slot i % capacity, so once
 `capacity` positions have been written every new write overwrites the
-oldest entry and memory stops growing. Reads gather the retained positions
-back in ascending order regardless of physical slot layout: `gather`
-returns them with their K/V blocks from one index gather over
+oldest entry and memory stops growing. K/V blocks are head-major,
+[n_kv_heads, rows, head_dim], in and out: the layout the engine's
+projections produce and its attention reads. Reads gather the retained
+positions back in ascending order regardless of physical slot layout:
+`gather` returns them with their K/V blocks from one index gather over
 position % capacity, so the slot layout is known only to this module.
 
 `restart(position)` empties the cache and moves it to any position: the
@@ -67,7 +69,7 @@ class RollingKvCache:
         A one-row prefill_bulk: writes must be strictly sequential, and the
         row lands in slot position % capacity, overwriting any prior occupant.
         """
-        self.prefill_bulk(position, k_row[np.newaxis], v_row[np.newaxis])
+        self.prefill_bulk(position, k_row[:, np.newaxis], v_row[:, np.newaxis])
 
     def gather(self) -> tuple[range, Tensor, Tensor]:
         """Retained positions, ascending, with their keys and values.
@@ -91,30 +93,32 @@ class RollingKvCache:
         return [(p, keys[:, i, :], values[:, i, :]) for i, p in enumerate(positions)]
 
     def prefill_bulk(self, start_position: int, k_block: Tensor, v_block: Tensor) -> None:
-        """Write a block of rows ([block_len, n_kv_heads, head_dim]) at once.
+        """Write a block of rows ([n_kv_heads, block_len, head_dim]) at once.
 
         The cache's one write: `append` and every engine forward step come
-        here. Equivalent to appending each row in order. Rows that would
-        already have been overwritten (anything before the trailing
-        `capacity` rows) are never materialized in the cache.
+        here, in the layout `gather` returns. Equivalent to appending each
+        row in order. Rows that would already have been overwritten
+        (anything before the trailing `capacity` rows) are never
+        materialized in the cache.
         """
         if start_position != self.next_position:
             raise ValueError(
                 f"out-of-order write: expected position {self.next_position}, got {start_position}"
             )
-        row_shape = (self.keys.shape[0], self.keys.shape[2])
-        if k_block.shape != v_block.shape or k_block.shape[1:] != row_shape:
+        n_kv, _, head_dim = self.keys.shape
+        if k_block.shape != v_block.shape or k_block.shape[:1] + k_block.shape[2:] != (n_kv, head_dim):
             raise ValueError(
-                f"block shapes {k_block.shape}/{v_block.shape} do not match cache rows {row_shape}"
+                f"block shapes {k_block.shape}/{v_block.shape} do not fit "
+                f"[{n_kv}, rows, {head_dim}] cache blocks"
             )
-        block_len = k_block.shape[0]
+        block_len = k_block.shape[1]
         if block_len < 1:
             raise ValueError("bulk write needs at least one row")
         keep_from = max(0, block_len - self.capacity)
         positions = np.arange(start_position + keep_from, start_position + block_len)
         slots = positions % self.capacity
-        self.keys[:, slots, :] = k_block[keep_from:].transpose(1, 0, 2)
-        self.values[:, slots, :] = v_block[keep_from:].transpose(1, 0, 2)
+        self.keys[:, slots, :] = k_block[:, keep_from:]
+        self.values[:, slots, :] = v_block[:, keep_from:]
         self.next_position = start_position + block_len
 
 

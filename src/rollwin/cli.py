@@ -164,6 +164,10 @@ def cmd_generate(args) -> int:
     if args.mode == "swa":
         session = GenerationSession(weights)
     else:
+        # The oracle's longest run re-reads the prompt and every fed-back
+        # token; refuse it before the first step rather than partway.
+        config = weights.config
+        guard(config, min(len(prompt) + max(args.max_tokens, 1) - 1, config.context_len))
         forward = oracle_forward_swa if args.mode == "oracle-swa" else oracle_forward_causal
         session = _OracleSession(weights, forward)
 

@@ -190,7 +190,7 @@ class GenerationSession:
             cached, k_cache, v_cache = cache.gather()
             keys = np.concatenate([k_cache, k], axis=1)  # positions [cached.start, end)
             values = np.concatenate([v_cache, v], axis=1)
-            cache.prefill_bulk(first, k.transpose(1, 0, 2), v.transpose(1, 0, 2))
+            cache.prefill_bulk(first, k, v)
             ctx = attention.window_attend(
                 q[:, n_kv - n_out:], keys, values, end - n_out, cached.start, window, self.grouping
             )

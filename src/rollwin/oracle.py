@@ -2,16 +2,15 @@
 
 These deliberately duplicate the decoder's layer arithmetic instead of
 calling into it: an equivalence test against shared code would prove
-nothing. Every K/V row ever produced is kept in an unbounded log, so memory
-grows linearly with sequence length, which is exactly the behavior the
-rolling cache removes. This module must stay independent of the cache
-module.
+nothing. Every layer keeps the K/V of every position, as [n_kv_heads, n,
+head_dim] arrays, so memory grows linearly with sequence length, which is
+exactly the behavior the rolling cache removes. This module must stay
+independent of the cache module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,28 +33,6 @@ MAX_ORACLE_TOKENS = 3072
 #: logits bit for bit, while one just inside it may move by far less than
 #: any fixed tolerance (1e-7 missed real influence near the boundary).
 REACH_THRESHOLD = 0.0
-
-
-@dataclass
-class FullHistoryState:
-    """Unbounded K/V log: one row appended per layer per position."""
-
-    keys: list[list[Tensor]] = field(default_factory=list)    # [layer][position]
-    values: list[list[Tensor]] = field(default_factory=list)
-
-    @classmethod
-    def empty(cls, n_layers: int) -> "FullHistoryState":
-        return cls([[] for _ in range(n_layers)], [[] for _ in range(n_layers)])
-
-    def append(self, layer: int, k_row: Tensor, v_row: Tensor) -> None:
-        self.keys[layer].append(k_row)
-        self.values[layer].append(v_row)
-
-    def float_count(self) -> int:
-        """Stored scalar count; grows linearly with logged positions."""
-        return sum(r.size for rows in self.keys for r in rows) + sum(
-            r.size for rows in self.values for r in rows
-        )
 
 
 class OracleSizeError(ValueError):
@@ -86,48 +63,47 @@ def _embed(weights: DecoderWeights, tokens) -> Tensor:
 
 def _forward_embedded(
     weights: DecoderWeights, config: ModelConfig, x: Tensor, admissible: np.ndarray
-) -> tuple[Tensor, FullHistoryState]:
-    """Full-sequence forward pass from embedded inputs under an explicit mask."""
+) -> tuple[Tensor, list[tuple[Tensor, Tensor]]]:
+    """Full-sequence forward pass from embedded inputs under an explicit mask;
+    returns the logits and each layer's (keys, values), [n_kv_heads, n, head_dim]."""
     n = x.shape[0]
     group_size = config.n_heads // config.n_kv_heads
     scale = np.float32(math.sqrt(config.head_dim))
     inadmissible = ~admissible
     positions = np.arange(n)
-    state = FullHistoryState.empty(config.n_layers)
-    for li, layer in enumerate(weights.layers):
+    history = []
+    for layer in weights.layers:
         h = tensor.rms_norm(x, layer.attn_norm_gain)
         q = tensor.matmul(h, layer.Wq).reshape(n, config.n_heads, config.head_dim)
         q = tensor.rope_apply(q.transpose(1, 0, 2), positions)  # [n_heads, n, head_dim]
         k = tensor.matmul(h, layer.Wk).reshape(n, config.n_kv_heads, config.head_dim)
         k = tensor.rope_apply(k.transpose(1, 0, 2), positions)  # [n_kv_heads, n, head_dim]
-        v = tensor.matmul(h, layer.Wv).reshape(n, config.n_kv_heads, config.head_dim)
-        for t in range(n):
-            state.append(li, k[:, t, :], v[t])
-        keys = np.stack(state.keys[li], axis=1)    # [n_kv, n, head_dim]
-        values = np.stack(state.values[li], axis=1)
+        v = tensor.matmul(h, layer.Wv).reshape(n, config.n_kv_heads, config.head_dim).transpose(1, 0, 2)
+        history.append((k, v))
         ctx = np.empty((config.n_heads, n, config.head_dim), dtype=np.float32)
         for head in range(config.n_heads):
             kv = head // group_size
-            scores = tensor.matmul(q[head], keys[kv].T) / scale
+            scores = tensor.matmul(q[head], k[kv].T) / scale
             probs = tensor.softmax_stable(scores, masked=inadmissible)
-            ctx[head] = tensor.matmul(probs, values[kv])
+            ctx[head] = tensor.matmul(probs, v[kv])
         merged = ctx.transpose(1, 0, 2).reshape(n, config.n_heads * config.head_dim)
         x = x + tensor.matmul(merged, layer.Wo)
         h2 = tensor.rms_norm(x, layer.ffn_norm_gain)
         gated = tensor.silu_gate(tensor.matmul(h2, layer.W1), tensor.matmul(h2, layer.W3))
         x = x + tensor.matmul(gated, layer.W2)
     logits = tensor.matmul(tensor.rms_norm(x, weights.final_norm_gain), weights.output_proj)
-    return logits, state
+    return logits, history
 
 
 def run_swa_with_history(
     weights: DecoderWeights, config: ModelConfig, tokens
-) -> tuple[Tensor, FullHistoryState]:
-    """Windowed forward pass returning logits plus the K/V log it built."""
+) -> tuple[Tensor, list[tuple[Tensor, Tensor]]]:
+    """Windowed forward pass returning logits plus every layer's (keys,
+    values) for all positions, each [n_kv_heads, len(tokens), head_dim]."""
     guard(config, len(tokens))
     n = len(tokens)
-    mask = attention.build_swa_mask(range(n), range(n), config.window_size)
-    return _forward_embedded(weights, config, _embed(weights, tokens), mask.admissible)
+    admissible = attention.build_swa_mask(range(n), range(n), config.window_size)
+    return _forward_embedded(weights, config, _embed(weights, tokens), admissible)
 
 
 def oracle_forward_swa(weights: DecoderWeights, config: ModelConfig, tokens) -> Tensor:
@@ -162,11 +138,11 @@ def reach_probe(
         raise ValueError(f"perturb_position {perturb_position} outside [0, {n})")
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    mask = attention.build_swa_mask(range(n), range(n), config.window_size)
+    admissible = attention.build_swa_mask(range(n), range(n), config.window_size)
     base = _embed(weights, tokens)
     poked = base.copy()
     poked[perturb_position, 0] += np.float32(epsilon)
-    ref, _ = _forward_embedded(weights, config, base, mask.admissible)
-    alt, _ = _forward_embedded(weights, config, poked, mask.admissible)
+    ref, _ = _forward_embedded(weights, config, base, admissible)
+    alt, _ = _forward_embedded(weights, config, poked, admissible)
     diff = np.max(np.abs(ref - alt), axis=1)
     return [int(i) for i in np.nonzero(diff > REACH_THRESHOLD)[0]]

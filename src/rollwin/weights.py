@@ -59,9 +59,6 @@ class DecoderWeights:
         yield "final_norm_gain", self.final_norm_gain
         yield "output_proj", self.output_proj
 
-    def element_count(self) -> int:
-        return sum(t.size for _, t in self.named_tensors())
-
 
 def _layer_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Shape of each per-layer tensor, by LayerWeights field name."""

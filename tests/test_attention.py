@@ -22,18 +22,22 @@ def plain_mha_reference(q, k, v, admissible):
 
 
 class TestSwaMask:
+    def test_returns_bool_query_by_key_array(self):
+        mask = rw.build_swa_mask(range(3, 6), range(7), window=2)
+        assert isinstance(mask, np.ndarray) and mask.dtype == bool and mask.shape == (3, 7)
+
     def test_window_three(self):
         mask = rw.build_swa_mask([4], range(5), window=3)
-        assert [k for k, ok in zip(mask.key_positions, mask.admissible[0]) if ok] == [2, 3, 4]
+        assert [k for k, ok in zip(range(5), mask[0]) if ok] == [2, 3, 4]
 
     def test_first_token_attends_itself(self):
         for window in (1, 2, 16):
             mask = rw.build_swa_mask([0], [0], window)
-            assert mask.admissible[0, 0]
+            assert mask[0, 0]
 
     def test_window_four_at_position_eight(self):
         mask = rw.build_swa_mask([8], range(9), window=4)
-        assert [k for k, ok in zip(mask.key_positions, mask.admissible[0]) if ok] == [5, 6, 7, 8]
+        assert [k for k, ok in zip(range(9), mask[0]) if ok] == [5, 6, 7, 8]
 
     def test_rejects_bad_window(self):
         with pytest.raises(ValueError):
@@ -51,30 +55,41 @@ class TestSwaMask:
             mask = rw.build_swa_mask(range(length), range(length), window)
             q = np.arange(length)[:, None]
             k = np.arange(length)[None, :]
-            assert not (mask.admissible & (k > q)).any()
-            assert not (mask.admissible & (q - k > window - 1)).any()
-            assert mask.admissible.any(axis=1).all()
-            assert int(mask.admissible.sum()) == rw.score_pair_count(length, window)
+            assert not (mask & (k > q)).any()
+            assert not (mask & (q - k > window - 1)).any()
+            assert mask.any(axis=1).all()
+            assert int(mask.sum()) == rw.score_pair_count(length, window)
+
+
+def swa_mask_of_chunk(start, chunk_len, cache, window):
+    """build_swa_mask over a chunk's positions and the cache's followed by the chunk's."""
+    chunk = list(range(start, start + chunk_len))
+    return rw.build_swa_mask(chunk, list(cache) + chunk, window)
 
 
 class TestPrefillMask:
     def test_third_chunk_geometry(self):
         # Chunk covers positions 8..11 with cache 4..7 and window 4.
         mask = rw.build_prefill_mask(8, 4, [4, 5, 6, 7], window=4)
-        admitted = {
-            q: [k for k, ok in zip(mask.key_positions, row) if ok]
-            for q, row in zip(mask.query_positions, mask.admissible)
-        }
+        admitted = {q: [k for k, ok in zip(range(4, 12), row) if ok] for q, row in zip(range(8, 12), mask)}
         assert admitted[8] == [5, 6, 7, 8]
         assert admitted[11] == [8, 9, 10, 11]
 
     def test_first_chunk_is_pure_causal(self):
         mask = rw.build_prefill_mask(0, 4, [], window=4)
-        assert np.array_equal(mask.admissible, np.tril(np.ones((4, 4), dtype=bool)))
+        assert np.array_equal(mask, np.tril(np.ones((4, 4), dtype=bool)))
 
     def test_cache_position_after_chunk_start_rejected(self):
         with pytest.raises(ValueError, match="cache position"):
             rw.build_prefill_mask(4, 2, [4], window=4)
+
+    def test_window_and_position_checks_are_build_swa_masks(self):
+        with pytest.raises(ValueError, match="window"):
+            rw.build_prefill_mask(4, 2, [3], window=0)
+        with pytest.raises(ValueError, match="non-negative"):
+            rw.build_prefill_mask(-1, 2, [], window=4)
+        with pytest.raises(ValueError, match="chunk_len"):
+            rw.build_prefill_mask(4, 0, [3], window=4)
 
     def test_equals_swa_mask_on_random_geometries(self):
         rng = np.random.default_rng(11)
@@ -85,11 +100,8 @@ class TestPrefillMask:
             depth = int(rng.integers(0, min(start, window) + 1))
             cache = list(range(start - depth, start))
             combined = rw.build_prefill_mask(start, chunk_len, cache, window)
-            direct = rw.build_swa_mask(
-                combined.query_positions, combined.key_positions, window
-            )
-            assert np.array_equal(combined.admissible, direct.admissible)
-            assert combined.key_positions == direct.key_positions
+            assert combined.shape == (chunk_len, depth + chunk_len)
+            assert np.array_equal(combined, swa_mask_of_chunk(start, chunk_len, cache, window))
 
     def test_equals_swa_mask_exhaustively(self):
         # Every rolling-cache-reachable geometry with combined extent <= 32.
@@ -99,10 +111,7 @@ class TestPrefillMask:
                     depth = min(start, window)
                     cache = list(range(start - depth, start))
                     combined = rw.build_prefill_mask(start, chunk_len, cache, window)
-                    direct = rw.build_swa_mask(
-                        combined.query_positions, combined.key_positions, window
-                    )
-                    assert np.array_equal(combined.admissible, direct.admissible)
+                    assert np.array_equal(combined, swa_mask_of_chunk(start, chunk_len, cache, window))
 
     def test_shallow_cache_geometries(self):
         # Depths below the reachable one still satisfy the same predicate.
@@ -112,10 +121,7 @@ class TestPrefillMask:
                     for depth in range(0, min(start, window) + 1):
                         cache = list(range(start - depth, start))
                         combined = rw.build_prefill_mask(start, chunk_len, cache, window)
-                        direct = rw.build_swa_mask(
-                            combined.query_positions, combined.key_positions, window
-                        )
-                        assert np.array_equal(combined.admissible, direct.admissible)
+                        assert np.array_equal(combined, swa_mask_of_chunk(start, chunk_len, cache, window))
 
 
 class TestHeadGrouping:
@@ -144,7 +150,7 @@ class TestGqaAttend:
         q, k, v = self._random_inputs(5, n_heads=2, n_kv=2, n_tokens=5, head_dim=4)
         mask = rw.build_swa_mask(range(5), range(5), window=3)
         out = rw.gqa_attend(q, k, v, mask, HeadGrouping(2, 2))
-        ref = plain_mha_reference(q, k, v, mask.admissible)
+        ref = plain_mha_reference(q, k, v, mask)
         assert np.max(np.abs(out - ref)) <= 1e-6
 
     def test_single_admissible_key_returns_value_row(self):
@@ -183,7 +189,7 @@ class TestGqaAttend:
             for h in range(4):
                 g = h // 2
                 for i in range(7):
-                    rows = v[g][mask.admissible[i]]
+                    rows = v[g][mask[i]]
                     assert np.all(out[h, i] >= rows.min(axis=0) - 1e-5)
                     assert np.all(out[h, i] <= rows.max(axis=0) + 1e-5)
 
@@ -192,8 +198,7 @@ class TestGqaAttend:
         # Chunk 8..13 at W=4 over cache 4..7: cache keys in and out of the
         # window, in-chunk keys cut by causality and by the window.
         n_heads, head_dim = 4, 8
-        mask = rw.build_prefill_mask(8, 6, range(4, 8), window=4)
-        adm = mask.admissible
+        adm = rw.build_prefill_mask(8, 6, range(4, 8), window=4)
         assert adm[:, :4].any() and not adm[:, :4].all()
         assert not adm[0, 5] and not adm[5, 4]
         rng = np.random.default_rng(n_kv)
@@ -201,7 +206,7 @@ class TestGqaAttend:
         k = rng.standard_normal((n_kv, 10, head_dim), dtype=np.float32)
         v = rng.standard_normal((n_kv, 10, head_dim), dtype=np.float32)
         grouping = HeadGrouping(n_heads, n_kv)
-        out = rw.gqa_attend(q, k, v, mask, grouping)
+        out = rw.gqa_attend(q, k, v, adm, grouping)
         scale = np.float32(np.sqrt(head_dim))
         for h in range(n_heads):
             g = h // grouping.group_size
@@ -211,7 +216,7 @@ class TestGqaAttend:
     def test_all_masked_row_propagates(self):
         q, k, v = self._random_inputs(10, n_heads=2, n_kv=2, n_tokens=2, head_dim=4)
         mask = rw.build_swa_mask([0, 1], [0, 1], window=2)
-        mask.admissible[0, :] = False
+        mask[0, :] = False
         with pytest.raises(ValueError, match="degenerate attention row"):
             rw.gqa_attend(q, k, v, mask, HeadGrouping(2, 2))
 
@@ -219,12 +224,6 @@ class TestGqaAttend:
         q, k, v = self._random_inputs(11, n_heads=2, n_kv=2, n_tokens=3, head_dim=4)
         mask = rw.build_swa_mask(range(2), range(2), window=2)
         with pytest.raises(ValueError, match="mask shape"):
-            rw.gqa_attend(q, k, v, mask, HeadGrouping(2, 2))
-
-    def test_unsorted_key_positions_rejected(self):
-        q, k, v = self._random_inputs(12, n_heads=2, n_kv=2, n_tokens=2, head_dim=4)
-        mask = rw.build_swa_mask([1, 1], [1, 0], window=4)
-        with pytest.raises(ValueError, match="ascending"):
             rw.gqa_attend(q, k, v, mask, HeadGrouping(2, 2))
 
 
@@ -344,7 +343,7 @@ class TestPairCounts:
         assert rw.score_pair_count(5, 2) == 1 + 2 + 2 + 2 + 2 == 9
         assert rw.full_pair_count(5) == 15
         mask = rw.build_swa_mask(range(5), range(5), 2)
-        assert int(mask.admissible.sum()) == 9
+        assert int(mask.sum()) == 9
 
     def test_rejects_degenerate_arguments(self):
         with pytest.raises(ValueError):

@@ -185,13 +185,13 @@ class TestPrefillBulk:
             k, v = row_pair(rng_a)
             bulk.append(pos, k, v)
             stepped.append(pos, *row_pair(rng_b))
-        k_block = rng_a.standard_normal((block_len, 2, 3), dtype=np.float32)
-        v_block = rng_a.standard_normal((block_len, 2, 3), dtype=np.float32)
-        _ = rng_b.standard_normal((block_len, 2, 3), dtype=np.float32)
-        _ = rng_b.standard_normal((block_len, 2, 3), dtype=np.float32)
+        k_block = rng_a.standard_normal((2, block_len, 3), dtype=np.float32)  # [n_kv, rows, head_dim]
+        v_block = rng_a.standard_normal((2, block_len, 3), dtype=np.float32)
+        _ = rng_b.standard_normal((2, block_len, 3), dtype=np.float32)
+        _ = rng_b.standard_normal((2, block_len, 3), dtype=np.float32)
         bulk.prefill_bulk(prefix, k_block, v_block)
         for i in range(block_len):
-            stepped.append(prefix + i, k_block[i], v_block[i])
+            stepped.append(prefix + i, k_block[:, i], v_block[:, i])
         assert bulk.next_position == stepped.next_position
         assert np.array_equal(bulk.keys, stepped.keys)
         assert np.array_equal(bulk.values, stepped.values)
@@ -208,35 +208,41 @@ class TestPrefillBulk:
     def test_exact_capacity_block_replaces_all_slots(self):
         cache = rw.RollingKvCache(1, 4, 2)
         rng = np.random.default_rng(10)
-        first = rng.standard_normal((4, 1, 2), dtype=np.float32)
+        first = rng.standard_normal((1, 4, 2), dtype=np.float32)
         cache.prefill_bulk(0, first, first.copy())
-        second = rng.standard_normal((4, 1, 2), dtype=np.float32)
+        second = rng.standard_normal((1, 4, 2), dtype=np.float32)
         cache.prefill_bulk(4, second, second.copy())
         assert [p for p, _, _ in cache.window_view()] == [4, 5, 6, 7]
         got = np.stack([k[0] for _, k, _ in cache.window_view()])
-        assert np.array_equal(got, second[:, 0, :])
+        assert np.array_equal(got, second[0])
 
     def test_oversized_block_keeps_trailing_rows(self):
         capacity = 4
         cache = rw.RollingKvCache(1, capacity, 2)
         rng = np.random.default_rng(11)
-        block = rng.standard_normal((11, 1, 2), dtype=np.float32)
+        block = rng.standard_normal((1, 11, 2), dtype=np.float32)
         cache.prefill_bulk(0, block, block.copy())
         view = cache.window_view()
         assert [p for p, _, _ in view] == [7, 8, 9, 10]
-        for (pos, k_row, _), want in zip(view, block[-capacity:]):
-            assert np.array_equal(k_row, want)
+        for pos, k_row, _ in view:
+            assert np.array_equal(k_row, block[:, pos])
 
     def test_out_of_order_bulk_rejected(self):
         cache = rw.RollingKvCache(1, 4, 2)
-        block = np.zeros((2, 1, 2), np.float32)
+        block = np.zeros((1, 2, 2), np.float32)
         with pytest.raises(ValueError, match="expected position 0, got 2"):
             cache.prefill_bulk(2, block, block)
 
     def test_empty_block_rejected(self):
         cache = rw.RollingKvCache(1, 4, 2)
-        block = np.zeros((0, 1, 2), np.float32)
-        with pytest.raises(ValueError):
+        block = np.zeros((1, 0, 2), np.float32)
+        with pytest.raises(ValueError, match="at least one row"):
+            cache.prefill_bulk(0, block, block)
+
+    def test_position_major_block_rejected(self):
+        cache = rw.RollingKvCache(2, 4, 3)
+        block = np.zeros((5, 2, 3), np.float32)  # [rows, n_kv, head_dim]
+        with pytest.raises(ValueError, match="do not fit"):
             cache.prefill_bulk(0, block, block)
 
 
@@ -259,7 +265,7 @@ class TestRestart:
         assert keys.shape == values.shape == (2, 0, 3)
 
     def test_next_write_must_be_at_the_restart_position(self, restarted):
-        row = np.zeros((1, 2, 3), np.float32)
+        row = np.zeros((2, 1, 3), np.float32)
         for wrong in (6, 19, 21):
             with pytest.raises(ValueError, match=f"expected position 20, got {wrong}"):
                 restarted.prefill_bulk(wrong, row, row)

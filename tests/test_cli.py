@@ -125,6 +125,36 @@ class TestGenerate:
         assert code == cli.EXIT_OK
         assert len(out.split()) == 3
 
+    @pytest.mark.parametrize("mode", ["oracle-swa", "oracle-causal"])
+    @pytest.mark.parametrize("prompt_len, refused", [(3070, True), (3068, False)])
+    def test_oracle_mode_guards_its_longest_run_before_the_first_step(
+        self, capsys, monkeypatch, tmp_path, mode, prompt_len, refused
+    ):
+        # With --max-tokens 5 the last step runs the oracle on the prompt
+        # plus 4 fed-back tokens: 3,074 is over MAX_ORACLE_TOKENS and must be
+        # refused before any oracle call; 3,072 fits and runs every step.
+        assert rw.oracle.MAX_ORACLE_TOKENS == 3072
+        path = tmp_path / "long.json"
+        path.write_text(rw.config_to_json(replace(rw.PRESET_TOY, context_len=4096)))
+        lengths = []
+
+        def counting_stub(weights, config, tokens):
+            lengths.append(len(tokens))
+            return np.zeros((len(tokens), config.vocab_size), np.float32)
+
+        monkeypatch.setattr(cli, "oracle_forward_swa", counting_stub)
+        monkeypatch.setattr(cli, "oracle_forward_causal", counting_stub)
+        code, out, err = run_cli(
+            capsys, "generate", "--random-init", "--config", str(path),
+            "--prompt-ids", " ".join(["1"] * prompt_len), "--max-tokens", "5", "--mode", mode,
+        )
+        if refused:
+            assert (code, out, lengths) == (cli.EXIT_USAGE, "", [])
+            assert err.startswith("error: refusing oracle run")
+        else:
+            assert code == cli.EXIT_OK
+            assert lengths == [3068, 3069, 3070, 3071, 3072]
+
 
 class TestExitCodes:
     def test_unknown_flag_is_usage(self, capsys, toy_config_file):
@@ -395,7 +425,7 @@ ONE_ULP_FAULTS = {
     ),
     "multi-row-cache-keys": (
         rw.RollingKvCache, "prefill_bulk",
-        lambda real: lambda self, start, k, v: real(self, start, _next_ulp(k) if len(k) > 1 else k, v),
+        lambda real: lambda self, start, k, v: real(self, start, _next_ulp(k) if k.shape[1] > 1 else k, v),
         "prefill-decode",
     ),
     # The receptive-field skip drops one token too many; only chunks longer

@@ -219,7 +219,7 @@ class TestReceptiveField:
 
         mask = build_swa_mask(range(12), range(12), config.window_size)
         embedded[0, 0] += np.float32(1e-2)
-        poked, _ = _forward_embedded(weights, config, embedded, mask.admissible)
+        poked, _ = _forward_embedded(weights, config, embedded, mask)
         assert float(np.max(np.abs(base[7:] - poked[7:]))) == 0.0
         assert float(np.max(np.abs(base[6] - poked[6]))) > 1e-7
 

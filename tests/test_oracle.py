@@ -72,29 +72,68 @@ class TestReachProbe:
             rw.reach_probe(toy_weights, toy_config, [1, 2], 0, epsilon=0.0)
 
 
+def history_floats(history):
+    """Scalars the oracle's per-layer K/V arrays hold."""
+    return sum(keys.size + values.size for keys, values in history)
+
+
 class TestHistoryAccounting:
     def test_one_row_per_layer_per_position(self, toy_config, toy_weights):
         tokens = random_tokens(9, seed=6)
-        _, state = rw.run_swa_with_history(toy_weights, toy_config, tokens)
-        for layer_rows in state.keys:
-            assert len(layer_rows) == len(tokens)
-        for layer_rows in state.values:
-            assert len(layer_rows) == len(tokens)
+        _, history = rw.run_swa_with_history(toy_weights, toy_config, tokens)
+        for keys, _ in history:
+            assert keys.shape[1] == len(tokens)
+        for _, values in history:
+            assert values.shape[1] == len(tokens)
 
     def test_memory_grows_linearly_with_length(self, toy_config, toy_weights):
         counts = {}
         for length in (4, 8, 16):
-            _, state = rw.run_swa_with_history(toy_weights, toy_config, random_tokens(length, seed=7))
-            counts[length] = state.float_count()
+            _, history = rw.run_swa_with_history(toy_weights, toy_config, random_tokens(length, seed=7))
+            counts[length] = history_floats(history)
         per_token = counts[4] / 4
         assert counts[8] == 8 * per_token
         assert counts[16] == 16 * per_token
 
     def test_history_dwarfs_rolling_cache_on_long_runs(self, toy_config, toy_weights):
         length = 8 * toy_config.window_size
-        _, state = rw.run_swa_with_history(toy_weights, toy_config, random_tokens(length, seed=8))
+        _, history = rw.run_swa_with_history(toy_weights, toy_config, random_tokens(length, seed=8))
         rolling_floats = sum(c.nbytes for c in rw.GenerationSession(toy_weights).caches) // 4
-        assert state.float_count() == 8 * rolling_floats
+        assert history_floats(history) == 8 * rolling_floats
+
+
+TAIL_CONFIGS = {
+    "toy": rw.PRESET_TOY,
+    "w1": replace(rw.PRESET_TOY, window_size=1),
+    "w4l2": replace(rw.PRESET_TOY, window_size=4, n_layers=2),
+    "w16": replace(rw.PRESET_TOY, window_size=16),
+    "group1": replace(rw.PRESET_TOY, n_kv_heads=4),
+    "group4": replace(rw.PRESET_TOY, n_kv_heads=1),
+}
+
+
+@pytest.mark.parametrize("fill", ["stepped", "prefilled"])
+@pytest.mark.parametrize("name", sorted(TAIL_CONFIGS))
+def test_rolling_cache_holds_the_last_window_of_the_oracle_history(name, fill):
+    # Each layer's cache is exactly the last W rows of the K/V the oracle
+    # computed for the same tokens, bit for bit, after decoding token by
+    # token and after one prefill.
+    config = TAIL_CONFIGS[name]
+    weights = rw.init_random(config, 11)
+    tokens = random_tokens(70, seed=12)
+    session = rw.GenerationSession(weights)
+    if fill == "stepped":
+        for t in tokens:
+            session.forward_decode(t)
+    else:
+        session.prefill(tokens)
+    _, history = rw.run_swa_with_history(weights, config, tokens)
+    window = config.window_size
+    for cache, (keys, values) in zip(session.caches, history, strict=True):
+        positions, k, v = cache.gather()
+        assert positions == range(70 - window, 70)
+        assert np.array_equal(k, keys[:, -window:])
+        assert np.array_equal(v, values[:, -window:])
 
 
 class TestGuards:

@@ -22,7 +22,7 @@ class TestInitRandom:
         assert not np.array_equal(a.token_embedding, b.token_embedding)
 
     def test_element_count_matches_parameter_count(self, toy_config, toy_weights):
-        assert toy_weights.element_count() == rw.parameter_count(toy_config)
+        assert sum(t.size for _, t in toy_weights.named_tensors()) == rw.parameter_count(toy_config)
 
     def test_shapes_follow_canonical_list(self, toy_config, toy_weights):
         for (name, tensor), (want_name, want_shape) in zip(
