@@ -7,6 +7,7 @@ the package derives from the nine integers collected here.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import asdict, dataclass, fields
 
 
@@ -125,6 +126,17 @@ def exact_reach(config: ModelConfig) -> int:
     i - n_layers*(W - 1): that is n_layers*(W - 1) + 1 distinct positions.
     """
     return config.n_layers * (config.window_size - 1) + 1
+
+
+def token_ids(config: ModelConfig, tokens) -> list[int]:
+    """The ids as ints; ValueError for a non-integer (never truncated) or out-of-vocabulary id."""
+    try:
+        ids = list(map(operator.index, tokens))
+    except TypeError as exc:
+        raise ValueError(f"token ids must be integers: {exc}") from None
+    if outside := [t for t in ids if not 0 <= t < config.vocab_size]:
+        raise ValueError(f"token ids {outside} outside vocabulary of size {config.vocab_size}")
+    return ids
 
 
 def cache_memory_ratio(seq_len: int, config: ModelConfig) -> float:

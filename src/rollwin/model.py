@@ -36,7 +36,7 @@ import numpy as np
 from . import attention, tensor
 from .attention import HeadGrouping
 from .cache import RollingKvCache, new_cache
-from .config import exact_reach
+from .config import exact_reach, token_ids
 from .tensor import Tensor
 from .weights import DecoderWeights, LayerWeights
 
@@ -121,10 +121,7 @@ class GenerationSession:
 
     def _check_tokens(self, tokens) -> list[int]:
         cfg = self.config
-        tokens = [int(t) for t in tokens]
-        for t in tokens:
-            if not 0 <= t < cfg.vocab_size:
-                raise ValueError(f"token id {t} outside vocabulary of size {cfg.vocab_size}")
+        tokens = token_ids(cfg, tokens)
         if not tokens:
             raise ValueError("tokens must be non-empty")
         if self.next_position + len(tokens) > cfg.context_len:
@@ -134,13 +131,13 @@ class GenerationSession:
             )
         return tokens
 
-    def _qkv(self, x: Tensor, layer: LayerWeights, Wqkv: Tensor, positions):
-        """Rotated q, k and unrotated v, head-major: [heads, len(positions), head_dim]."""
+    def _qkv(self, x: Tensor, layer: LayerWeights, Wqkv: Tensor, rope: tensor.RopeTable):
+        """Rotated q, k and unrotated v, head-major: [heads, rows, head_dim]."""
         cfg = self.config
         h = tensor.rms_norm(x, layer.attn_norm_gain)
         heads = tensor.matmul(h, Wqkv).reshape(x.shape[0], -1, cfg.head_dim).transpose(1, 0, 2)
         n_rotated = cfg.n_heads + cfg.n_kv_heads
-        qk = tensor.rope_apply(heads[:n_rotated], positions)
+        qk = tensor.rope_apply(heads[:n_rotated], rope)
         return qk[: cfg.n_heads], qk[cfg.n_heads:], heads[n_rotated:]
 
     def _residual_ffn(self, x: Tensor, layer: LayerWeights, W13: Tensor, ctx: Tensor) -> Tensor:
@@ -180,13 +177,14 @@ class GenerationSession:
         reach = exact_reach(self.config)
         kv_rows = [min(len(tokens), reach - i * (window - 1)) for i in range(self.config.n_layers)] + [1]
         x = self.weights.token_embedding[np.asarray(tokens[len(tokens) - kv_rows[0]:])]  # [kv_0, dim]
+        rope = tensor.rope_table(np.arange(end - kv_rows[0], end), self.config.head_dim)
         for n_kv, n_out, layer, (Wqkv, W13), cache in zip(
             kv_rows, kv_rows[1:], self.weights.layers, self._fused, self.caches
         ):
             first = end - n_kv
             if first > cache.next_position:
                 cache.restart(first)
-            q, k, v = self._qkv(x, layer, Wqkv, np.arange(first, end))
+            q, k, v = self._qkv(x, layer, Wqkv, tensor.RopeTable(*(t[-n_kv:] for t in rope)))
             cached, k_cache, v_cache = cache.gather()
             keys = np.concatenate([k_cache, k], axis=1)  # positions [cached.start, end)
             values = np.concatenate([v_cache, v], axis=1)

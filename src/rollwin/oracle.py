@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from . import attention, tensor
-from .config import ModelConfig
+from .config import ModelConfig, token_ids
 from .tensor import Tensor
 from .weights import DecoderWeights
 
@@ -54,11 +54,7 @@ def guard(config: ModelConfig, n_tokens: int) -> None:
 
 
 def _embed(weights: DecoderWeights, tokens) -> Tensor:
-    ids = np.asarray([int(t) for t in tokens])
-    outside = [int(t) for t in ids if not 0 <= t < weights.config.vocab_size]
-    if outside:
-        raise ValueError(f"token ids {outside} outside vocabulary of size {weights.config.vocab_size}")
-    return weights.token_embedding[ids]  # [len, dim]
+    return weights.token_embedding[np.asarray(token_ids(weights.config, tokens))]  # [len, dim]
 
 
 def _forward_embedded(
@@ -70,14 +66,14 @@ def _forward_embedded(
     group_size = config.n_heads // config.n_kv_heads
     scale = np.float32(math.sqrt(config.head_dim))
     inadmissible = ~admissible
-    positions = np.arange(n)
+    rope = tensor.rope_table(np.arange(n), config.head_dim)
     history = []
     for layer in weights.layers:
         h = tensor.rms_norm(x, layer.attn_norm_gain)
         q = tensor.matmul(h, layer.Wq).reshape(n, config.n_heads, config.head_dim)
-        q = tensor.rope_apply(q.transpose(1, 0, 2), positions)  # [n_heads, n, head_dim]
+        q = tensor.rope_apply(q.transpose(1, 0, 2), rope)  # [n_heads, n, head_dim]
         k = tensor.matmul(h, layer.Wk).reshape(n, config.n_kv_heads, config.head_dim)
-        k = tensor.rope_apply(k.transpose(1, 0, 2), positions)  # [n_kv_heads, n, head_dim]
+        k = tensor.rope_apply(k.transpose(1, 0, 2), rope)  # [n_kv_heads, n, head_dim]
         v = tensor.matmul(h, layer.Wv).reshape(n, config.n_kv_heads, config.head_dim).transpose(1, 0, 2)
         history.append((k, v))
         ctx = np.empty((config.n_heads, n, config.head_dim), dtype=np.float32)

@@ -5,26 +5,26 @@ Tensors are plain numpy float32 ndarrays, row-major. Every reduction here
 strictly left-to-right in float32, so a row pushed through a block operation
 is bit-identical to the same row pushed through alone. BLAS-backed matmul
 does not give that guarantee, so matmul sums each dot product itself, with
-no BLAS call, in blocks along the shared axis. Products of fewer than
-BLOCK_ELEMENTS / 8 outputs form a block's terms in one call and add them
-with one `np.add.reduce` across a non-contiguous axis, which numpy does one
-slice at a time; larger ones form each term with an einsum that sums over
-no index, then add it. Both regimes add the same terms in the same order,
-so the choice changes no bit. The other sums use `np.add.accumulate`, which
-is sequential by definition; elementwise work is delegated to numpy.
+no BLAS call. Products of fewer than BLOCK_ELEMENTS / 8 outputs write a
+block of k's terms (all of k if it fits, as in toy decode) C-ordered in one
+call and add them with one `np.add.reduce` down k, which numpy does one row
+at a time; larger ones form each term with an einsum that sums over no
+index, then add it. Both regimes add the same terms in the same order, so
+the choice changes no bit. The other sums use `np.add.accumulate`, which is
+sequential by definition; elementwise work is delegated to numpy.
 
 Because the order is fixed per output element, making an operation wider
 never changes a bit: matmul takes leading batch axes (one product for all
 attention heads), a product against column-concatenated weights equals the
-separate products column for column, and rope_apply takes one position per
-row so a whole chunk rotates in one call. matmul reads strided operands as
-views; rope_apply memoises its float64 frequencies per head_dim and base.
+separate products column for column, and a chunk forms one RoPE table
+whose rows each layer rotates by. matmul reads strided operands as views.
 
 Operations never mutate their inputs. Results are fresh allocations.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 
@@ -37,6 +37,9 @@ ROPE_THETA = 10000.0
 
 #: Variance floor for rms_norm.
 RMS_NORM_EPS = 1e-5
+
+#: float32 cos and sin of rope_apply's pair angles, each [half] or [rows, half].
+RopeTable = collections.namedtuple("RopeTable", "cos sin")
 
 #: Floats in one k-block of matmul terms (256 KiB): a product with `outputs`
 #: elements forms BLOCK_ELEMENTS // (outputs + 1) - 1 terms per output in one
@@ -72,16 +75,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     float32. A block holds room = BLOCK_ELEMENTS // (outputs + 1) - 1 terms
     per output.
 
-    room >= 7 (up to 8,191 outputs): the shared axis goes in blocks of
-    step = min(k, room) indices. One `np.multiply` of [k, ..., n, 1] and
-    [k, ..., 1, m] transposed views (no copy) writes a block's terms into
-    rows 1.. of a contiguous [step + 1, width] buffer whose row 0 holds the
-    running sum, and `np.add.reduce(axis=0)` adds the rows into row 0. That
-    sum is strictly row by row: numpy reduces along a non-contiguous axis
-    one slice at a time and sums pairwise only along the fast axis
-    (`numpy.sum`, Notes). width is outputs, plus one spare, always-zero
-    column for a one-output product, which would otherwise be reduced
-    along a contiguous axis.
+    room >= 7 (up to 8,191 outputs): one `np.multiply` of [k, ..., n, 1]
+    and [k, ..., 1, m] transposed views (no copy) writes C-ordered
+    [k, outputs] terms, and `np.add.reduce(axis=0)` adds them row by row:
+    numpy sums pairwise only along the fast axis (`numpy.sum`, Notes), and
+    its default order="K" would follow a's layout, where k can be fast. If
+    k <= room and outputs > 1 that is the product, plus +0.0 (the reduce
+    starts from t_0). Otherwise k goes in blocks of step = min(k, room)
+    into rows 1.. of a [step + 1, width] buffer whose row 0 is the running
+    sum; width is outputs plus, for one output, a spare zero column
+    without which the reduced axis would be the contiguous one.
 
     room < 7 (more outputs): per k, an einsum with no summed index writes
     each term as one rounded product, and `np.add` adds it to the running
@@ -101,11 +104,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     outputs = math.prod(out_shape)
     room = BLOCK_ELEMENTS // (outputs + 1) - 1
     if k and room >= 7:
+        a_k = a.transpose(a.ndim - 1, *range(a.ndim - 1))[..., np.newaxis]  # [k, ..., n, 1]
+        b_k = b.transpose(b.ndim - 2, *range(b.ndim - 2), b.ndim - 1)[..., np.newaxis, :]  # [k, ..., 1, m]
+        if k <= room and outputs > 1:
+            terms = np.multiply(a_k, b_k, order="C").reshape(k, outputs)
+            return np.add.reduce(terms, axis=0).reshape(out_shape) + np.float32(0.0)
         step, width = min(k, room), outputs + (outputs == 1)
         block = np.zeros((step + 1, width), dtype=np.float32)
         terms = block[1:, :outputs].reshape((step,) + out_shape)
-        a_k = a.transpose(a.ndim - 1, *range(a.ndim - 1))[..., np.newaxis]  # [k, ..., n, 1]
-        b_k = b.transpose(b.ndim - 2, *range(b.ndim - 2), b.ndim - 1)[..., np.newaxis, :]  # [k, ..., 1, m]
         for start in range(0, k, step):
             stop = min(start + step, k)
             np.multiply(a_k[start:stop], b_k[start:stop], out=terms[: stop - start])
@@ -165,28 +171,31 @@ def _rope_freqs(head_dim: int, theta_base: float) -> Tensor:
     return freqs
 
 
+def rope_table(positions, head_dim: int, theta_base: float = ROPE_THETA) -> RopeTable:
+    """The RopeTable of one non-negative integer position or a 1-D run; angles in float64."""
+    positions = np.asarray(positions)
+    if positions.ndim > 1 or positions.dtype.kind not in "iu" or np.any(positions < 0):
+        raise ValueError(f"positions must be one non-negative integer or a 1-D run of them, got {positions!r}")
+    angles = positions[..., np.newaxis] * _rope_freqs(head_dim, theta_base)
+    return RopeTable(np.cos(angles).astype(np.float32), np.sin(angles).astype(np.float32))
+
+
 def rope_apply(x: Tensor, position, theta_base: float = ROPE_THETA) -> Tensor:
     """Rotate trailing-axis pairs (x[2j], x[2j+1]) by position-scaled angles.
 
     Pair j turns by position * theta_base**(-2j / head_dim), so dot products
     between rotated queries and keys depend only on relative position. Each
     pair keeps its Euclidean norm; position 0 is the identity. `position` is
-    one int for the whole input, or a 1-D sequence giving each row along
-    axis -2 its own position; both give the same bits per row.
+    a RopeTable or the positions for one: one for the whole input, or one
+    per row along axis -2. A row is the same bits in any table it is in.
     """
     x = _f32(x)
     head_dim = x.shape[-1]
     if head_dim % 2 != 0:
         raise ValueError(f"rope_apply needs an even trailing dimension, got {head_dim}")
-    positions = np.asarray(position)
-    if positions.ndim > 1 or (positions.ndim == 1 and (x.ndim < 2 or x.shape[-2] != positions.size)):
-        raise ValueError(f"positions of shape {positions.shape} do not fit input shape {x.shape}")
-    if np.any(positions < 0):
-        raise ValueError(f"position must be non-negative, got {position}")
-    # Angles in float64; token positions stay exact well past any context_len.
-    angles = positions[..., np.newaxis] * _rope_freqs(head_dim, theta_base)  # [half] or [rows, half]
-    cos = np.cos(angles).astype(np.float32)
-    sin = np.sin(angles).astype(np.float32)
+    cos, sin = position if isinstance(position, RopeTable) else rope_table(position, head_dim, theta_base)
+    if cos.shape[-1] != head_dim // 2 or (cos.ndim > 1 and x.shape[-2:-1] != cos.shape[:-1]):
+        raise ValueError(f"positions of shape {cos.shape[:-1]} do not fit input shape {x.shape}")
     even, odd = x[..., 0::2], x[..., 1::2]
     out = np.empty_like(x)
     out[..., 0::2] = even * cos - odd * sin

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import rollwin as rw
+
+# One profile for every run: no per-example deadline (timings on a shared
+# host swing 2x) and a fixed example sequence, so a run repeats exactly.
+settings.register_profile("tier1", deadline=None, derandomize=True)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

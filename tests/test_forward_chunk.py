@@ -69,6 +69,20 @@ class TestRejectedChunkChangesNothing:
             session.forward_chunk([1, 2, toy_config.vocab_size + 5, 4])
         assert_same_state(session, before)
 
+    @pytest.mark.parametrize("chunk", [[3.7, 5.2], [3, 5.0], [np.float32(3)], ["3"]],
+                             ids=["fractions", "whole-float", "numpy-float", "string"])
+    def test_non_integer_ids_rejected(self, session, chunk):
+        # A float id is never truncated to a token: [3.7, 5.2] is not [3, 5].
+        before = copy.deepcopy(session)
+        with pytest.raises(ValueError, match="integers"):
+            session.forward_chunk(chunk)
+        assert_same_state(session, before)
+
+    def test_numpy_integer_ids_equal_python_ints(self, toy_weights):
+        logits = rw.GenerationSession(toy_weights).forward_chunk([3, 5])
+        for ids in (np.array([3, 5], dtype=np.int32), [np.uint8(3), np.int64(5)]):
+            assert np.array_equal(rw.GenerationSession(toy_weights).forward_chunk(ids), logits)
+
     def test_empty_chunk(self, session):
         before = copy.deepcopy(session)
         with pytest.raises(ValueError, match="non-empty"):

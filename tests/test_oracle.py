@@ -182,6 +182,17 @@ class TestGuards:
         with pytest.raises(ValueError, match="vocabulary"):
             rw.oracle_forward_swa(toy_weights, toy_config, [99999])
 
+    def test_non_integer_token_id_rejected(self, toy_config, toy_weights):
+        for tokens in ([3.7, 5.2], [3, np.float64(5.0)]):
+            for oracle in (rw.oracle_forward_swa, rw.oracle_forward_causal):
+                with pytest.raises(ValueError, match="integers"):
+                    oracle(toy_weights, toy_config, tokens)
+            with pytest.raises(ValueError, match="integers"):
+                rw.reach_probe(toy_weights, toy_config, tokens, 0)
+        ids = np.array([3, 5], dtype=np.int32)
+        assert np.array_equal(rw.oracle_forward_swa(toy_weights, toy_config, ids),
+                              rw.oracle_forward_swa(toy_weights, toy_config, [3, 5]))
+
 
 class TestIndependence:
     def test_oracle_module_never_imports_the_cache(self):

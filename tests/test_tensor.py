@@ -324,6 +324,89 @@ class TestMatmulPaths:
         assert float_bits(out) == float_bits(expected)
 
 
+def batched_reference(a, b):
+    """reference_matmul on every batch slice of rank-2 or larger operands."""
+    out = np.empty(a.shape[:-1] + b.shape[-1:], dtype=np.float32)
+    for index in np.ndindex(*a.shape[:-2]):
+        out[index] = reference_matmul(a[index], b[index])
+    return out
+
+
+def decode_products(config, rng):
+    """(name, a, b) for every product of one decode step on a full window,
+    laid out as the engine passes them: rank-2 weight products, also with
+    transposed views as operands, and the rank-4 scores and AV products over
+    band views of the keys and values."""
+    n_kv, hd, W = config.n_kv_heads, config.head_dim, config.window_size
+    group = config.n_heads // n_kv
+    qkv = config.dim + 2 * n_kv * hd
+    products = []
+    for name, k, m in [("Wqkv", config.dim, qkv), ("Wo", config.dim, config.dim),
+                       ("W13", config.dim, 2 * config.hidden_dim), ("W2", config.hidden_dim, config.dim),
+                       ("logits", config.dim, config.vocab_size)]:
+        products.append((name, spread(rng, (1, k)), spread(rng, (k, m))))
+        products.append((name + "-transposed", spread(rng, (k, 1)).T, spread(rng, (m, k)).T))
+    q = spread(rng, (config.n_heads, 1, hd)).reshape(n_kv, group, 1, hd).transpose(0, 2, 1, 3)
+    keys, values = spread(rng, (n_kv, W, hd)), spread(rng, (n_kv, W, hd))
+    k_bands = rw.attention._bands(keys, 0, 1, W)
+    products.append(("scores", q, k_bands.transpose(0, 1, 3, 2)))
+    products.append(("av", spread(rng, (n_kv, 1, group, W)), rw.attention._bands(values, 0, 1, W)))
+    return products
+
+
+def takes_one_block(a, b):
+    """The one-block case of matmul: one multiply and one reduce."""
+    outputs = math.prod(a.shape[:-1]) * b.shape[-1]
+    return outputs > 1 and a.shape[-1] <= rw.tensor.BLOCK_ELEMENTS // (outputs + 1) - 1
+
+
+DESK = rw.ModelConfig(dim=128, n_layers=6, head_dim=16, hidden_dim=384, n_heads=8, n_kv_heads=2,
+                      window_size=64, context_len=2048, vocab_size=1024)
+W1_ONE_HEAD = rw.ModelConfig(dim=64, n_layers=4, head_dim=64, hidden_dim=128, n_heads=1, n_kv_heads=1,
+                             window_size=1, context_len=128, vocab_size=256)
+DECODE_CONFIGS = {"toy": rw.PRESET_TOY, "desk": DESK, "w1-one-head": W1_ONE_HEAD}
+DECODE_PRODUCTS = [(config, name) for config in sorted(DECODE_CONFIGS)
+                   for name, _, _ in decode_products(DECODE_CONFIGS[config], np.random.default_rng(0))]
+
+
+class TestOneBlockMatmul:
+    """A product whose shared axis fits one block is one multiply of
+    C-ordered [k, outputs] terms and one reduce down k. Every decode product
+    of the toy preset takes it; each case here is held to the scalar
+    left-to-right reference."""
+
+    @pytest.mark.parametrize("config, name", DECODE_PRODUCTS, ids=[f"{c}-{n}" for c, n in DECODE_PRODUCTS])
+    def test_decode_products_equal_scalar_reference(self, config, name):
+        rng = np.random.default_rng(41)
+        a, b = {n: (a, b) for n, a, b in decode_products(DECODE_CONFIGS[config], rng)}[name]
+        cols = sampled_columns(b.shape[-1])
+        assert np.array_equal(rw.matmul(a, b)[..., cols], batched_reference(a, b[..., cols]))
+
+    def test_every_toy_decode_product_takes_one_block(self):
+        products = decode_products(rw.PRESET_TOY, np.random.default_rng(0))
+        assert all(takes_one_block(a, b) for _, a, b in products)
+
+    def test_one_head_window_one_products(self):
+        # W1 with one head: the scores product has one output (the spare-
+        # column block), the AV product has a one-term shared axis.
+        products = {n: (a, b) for n, a, b in decode_products(W1_ONE_HEAD, np.random.default_rng(42))}
+        scores, av = products["scores"], products["av"]
+        assert rw.matmul(*scores).size == 1 and not takes_one_block(*scores)
+        assert av[0].shape[-1] == 1 and takes_one_block(*av)
+        for a, b in (scores, av):
+            assert np.array_equal(rw.matmul(a, b), batched_reference(a, b))
+
+    @pytest.mark.parametrize("a_shape, b_shape", [((1, 64), (64, 128)), ((2, 1, 2, 16), (2, 1, 16, 8))],
+                             ids=["rank2", "rank4"])
+    def test_all_negative_zero_terms_sum_to_positive_zero(self, a_shape, b_shape):
+        # The reduce starts from the first term, not from +0.0; the +0.0
+        # added after it maps an all-(-0.0) sum to +0.0.
+        a, b = np.full(a_shape, -0.0, np.float32), np.ones(b_shape, np.float32)
+        assert takes_one_block(a, b)
+        out = rw.matmul(a, b)
+        assert not np.signbit(out).any() and np.array_equal(out, np.zeros_like(out))
+
+
 class TestSoftmax:
     def test_uniform_on_constant_row(self):
         out = rw.softmax_stable(f32([2.0, 2.0, 2.0]))
@@ -514,6 +597,91 @@ class TestRope:
         assert freqs.dtype == np.float64 and not freqs.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             freqs[0] = 2.0
+
+
+def mistral_rope(x, positions, theta=rw.tensor.ROPE_THETA):
+    """float64 RoPE written from mistral-src `precompute_freqs_cis` and
+    `apply_rotary_emb`: pair (x[2j], x[2j+1]) is a complex number times
+    e^{i p theta_j}, theta_j = 1 / theta**(2j / head_dim)."""
+    head_dim = x.shape[-1]
+    freqs = 1.0 / theta ** (np.arange(0, head_dim, 2)[: head_dim // 2] / head_dim)
+    freqs_cis = np.exp(1j * np.outer(np.asarray(positions, dtype=np.float64), freqs))
+    pairs = x.astype(np.float64).reshape(x.shape[:-1] + (head_dim // 2, 2))
+    rotated = (pairs[..., 0] + 1j * pairs[..., 1]) * freqs_cis
+    return np.stack([rotated.real, rotated.imag], axis=-1).reshape(x.shape)
+
+
+#: Tolerance against mistral_rope, per element and relative to the norm of
+#: its pair: float32 cos and sin (one rounding each), two float32 products
+#: and one float32 sum stay within a few units of 2**-24; 2**-21 is 8 of them.
+ROPE_TOLERANCE = 2.0**-21
+
+
+def within_mistral_rope(out, x, positions):
+    pair_norm = np.repeat(np.hypot(x[..., 0::2], x[..., 1::2]).astype(np.float64), 2, axis=-1)
+    return bool(np.all(np.abs(out - mistral_rope(x, positions)) <= ROPE_TOLERANCE * pair_norm))
+
+
+class TestRopeTable:
+    """rope_table forms a chunk's angles once; rope_apply rotates by any
+    rows of it, bit for bit as by those rows' own positions."""
+
+    @pytest.mark.parametrize("start", [0, 13, 2**40 - 28], ids=["fresh", "restart", "2**40"])
+    def test_suffix_of_one_chunk_table_equals_own_positions(self, start):
+        # As forward_chunk uses it: layer 0's rows, then shorter suffixes.
+        rng = np.random.default_rng(51)
+        positions = np.arange(start, start + 29)
+        table = rw.tensor.rope_table(positions, 16)
+        for rows in (29, 22, 15, 8, 1):
+            x = spread(rng, (6, rows, 16))
+            own = rw.rope_apply(x, positions[-rows:])
+            suffix = rw.tensor.RopeTable(table.cos[-rows:], table.sin[-rows:])
+            assert np.array_equal(rw.rope_apply(x, suffix), own)
+            assert np.array_equal(own[:, -1], rw.rope_apply(x[:, -1], int(positions[-1])))
+
+    @pytest.mark.parametrize("head_dim", [2, 16, 64, 128])
+    def test_holds_to_mistral_reference(self, head_dim):
+        rng = np.random.default_rng(head_dim + 52)
+        positions = np.concatenate([np.arange(64), [1000, 4095, 31337, 2**20]])
+        x = spread(rng, (3, positions.size, head_dim))
+        assert within_mistral_rope(rw.rope_apply(x, positions), x, positions)
+        assert within_mistral_rope(rw.rope_apply(x, rw.tensor.rope_table(positions, head_dim)), x, positions)
+
+    def test_swapped_sin_sign_fails_mistral_reference(self):
+        # Negative control: rotating by -angle (sin with its sign swapped).
+        rng = np.random.default_rng(53)
+        positions = np.arange(1, 40)
+        x = spread(rng, (2, positions.size, 16))
+        table = rw.tensor.rope_table(positions, 16)
+        swapped = rw.rope_apply(x, rw.tensor.RopeTable(table.cos, -table.sin))
+        assert not within_mistral_rope(swapped, x, positions)
+
+    @pytest.mark.parametrize("positions", [[0.5, 1.5], [0.0, 1.0], 2.0, [True, False]],
+                             ids=["halves", "whole-floats", "float-scalar", "bools"])
+    def test_non_integer_positions_rejected(self, positions):
+        with pytest.raises(ValueError, match="non-negative integer"):
+            rw.tensor.rope_table(positions, 8)
+        with pytest.raises(ValueError, match="non-negative integer"):
+            rw.rope_apply(np.ones((2, 8), np.float32), positions)
+
+    @pytest.mark.parametrize("positions", [-1, [0, -3], np.array([2, -2**40])])
+    def test_negative_positions_rejected(self, positions):
+        with pytest.raises(ValueError, match="non-negative"):
+            rw.tensor.rope_table(positions, 8)
+
+    def test_numpy_integer_positions_accepted(self):
+        x = spread(np.random.default_rng(54), (3, 8))
+        for positions in (np.arange(3, dtype=np.int32), np.arange(3, dtype=np.uint64)):
+            assert np.array_equal(rw.rope_apply(x, positions), rw.rope_apply(x, [0, 1, 2]))
+
+    def test_table_must_fit_input(self):
+        table = rw.tensor.rope_table([0, 1, 2], 8)
+        with pytest.raises(ValueError, match="do not fit"):
+            rw.rope_apply(np.ones((2, 8), np.float32), table)
+        with pytest.raises(ValueError, match="do not fit"):
+            rw.rope_apply(np.ones((3, 16), np.float32), table)
+        with pytest.raises(ValueError, match="even"):
+            rw.rope_apply(np.ones((3, 7), np.float32), table)
 
 
 class TestSiluGate:
