@@ -7,7 +7,6 @@ fast path exact.
 """
 
 from .attention import (
-    HeadGrouping,
     build_prefill_mask,
     build_swa_mask,
     full_pair_count,
@@ -68,7 +67,6 @@ __all__ = [
     "DecoderWeights",
     "GenerationResult",
     "GenerationSession",
-    "HeadGrouping",
     "LayerWeights",
     "ModelConfig",
     "PRESET_7B",

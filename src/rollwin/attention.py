@@ -3,16 +3,17 @@
 Pure functions over immutable inputs. A mask is a boolean [n_q, n_k] array
 over given query and key positions; keys and values are always consumed in
 ascending absolute-position order so that every caller accumulates
-attention sums identically. The engine calls `window_attend`, which reads
-each query's window as a band of contiguous key rows; `gqa_attend` under
-an explicit mask is its dense reference, and the oracle builds its masks
-with `build_swa_mask`.
+attention sums identically. The head grouping comes from the shapes: q
+is [n_heads, ...], keys are [n_kv_heads, ...], and query head h reads kv
+head h // (n_heads // n_kv_heads). The engine calls `window_attend`, which
+reads each query's window as a band of contiguous key rows; `gqa_attend`
+under an explicit mask is its dense reference, and the oracle builds its
+masks with `build_swa_mask`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -21,22 +22,12 @@ from . import tensor
 from .tensor import Tensor
 
 
-@dataclass(frozen=True)
-class HeadGrouping:
-    """Assignment of query heads to shared key/value heads."""
-
-    n_heads: int
-    n_kv_heads: int
-
-    def __post_init__(self):
-        if self.n_kv_heads < 1 or self.n_heads % self.n_kv_heads != 0:
-            raise ValueError(
-                f"{self.n_heads} query heads cannot share {self.n_kv_heads} kv heads evenly"
-            )
-
-    @property
-    def group_size(self) -> int:
-        return self.n_heads // self.n_kv_heads
+def _group_size(q: Tensor, keys: Tensor) -> int:
+    """Query heads per kv head, read from q's and keys' leading axes."""
+    n_heads, n_kv = q.shape[0], keys.shape[0]
+    if n_kv < 1 or n_heads % n_kv != 0:
+        raise ValueError(f"{n_heads} query heads cannot share {n_kv} kv heads evenly")
+    return n_heads // n_kv
 
 
 def build_swa_mask(
@@ -79,34 +70,29 @@ def build_prefill_mask(
     return build_swa_mask(chunk, cached + list(chunk), window)
 
 
-def gqa_attend(
-    q: Tensor, k: Tensor, v: Tensor, admissible: np.ndarray, grouping: HeadGrouping
-) -> Tensor:
+def gqa_attend(q: Tensor, k: Tensor, v: Tensor, admissible: np.ndarray) -> Tensor:
     """Grouped-query attention over position-ordered keys.
 
     q: [n_heads, n_q, head_dim]; k, v: [n_kv_heads, n_k, head_dim];
     admissible: bool [n_q, n_k], as build_swa_mask returns. The caller
     gives the key rows in ascending absolute-position order, the order
     every other attention path sums in. Query head h reads kv head
-    h // group_size; per head the output is softmax(q k^T / sqrt(head_dim)) v
-    with inadmissible pairs excluded from the max and the normalizer. All
-    heads share one batched product per stage, bit-identical to one 2-D
-    product per head.
+    h // (n_heads // n_kv_heads); per head the output is
+    softmax(q k^T / sqrt(head_dim)) v with inadmissible pairs excluded from
+    the max and the normalizer. All heads share one batched product per
+    stage, bit-identical to one 2-D product per head.
     """
-    if q.ndim != 3 or q.shape[0] != grouping.n_heads:
-        raise ValueError(f"q shape {q.shape} does not fit {grouping.n_heads} query heads")
-    if k.ndim != 3 or k.shape != v.shape or k.shape[0] != grouping.n_kv_heads:
-        raise ValueError(
-            f"k/v shapes {k.shape}/{v.shape} do not fit {grouping.n_kv_heads} kv heads"
-        )
+    if q.ndim != 3 or k.ndim != 3 or k.shape != v.shape:
+        raise ValueError(f"q/k/v shapes {q.shape}/{k.shape}/{v.shape} are not [heads, rows, head_dim]")
+    group = _group_size(q, k)
     if q.shape[2] != k.shape[2]:
         raise ValueError(f"head_dim mismatch: q {q.shape[2]} vs k {k.shape[2]}")
     n_q, n_k = q.shape[1], k.shape[1]
     if admissible.shape != (n_q, n_k):
         raise ValueError(f"mask shape {admissible.shape}, expected {(n_q, n_k)}")
 
-    # One batched product per stage: query head h reads kv head h // group_size.
-    kv = np.arange(grouping.n_heads) // grouping.group_size
+    # One batched product per stage: query head h reads kv head h // group.
+    kv = np.arange(q.shape[0]) // group
     scale = np.float32(math.sqrt(q.shape[2]))
     scores = tensor.matmul(q, k[kv].transpose(0, 2, 1)) / scale    # [n_heads, n_q, n_k]
     masked = np.broadcast_to(~admissible, scores.shape)
@@ -126,13 +112,7 @@ def _bands(rows: Tensor, first: int, n_q: int, window: int) -> Tensor:
 
 
 def window_attend(
-    q: Tensor,
-    keys: Tensor,
-    values: Tensor,
-    q_start: int,
-    key_start: int,
-    window: int,
-    grouping: HeadGrouping,
+    q: Tensor, keys: Tensor, values: Tensor, q_start: int, key_start: int, window: int
 ) -> Tensor:
     """Sliding-window grouped-query attention as one banded product.
 
@@ -153,9 +133,7 @@ def window_attend(
     start at +0.0.
     """
     n_heads, n_q, head_dim = q.shape
-    n_kv, group = grouping.n_kv_heads, grouping.group_size
-    if n_heads != grouping.n_heads:
-        raise ValueError(f"q shape {q.shape} does not fit {grouping.n_heads} query heads")
+    n_kv, group = keys.shape[0], _group_size(q, keys)
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     if key_start < 0 or key_start > q_start:

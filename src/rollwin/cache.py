@@ -122,6 +122,11 @@ class RollingKvCache:
         self.next_position = start_position + block_len
 
 
+def position_bytes(config: ModelConfig) -> int:
+    """Bytes of one position in one layer's cache: a float32 K and V row per kv head."""
+    return 2 * config.n_kv_heads * config.head_dim * np.dtype(np.float32).itemsize
+
+
 def new_cache(config: ModelConfig) -> RollingKvCache:
     """Fresh empty cache sized by the config: window_size slots per kv head."""
     return RollingKvCache(config.n_kv_heads, config.window_size, config.head_dim)

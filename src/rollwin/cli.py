@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import attention
+from .cache import position_bytes
 from .config import (
     PRESET_7B,
     PRESET_TOY,
@@ -104,7 +105,7 @@ def _check_random_size(config: ModelConfig) -> None:
 
 
 def _check_cache_size(config: ModelConfig) -> None:
-    size = config.n_layers * 2 * config.n_kv_heads * config.window_size * config.head_dim * 4
+    size = config.n_layers * config.window_size * position_bytes(config)
     if size > MAX_CACHE_BYTES:
         raise UsageError(f"config too large for the rolling caches: {size} bytes exceed {MAX_CACHE_BYTES}")
 
@@ -135,6 +136,7 @@ class _OracleSession(GenerationSession):
         self.history: list[int] = []
 
     def forward_chunk(self, tokens) -> np.ndarray:
+        tokens = self._check_tokens(tokens)
         self.history.extend(tokens)
         self.next_position += len(tokens)
         return self.forward(self.weights, self.config, self.history)[-1]
@@ -268,7 +270,7 @@ def run_verification(config: ModelConfig, seed: int) -> list[CheckResult]:
 
     # Influence propagates exactly n_layers*(window-1) positions forward.
     tokens = [int(t) for t in rng.integers(0, config.vocab_size, size=probe_length)]
-    affected = reach_probe(weights, config, tokens, 0, 1e-2)
+    affected = reach_probe(weights, config, tokens, 0)
     expected = list(range(0, min(boundary, probe_length - 1) + 1))
     checks.append(
         CheckResult("reach", f"affected <= {boundary}, boundary exact", affected == expected)
@@ -341,7 +343,7 @@ def _timed_execution(length: int, window: int, seed: int) -> dict:
 def cmd_bench(args) -> int:
     scenarios = _parse_scenarios(args.bench)
     config = _read_config(args.config) if args.config else PRESET_7B
-    entry_bytes = 2 * config.n_kv_heads * config.head_dim * 4  # one position, one layer
+    entry_bytes = position_bytes(config)
     for length, window in scenarios:
         swa_pairs = attention.score_pair_count(length, window)
         full_pairs = attention.full_pair_count(length)

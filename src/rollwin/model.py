@@ -18,7 +18,8 @@ results are bit-identical to running every row.
 Layer arithmetic: rms-norm, grouped-query attention with rotary positions
 over the sliding window, then a gated feed-forward, each with a residual
 connection. Attention is one banded product per layer: every query row
-scores exactly its W keys (`attention.window_attend`). A session
+scores exactly its W keys (`attention.window_attend`), and the query
+heads that share a kv head follow from the q and K/V shapes. A session
 concatenates each layer's Wq|Wk|Wv and W1|W3 by columns once, so each is
 one ordered product per layer; every output column is still its own
 left-to-right dot product. The Wq|Wk|Wv product runs on all kv_l rows:
@@ -34,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import attention, tensor
-from .attention import HeadGrouping
 from .cache import RollingKvCache, new_cache
 from .config import exact_reach, token_ids
 from .tensor import Tensor
@@ -100,7 +100,6 @@ class GenerationSession:
     def __init__(self, weights: DecoderWeights):
         self.weights = weights
         self.config = weights.config
-        self.grouping = HeadGrouping(self.config.n_heads, self.config.n_kv_heads)
         self.caches: list[RollingKvCache] = [
             new_cache(self.config) for _ in range(self.config.n_layers)
         ]
@@ -190,7 +189,7 @@ class GenerationSession:
             values = np.concatenate([v_cache, v], axis=1)
             cache.prefill_bulk(first, k, v)
             ctx = attention.window_attend(
-                q[:, n_kv - n_out:], keys, values, end - n_out, cached.start, window, self.grouping
+                q[:, n_kv - n_out:], keys, values, end - n_out, cached.start, window
             )
             x = self._residual_ffn(x[n_kv - n_out:], layer, W13, ctx)
         self.next_position = end

@@ -34,6 +34,9 @@ MAX_ORACLE_TOKENS = 3072
 #: any fixed tolerance (1e-7 missed real influence near the boundary).
 REACH_THRESHOLD = 0.0
 
+#: The nudge reach probes add to the first coordinate of one input row.
+REACH_EPSILON = 1e-2
+
 
 class OracleSizeError(ValueError):
     """An oracle run beyond desk scale; the CLI maps it to exit code 1."""
@@ -115,29 +118,22 @@ def oracle_forward_causal(weights: DecoderWeights, config: ModelConfig, tokens) 
     return _forward_embedded(weights, config, _embed(weights, tokens), admissible)[0]
 
 
-def reach_probe(
-    weights: DecoderWeights,
-    config: ModelConfig,
-    tokens,
-    perturb_position: int,
-    epsilon: float = 1e-2,
-) -> list[int]:
+def reach_probe(weights: DecoderWeights, config: ModelConfig, tokens, perturb_position: int) -> list[int]:
     """Output positions whose logits move when one input embedding is nudged.
 
-    The embedded input row at perturb_position is shifted by epsilon in its
-    first coordinate; a position counts as affected when its max-abs logit
-    difference exceeds REACH_THRESHOLD, that is, when any logit changed.
+    The embedded input row at perturb_position is shifted by REACH_EPSILON
+    in its first coordinate; a position counts as affected when its max-abs
+    logit difference exceeds REACH_THRESHOLD, that is, when any logit
+    changed.
     """
     n = len(tokens)
     guard(config, n)
     if not 0 <= perturb_position < n:
         raise ValueError(f"perturb_position {perturb_position} outside [0, {n})")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
     admissible = attention.build_swa_mask(range(n), range(n), config.window_size)
     base = _embed(weights, tokens)
     poked = base.copy()
-    poked[perturb_position, 0] += np.float32(epsilon)
+    poked[perturb_position, 0] += np.float32(REACH_EPSILON)
     ref, _ = _forward_embedded(weights, config, base, admissible)
     alt, _ = _forward_embedded(weights, config, poked, admissible)
     diff = np.max(np.abs(ref - alt), axis=1)

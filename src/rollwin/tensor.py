@@ -19,13 +19,14 @@ attention heads), a product against column-concatenated weights equals the
 separate products column for column, and a chunk forms one RoPE table
 whose rows each layer rotates by. matmul reads strided operands as views.
 
+The RoPE base and the rms_norm variance floor are fixed by the model, as
+ROPE_THETA and RMS_NORM_EPS, so no kernel takes them as parameters.
 Operations never mutate their inputs. Results are fresh allocations.
 """
 
 from __future__ import annotations
 
 import collections
-import functools
 import math
 
 import numpy as np
@@ -38,7 +39,7 @@ ROPE_THETA = 10000.0
 #: Variance floor for rms_norm.
 RMS_NORM_EPS = 1e-5
 
-#: float32 cos and sin of rope_apply's pair angles, each [half] or [rows, half].
+#: float32 cos and sin of rope_apply's pair angles, each [rows, head_dim // 2].
 RopeTable = collections.namedtuple("RopeTable", "cos sin")
 
 #: Floats in one k-block of matmul terms (256 KiB): a product with `outputs`
@@ -151,51 +152,41 @@ def softmax_stable(x: Tensor, masked: Tensor | None = None) -> Tensor:
     return weights / total
 
 
-def rms_norm(x: Tensor, gain: Tensor, eps: float = RMS_NORM_EPS) -> Tensor:
+def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
     """Scale each trailing-axis slice to unit root-mean-square, then by gain."""
     x, gain = _f32(x), _f32(gain)
     if gain.ndim != 1 or x.shape[-1] != gain.shape[0]:
         raise ValueError(f"rms_norm gain shape {gain.shape} does not fit input shape {x.shape}")
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
     mean_sq = _ordered_sum(x * x) / np.float32(x.shape[-1])
-    denom = np.sqrt(mean_sq + np.float32(eps))[..., np.newaxis]
+    denom = np.sqrt(mean_sq + np.float32(RMS_NORM_EPS))[..., np.newaxis]
     return x / denom * gain
 
 
-@functools.lru_cache(maxsize=64)
-def _rope_freqs(head_dim: int, theta_base: float) -> Tensor:
-    """Read-only float64 pair frequencies theta_base**(-2j / head_dim)."""
-    freqs = theta_base ** (-2.0 * np.arange(head_dim // 2) / head_dim)
-    freqs.flags.writeable = False
-    return freqs
-
-
-def rope_table(positions, head_dim: int, theta_base: float = ROPE_THETA) -> RopeTable:
-    """The RopeTable of one non-negative integer position or a 1-D run; angles in float64."""
+def rope_table(positions, head_dim: int) -> RopeTable:
+    """The RopeTable of a 1-D run of non-negative integer positions; angles in float64."""
     positions = np.asarray(positions)
-    if positions.ndim > 1 or positions.dtype.kind not in "iu" or np.any(positions < 0):
-        raise ValueError(f"positions must be one non-negative integer or a 1-D run of them, got {positions!r}")
-    angles = positions[..., np.newaxis] * _rope_freqs(head_dim, theta_base)
+    if positions.ndim != 1 or positions.dtype.kind not in "iu" or np.any(positions < 0):
+        raise ValueError(f"positions must be a 1-D run of non-negative integers, got {positions!r}")
+    angles = positions[:, np.newaxis] * ROPE_THETA ** (-2.0 * np.arange(head_dim // 2) / head_dim)
     return RopeTable(np.cos(angles).astype(np.float32), np.sin(angles).astype(np.float32))
 
 
-def rope_apply(x: Tensor, position, theta_base: float = ROPE_THETA) -> Tensor:
+def rope_apply(x: Tensor, table: RopeTable) -> Tensor:
     """Rotate trailing-axis pairs (x[2j], x[2j+1]) by position-scaled angles.
 
-    Pair j turns by position * theta_base**(-2j / head_dim), so dot products
+    Pair j turns by position * ROPE_THETA**(-2j / head_dim), so dot products
     between rotated queries and keys depend only on relative position. Each
-    pair keeps its Euclidean norm; position 0 is the identity. `position` is
-    a RopeTable or the positions for one: one for the whole input, or one
-    per row along axis -2. A row is the same bits in any table it is in.
+    pair keeps its Euclidean norm; position 0 is the identity. `table` is
+    rope_table's, one row per row of x along axis -2. A row is the same bits
+    in any table it is in.
     """
     x = _f32(x)
     head_dim = x.shape[-1]
     if head_dim % 2 != 0:
         raise ValueError(f"rope_apply needs an even trailing dimension, got {head_dim}")
-    cos, sin = position if isinstance(position, RopeTable) else rope_table(position, head_dim, theta_base)
-    if cos.shape[-1] != head_dim // 2 or (cos.ndim > 1 and x.shape[-2:-1] != cos.shape[:-1]):
-        raise ValueError(f"positions of shape {cos.shape[:-1]} do not fit input shape {x.shape}")
+    cos, sin = table
+    if cos.shape != x.shape[-2:-1] + (head_dim // 2,):
+        raise ValueError(f"table shapes {cos.shape} do not fit input shape {x.shape}")
     even, odd = x[..., 0::2], x[..., 1::2]
     out = np.empty_like(x)
     out[..., 0::2] = even * cos - odd * sin

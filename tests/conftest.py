@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -23,3 +26,10 @@ def toy_weights(toy_config):
 def random_tokens(n, seed, vocab=256):
     rng = np.random.default_rng(seed)
     return [int(t) for t in rng.integers(0, vocab, size=n)]
+
+
+def subprocess_env():
+    """The environment for a `python -m rollwin` child: this checkout's
+    package first on PYTHONPATH, whatever put it on the test's sys.path."""
+    src = str(Path(rw.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import rollwin as rw
+from conftest import subprocess_env
 
 TOY = rw.PRESET_TOY  # dim 64, 4 layers, 4 heads, 2 kv heads, W=8, vocab 256
 
@@ -124,7 +125,7 @@ def test_criterion_07_gqa_degeneracy():
     k = (rng.standard_normal((n_heads, n_tokens, head_dim)) * 0.5).astype(np.float32)
     v = (rng.standard_normal((n_heads, n_tokens, head_dim)) * 0.5).astype(np.float32)
     mask = rw.build_swa_mask(range(n_tokens), range(n_tokens), window=3)
-    out = rw.gqa_attend(q, k, v, mask, rw.HeadGrouping(n_heads, n_heads))
+    out = rw.gqa_attend(q, k, v, mask)
     reference = np.empty_like(out, dtype=np.float64)
     for h in range(n_heads):
         scores = q[h].astype(np.float64) @ k[h].astype(np.float64).T / np.sqrt(head_dim)
@@ -186,8 +187,8 @@ def test_criterion_10_cli_determinism(tmp_path):
         sys.executable, "-m", "rollwin", "generate", "--random-init", "--seed", "42",
         "--config", str(cfg_path), "--prompt-ids", "1 2 3", "--max-tokens", "8", "--greedy",
     ]
-    first = subprocess.run(argv, capture_output=True)
-    second = subprocess.run(argv, capture_output=True)
+    first = subprocess.run(argv, capture_output=True, env=subprocess_env())
+    second = subprocess.run(argv, capture_output=True, env=subprocess_env())
     reports = []
     for run in (first, second):
         report = json.loads(run.stderr.decode().strip().splitlines()[-1])

@@ -3,7 +3,6 @@ import pytest
 
 import rollwin as rw
 from rollwin import attention as attention_module
-from rollwin.attention import HeadGrouping
 
 
 def plain_mha_reference(q, k, v, admissible):
@@ -124,18 +123,45 @@ class TestPrefillMask:
                         assert np.array_equal(combined, swa_mask_of_chunk(start, chunk_len, cache, window))
 
 
+def one_position_heads(n_heads, n_kv, head_dim=2):
+    """q, k, v for one position: q and k zero, kv head g's value row 10 * (g + 1)."""
+    q = np.zeros((n_heads, 1, head_dim), dtype=np.float32)
+    k = np.zeros((n_kv, 1, head_dim), dtype=np.float32)
+    v = np.repeat(10.0 * np.arange(1, n_kv + 1, dtype=np.float32), head_dim).reshape(n_kv, 1, head_dim)
+    return q, k, v
+
+
+def attend_both(q, k, v):
+    """gqa_attend and window_attend of one query over the one key."""
+    return [rw.gqa_attend(q, k, v, rw.build_swa_mask([0], [0], window=1)), rw.window_attend(q, k, v, 0, 0, 1)]
+
+
 class TestHeadGrouping:
+    """The grouping comes from the shapes: q's and K/V's leading axes."""
+
     def test_preset_7b_mapping(self):
-        grouping = HeadGrouping(32, 8)
-        assert grouping.group_size == 4
+        # 32 query heads over 8 kv heads: head h reads kv head h // 4.
+        for out in attend_both(*one_position_heads(32, 8)):
+            assert [float(out[h, 0, 0]) for h in range(32)] == [10.0 * (h // 4 + 1) for h in range(32)]
 
     def test_identity_grouping(self):
-        grouping = HeadGrouping(4, 4)
-        assert grouping.group_size == 1
+        for out in attend_both(*one_position_heads(4, 4)):
+            assert [float(out[h, 0, 0]) for h in range(4)] == [10.0, 20.0, 30.0, 40.0]
 
     def test_uneven_grouping_rejected(self):
-        with pytest.raises(ValueError):
-            HeadGrouping(6, 4)
+        q, k, v = one_position_heads(6, 4)
+        with pytest.raises(ValueError, match="6 query heads cannot share 4 kv heads"):
+            rw.gqa_attend(q, k, v, rw.build_swa_mask([0], [0], window=1))
+        with pytest.raises(ValueError, match="6 query heads cannot share 4 kv heads"):
+            rw.window_attend(q, k, v, 0, 0, 1)
+
+    def test_zero_kv_heads_rejected(self):
+        # Not a ZeroDivisionError: the count is checked before it divides.
+        q, k, v = one_position_heads(4, 0)
+        with pytest.raises(ValueError, match="4 query heads cannot share 0 kv heads"):
+            rw.gqa_attend(q, k, v, rw.build_swa_mask([0], [0], window=1))
+        with pytest.raises(ValueError, match="4 query heads cannot share 0 kv heads"):
+            rw.window_attend(q, k, v, 0, 0, 1)
 
 
 class TestGqaAttend:
@@ -149,32 +175,31 @@ class TestGqaAttend:
     def test_matches_plain_mha_when_ungrouped(self):
         q, k, v = self._random_inputs(5, n_heads=2, n_kv=2, n_tokens=5, head_dim=4)
         mask = rw.build_swa_mask(range(5), range(5), window=3)
-        out = rw.gqa_attend(q, k, v, mask, HeadGrouping(2, 2))
+        out = rw.gqa_attend(q, k, v, mask)
         ref = plain_mha_reference(q, k, v, mask)
         assert np.max(np.abs(out - ref)) <= 1e-6
 
     def test_single_admissible_key_returns_value_row(self):
         q, k, v = self._random_inputs(6, n_heads=4, n_kv=2, n_tokens=1, head_dim=8)
         mask = rw.build_swa_mask([3], [3], window=4)
-        out = rw.gqa_attend(q, k, v, mask, HeadGrouping(4, 2))
+        out = rw.gqa_attend(q, k, v, mask)
         for h in range(4):
             assert np.array_equal(out[h, 0], v[h // 2, 0])
 
     def test_query_heads_read_grouped_kv_heads(self):
         # With one key per kv head, the output row exposes the mapping.
-        grouping = HeadGrouping(4, 2)
         q = np.zeros((4, 1, 2), dtype=np.float32)
         k = np.zeros((2, 1, 2), dtype=np.float32)
         v = np.stack([np.full((1, 2), 10.0), np.full((1, 2), 20.0)]).astype(np.float32)
         mask = rw.build_swa_mask([0], [0], window=1)
-        out = rw.gqa_attend(q, k, v, mask, grouping)
+        out = rw.gqa_attend(q, k, v, mask)
         assert [float(out[h, 0, 0]) for h in range(4)] == [10.0, 10.0, 20.0, 20.0]
 
     def test_wide_window_matches_vanilla_causal(self):
         n_tokens = 6
         q, k, v = self._random_inputs(9, n_heads=4, n_kv=2, n_tokens=n_tokens, head_dim=4)
         mask = rw.build_swa_mask(range(n_tokens), range(n_tokens), window=n_tokens)
-        out = rw.gqa_attend(q, k, v, mask, HeadGrouping(4, 2))
+        out = rw.gqa_attend(q, k, v, mask)
         # Vanilla baseline: expand kv heads to query heads, lower-triangular mask.
         expanded_k = np.repeat(k, 2, axis=0)
         expanded_v = np.repeat(v, 2, axis=0)
@@ -185,7 +210,7 @@ class TestGqaAttend:
         for seed in range(4):
             q, k, v = self._random_inputs(seed, n_heads=4, n_kv=2, n_tokens=7, head_dim=4, scale=1.0)
             mask = rw.build_swa_mask(range(7), range(7), window=3)
-            out = rw.gqa_attend(q, k, v, mask, HeadGrouping(4, 2))
+            out = rw.gqa_attend(q, k, v, mask)
             for h in range(4):
                 g = h // 2
                 for i in range(7):
@@ -205,11 +230,10 @@ class TestGqaAttend:
         q = rng.standard_normal((n_heads, 6, head_dim), dtype=np.float32)
         k = rng.standard_normal((n_kv, 10, head_dim), dtype=np.float32)
         v = rng.standard_normal((n_kv, 10, head_dim), dtype=np.float32)
-        grouping = HeadGrouping(n_heads, n_kv)
-        out = rw.gqa_attend(q, k, v, adm, grouping)
+        out = rw.gqa_attend(q, k, v, adm)
         scale = np.float32(np.sqrt(head_dim))
         for h in range(n_heads):
-            g = h // grouping.group_size
+            g = h // (n_heads // n_kv)
             weights = rw.softmax_stable(rw.matmul(q[h], k[g].T) / scale, masked=~adm)
             assert np.array_equal(out[h], rw.matmul(weights, v[g]))
 
@@ -218,13 +242,13 @@ class TestGqaAttend:
         mask = rw.build_swa_mask([0, 1], [0, 1], window=2)
         mask[0, :] = False
         with pytest.raises(ValueError, match="degenerate attention row"):
-            rw.gqa_attend(q, k, v, mask, HeadGrouping(2, 2))
+            rw.gqa_attend(q, k, v, mask)
 
     def test_mask_shape_mismatch_rejected(self):
         q, k, v = self._random_inputs(11, n_heads=2, n_kv=2, n_tokens=3, head_dim=4)
         mask = rw.build_swa_mask(range(2), range(2), window=2)
         with pytest.raises(ValueError, match="mask shape"):
-            rw.gqa_attend(q, k, v, mask, HeadGrouping(2, 2))
+            rw.gqa_attend(q, k, v, mask)
 
 
 def spread_normal(rng, shape):
@@ -236,10 +260,10 @@ def spread_normal(rng, shape):
 class TestWindowAttend:
     """The banded product against gqa_attend under the dense window mask."""
 
-    def _dense(self, q, keys, values, q_start, key_start, window, grouping):
+    def _dense(self, q, keys, values, q_start, key_start, window):
         n_q = q.shape[1]
         mask = rw.build_swa_mask(range(q_start, q_start + n_q), range(key_start, q_start + n_q), window)
-        return rw.gqa_attend(q, keys, values, mask, grouping)
+        return rw.gqa_attend(q, keys, values, mask)
 
     def _inputs(self, seed, n_heads, n_kv, n_q, n_k, head_dim=8):
         rng = np.random.default_rng(seed)
@@ -258,20 +282,18 @@ class TestWindowAttend:
     )
     @pytest.mark.parametrize("n_kv", [4, 2, 1], ids=["group1", "group2", "group4"])
     def test_equals_gqa_attend_under_dense_mask(self, window, q_start, key_start, n_q, n_kv):
-        grouping = HeadGrouping(4, n_kv)
         n_k = q_start + n_q - key_start
         q, keys, values = self._inputs(window * 100 + q_start + n_q, 4, n_kv, n_q, n_k)
-        banded = rw.window_attend(q, keys, values, q_start, key_start, window, grouping)
-        dense = self._dense(q, keys, values, q_start, key_start, window, grouping)
+        banded = rw.window_attend(q, keys, values, q_start, key_start, window)
+        dense = self._dense(q, keys, values, q_start, key_start, window)
         assert banded.shape == (4, n_q, 8)
         assert np.array_equal(banded, dense)
 
     def test_strided_query_rows_equal_contiguous(self):
         # The engine passes q[:, n_kv - n_out:], a view into a wider block.
-        grouping = HeadGrouping(4, 2)
         q, keys, values = self._inputs(3, 4, 2, 12, 16)
-        view = rw.window_attend(q[:, 4:], keys[:, 4:], values[:, 4:], 8, 4, 4, grouping)
-        copy = rw.window_attend(q[:, 4:].copy(), keys[:, 4:].copy(), values[:, 4:].copy(), 8, 4, 4, grouping)
+        view = rw.window_attend(q[:, 4:], keys[:, 4:], values[:, 4:], 8, 4, 4)
+        copy = rw.window_attend(q[:, 4:].copy(), keys[:, 4:].copy(), values[:, 4:].copy(), 8, 4, 4)
         assert np.array_equal(view, copy)
 
     @pytest.mark.parametrize("q_start, key_start, n_q", [(20, 16, 1), (20, 17, 6), (2, 0, 5)],
@@ -279,14 +301,13 @@ class TestWindowAttend:
     def test_non_contiguous_keys_and_values_equal_contiguous(self, q_start, key_start, n_q):
         # Keys laid out row-major per position, [n_k, n_kv, head_dim], read
         # head-major through a transposed view.
-        grouping = HeadGrouping(4, 2)
         n_k = q_start + n_q - key_start
         q, keys, values = self._inputs(6, 4, 2, n_q, n_k)
         k_view = np.ascontiguousarray(keys.transpose(1, 0, 2)).transpose(1, 0, 2)
         v_view = np.ascontiguousarray(values.transpose(1, 0, 2)).transpose(1, 0, 2)
         assert not k_view.flags.c_contiguous and np.array_equal(k_view, keys)
-        view = rw.window_attend(q, k_view, v_view, q_start, key_start, 4, grouping)
-        assert np.array_equal(view, rw.window_attend(q, keys, values, q_start, key_start, 4, grouping))
+        view = rw.window_attend(q, k_view, v_view, q_start, key_start, 4)
+        assert np.array_equal(view, rw.window_attend(q, keys, values, q_start, key_start, 4))
 
     @pytest.mark.parametrize("layout", ["contiguous", "transposed", "row-slice"])
     def test_bands_are_read_only_windows_of_rows(self, layout):
@@ -310,20 +331,19 @@ class TestWindowAttend:
     def test_inputs_left_unchanged(self):
         q, keys, values = self._inputs(4, 4, 2, 3, 5)
         before = [a.copy() for a in (q, keys, values)]
-        rw.window_attend(q, keys, values, 2, 0, 4, HeadGrouping(4, 2))
+        rw.window_attend(q, keys, values, 2, 0, 4)
         assert all(np.array_equal(a, b) for a, b in zip((q, keys, values), before))
 
     def test_shape_mismatches_rejected(self):
         q, keys, values = self._inputs(5, 4, 2, 3, 6)
-        grouping = HeadGrouping(4, 2)
         with pytest.raises(ValueError, match="k/v shapes"):
-            rw.window_attend(q, keys, values, 2, 0, 4, grouping)  # keys need positions [0, 5)
+            rw.window_attend(q, keys, values, 2, 0, 4)  # keys need positions [0, 5)
         with pytest.raises(ValueError, match="query heads"):
-            rw.window_attend(q[:2], keys, values, 3, 0, 4, grouping)
+            rw.window_attend(q[:3], keys, values, 3, 0, 4)
         with pytest.raises(ValueError, match="key_start"):
-            rw.window_attend(q, keys[:, :2], values[:, :2], 3, 4, 4, grouping)
+            rw.window_attend(q, keys[:, :2], values[:, :2], 3, 4, 4)
         with pytest.raises(ValueError, match="window"):
-            rw.window_attend(q, keys, values, 3, 0, 0, grouping)
+            rw.window_attend(q, keys, values, 3, 0, 0)
 
 
 class TestPairCounts:

@@ -4,6 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 import rollwin as rw
 
+#: The benchmark's desk preset for long prefill.
+DESK = rw.ModelConfig(dim=128, n_layers=6, head_dim=16, hidden_dim=384, n_heads=8, n_kv_heads=2,
+                      window_size=64, context_len=2048, vocab_size=1024)
 
 def row_pair(rng, n_kv=2, head_dim=3):
     k = rng.standard_normal((n_kv, head_dim), dtype=np.float32)
@@ -38,6 +41,11 @@ class TestConstruction:
         cache = rw.new_cache(toy_config)
         floats = 2 * toy_config.n_kv_heads * toy_config.window_size * toy_config.head_dim
         assert cache.nbytes == floats * 4
+
+    @pytest.mark.parametrize("config", [rw.PRESET_TOY, DESK], ids=["toy", "desk"])
+    def test_position_bytes_times_window_is_cache_nbytes(self, config):
+        # The formula the CLI's size check and `bench` use, against the allocation.
+        assert rw.cache.position_bytes(config) * config.window_size == rw.new_cache(config).nbytes
 
     def test_invalid_config_rejected(self):
         from dataclasses import replace

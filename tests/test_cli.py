@@ -1,16 +1,15 @@
 import json
-import os
 import resource
 import struct
 import subprocess
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rollwin as rw
+from conftest import subprocess_env
 from rollwin import attention as attention_module
 from rollwin import cli
 
@@ -124,6 +123,19 @@ class TestGenerate:
         )
         assert code == cli.EXIT_OK
         assert len(out.split()) == 3
+
+    @pytest.mark.parametrize("forward", [rw.oracle_forward_swa, rw.oracle_forward_causal],
+                             ids=["oracle-swa", "oracle-causal"])
+    @pytest.mark.parametrize("bad", [[999], [2.5], [], [1] * 127],
+                             ids=["out-of-vocab", "float", "empty", "past-context"])
+    def test_oracle_session_rejects_a_chunk_without_taking_it(self, toy_weights, forward, bad):
+        session = cli._OracleSession(toy_weights, forward)
+        session.forward_chunk([1, 2])
+        with pytest.raises(ValueError):
+            session.forward_chunk(bad)
+        assert (session.next_position, session.history) == (2, [1, 2])
+        logits = session.forward_chunk([3, 4])
+        assert np.array_equal(logits, forward(toy_weights, toy_weights.config, [1, 2, 3, 4])[-1])
 
     @pytest.mark.parametrize("mode", ["oracle-swa", "oracle-causal"])
     @pytest.mark.parametrize("prompt_len, refused", [(3070, True), (3068, False)])
@@ -389,11 +401,9 @@ def _cap_address_space():
 @pytest.mark.parametrize("case", sorted(HOSTILE_INPUTS))
 def test_hostile_input_exits_with_its_code_and_no_traceback(case, tmp_path):
     build, expected = HOSTILE_INPUTS[case]
-    src = str(Path(rw.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "rollwin", *build(tmp_path)],
-        capture_output=True, text=True, env=env, timeout=120, preexec_fn=_cap_address_space,
+        capture_output=True, text=True, env=subprocess_env(), timeout=120, preexec_fn=_cap_address_space,
     )
     assert proc.returncode == expected, proc.stderr
     assert "Traceback" not in proc.stderr

@@ -5,7 +5,8 @@ of 1, 2 or 4 and a token stream run as prefill, one continuation chunk and
 stepped decoding. Every logit row the engine returns must be `array_equal`
 to the oracle's row at that position, and after the stream every layer's
 cache must be `array_equal` to the cache of a session stepped one token at
-a time.
+a time. Over the same configs, nudging input 0 must move output 0 and no
+output more than n_layers*(W-1) positions after it.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -54,3 +55,18 @@ def test_engine_equals_oracle_and_stepped_caches(stream, seed):
         (positions, k, v), (stepped_positions, stepped_k, stepped_v) = mine.gather(), theirs.gather()
         assert positions == stepped_positions
         assert np.array_equal(k, stepped_k) and np.array_equal(v, stepped_v)
+
+
+@settings(max_examples=100)
+@given(streams(), st.integers(0, 2**16))
+def test_reach_probe_stays_inside_the_receptive_field(stream, seed):
+    # No output past n_layers*(W-1) may move: masked keys add exact zeros.
+    # Every output inside moving is not guaranteed: the influence shrinks
+    # by orders of magnitude per layer and can round away in float32 (dim 4,
+    # 4 layers, W 2, five 0 tokens, seed 0: output 4 differs by 0.0 after
+    # output 3 moved by 1.5e-8), so equality with the field is not asserted.
+    config, tokens, _, _ = stream
+    weights = rw.init_random(config, seed)
+    field = range(min(config.n_layers * (config.window_size - 1), len(tokens) - 1) + 1)
+    affected = rw.reach_probe(weights, config, tokens, 0)
+    assert affected[0] == 0 and set(affected) <= set(field)

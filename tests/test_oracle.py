@@ -67,10 +67,6 @@ class TestReachProbe:
         with pytest.raises(ValueError):
             rw.reach_probe(toy_weights, toy_config, [1, 2], 2)
 
-    def test_epsilon_validated(self, toy_config, toy_weights):
-        with pytest.raises(ValueError):
-            rw.reach_probe(toy_weights, toy_config, [1, 2], 0, epsilon=0.0)
-
 
 def history_floats(history):
     """Scalars the oracle's per-layer K/V arrays hold."""
