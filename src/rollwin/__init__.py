@@ -31,12 +31,12 @@ from .model import (
     GenerationResult,
     GenerationSession,
     SamplerSpec,
+    reach_probe,
     sample_token,
 )
 from .oracle import (
     oracle_forward_causal,
     oracle_forward_swa,
-    reach_probe,
     run_swa_with_history,
 )
 from .tensor import (

@@ -8,7 +8,8 @@ Every `generate --mode` runs the one `GenerationSession.generate` loop; the
 oracle modes only swap in logits recomputed over the full history, so a
 cross-check compares forwards, not loops. `verify` steps one session through
 a random stream and compares it bit for bit with the oracle and with chunked
-prefills of its prefixes, some long enough to skip past `exact_reach`.
+prefills of its prefixes, some long enough to skip past `exact_reach`; a
+second, NaN-tainted session checks the reach exactly.
 
 Exit codes are a stable contract: 0 success, 1 usage, 2 weight file,
 3 truncated generation, 4 failed verification.
@@ -35,9 +36,9 @@ from .config import (
     exact_reach,
     parse_config,
 )
-from .model import GenerationSession, SamplerSpec
+from .model import GenerationSession, SamplerSpec, reach_probe
 from .model import sample_token  # noqa: F401  perfbench/tracer.py patches this name
-from .oracle import OracleSizeError, guard, oracle_forward_causal, oracle_forward_swa, reach_probe
+from .oracle import OracleSizeError, guard, oracle_forward_causal, oracle_forward_swa
 from .weights import DecoderWeights, WeightFormatError, init_random, load_weights, parameter_count
 
 EXIT_OK = 0
@@ -203,8 +204,9 @@ def run_verification(config: ModelConfig, seed: int) -> list[CheckResult]:
     One session decodes a random stream token by token; its logit rows are
     checked against the oracle, and each chunked prefill of a prefix of the
     stream against the row and every layer's cache the stream held there.
-    A reach probe runs the oracle on a second stream; the longer oracle run
-    passes `oracle.guard` before any weights are drawn.
+    The reach probe steps a second session through a NaN-tainted stream;
+    the longer of the two streams passes `oracle.guard` before any weights
+    are drawn.
     """
     window = config.window_size
     boundary = config.n_layers * (window - 1)
@@ -270,7 +272,7 @@ def run_verification(config: ModelConfig, seed: int) -> list[CheckResult]:
 
     # Influence propagates exactly n_layers*(window-1) positions forward.
     tokens = [int(t) for t in rng.integers(0, config.vocab_size, size=probe_length)]
-    affected = reach_probe(weights, config, tokens, 0)
+    affected = reach_probe(weights, tokens, 0)
     expected = list(range(0, min(boundary, probe_length - 1) + 1))
     checks.append(
         CheckResult("reach", f"affected <= {boundary}, boundary exact", affected == expected)

@@ -30,7 +30,7 @@ would on every decode step.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -247,3 +247,31 @@ class GenerationSession:
             swa_score_pairs=attention.score_pair_count(seq_len, cfg.window_size),
             full_score_pairs=attention.full_pair_count(seq_len),
         )
+
+
+def reach_probe(weights: DecoderWeights, tokens, perturb_position: int) -> list[int]:
+    """Output positions that the input at perturb_position reaches.
+
+    That input becomes an extra token id with a NaN embedding row (and a
+    zero output_proj column), one session steps the stream, and the
+    positions whose logits hold a NaN are returned. NaN survives every +,
+    *, exp and max, and 0 * NaN is NaN, so both ends are exact, even for a
+    masked read outside the window. The oracle cannot carry the taint: its
+    dense masked AV product multiplies masked weights (0) by the NaN row,
+    which turns every later row NaN. So non-finite detection in the
+    kernels must leave this probe a way through.
+    """
+    config = weights.config
+    tokens = token_ids(config, tokens)
+    if not 0 <= perturb_position < len(tokens):
+        raise ValueError(f"perturb_position {perturb_position} outside [0, {len(tokens)})")
+    tainted = replace(
+        weights,
+        config=replace(config, vocab_size=config.vocab_size + 1),
+        token_embedding=np.vstack([weights.token_embedding, np.full((1, config.dim), np.nan, np.float32)]),
+        output_proj=np.hstack([weights.output_proj, np.zeros((config.dim, 1), np.float32)]),
+    )
+    tokens[perturb_position] = config.vocab_size
+    session = GenerationSession(tainted)
+    session._check_tokens(tokens)  # refuse an overlong stream before the first step
+    return [p for p, t in enumerate(tokens) if np.isnan(session.forward_decode(t)).any()]

@@ -5,7 +5,8 @@ calling into it: an equivalence test against shared code would prove
 nothing. Every layer keeps the K/V of every position, as [n_kv_heads, n,
 head_dim] arrays, so memory grows linearly with sequence length, which is
 exactly the behavior the rolling cache removes. This module must stay
-independent of the cache module.
+independent of the cache module. It cannot carry `model.reach_probe`'s NaN
+taint: its dense masked products multiply masked weights by every key row.
 """
 
 from __future__ import annotations
@@ -26,16 +27,6 @@ MAX_HISTORY_ELEMENTS = 2**20
 #: Refuse runs longer than this many tokens: each head's n x n score block
 #: costs 25-29 bytes of peak memory per entry, about 230 MiB at 3072.
 MAX_ORACLE_TOKENS = 3072
-
-#: Logit change regarded as influence in reach probes: any change at all.
-#: The oracle's arithmetic is deterministic and masked keys add exact
-#: zeros, so an output outside the reach of the nudged input reproduces its
-#: logits bit for bit, while one just inside it may move by far less than
-#: any fixed tolerance (1e-7 missed real influence near the boundary).
-REACH_THRESHOLD = 0.0
-
-#: The nudge reach probes add to the first coordinate of one input row.
-REACH_EPSILON = 1e-2
 
 
 class OracleSizeError(ValueError):
@@ -116,25 +107,3 @@ def oracle_forward_causal(weights: DecoderWeights, config: ModelConfig, tokens) 
     n = len(tokens)
     admissible = np.tril(np.ones((n, n), dtype=bool))
     return _forward_embedded(weights, config, _embed(weights, tokens), admissible)[0]
-
-
-def reach_probe(weights: DecoderWeights, config: ModelConfig, tokens, perturb_position: int) -> list[int]:
-    """Output positions whose logits move when one input embedding is nudged.
-
-    The embedded input row at perturb_position is shifted by REACH_EPSILON
-    in its first coordinate; a position counts as affected when its max-abs
-    logit difference exceeds REACH_THRESHOLD, that is, when any logit
-    changed.
-    """
-    n = len(tokens)
-    guard(config, n)
-    if not 0 <= perturb_position < n:
-        raise ValueError(f"perturb_position {perturb_position} outside [0, {n})")
-    admissible = attention.build_swa_mask(range(n), range(n), config.window_size)
-    base = _embed(weights, tokens)
-    poked = base.copy()
-    poked[perturb_position, 0] += np.float32(REACH_EPSILON)
-    ref, _ = _forward_embedded(weights, config, base, admissible)
-    alt, _ = _forward_embedded(weights, config, poked, admissible)
-    diff = np.max(np.abs(ref - alt), axis=1)
-    return [int(i) for i in np.nonzero(diff > REACH_THRESHOLD)[0]]

@@ -23,6 +23,14 @@ def toy_weights(toy_config):
     return rw.init_random(toy_config, 42)
 
 
+#: Narrow and deep: influence shrinks so fast per layer that a float nudge
+#: of input 0 can leave the boundary output's logits bit for bit unchanged.
+FAINT_BOUNDARY = rw.ModelConfig(
+    dim=8, n_layers=4, head_dim=4, hidden_dim=24, n_heads=2, n_kv_heads=1,
+    window_size=2, context_len=64, vocab_size=32,
+)
+
+
 def random_tokens(n, seed, vocab=256):
     rng = np.random.default_rng(seed)
     return [int(t) for t in rng.integers(0, vocab, size=n)]

@@ -94,7 +94,7 @@ def test_criterion_05_receptive_field():
     config = replace(TOY, n_layers=2, window_size=4)
     weights = rw.init_random(config, 42)
     tokens = [int(t) for t in np.random.default_rng(5).integers(0, config.vocab_size, size=12)]
-    affected = rw.reach_probe(weights, config, tokens, 0)
+    affected = rw.reach_probe(weights, tokens, 0)
     verdict(
         "criterion 5 receptive field",
         affected == list(range(7)),

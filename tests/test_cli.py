@@ -1,15 +1,17 @@
+import collections
 import json
 import resource
 import struct
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import rollwin as rw
-from conftest import subprocess_env
+from conftest import FAINT_BOUNDARY, subprocess_env
 from rollwin import attention as attention_module
 from rollwin import cli
 
@@ -274,7 +276,7 @@ HUGE_CACHE_TINY = rw.ModelConfig(
 )
 
 #: Parameters and caches fit, and so does the verify stream (512 tokens x
-#: dim 64), but the reach probe is 260 * 63 + 6 = 16,386 tokens.
+#: dim 64), but the probe's engine stream is 260 * 63 + 6 = 16,386 tokens.
 DEEP_REACH_PROBE = rw.ModelConfig(
     dim=64, n_layers=260, head_dim=16, hidden_dim=128, n_heads=4, n_kv_heads=2,
     window_size=64, context_len=16400, vocab_size=256,
@@ -448,6 +450,15 @@ ONE_ULP_FAULTS = {
 }
 
 
+def _one_key_too_many(real):
+    """window_attend scoring W + 1 keys wherever the keys reach that far."""
+    def wider(q, keys, values, q_start, key_start, window):
+        if q_start - window >= key_start:
+            window += 1
+        return real(q, keys, values, q_start, key_start, window)
+    return wider
+
+
 class TestVerify:
     def test_default_toy_config_passes(self, capsys):
         code, out, err = run_cli(capsys, "verify")
@@ -462,7 +473,8 @@ class TestVerify:
 
     def test_one_stepped_session_serves_every_check(self, monkeypatch):
         # prefill-decode reads its stepped reference off the
-        # oracle-equivalence stream rather than decoding each length again.
+        # oracle-equivalence stream rather than decoding each length again;
+        # the only other stepped session is the reach probe's.
         sessions = []
         real = rw.GenerationSession.forward_decode
 
@@ -473,8 +485,36 @@ class TestVerify:
         monkeypatch.setattr(rw.GenerationSession, "forward_decode", counted)
         checks = cli.run_verification(rw.PRESET_TOY, 0)
         assert all(check.passed for check in checks)
-        assert len(sessions) == 64 == min(8 * rw.PRESET_TOY.window_size, rw.PRESET_TOY.context_len)
-        assert len(set(sessions)) == 1
+        config = rw.PRESET_TOY
+        assert 64 == min(8 * config.window_size, config.context_len)
+        probe_steps = config.n_layers * (config.window_size - 1) + 6
+        assert list(collections.Counter(sessions).values()) == [64, probe_steps]
+
+    @pytest.mark.parametrize("vocab_size", [32, 1])
+    def test_faint_boundary_config_passes_at_every_seed(self, vocab_size):
+        # A float nudge's influence rounds away near the boundary here:
+        # reach failed at seed 5 (vocab 32) and seeds 1 and 3-7 (vocab 1).
+        config = replace(FAINT_BOUNDARY, vocab_size=vocab_size)
+        for seed in range(10):
+            failed = [check.name for check in cli.run_verification(config, seed) if not check.passed]
+            assert failed == [], seed
+
+    def test_verify_raises_no_numpy_warning(self):
+        # The reach probe's NaN must pass every kernel without tripping a
+        # floating-point warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert all(check.passed for check in cli.run_verification(rw.PRESET_TOY, 0))
+
+    def test_one_key_too_many_fails_reach(self, capsys, monkeypatch):
+        # Negative control for the reach check: one key past the window
+        # moves the toy's last tainted output from 28 to 32. The fault
+        # breaks other checks too, so it is not a ONE_ULP_FAULTS entry.
+        monkeypatch.setattr(attention_module, "window_attend", _one_key_too_many(attention_module.window_attend))
+        assert rw.reach_probe(rw.init_random(rw.PRESET_TOY, 0), [0] * 34, 0) == list(range(33))
+        code, _, err = run_cli(capsys, "verify")
+        assert code == cli.EXIT_VERIFY
+        assert "reach" in [line.split(":")[0] for line in err.splitlines() if line.endswith(": fail")]
 
     def test_reach_override_line(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--window", "4", "--layers", "2")

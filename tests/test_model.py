@@ -6,7 +6,7 @@ import pytest
 import rollwin as rw
 from rollwin import tensor as tensor_module
 
-from conftest import random_tokens
+from conftest import FAINT_BOUNDARY, random_tokens
 
 
 class TestForwardDecode:
@@ -203,7 +203,7 @@ class TestReceptiveField:
         tokens = random_tokens(12, seed=1)
         horizon = config.n_layers * (config.window_size - 1)  # 6
         for j in range(len(tokens)):
-            affected = rw.reach_probe(weights, config, tokens, j)
+            affected = rw.reach_probe(weights, tokens, j)
             assert affected == list(range(j, min(j + horizon, len(tokens) - 1) + 1))
 
     def test_difference_beyond_horizon_is_exactly_zero(self):
@@ -212,7 +212,6 @@ class TestReceptiveField:
         tokens = random_tokens(12, seed=2)
         base = rw.oracle_forward_swa(weights, config, tokens)
         poked_weights = rw.init_random(config, 7)
-        # Same perturbation reach_probe applies, done by hand on the embedding.
         embedded = poked_weights.token_embedding[np.asarray(tokens)].copy()
         from rollwin.oracle import _forward_embedded
         from rollwin.attention import build_swa_mask
@@ -222,6 +221,59 @@ class TestReceptiveField:
         poked, _ = _forward_embedded(weights, config, embedded, mask)
         assert float(np.max(np.abs(base[7:] - poked[7:]))) == 0.0
         assert float(np.max(np.abs(base[6] - poked[6]))) > 1e-7
+
+
+class TestReachProbe:
+    def test_single_layer_window_arithmetic(self):
+        config = replace(rw.PRESET_TOY, n_layers=1, window_size=3)
+        weights = rw.init_random(config, 3)
+        tokens = random_tokens(10, seed=3)
+        for j in (0, 2, 5):
+            affected = rw.reach_probe(weights, tokens, j)
+            assert affected == list(range(j, min(j + 2, 9) + 1))
+
+    def test_affected_sets_are_contiguous_from_probe(self, toy_weights):
+        tokens = random_tokens(16, seed=4)
+        for j in (0, 5, 11):
+            affected = rw.reach_probe(toy_weights, tokens, j)
+            assert affected == list(range(j, affected[-1] + 1))
+
+    def test_last_position_probe_affects_only_itself(self, toy_weights):
+        tokens = random_tokens(10, seed=5)
+        assert rw.reach_probe(toy_weights, tokens, 9) == [9]
+
+    def test_probe_position_validated(self, toy_weights):
+        with pytest.raises(ValueError):
+            rw.reach_probe(toy_weights, [1, 2], 2)
+
+    def test_overlong_stream_refused_before_any_step(self, toy_config, toy_weights, monkeypatch):
+        steps = []
+        monkeypatch.setattr(rw.GenerationSession, "forward_decode", lambda self, t: steps.append(t))
+        with pytest.raises(ValueError, match="context_len"):
+            rw.reach_probe(toy_weights, [0] * (toy_config.context_len + 1), 0)
+        assert steps == []
+
+    @pytest.mark.parametrize("vocab_size", [32, 1])
+    def test_repeated_tokens_reach_exactly_the_field(self, vocab_size):
+        # A nudge's influence on FAINT_BOUNDARY rounds away near the
+        # boundary at some seeds (6 at vocab 32; 1 and 3-7 at vocab 1);
+        # the taint does not depend on the tokens or on the vocabulary.
+        config = replace(FAINT_BOUNDARY, vocab_size=vocab_size)
+        horizon = config.n_layers * (config.window_size - 1)
+        tokens = [0] * 12
+        for seed in range(10):
+            weights = rw.init_random(config, seed)
+            for j in range(len(tokens)):
+                expected = list(range(j, min(j + horizon, len(tokens) - 1) + 1))
+                assert rw.reach_probe(weights, tokens, j) == expected, (seed, j)
+
+
+def test_reach_probe_hits_the_boundary_exactly_at_window_16():
+    config = replace(rw.PRESET_TOY, window_size=16)
+    boundary = config.n_layers * (config.window_size - 1)
+    weights = rw.init_random(config, 0)
+    tokens = random_tokens(boundary + 6, seed=0)
+    assert rw.reach_probe(weights, tokens, 0) == list(range(0, boundary + 1))
 
 
 class TestCacheBoundDuringDecode:

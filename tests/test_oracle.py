@@ -44,30 +44,6 @@ class TestForwardVariants:
         assert np.isfinite(out).all()
 
 
-class TestReachProbe:
-    def test_single_layer_window_arithmetic(self):
-        config = replace(rw.PRESET_TOY, n_layers=1, window_size=3)
-        weights = rw.init_random(config, 3)
-        tokens = random_tokens(10, seed=3)
-        for j in (0, 2, 5):
-            affected = rw.reach_probe(weights, config, tokens, j)
-            assert affected == list(range(j, min(j + 2, 9) + 1))
-
-    def test_affected_sets_are_contiguous_from_probe(self, toy_config, toy_weights):
-        tokens = random_tokens(16, seed=4)
-        for j in (0, 5, 11):
-            affected = rw.reach_probe(toy_weights, toy_config, tokens, j)
-            assert affected == list(range(j, affected[-1] + 1))
-
-    def test_last_position_probe_affects_only_itself(self, toy_config, toy_weights):
-        tokens = random_tokens(10, seed=5)
-        assert rw.reach_probe(toy_weights, toy_config, tokens, 9) == [9]
-
-    def test_probe_position_validated(self, toy_config, toy_weights):
-        with pytest.raises(ValueError):
-            rw.reach_probe(toy_weights, toy_config, [1, 2], 2)
-
-
 def history_floats(history):
     """Scalars the oracle's per-layer K/V arrays hold."""
     return sum(keys.size + values.size for keys, values in history)
@@ -184,7 +160,7 @@ class TestGuards:
                 with pytest.raises(ValueError, match="integers"):
                     oracle(toy_weights, toy_config, tokens)
             with pytest.raises(ValueError, match="integers"):
-                rw.reach_probe(toy_weights, toy_config, tokens, 0)
+                rw.reach_probe(toy_weights, tokens, 0)
         ids = np.array([3, 5], dtype=np.int32)
         assert np.array_equal(rw.oracle_forward_swa(toy_weights, toy_config, ids),
                               rw.oracle_forward_swa(toy_weights, toy_config, [3, 5]))
@@ -205,13 +181,3 @@ class TestIndependence:
                 imported.update(f"{module}.{alias.name}" if module else alias.name for alias in node.names)
         assert not any("cache" in name for name in imported)
         assert not any("model" in name for name in imported)
-
-
-def test_reach_probe_hits_the_boundary_exactly_at_window_16():
-    # Near the boundary a nudge's effect on the logits can be far below
-    # 1e-7; any changed bit counts as influence.
-    config = replace(rw.PRESET_TOY, window_size=16)
-    boundary = config.n_layers * (config.window_size - 1)
-    weights = rw.init_random(config, 0)
-    tokens = random_tokens(boundary + 6, seed=0)
-    assert rw.reach_probe(weights, config, tokens, 0) == list(range(0, boundary + 1))
