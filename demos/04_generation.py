@@ -17,16 +17,15 @@ prompt = [3, 1, 4, 1, 5]
 
 print("--- greedy decoding ---")
 session = rw.GenerationSession(weights)
-result = session.generate(prompt, max_tokens=12, sampler=rw.SamplerSpec("greedy"))
-print("continuation:", result.tokens)
-print(f"{result.seq_len} positions processed, {result.total_cache_bytes} cache bytes total")
+print("continuation:", session.generate(prompt, max_tokens=12, sampler=rw.SamplerSpec()))
+print(f"{session.next_position} positions processed, {session.total_cache_bytes} cache bytes total")
 print()
 
 print("--- top-k sampling, seeded ---")
 for seed in (0, 1):
     session = rw.GenerationSession(weights)
-    spec = rw.SamplerSpec("top-k", k=16, temperature=0.9, seed=seed)
-    print(f"seed {seed}:", session.generate(prompt, max_tokens=12, sampler=spec).tokens)
+    spec = rw.SamplerSpec(k=16, temperature=0.9, seed=seed)
+    print(f"seed {seed}:", session.generate(prompt, max_tokens=12, sampler=spec))
 print()
 
 print("--- every step agrees with the unbounded-history oracle ---")

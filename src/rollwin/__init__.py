@@ -28,7 +28,6 @@ from .config import (
     validate,
 )
 from .model import (
-    GenerationResult,
     GenerationSession,
     SamplerSpec,
     reach_probe,
@@ -65,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError",
     "DecoderWeights",
-    "GenerationResult",
     "GenerationSession",
     "LayerWeights",
     "ModelConfig",

@@ -127,8 +127,9 @@ class _OracleSession(GenerationSession):
     """Decode by re-running a full-history oracle each step; for cross-checks.
 
     Only the logits differ from the engine: the generation loop is the
-    shared one, and the rolling caches, though never written, give the
-    report the architecture's cache bytes rather than the oracle's scratch.
+    shared one, and `cmd_generate` reads the report off the session as for
+    the engine, so the rolling caches, though never written, give it the
+    architecture's cache bytes rather than the oracle's scratch.
     """
 
     def __init__(self, weights: DecoderWeights, forward):
@@ -160,10 +161,8 @@ def cmd_generate(args) -> int:
         weights = init_random(config, args.seed)
 
     prompt = _parse_prompt_ids(args.prompt_ids)
-    if args.top_k is not None:
-        sampler = SamplerSpec("top-k", k=args.top_k, temperature=args.temperature, seed=args.seed)
-    else:
-        sampler = SamplerSpec("greedy")
+    # --greedy, like no sampler flag, takes no --temperature to check.
+    sampler = SamplerSpec() if args.top_k is None else SamplerSpec(args.top_k, args.temperature, args.seed)
     if args.mode == "swa":
         session = GenerationSession(weights)
     else:
@@ -176,26 +175,32 @@ def cmd_generate(args) -> int:
 
     # The loop checks max_tokens, the sampler, prompt ids and length; its
     # ValueError is a usage error.
+    started = time.perf_counter()
     try:
-        result = session.generate(prompt, args.max_tokens, sampler)
+        tokens = session.generate(prompt, args.max_tokens, sampler)
     except ValueError as exc:
         raise UsageError(str(exc))
+    wall_time = time.perf_counter() - started
 
-    if result.tokens:
-        print(" ".join(str(t) for t in result.tokens))
+    if tokens:
+        print(" ".join(str(t) for t in tokens))
+    seq_len = session.next_position
+    swa_pairs = attention.score_pair_count(seq_len, session.config.window_size)
+    full_pairs = attention.full_pair_count(seq_len)
+    truncated = len(tokens) < args.max_tokens
     report = {
-        "tokens_generated": len(result.tokens),
-        "wall_time": result.wall_time,
-        "tokens_per_second": len(result.tokens) / result.wall_time if result.wall_time > 0 else 0.0,
-        "cache_bytes_per_layer": result.cache_bytes_per_layer,
-        "total_cache_bytes": result.total_cache_bytes,
-        "swa_score_pairs": result.swa_score_pairs,
-        "full_score_pairs": result.full_score_pairs,
-        "pair_ratio": result.full_score_pairs / result.swa_score_pairs,
-        "truncated": result.truncated,
+        "tokens_generated": len(tokens),
+        "wall_time": wall_time,
+        "tokens_per_second": len(tokens) / wall_time if wall_time > 0 else 0.0,
+        "cache_bytes_per_layer": session.caches[0].nbytes,
+        "total_cache_bytes": session.total_cache_bytes,
+        "swa_score_pairs": swa_pairs,
+        "full_score_pairs": full_pairs,
+        "pair_ratio": full_pairs / swa_pairs,
+        "truncated": truncated,
     }
     print(json.dumps(report), file=sys.stderr)
-    return EXIT_TRUNCATED if result.truncated else EXIT_OK
+    return EXIT_TRUNCATED if truncated else EXIT_OK
 
 
 def run_verification(config: ModelConfig, seed: int) -> list[CheckResult]:
@@ -381,7 +386,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--max-tokens", type=int, default=0)
     picker = gen.add_mutually_exclusive_group()
     picker.add_argument("--greedy", action="store_true", help="argmax decoding (default)")
-    picker.add_argument("--top-k", type=int, default=None, help="sample from the k best logits")
+    picker.add_argument("--top-k", type=int, default=None, help="sample from the k best logits; 1 is greedy")
     gen.add_argument("--temperature", type=float, default=1.0)
     gen.add_argument("--mode", choices=["swa", "oracle-swa", "oracle-causal"], default="swa")
     gen.set_defaults(func=cmd_generate)

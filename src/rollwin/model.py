@@ -1,16 +1,18 @@
 """Decoder stack over rolling caches: one chunk forward path for decode and
-chunked prompt prefill, and the autoregressive generation loop.
+chunked prompt prefill, and the autoregressive generation loop, which
+returns only the sampled tokens. Greedy decoding is top-k sampling at k = 1.
 
 Weights are shared and immutable; a GenerationSession owns the mutable state
 (one rolling cache per layer plus the next absolute position) for exactly
-one sequence. `forward_chunk` is the only layer loop: decode is a chunk of
-one token and prefill is the prompt as one chunk. It runs layer by layer,
-each layer on only the rows that a kept result can read. What a session
-keeps is the last row's logits and each layer's last W K/V rows, and a
-query reads W - 1 positions back, so layer l (from 0) of a chunk of n
-tokens computes K/V for its last kv_l = min(n, exact_reach - l*(W-1)) rows
-and queries, Wo and the feed-forward for its last kv_{l+1} rows (one row
-at the last layer). Layer 0 starts `exact_reach` tokens from the end, so
+one sequence, and a caller reads positions and cache bytes off it.
+`forward_chunk` is the only layer loop: decode is a chunk of one token and
+prefill is the prompt as one chunk. It runs layer by layer, each layer on
+only the rows that a kept result can read. What a session keeps is the
+last row's logits and each layer's last W K/V rows, and a query reads
+W - 1 positions back, so layer l (from 0) of a chunk of n tokens computes
+K/V for its last kv_l = min(n, exact_reach - l*(W-1)) rows and queries,
+Wo and the feed-forward for its last kv_{l+1} rows (one row at the last
+layer). Layer 0 starts `exact_reach` tokens from the end, so
 prefill work stops growing with prompt length, and the later layers shrink
 by W - 1 rows each. Every row computed sees its whole window, so the
 results are bit-identical to running every row.
@@ -29,7 +31,6 @@ would on every decode step.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,47 +46,30 @@ from .weights import DecoderWeights, LayerWeights
 class SamplerSpec:
     """How to turn a logit row into the next token.
 
-    Greedy mode ignores k, temperature, and seed; top-k renormalizes the k
-    best logits at the given temperature and draws from a seeded generator.
+    The k best logits are renormalized at the given temperature and one is
+    drawn from a generator seeded with seed. k = 1 is greedy: the argmax,
+    whatever the seed and temperature (`generate` still refuses a
+    temperature that is not finite and positive).
     """
 
-    mode: str = "greedy"  # "greedy" | "top-k"
     k: int = 1
     temperature: float = 1.0
     seed: int = 0
 
 
-@dataclass
-class GenerationResult:
-    """Continuation tokens plus the run's accounting."""
-
-    tokens: list[int]
-    prompt_len: int
-    seq_len: int             # positions actually pushed through attention
-    wall_time: float
-    truncated: bool
-    cache_bytes_per_layer: int
-    total_cache_bytes: int
-    swa_score_pairs: int
-    full_score_pairs: int
-
-
 def _check_sampler(sampler: SamplerSpec, vocab_size: int) -> None:
-    if sampler.mode not in ("greedy", "top-k"):
-        raise ValueError(f"unknown sampler mode: {sampler.mode!r}")
-    if sampler.mode == "top-k":
-        if not (1 <= sampler.k <= vocab_size):
-            raise ValueError(f"top-k k={sampler.k} outside [1, {vocab_size}]")
-        if not 0 < sampler.temperature < np.inf:
-            raise ValueError(f"temperature must be finite and positive, got {sampler.temperature}")
+    if not (1 <= sampler.k <= vocab_size):
+        raise ValueError(f"top-k k={sampler.k} outside [1, {vocab_size}]")
+    if not 0 < sampler.temperature < np.inf:
+        raise ValueError(f"temperature must be finite and positive, got {sampler.temperature}")
 
 
-def sample_token(logits: Tensor, sampler: SamplerSpec, rng: np.random.Generator) -> int:
-    """Greedy argmax (ties to the lowest id) or a temperature-scaled top-k draw."""
-    if sampler.mode == "greedy":
+def sample_token(logits: Tensor, sampler: SamplerSpec, rng: np.random.Generator | None) -> int:
+    """Argmax for k = 1 (ties to the lowest id, no generator needed), else a
+    temperature-scaled top-k draw from rng."""
+    if sampler.k == 1:
         return int(np.argmax(logits))
-    # Stable descending sort breaks logit ties toward the lower token id,
-    # which keeps k=1 identical to greedy.
+    # A stable descending sort breaks logit ties toward the lower token id.
     order = np.argsort(-logits, kind="stable")[: sampler.k]
     scaled = logits[order].astype(np.float64) / sampler.temperature
     scaled -= scaled.max()
@@ -109,10 +93,6 @@ class GenerationSession:
             for layer in weights.layers
         ]
         self.next_position = 0
-
-    @property
-    def cache_bytes_per_layer(self) -> int:
-        return self.caches[0].nbytes
 
     @property
     def total_cache_bytes(self) -> int:
@@ -210,43 +190,26 @@ class GenerationSession:
             raise ValueError("prefill requires a fresh session (next_position 0)")
         return self.forward_chunk(prompt)
 
-    def generate(self, prompt, max_tokens: int = 0, sampler: SamplerSpec = SamplerSpec()) -> GenerationResult:
-        """Prefill the prompt, then decode up to max_tokens continuation tokens.
+    def generate(self, prompt, max_tokens: int = 0, sampler: SamplerSpec = SamplerSpec()) -> list[int]:
+        """Prefill the prompt, then sample up to max_tokens continuation tokens.
 
-        Stops early, flagging truncation, if the context limit is reached
-        with tokens still to produce. The final sampled token is not fed
-        back through the model.
+        Returns the sampled tokens, fewer than max_tokens exactly when the
+        context limit stopped the run. The final sampled token is not fed
+        back through the model, so `next_position` ends at the prompt length
+        plus all but one of them.
         """
-        cfg = self.config
         if max_tokens < 0:
             raise ValueError(f"max_tokens must be >= 0, got {max_tokens}")
-        _check_sampler(sampler, cfg.vocab_size)
+        _check_sampler(sampler, self.config.vocab_size)
         rng = np.random.default_rng(sampler.seed)
-        started = time.perf_counter()
         logits = self.prefill(prompt)
         tokens: list[int] = []
-        truncated = False
-        for i in range(max_tokens):
+        while len(tokens) < max_tokens:
             tokens.append(sample_token(logits, sampler, rng))
-            if i == max_tokens - 1:
-                break
-            if self.next_position >= cfg.context_len:
-                truncated = True
+            if len(tokens) == max_tokens or self.next_position >= self.config.context_len:
                 break
             logits = self.forward_decode(tokens[-1])
-        wall_time = time.perf_counter() - started
-        seq_len = self.next_position
-        return GenerationResult(
-            tokens=tokens,
-            prompt_len=len(prompt),
-            seq_len=seq_len,
-            wall_time=wall_time,
-            truncated=truncated,
-            cache_bytes_per_layer=self.cache_bytes_per_layer,
-            total_cache_bytes=self.total_cache_bytes,
-            swa_score_pairs=attention.score_pair_count(seq_len, cfg.window_size),
-            full_score_pairs=attention.full_pair_count(seq_len),
-        )
+        return tokens
 
 
 def reach_probe(weights: DecoderWeights, tokens, perturb_position: int) -> list[int]:

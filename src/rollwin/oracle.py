@@ -47,16 +47,22 @@ def guard(config: ModelConfig, n_tokens: int) -> None:
         )
 
 
-def _embed(weights: DecoderWeights, tokens) -> Tensor:
-    return weights.token_embedding[np.asarray(token_ids(weights.config, tokens))]  # [len, dim]
-
-
-def _forward_embedded(
-    weights: DecoderWeights, config: ModelConfig, x: Tensor, admissible: np.ndarray
+def _forward(
+    weights: DecoderWeights, config: ModelConfig, tokens, causal: bool
 ) -> tuple[Tensor, list[tuple[Tensor, Tensor]]]:
-    """Full-sequence forward pass from embedded inputs under an explicit mask;
-    returns the logits and each layer's (keys, values), [n_kv_heads, n, head_dim]."""
-    n = x.shape[0]
+    """Full-sequence forward pass under the window mask, or the plain causal
+    one; returns the logits and each layer's (keys, values), [n_kv_heads, n,
+    head_dim]. Every entry point comes through here: the config must be the
+    weights' own and the run must pass `guard`, before any work."""
+    if config != weights.config:
+        raise ValueError(f"config {config} is not the weights' config {weights.config}")
+    guard(config, len(tokens))
+    n = len(tokens)
+    if causal:
+        admissible = np.tril(np.ones((n, n), dtype=bool))
+    else:
+        admissible = attention.build_swa_mask(range(n), range(n), config.window_size)
+    x = weights.token_embedding[np.asarray(token_ids(config, tokens))]  # [n, dim]
     group_size = config.n_heads // config.n_kv_heads
     scale = np.float32(math.sqrt(config.head_dim))
     inadmissible = ~admissible
@@ -90,20 +96,14 @@ def run_swa_with_history(
 ) -> tuple[Tensor, list[tuple[Tensor, Tensor]]]:
     """Windowed forward pass returning logits plus every layer's (keys,
     values) for all positions, each [n_kv_heads, len(tokens), head_dim]."""
-    guard(config, len(tokens))
-    n = len(tokens)
-    admissible = attention.build_swa_mask(range(n), range(n), config.window_size)
-    return _forward_embedded(weights, config, _embed(weights, tokens), admissible)
+    return _forward(weights, config, tokens, causal=False)
 
 
 def oracle_forward_swa(weights: DecoderWeights, config: ModelConfig, tokens) -> Tensor:
     """Per-position logits with unbounded storage and an explicit window mask."""
-    return run_swa_with_history(weights, config, tokens)[0]
+    return _forward(weights, config, tokens, causal=False)[0]
 
 
 def oracle_forward_causal(weights: DecoderWeights, config: ModelConfig, tokens) -> Tensor:
     """Per-position logits under plain causal attention, no window."""
-    guard(config, len(tokens))
-    n = len(tokens)
-    admissible = np.tril(np.ones((n, n), dtype=bool))
-    return _forward_embedded(weights, config, _embed(weights, tokens), admissible)[0]
+    return _forward(weights, config, tokens, causal=True)[0]

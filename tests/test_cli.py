@@ -170,6 +170,37 @@ class TestGenerate:
             assert lengths == [3068, 3069, 3070, 3071, 3072]
 
 
+class TestTopOneIsGreedy:
+    """`--top-k 1` is greedy: same tokens, exit code and untimed report."""
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize(
+        "tight, max_tokens, code", [(False, "8", cli.EXIT_OK), (True, "20", cli.EXIT_TRUNCATED)],
+        ids=["toy", "truncated"],
+    )
+    def test_top_k_one_run_equals_greedy_run(self, capsys, tmp_path, mode, tight, max_tokens, code):
+        config = replace(rw.PRESET_TOY, context_len=12, window_size=4) if tight else rw.PRESET_TOY
+        path = tmp_path / "config.json"
+        path.write_text(rw.config_to_json(config))
+        base = (
+            "generate", "--random-init", "--seed", "11", "--config", str(path),
+            "--prompt-ids", "1 2 3", "--max-tokens", max_tokens, "--mode", mode,
+        )
+        greedy = run_cli(capsys, *base, "--greedy")
+        top1 = run_cli(capsys, *base, "--top-k", "1", "--temperature", "0.5")
+        assert greedy[0] == top1[0] == code
+        assert greedy[1] == top1[1] != ""
+        assert untimed(greedy[2]) == untimed(top1[2])
+
+    def test_zero_temperature_refused_at_k_one(self, capsys, toy_config_file):
+        code, out, err = run_cli(
+            capsys, "generate", "--random-init", "--config", toy_config_file,
+            "--prompt-ids", "1", "--max-tokens", "1", "--top-k", "1", "--temperature", "0",
+        )
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert "temperature" in err
+
+
 class TestExitCodes:
     def test_unknown_flag_is_usage(self, capsys, toy_config_file):
         code, _, err = run_cli(capsys, *GENERATE, "--config", toy_config_file, "--frobnicate")

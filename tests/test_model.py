@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import rollwin as rw
 from rollwin import tensor as tensor_module
@@ -211,14 +212,10 @@ class TestReceptiveField:
         weights = rw.init_random(config, 7)
         tokens = random_tokens(12, seed=2)
         base = rw.oracle_forward_swa(weights, config, tokens)
-        poked_weights = rw.init_random(config, 7)
-        embedded = poked_weights.token_embedding[np.asarray(tokens)].copy()
-        from rollwin.oracle import _forward_embedded
-        from rollwin.attention import build_swa_mask
-
-        mask = build_swa_mask(range(12), range(12), config.window_size)
-        embedded[0, 0] += np.float32(1e-2)
-        poked, _ = _forward_embedded(weights, config, embedded, mask)
+        assert tokens.count(tokens[0]) == 1  # so poking its embedding row pokes position 0 alone
+        embedding = weights.token_embedding.copy()
+        embedding[tokens[0], 0] += np.float32(1e-2)
+        poked = rw.oracle_forward_swa(replace(weights, token_embedding=embedding), config, tokens)
         assert float(np.max(np.abs(base[7:] - poked[7:]))) == 0.0
         assert float(np.max(np.abs(base[6] - poked[6]))) > 1e-7
 
@@ -303,87 +300,113 @@ class TestCacheBoundDuringDecode:
             assert np.array_equal(a.keys, b.keys) and np.array_equal(a.values, b.values)
 
 
+#: One layer, a window of 2: small enough to generate in every example.
+TINY = rw.ModelConfig(
+    dim=8, n_layers=1, head_dim=4, hidden_dim=16, n_heads=2, n_kv_heads=1,
+    window_size=2, context_len=2, vocab_size=16,
+)
+
+
 class TestSampling:
     def test_greedy_picks_lowest_id_on_ties(self):
         logits = np.asarray([0.0, 3.0, 3.0, 1.0], dtype=np.float32)
-        token = rw.sample_token(logits, rw.SamplerSpec("greedy"), np.random.default_rng(0))
-        assert token == 1
+        assert rw.sample_token(logits, rw.SamplerSpec(), None) == 1
 
     def test_top_k_one_equals_greedy_over_many_rows(self):
         rng = np.random.default_rng(14)
         for _ in range(100):
             logits = rng.standard_normal(64).astype(np.float32)
-            greedy = rw.sample_token(logits, rw.SamplerSpec("greedy"), np.random.default_rng(0))
-            top1 = rw.sample_token(
-                logits, rw.SamplerSpec("top-k", k=1, temperature=0.7, seed=3), np.random.default_rng(3)
-            )
-            assert greedy == top1
+            spec = rw.SamplerSpec(k=1, temperature=0.7, seed=3)
+            assert rw.sample_token(logits, spec, np.random.default_rng(3)) == int(np.argmax(logits))
+
+    @given(
+        logits=st.lists(st.integers(-3, 3), min_size=1, max_size=12),
+        temperature=st.floats(allow_nan=True, allow_infinity=True),
+        seed=st.one_of(st.none(), st.integers(0, 2**32 - 1)),
+    )
+    def test_k_one_is_argmax_at_any_temperature_and_seed(self, logits, temperature, seed):
+        # Small integer logits tie often; np.argmax takes the lowest id.
+        row = np.asarray(logits, dtype=np.float32)
+        rng = None if seed is None else np.random.default_rng(seed)
+        spec = rw.SamplerSpec(k=1, temperature=temperature, seed=seed or 0)
+        assert rw.sample_token(row, spec, rng) == int(np.argmax(row)) == logits.index(max(logits))
 
     def test_top_k_restricts_support(self):
         logits = np.asarray([0.0, 5.0, 4.0, -1.0], dtype=np.float32)
         rng = np.random.default_rng(5)
-        spec = rw.SamplerSpec("top-k", k=2, temperature=1.0, seed=5)
+        spec = rw.SamplerSpec(k=2, temperature=1.0, seed=5)
         draws = {rw.sample_token(logits, spec, rng) for _ in range(50)}
         assert draws <= {1, 2}
 
     def test_bad_sampler_rejected(self, toy_weights):
         session = rw.GenerationSession(toy_weights)
-        with pytest.raises(ValueError, match="top-k"):
-            session.generate([1], 2, rw.SamplerSpec("top-k", k=0))
-        with pytest.raises(ValueError, match="mode"):
-            session.generate([1], 2, rw.SamplerSpec("nucleus"))
+        for k in (0, toy_weights.config.vocab_size + 1):
+            with pytest.raises(ValueError, match="top-k"):
+                session.generate([1], 2, rw.SamplerSpec(k=k))
+        assert session.next_position == 0
 
 
 class TestGenerate:
     def test_max_tokens_zero_is_prefill_only(self, toy_weights):
         session = rw.GenerationSession(toy_weights)
-        result = session.generate([1, 2, 3], max_tokens=0)
-        assert result.tokens == []
-        assert not result.truncated
-        assert result.seq_len == 3
-        assert result.swa_score_pairs == rw.score_pair_count(3, rw.PRESET_TOY.window_size)
+        assert session.generate([1, 2, 3], max_tokens=0) == []
+        assert session.next_position == 3
 
     def test_greedy_deterministic_across_runs(self, toy_weights):
-        runs = []
-        for _ in range(2):
-            session = rw.GenerationSession(toy_weights)
-            runs.append(session.generate([1, 2, 3], 12, rw.SamplerSpec("greedy")).tokens)
+        runs = [rw.GenerationSession(toy_weights).generate([1, 2, 3], 12) for _ in range(2)]
         assert runs[0] == runs[1]
+        assert len(runs[0]) == 12
 
     def test_top_k_one_generation_equals_greedy(self, toy_weights):
-        greedy = rw.GenerationSession(toy_weights).generate([4, 5], 16, rw.SamplerSpec("greedy"))
+        greedy = rw.GenerationSession(toy_weights).generate([4, 5], 16, rw.SamplerSpec())
         top1 = rw.GenerationSession(toy_weights).generate(
-            [4, 5], 16, rw.SamplerSpec("top-k", k=1, temperature=0.5, seed=11)
+            [4, 5], 16, rw.SamplerSpec(k=1, temperature=0.5, seed=11)
         )
-        assert greedy.tokens == top1.tokens
+        assert greedy == top1
 
     def test_top_k_seeded_reproducible(self, toy_weights):
-        spec = rw.SamplerSpec("top-k", k=8, temperature=1.3, seed=21)
+        spec = rw.SamplerSpec(k=8, temperature=1.3, seed=21)
         a = rw.GenerationSession(toy_weights).generate([9], 20, spec)
         b = rw.GenerationSession(toy_weights).generate([9], 20, spec)
-        assert a.tokens == b.tokens
+        assert a == b
 
     @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan"), float("inf")])
     def test_non_finite_or_non_positive_temperature_rejected_before_prefill(self, toy_weights, temperature):
         session = rw.GenerationSession(toy_weights)
         with pytest.raises(ValueError, match="finite and positive"):
-            session.generate([1, 2], 2, rw.SamplerSpec("top-k", k=3, temperature=temperature))
+            session.generate([1, 2], 2, rw.SamplerSpec(k=3, temperature=temperature))
+        assert session.next_position == 0
+
+    def test_greedy_spec_with_zero_temperature_rejected_before_prefill(self, toy_weights):
+        session = rw.GenerationSession(toy_weights)
+        with pytest.raises(ValueError, match="finite and positive"):
+            session.generate([1, 2], 2, rw.SamplerSpec(k=1, temperature=0))
         assert session.next_position == 0
 
     def test_context_overflow_truncates_cleanly(self):
         config = replace(rw.PRESET_TOY, context_len=6, window_size=4)
         weights = rw.init_random(config, 1)
         session = rw.GenerationSession(weights)
-        result = session.generate([1, 2, 3, 4], max_tokens=10)
-        assert result.truncated
-        assert 0 < len(result.tokens) < 10
+        tokens = session.generate([1, 2, 3, 4], max_tokens=10)
+        assert len(tokens) == 3  # one after the prompt, then one per free position
         assert session.next_position == config.context_len
 
+    @given(context_len=st.integers(2, 24), data=st.data())
+    def test_length_is_max_tokens_unless_the_context_stops_it(self, context_len, data):
+        weights = rw.init_random(replace(TINY, context_len=context_len), 0)
+        n_prompt = data.draw(st.integers(1, context_len))
+        max_tokens = data.draw(st.integers(0, context_len + 4))
+        session = rw.GenerationSession(weights)
+        tokens = session.generate([7] * n_prompt, max_tokens)
+        expected = min(max_tokens, context_len - n_prompt + 1)
+        assert len(tokens) == expected
+        assert session.next_position == n_prompt + max(expected - 1, 0)
+
     def test_report_fields_consistent(self, toy_config, toy_weights):
-        result = rw.GenerationSession(toy_weights).generate([1, 2, 3], 8)
-        assert result.seq_len == 3 + 8 - 1  # the last sampled token is not fed back
-        assert result.cache_bytes_per_layer == (
+        session = rw.GenerationSession(toy_weights)
+        session.generate([1, 2, 3], 8)
+        assert session.next_position == 3 + 8 - 1  # the last sampled token is not fed back
+        assert session.caches[0].nbytes == (
             2 * toy_config.n_kv_heads * toy_config.window_size * toy_config.head_dim * 4
         )
-        assert result.total_cache_bytes == result.cache_bytes_per_layer * toy_config.n_layers
-        assert result.full_score_pairs == rw.full_pair_count(result.seq_len)
+        assert session.total_cache_bytes == session.caches[0].nbytes * toy_config.n_layers

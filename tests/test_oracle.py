@@ -150,6 +150,21 @@ class TestGuards:
         )
         rollwin.oracle.guard(desk, 1000)
 
+    @pytest.mark.parametrize("change", [{"window_size": 3}, {"vocab_size": 300}], ids=["window", "vocab"])
+    @pytest.mark.parametrize(
+        "entry", [rw.run_swa_with_history, rw.oracle_forward_swa, rw.oracle_forward_causal],
+        ids=["history", "swa", "causal"],
+    )
+    def test_config_other_than_the_weights_own_rejected_before_any_work(
+        self, monkeypatch, toy_config, toy_weights, entry, change
+    ):
+        def no_work(*args):
+            raise AssertionError("the oracle ran before checking its config")
+
+        monkeypatch.setattr(rollwin.tensor, "matmul", no_work)
+        with pytest.raises(ValueError, match="weights' config"):
+            entry(toy_weights, replace(toy_config, **change), random_tokens(20, seed=5))
+
     def test_invalid_token_id_rejected(self, toy_config, toy_weights):
         with pytest.raises(ValueError, match="vocabulary"):
             rw.oracle_forward_swa(toy_weights, toy_config, [99999])
