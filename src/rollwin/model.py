@@ -31,6 +31,7 @@ would on every decode step.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -198,7 +199,7 @@ class GenerationSession:
         back through the model, so `next_position` ends at the prompt length
         plus all but one of them.
         """
-        if max_tokens < 0:
+        if operator.index(max_tokens) < 0:  # TypeError for a non-integer
             raise ValueError(f"max_tokens must be >= 0, got {max_tokens}")
         _check_sampler(sampler, self.config.vocab_size)
         rng = np.random.default_rng(sampler.seed)

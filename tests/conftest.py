@@ -1,11 +1,15 @@
+import importlib.util
 import os
+import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 import rollwin as rw
+from rollwin import attention, cache, cli, config, model, oracle, tensor, weights
 
 # One profile for every run: no per-example deadline (timings on a shared
 # host swing 2x) and a fixed example sequence, so a run repeats exactly.
@@ -41,3 +45,20 @@ def subprocess_env():
     package first on PYTHONPATH, whatever put it on the test's sys.path."""
     src = str(Path(rw.__file__).resolve().parent.parent)
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+#: The engine modules, as the benchmark hands them to its workloads.
+ENGINE_MODULES = SimpleNamespace(
+    tensor=tensor, attention=attention, cache=cache, config=config,
+    model=model, oracle=oracle, weights=weights, cli=cli,
+)
+
+
+def load_perfbench(name):
+    """Load `perfbench/<name>.py` as it is, by path."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module

@@ -75,6 +75,8 @@ class TestGenerate:
         report = last_report(err)
         assert report["tokens_generated"] == 0
         assert report["truncated"] is False
+        assert report["swa_score_pairs"] == rw.score_pair_count(2, rw.PRESET_TOY.window_size)
+        assert report["full_score_pairs"] == rw.full_pair_count(2)
 
     def test_cache_byte_accounting(self, capsys, toy_config_file):
         cfg = rw.PRESET_TOY
@@ -84,6 +86,9 @@ class TestGenerate:
         per_layer = 2 * cfg.n_kv_heads * cfg.window_size * cfg.head_dim * 4
         assert report["cache_bytes_per_layer"] == per_layer
         assert report["total_cache_bytes"] == per_layer * cfg.n_layers
+        # 3 prompt tokens and 7 of the 8 sampled ones pass through the model.
+        assert report["full_score_pairs"] == rw.full_pair_count(10)
+        assert report["swa_score_pairs"] == rw.score_pair_count(10, cfg.window_size)
         assert report["pair_ratio"] == report["full_score_pairs"] / report["swa_score_pairs"]
 
     def test_weight_file_round_trip_matches_random_init(self, capsys, toy_config_file, tmp_path):
@@ -191,6 +196,8 @@ class TestTopOneIsGreedy:
         assert greedy[0] == top1[0] == code
         assert greedy[1] == top1[1] != ""
         assert untimed(greedy[2]) == untimed(top1[2])
+        seq_len = 12 if tight else 10  # the context stops the truncated run
+        assert untimed(top1[2])["full_score_pairs"] == rw.full_pair_count(seq_len)
 
     def test_zero_temperature_refused_at_k_one(self, capsys, toy_config_file):
         code, out, err = run_cli(

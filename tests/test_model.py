@@ -349,6 +349,10 @@ class TestSampling:
 class TestGenerate:
     def test_max_tokens_zero_is_prefill_only(self, toy_weights):
         session = rw.GenerationSession(toy_weights)
+        for bad in (2.5, 0.0, "3"):  # refused before the prefill, not rounded
+            with pytest.raises(TypeError):
+                session.generate([1, 2, 3], bad)
+        assert session.next_position == 0
         assert session.generate([1, 2, 3], max_tokens=0) == []
         assert session.next_position == 3
 
@@ -373,14 +377,9 @@ class TestGenerate:
     @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan"), float("inf")])
     def test_non_finite_or_non_positive_temperature_rejected_before_prefill(self, toy_weights, temperature):
         session = rw.GenerationSession(toy_weights)
-        with pytest.raises(ValueError, match="finite and positive"):
-            session.generate([1, 2], 2, rw.SamplerSpec(k=3, temperature=temperature))
-        assert session.next_position == 0
-
-    def test_greedy_spec_with_zero_temperature_rejected_before_prefill(self, toy_weights):
-        session = rw.GenerationSession(toy_weights)
-        with pytest.raises(ValueError, match="finite and positive"):
-            session.generate([1, 2], 2, rw.SamplerSpec(k=1, temperature=0))
+        for k in (1, 3):  # k = 1 is greedy, and its temperature is still checked
+            with pytest.raises(ValueError, match="finite and positive"):
+                session.generate([1, 2], 2, rw.SamplerSpec(k=k, temperature=temperature))
         assert session.next_position == 0
 
     def test_context_overflow_truncates_cleanly(self):

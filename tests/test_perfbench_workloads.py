@@ -9,35 +9,15 @@ are: warm-up, a few requests timed by a probe without its timer signal,
 then the golden gate, which must find nothing failed or mismatched.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
-from rollwin import attention, cache, cli, config, model, oracle, tensor, weights
+from conftest import ENGINE_MODULES as MODULES
+from conftest import load_perfbench
+from rollwin import weights
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-#: The engine modules, as the benchmark hands them to a workload.
-MODULES = SimpleNamespace(
-    tensor=tensor, attention=attention, cache=cache, config=config,
-    model=model, oracle=oracle, weights=weights, cli=cli,
-)
-
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up there
-    spec.loader.exec_module(module)
-    return module
-
-
-WORKLOADS = _load("workloads")
-CLOCK = _load("clock")
+WORKLOADS = load_perfbench("workloads")
+CLOCK = load_perfbench("clock")
 
 #: Which requests to run: one decode request, the shortest (150-token)
 #: prefill prompt and one whole verify sweep of three configs.
