@@ -4,10 +4,10 @@ The entry for absolute position i lives in slot i % capacity, so once
 `capacity` positions have been written every new write overwrites the
 oldest entry and memory stops growing. K/V blocks are head-major,
 [n_kv_heads, rows, head_dim], in and out: the layout the engine's
-projections produce and its attention reads. Reads gather the retained
-positions back in ascending order regardless of physical slot layout:
-`gather` returns them with their K/V blocks from one index gather over
-position % capacity, so the slot layout is known only to this module.
+projections produce and its attention reads. Reads return the retained
+positions in ascending order whatever the slot layout: up to `capacity`
+consecutive positions fill at most two contiguous slot runs (up to the
+last slot, then from slot 0), and every read and write goes through them.
 
 `restart(position)` empties the cache and moves it to any position: the
 retained range then starts there and grows with each write, as if the
@@ -79,8 +79,22 @@ class RollingKvCache:
         An empty cache gives an empty range and zero-row blocks.
         """
         positions = self.retained_positions()
-        slots = np.arange(positions.start, positions.stop) % self.capacity
-        return positions, self.keys[:, slots, :], self.values[:, slots, :]
+        runs = self._slot_runs(positions.start, positions.stop)
+        return (positions, np.concatenate([self.keys[:, run] for run in runs], axis=1),
+                np.concatenate([self.values[:, run] for run in runs], axis=1))
+
+    def extend(self, first: int, k_block: Tensor, v_block: Tensor) -> tuple[int, Tensor, Tensor]:
+        """Write a block at `first` through `prefill_bulk` (restarting there if
+        it starts past the end); return `gather`'s first position and copies
+        of its keys and values from before the write, each followed by the block."""
+        if first > self.next_position:
+            self.restart(first)
+        positions = self.retained_positions()
+        runs = self._slot_runs(positions.start, positions.stop)
+        keys = np.concatenate([self.keys[:, run] for run in runs] + [k_block], axis=1)
+        values = np.concatenate([self.values[:, run] for run in runs] + [v_block], axis=1)
+        self.prefill_bulk(first, k_block, v_block)
+        return positions.start, keys, values
 
     def window_view(self) -> list[tuple[int, Tensor, Tensor]]:
         """Retained (position, k_row, v_row) triples, ascending by position.
@@ -95,31 +109,36 @@ class RollingKvCache:
     def prefill_bulk(self, start_position: int, k_block: Tensor, v_block: Tensor) -> None:
         """Write a block of rows ([n_kv_heads, block_len, head_dim]) at once.
 
-        The cache's one write: `append` and every engine forward step come
-        here, in the layout `gather` returns. Equivalent to appending each
-        row in order. Rows that would already have been overwritten
-        (anything before the trailing `capacity` rows) are never
-        materialized in the cache.
+        The cache's one write: `append` and `extend` (every engine forward
+        step) come here, in the layout `gather` returns. Equivalent to
+        appending each row in order. Rows that would already have been
+        overwritten (anything before the trailing `capacity` rows) are
+        never materialized in the cache.
         """
         if start_position != self.next_position:
-            raise ValueError(
-                f"out-of-order write: expected position {self.next_position}, got {start_position}"
-            )
+            raise ValueError(f"out-of-order write: expected position {self.next_position}, "
+                             f"got {start_position}")
         n_kv, _, head_dim = self.keys.shape
         if k_block.shape != v_block.shape or k_block.shape[:1] + k_block.shape[2:] != (n_kv, head_dim):
-            raise ValueError(
-                f"block shapes {k_block.shape}/{v_block.shape} do not fit "
-                f"[{n_kv}, rows, {head_dim}] cache blocks"
-            )
+            raise ValueError(f"block shapes {k_block.shape}/{v_block.shape} do not fit "
+                             f"[{n_kv}, rows, {head_dim}] cache blocks")
         block_len = k_block.shape[1]
         if block_len < 1:
             raise ValueError("bulk write needs at least one row")
-        keep_from = max(0, block_len - self.capacity)
-        positions = np.arange(start_position + keep_from, start_position + block_len)
-        slots = positions % self.capacity
-        self.keys[:, slots, :] = k_block[:, keep_from:]
-        self.values[:, slots, :] = v_block[:, keep_from:]
+        row = max(0, block_len - self.capacity)
+        for run in self._slot_runs(start_position + row, start_position + block_len):
+            rows = slice(row, row + run.stop - run.start)
+            self.keys[:, run], self.values[:, run] = k_block[:, rows], v_block[:, rows]
+            row = rows.stop
         self.next_position = start_position + block_len
+
+    def _slot_runs(self, start: int, stop: int) -> list[slice]:
+        """Slots of positions [start, stop) (at most `capacity`), in order: one run, or two on a wrap."""
+        first = start % self.capacity
+        end = first + stop - start
+        if end <= self.capacity:
+            return [slice(first, end)]
+        return [slice(first, self.capacity), slice(0, end - self.capacity)]
 
 
 def position_bytes(config: ModelConfig) -> int:

@@ -85,9 +85,7 @@ class GenerationSession:
     def __init__(self, weights: DecoderWeights):
         self.weights = weights
         self.config = weights.config
-        self.caches: list[RollingKvCache] = [
-            new_cache(self.config) for _ in range(self.config.n_layers)
-        ]
+        self.caches: list[RollingKvCache] = [new_cache(self.config) for _ in range(self.config.n_layers)]
         self._fused = [
             (np.concatenate([layer.Wq, layer.Wk, layer.Wv], axis=1),
              np.concatenate([layer.W1, layer.W3], axis=1))
@@ -135,14 +133,11 @@ class GenerationSession:
         """Run tokens at the current position; return the last one's logit row.
 
         The tokens are checked before any write. Layer l then computes K/V
-        for its last kv_l = min(n, exact_reach - l*(W-1)) rows and queries,
-        Wo and the feed-forward for its last kv_{l+1} rows (one at the last
-        layer): only the rows a kept result can read (see the module
-        docstring). A layer whose first K/V row lies past its cache restarts
-        the cache there. The layer's query rows then attend in one banded
-        call over the cached keys followed by the chunk's: each row scores
-        exactly the W keys of its window, so a head's score block is
-        kv_{l+1} x W. Wo and the feed-forward run once over all of the
+        for its last kv_l rows and the rest for its last kv_{l+1} (see the
+        module docstring). One `cache.extend` per layer writes the K/V rows
+        and returns the cached keys followed by the chunk's, over which the
+        query rows attend in one banded call: each row scores exactly the W
+        keys of its window. Wo and the feed-forward run once over all of the
         layer's output rows. Decode is the one-row case of the same call.
 
         This is exact. Each row of every product is its own ordered dot
@@ -157,21 +152,13 @@ class GenerationSession:
         reach = exact_reach(self.config)
         kv_rows = [min(len(tokens), reach - i * (window - 1)) for i in range(self.config.n_layers)] + [1]
         x = self.weights.token_embedding[np.asarray(tokens[len(tokens) - kv_rows[0]:])]  # [kv_0, dim]
-        rope = tensor.rope_table(np.arange(end - kv_rows[0], end), self.config.head_dim)
+        cos, sin = tensor.rope_table(np.arange(end - kv_rows[0], end), self.config.head_dim)
         for n_kv, n_out, layer, (Wqkv, W13), cache in zip(
             kv_rows, kv_rows[1:], self.weights.layers, self._fused, self.caches
         ):
-            first = end - n_kv
-            if first > cache.next_position:
-                cache.restart(first)
-            q, k, v = self._qkv(x, layer, Wqkv, tensor.RopeTable(*(t[-n_kv:] for t in rope)))
-            cached, k_cache, v_cache = cache.gather()
-            keys = np.concatenate([k_cache, k], axis=1)  # positions [cached.start, end)
-            values = np.concatenate([v_cache, v], axis=1)
-            cache.prefill_bulk(first, k, v)
-            ctx = attention.window_attend(
-                q[:, n_kv - n_out:], keys, values, end - n_out, cached.start, window
-            )
+            q, k, v = self._qkv(x, layer, Wqkv, tensor.RopeTable(cos[-n_kv:], sin[-n_kv:]))
+            key_start, keys, values = cache.extend(end - n_kv, k, v)  # positions [key_start, end)
+            ctx = attention.window_attend(q[:, n_kv - n_out:], keys, values, end - n_out, key_start, window)
             x = self._residual_ffn(x[n_kv - n_out:], layer, W13, ctx)
         self.next_position = end
         h = tensor.rms_norm(x, self.weights.final_norm_gain)

@@ -8,10 +8,10 @@ does not give that guarantee, so matmul sums each dot product itself, with
 no BLAS call. Products of fewer than BLOCK_ELEMENTS / 8 outputs write a
 block of k's terms (all of k if it fits, as in toy decode) C-ordered in one
 call and add them with one `np.add.reduce` down k, which numpy does one row
-at a time; larger ones form each term with an einsum that sums over no
-index, then add it. Both regimes add the same terms in the same order, so
-the choice changes no bit. The other sums use `np.add.accumulate`, which is
-sequential by definition; elementwise work is delegated to numpy.
+at a time, from +0.0 (its initial) if all of k fits; larger ones add terms
+each formed by an einsum that sums over no index. Both regimes add the
+same terms in the same order, so the choice changes no bit. Other sums use
+`np.add.accumulate`, sequential by definition; numpy does elementwise work.
 
 Because the order is fixed per output element, making an operation wider
 never changes a bit: matmul takes leading batch axes (one product for all
@@ -27,6 +27,7 @@ Operations never mutate their inputs. Results are fresh allocations.
 from __future__ import annotations
 
 import collections
+import functools
 import math
 
 import numpy as np
@@ -39,7 +40,10 @@ ROPE_THETA = 10000.0
 #: Variance floor for rms_norm.
 RMS_NORM_EPS = 1e-5
 
-#: float32 cos and sin of rope_apply's pair angles, each [rows, head_dim // 2].
+# float32 scalars made once: building one costs about as much as a small ufunc call.
+_ZERO, _ONE, _EPS = np.float32(0.0), np.float32(1.0), np.float32(RMS_NORM_EPS)
+
+#: rope_apply's float32 tables, each [rows, head_dim // 2, 2]: (cos, cos) and (-sin, sin) per pair.
 RopeTable = collections.namedtuple("RopeTable", "cos sin")
 
 #: Floats in one k-block of matmul terms (256 KiB): a product with `outputs`
@@ -58,31 +62,35 @@ def _f32(x) -> Tensor:
 
 
 def _ordered_sum(x: Tensor) -> Tensor:
-    """Sum over the trailing axis, accumulating strictly left-to-right."""
+    """Sum over the trailing axis, kept as length 1, accumulating strictly left-to-right."""
     if x.shape[-1] == 0:
-        return np.zeros(x.shape[:-1], dtype=np.float32)
+        return np.zeros(x.shape[:-1] + (1,), dtype=np.float32)
     # accumulate starts from x[..., 0] rather than from +0.0; adding +0.0
     # maps the one difference, an all-(-0.0) slice, to +0.0 as well.
-    return np.add.accumulate(x, axis=-1)[..., -1] + np.float32(0.0)
+    return np.add.accumulate(x, axis=-1)[..., -1:] + _ZERO
+
+
+@functools.cache
+def _k_first(ndim: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Axis orders that bring matmul's shared axis k to the front of a and b."""
+    return (ndim - 1, *range(ndim - 1)), (ndim - 2, *range(ndim - 2), ndim - 1)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product with fixed left-to-right accumulation per dot product.
 
     a: [..., n, k], b: [..., k, m] with identical leading batch axes; each
-    batch slice is the 2-D product of its operands.
-
-    Every output element is +0.0 + t_0 + ... + t_{k-1}, t_i = a_i * b_i, in
-    float32. A block holds room = BLOCK_ELEMENTS // (outputs + 1) - 1 terms
-    per output.
+    batch slice is the 2-D product of its operands. Every output element is
+    +0.0 + t_0 + ... + t_{k-1}, t_i = a_i * b_i, in float32. A block holds
+    room = BLOCK_ELEMENTS // (outputs + 1) - 1 terms per output.
 
     room >= 7 (up to 8,191 outputs): one `np.multiply` of [k, ..., n, 1]
     and [k, ..., 1, m] transposed views (no copy) writes C-ordered
-    [k, outputs] terms, and `np.add.reduce(axis=0)` adds them row by row:
+    [k, ..., n, m] terms, and `np.add.reduce(axis=0)` adds them row by row:
     numpy sums pairwise only along the fast axis (`numpy.sum`, Notes), and
     its default order="K" would follow a's layout, where k can be fast. If
-    k <= room and outputs > 1 that is the product, plus +0.0 (the reduce
-    starts from t_0). Otherwise k goes in blocks of step = min(k, room)
+    k <= room and outputs > 1 that is the product, with the +0.0 as the
+    reduce's `initial`. Otherwise k goes in blocks of step = min(k, room)
     into rows 1.. of a [step + 1, width] buffer whose row 0 is the running
     sum; width is outputs plus, for one output, a spare zero column
     without which the reduced axis would be the contiguous one.
@@ -105,11 +113,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     outputs = math.prod(out_shape)
     room = BLOCK_ELEMENTS // (outputs + 1) - 1
     if k and room >= 7:
-        a_k = a.transpose(a.ndim - 1, *range(a.ndim - 1))[..., np.newaxis]  # [k, ..., n, 1]
-        b_k = b.transpose(b.ndim - 2, *range(b.ndim - 2), b.ndim - 1)[..., np.newaxis, :]  # [k, ..., 1, m]
+        a_axes, b_axes = _k_first(a.ndim)
+        a_k = a.transpose(a_axes)[..., np.newaxis]  # [k, ..., n, 1]
+        b_k = b.transpose(b_axes)[..., np.newaxis, :]  # [k, ..., 1, m]
         if k <= room and outputs > 1:
-            terms = np.multiply(a_k, b_k, order="C").reshape(k, outputs)
-            return np.add.reduce(terms, axis=0).reshape(out_shape) + np.float32(0.0)
+            return np.add.reduce(np.multiply(a_k, b_k, order="C"), axis=0, initial=_ZERO)
         step, width = min(k, room), outputs + (outputs == 1)
         block = np.zeros((step + 1, width), dtype=np.float32)
         terms = block[1:, :outputs].reshape((step,) + out_shape)
@@ -146,10 +154,9 @@ def softmax_stable(x: Tensor, masked: Tensor | None = None) -> Tensor:
         if not keep.any(axis=-1).all():
             raise ValueError("degenerate attention row: all entries masked")
         peak = np.maximum.reduce(x, axis=-1, keepdims=True, where=keep, initial=np.float32(-np.inf))
-        shifted = np.where(keep, x - peak, np.float32(0.0))
-        weights = np.where(keep, np.exp(shifted), np.float32(0.0))
-    total = _ordered_sum(weights)[..., np.newaxis]
-    return weights / total
+        shifted = np.where(keep, x - peak, _ZERO)
+        weights = np.where(keep, np.exp(shifted), _ZERO)
+    return weights / _ordered_sum(weights)
 
 
 def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
@@ -158,17 +165,19 @@ def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
     if gain.ndim != 1 or x.shape[-1] != gain.shape[0]:
         raise ValueError(f"rms_norm gain shape {gain.shape} does not fit input shape {x.shape}")
     mean_sq = _ordered_sum(x * x) / np.float32(x.shape[-1])
-    denom = np.sqrt(mean_sq + np.float32(RMS_NORM_EPS))[..., np.newaxis]
-    return x / denom * gain
+    return x / np.sqrt(mean_sq + _EPS) * gain
 
 
 def rope_table(positions, head_dim: int) -> RopeTable:
     """The RopeTable of a 1-D run of non-negative integer positions; angles in float64."""
     positions = np.asarray(positions)
-    if positions.ndim != 1 or positions.dtype.kind not in "iu" or np.any(positions < 0):
+    if positions.ndim != 1 or positions.dtype.kind not in "iu" or (positions < 0).any():
         raise ValueError(f"positions must be a 1-D run of non-negative integers, got {positions!r}")
-    angles = positions[:, np.newaxis] * ROPE_THETA ** (-2.0 * np.arange(head_dim // 2) / head_dim)
-    return RopeTable(np.cos(angles).astype(np.float32), np.sin(angles).astype(np.float32))
+    pair = np.arange(head_dim // 2).repeat(2).reshape(-1, 2)  # pair j's index, once per member
+    angles = positions[:, np.newaxis, np.newaxis] * ROPE_THETA ** (-2.0 * pair / head_dim)
+    cos, sin = np.cos(angles).astype(np.float32), np.sin(angles).astype(np.float32)
+    np.negative(sin[..., 0], out=sin[..., 0])
+    return RopeTable(cos, sin)
 
 
 def rope_apply(x: Tensor, table: RopeTable) -> Tensor:
@@ -185,13 +194,12 @@ def rope_apply(x: Tensor, table: RopeTable) -> Tensor:
     if head_dim % 2 != 0:
         raise ValueError(f"rope_apply needs an even trailing dimension, got {head_dim}")
     cos, sin = table
-    if cos.shape != x.shape[-2:-1] + (head_dim // 2,):
+    if cos.shape != x.shape[-2:-1] + (head_dim // 2, 2):
         raise ValueError(f"table shapes {cos.shape} do not fit input shape {x.shape}")
-    even, odd = x[..., 0::2], x[..., 1::2]
-    out = np.empty_like(x)
-    out[..., 0::2] = even * cos - odd * sin
-    out[..., 1::2] = even * sin + odd * cos
-    return out
+    pairs = x.reshape(x.shape[:-1] + (head_dim // 2, 2))
+    # (even, odd) * (cos, cos) + (odd, even) * (-sin, sin) is even*cos - odd*sin and
+    # even*sin + odd*cos bit for bit: a - b is a + (-b), and float addition commutes.
+    return (pairs * cos + pairs[..., ::-1] * sin).reshape(x.shape)
 
 
 def silu_gate(x1: Tensor, x3: Tensor) -> Tensor:
@@ -202,5 +210,5 @@ def silu_gate(x1: Tensor, x3: Tensor) -> Tensor:
     # exp(-t) may overflow for very negative t; the quotient then underflows
     # to the correct limit 0, so the warning alone is suppressed.
     with np.errstate(over="ignore"):
-        act = x1 / (np.float32(1.0) + np.exp(-x1))
+        act = x1 / (_ONE + np.exp(-x1))
     return act * x3

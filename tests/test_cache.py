@@ -302,3 +302,81 @@ class TestRestart:
     def test_negative_position_rejected(self):
         with pytest.raises(ValueError, match="restart position"):
             rw.RollingKvCache(1, 4, 2).restart(-1)
+
+
+def modular_gather(cache):
+    """The read the slot runs replaced: one index gather over position % capacity."""
+    positions = cache.retained_positions()
+    slots = np.arange(positions.start, positions.stop) % cache.capacity
+    return positions, cache.keys[:, slots], cache.values[:, slots]
+
+
+class TestSlotRuns:
+    """Reads and writes address slots as at most two contiguous runs. Over
+    capacities 1-6, restart positions 0..2*capacity and block lengths
+    1..2*capacity+1 (oversized blocks included), `gather` and `extend` return
+    exactly what the modular index returned, and the slot arrays after every
+    write equal a reference written one row at a time."""
+
+    @pytest.mark.parametrize("capacity", range(1, 7))
+    def test_runs_equal_the_modular_index_and_a_row_by_row_reference(self, capacity):
+        rng = np.random.default_rng(capacity)
+        for start in range(2 * capacity + 1):
+            for block_len in range(1, 2 * capacity + 2):
+                cache = rw.RollingKvCache(2, capacity, 3)
+                stale = rng.standard_normal((2, 2, capacity, 3), dtype=np.float32)
+                cache.prefill_bulk(0, stale[0], stale[1])  # rows no read after the restart may show
+                cache.restart(start)
+                reference = stale.copy()
+                position = start
+                for write in range(3):
+                    k, v = rng.standard_normal((2, 2, block_len, 3), dtype=np.float32)
+                    before = modular_gather(cache)
+                    if write == 1:
+                        cache.prefill_bulk(position, k, v)
+                    else:
+                        key_start, keys, values = cache.extend(position, k, v)
+                        assert key_start == before[0].start
+                        assert np.array_equal(keys, np.concatenate([before[1], k], axis=1))
+                        assert np.array_equal(values, np.concatenate([before[2], v], axis=1))
+                    for i in range(block_len):
+                        reference[:, :, (position + i) % capacity] = k[:, i], v[:, i]
+                    position += block_len
+                    assert cache.next_position == position
+                    assert np.array_equal(cache.keys, reference[0])
+                    assert np.array_equal(cache.values, reference[1])
+                    positions, keys, values = cache.gather()
+                    expected = modular_gather(cache)
+                    assert positions == expected[0]
+                    assert np.array_equal(keys, expected[1]) and np.array_equal(values, expected[2])
+
+
+class TestExtend:
+    def test_block_past_the_end_restarts_the_cache_there(self):
+        cache = rw.RollingKvCache(2, 4, 3)
+        rng = np.random.default_rng(14)
+        cache.prefill_bulk(0, *rng.standard_normal((2, 2, 5, 3), dtype=np.float32))
+        k, v = rng.standard_normal((2, 2, 2, 3), dtype=np.float32)
+        key_start, keys, values = cache.extend(9, k, v)
+        assert key_start == 9
+        assert np.array_equal(keys, k) and np.array_equal(values, v)
+        assert cache.retained_positions() == range(9, 11)
+
+    def test_block_before_the_end_is_rejected_unwritten(self):
+        cache = rw.RollingKvCache(2, 4, 3)
+        rng = np.random.default_rng(15)
+        cache.prefill_bulk(0, *rng.standard_normal((2, 2, 5, 3), dtype=np.float32))
+        keys, values = cache.keys.copy(), cache.values.copy()
+        block = np.zeros((2, 1, 3), np.float32)
+        with pytest.raises(ValueError, match="expected position 5, got 4"):
+            cache.extend(4, block, block)
+        assert cache.next_position == 5
+        assert np.array_equal(cache.keys, keys) and np.array_equal(cache.values, values)
+
+    def test_result_is_a_copy(self):
+        cache = rw.RollingKvCache(1, 4, 2)
+        block = np.ones((1, 3, 2), np.float32)
+        _, keys, values = cache.extend(0, block, block)
+        keys[...] = values[...] = 7.0
+        block[...] = 5.0
+        assert np.array_equal(cache.gather()[1], np.ones((1, 3, 2), np.float32))

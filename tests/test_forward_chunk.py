@@ -277,3 +277,31 @@ def test_each_layer_computes_only_the_rows_a_kept_output_reads(name, prefix, n, 
     if (name, n) == ("toy", 40):
         # Running all exact_reach = 29 rows in every layer would be 116.
         assert (sum(kv), sum(out)) == (74, 46)
+
+
+@pytest.mark.parametrize("step", ["decode", "chunk-5", "prefill-5"])
+def test_each_step_makes_one_call_per_product_and_one_cache_write_per_layer(step, toy_weights, monkeypatch):
+    # Per layer: Wq|Wk|Wv, scores, AV, Wo, W1|W3 and W2; then the logits. A
+    # split product or an extra cache write fails this.
+    config = toy_weights.config
+    session = rw.GenerationSession(toy_weights)
+    if step != "prefill-5":
+        session.prefill(random_tokens(20, seed=3))
+    counts = {"matmul": 0, "prefill_bulk": 0}
+    real_matmul, real_write = tensor.matmul, rw.RollingKvCache.prefill_bulk
+
+    def counting_matmul(*args):
+        counts["matmul"] += 1
+        return real_matmul(*args)
+
+    def counting_write(*args):
+        counts["prefill_bulk"] += 1
+        return real_write(*args)
+
+    monkeypatch.setattr(tensor, "matmul", counting_matmul)
+    monkeypatch.setattr(rw.RollingKvCache, "prefill_bulk", counting_write)
+    if step == "decode":
+        session.forward_decode(5)
+    else:
+        session.forward_chunk(random_tokens(5, seed=4))
+    assert counts == {"matmul": 6 * config.n_layers + 1, "prefill_bulk": config.n_layers}

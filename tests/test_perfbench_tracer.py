@@ -7,34 +7,22 @@ exists, gets wrapped, and is restored, and that a traced generate and
 verify run to exit 0 with every engine span counted.
 """
 
-import importlib.util
-from pathlib import Path
-from types import SimpleNamespace
-
+from conftest import ENGINE_MODULES as MODULES
+from conftest import load_perfbench
 from rollwin import PRESET_TOY, attention, cache, cli, config_to_json, model, tensor, weights
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+TRACER = load_perfbench("tracer")
 
 #: Everything the tracer may patch: the modules it is given and the classes
 #: whose methods it wraps.
 OWNERS = (tensor, attention, cache, model, cli, weights, cache.RollingKvCache, model.GenerationSession)
-
-#: The engine modules, as the benchmark hands them to `install`.
-MODULES = SimpleNamespace(tensor=tensor, attention=attention, cache=cache, model=model, cli=cli, weights=weights)
-
-
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_install_wraps_every_patch_point_and_uninstall_restores_it():
     before = [dict(vars(owner)) for owner in OWNERS]
     tracer = None
     try:
-        tracer = _load_tracer().install(MODULES)
+        tracer = TRACER.install(MODULES)
         patched = list(tracer._patched)
         assert patched
         for owner, name, original in patched:
@@ -62,7 +50,7 @@ def test_traced_generate_and_verify_run_and_count(tmp_path):
     # through must be counted.
     config_path = tmp_path / "toy.json"
     config_path.write_text(config_to_json(PRESET_TOY))
-    tracer = _load_tracer().install(MODULES)
+    tracer = TRACER.install(MODULES)
     try:
         generated = cli.main(["generate", "--random-init", "--config", str(config_path),
                               "--prompt-ids", "1 2 3", "--max-tokens", "4"])
