@@ -6,10 +6,10 @@ JSON or one-line text so the token stream stays machine-parseable.
 
 Every `generate --mode` runs the one `GenerationSession.generate` loop; the
 oracle modes only swap in logits recomputed over the full history, so a
-cross-check compares forwards, not loops. `verify` steps one session through
-a random stream and compares it bit for bit with the oracle and with chunked
-prefills of its prefixes, some long enough to skip past `exact_reach`; a
-second, NaN-tainted session checks the reach exactly.
+cross-check compares forwards, not loops. `verify` steps a random stream and
+compares it bit for bit with the oracle and with chunked prefills of its
+prefixes, some long enough to skip past `exact_reach`; the same session steps
+a NaN-tainted second stream in lockstep, which checks the reach exactly.
 
 Exit codes are a stable contract: 0 success, 1 usage, 2 weight file,
 3 truncated generation, 4 failed verification.
@@ -138,7 +138,7 @@ class _OracleSession(GenerationSession):
         self.history: list[int] = []
 
     def forward_chunk(self, tokens) -> np.ndarray:
-        tokens = self._check_tokens(tokens)
+        (tokens,) = self._check_tokens(tokens)
         self.history.extend(tokens)
         self.next_position += len(tokens)
         return self.forward(self.weights, self.config, self.history)[-1]
@@ -206,12 +206,11 @@ def cmd_generate(args) -> int:
 def run_verification(config: ModelConfig, seed: int) -> list[CheckResult]:
     """The master equivalence and bound checks at the given desk-scale config.
 
-    One session decodes a random stream token by token; its logit rows are
-    checked against the oracle, and each chunked prefill of a prefix of the
-    stream against the row and every layer's cache the stream held there.
-    The reach probe steps a second session through a NaN-tainted stream;
-    the longer of the two streams passes `oracle.guard` before any weights
-    are drawn.
+    `reach_probe` steps a random stream as stream 0 of its two-stream
+    session, in lockstep with the NaN-tainted probe stream. Its logit rows
+    are checked against the oracle, and each chunked prefill of a prefix of
+    it against the row and every layer's cache (stream 0's heads) it held
+    there. The longer stream passes `oracle.guard` before any weights are drawn.
     """
     window = config.window_size
     boundary = config.n_layers * (window - 1)
@@ -231,17 +230,21 @@ def run_verification(config: ModelConfig, seed: int) -> list[CheckResult]:
     splits = sorted((s for s in splits if 0 not in s and sum(s) <= length), key=lambda s: (sum(s), len(s)))
     ends = {sum(s) for s in splits}
 
-    # Rolling-cache engine vs full-history windowed oracle, step by step.
     tokens = [int(t) for t in rng.integers(0, config.vocab_size, size=length)]
-    session = GenerationSession(weights)
-    rows, snapshots = [], {}
-    for t in tokens:
-        rows.append(session.forward_decode(t))
-        if session.next_position == window:
-            bytes_at_window = session.total_cache_bytes
-        if session.next_position in ends:
-            snapshots[session.next_position] = [c.gather() for c in session.caches]
-    engine_logits = np.stack(rows)
+    probe = [int(t) for t in rng.integers(0, config.vocab_size, size=probe_length)]
+    n_kv, rows, bounds, snapshots = config.n_kv_heads, [], [], {}
+
+    def record(session, logits):  # stream 0, after each step
+        position, caches = session.next_position, session.caches
+        rows.append(logits)
+        bounds.append((session.total_cache_bytes // session.streams, all(c.filled == window for c in caches)))
+        if position in ends:
+            snapshots[position] = [(p, k[:n_kv], v[:n_kv]) for p, k, v in (c.gather() for c in caches)]
+
+    affected = reach_probe(weights, probe, 0, clean=(tokens, record))
+
+    # Rolling-cache engine vs full-history windowed oracle, step by step.
+    engine_logits = np.stack(rows[:length])
     oracle_logits = oracle_forward_swa(weights, config, tokens)
     err = float(np.max(np.abs(engine_logits - oracle_logits)))
     checks.append(
@@ -276,22 +279,21 @@ def run_verification(config: ModelConfig, seed: int) -> list[CheckResult]:
     )
 
     # Influence propagates exactly n_layers*(window-1) positions forward.
-    tokens = [int(t) for t in rng.integers(0, config.vocab_size, size=probe_length)]
-    affected = reach_probe(weights, tokens, 0)
     expected = list(range(0, min(boundary, probe_length - 1) + 1))
     checks.append(
         CheckResult("reach", f"affected <= {boundary}, boundary exact", affected == expected)
     )
 
-    # Cache memory stops growing once the window is full, checked on the
-    # equivalence session after its last step.
-    entries_ok = all(c.filled == window for c in session.caches)
+    # Cache memory per stream stops growing once the window is full,
+    # checked on the equivalence stream after its last step.
+    bytes_at_window = bounds[window - 1][0]
+    stream_bytes, entries_ok = bounds[length - 1]
     checks.append(
         CheckResult(
             "cache-bound",
-            f"{session.total_cache_bytes} bytes after {session.next_position} tokens == "
+            f"{stream_bytes} bytes after {length} tokens == "
             f"{bytes_at_window} after {window}; {window} entries/layer",
-            session.total_cache_bytes == bytes_at_window and entries_ok,
+            stream_bytes == bytes_at_window and entries_ok,
         )
     )
     return checks

@@ -3,8 +3,8 @@ chunked prompt prefill, and the autoregressive generation loop, which
 returns only the sampled tokens. Greedy decoding is top-k sampling at k = 1.
 
 Weights are shared and immutable; a GenerationSession owns the mutable state
-(one rolling cache per layer plus the next absolute position) for exactly
-one sequence, and a caller reads positions and cache bytes off it.
+(a rolling cache per layer, the next absolute position) of one sequence, or
+of `streams` stepped in lockstep; a caller reads positions and cache bytes.
 `forward_chunk` is the only layer loop: decode is a chunk of one token and
 prefill is the prompt as one chunk. It runs layer by layer, each layer on
 only the rows that a kept result can read. What a session keeps is the
@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import attention, tensor
-from .cache import RollingKvCache, new_cache
+from .cache import RollingKvCache
 from .config import exact_reach, token_ids
 from .tensor import Tensor
 from .weights import DecoderWeights, LayerWeights
@@ -80,12 +80,18 @@ def sample_token(logits: Tensor, sampler: SamplerSpec, rng: np.random.Generator 
 
 
 class GenerationSession:
-    """Mutable decode state for one sequence over shared immutable weights."""
+    """Mutable decode state for `streams` equal-length sequences (one by
+    default), stepped in lockstep over shared immutable weights. Rows, query
+    heads and each layer's `streams * n_kv_heads` cache heads are
+    stream-major, so the streams share every product, cache write and
+    attention call, and each stays exact: rows and heads never mix."""
 
-    def __init__(self, weights: DecoderWeights):
-        self.weights = weights
-        self.config = weights.config
-        self.caches: list[RollingKvCache] = [new_cache(self.config) for _ in range(self.config.n_layers)]
+    def __init__(self, weights: DecoderWeights, streams: int = 1):
+        if operator.index(streams) < 1:
+            raise ValueError(f"streams must be >= 1, got {streams}")
+        self.weights, self.config, self.streams = weights, weights.config, streams
+        shape = (streams * self.config.n_kv_heads, self.config.window_size, self.config.head_dim)
+        self.caches = [RollingKvCache(*shape) for _ in weights.layers]
         self._fused = [
             (np.concatenate([layer.Wq, layer.Wk, layer.Wv], axis=1),
              np.concatenate([layer.W1, layer.W3], axis=1))
@@ -97,31 +103,35 @@ class GenerationSession:
     def total_cache_bytes(self) -> int:
         return sum(c.nbytes for c in self.caches)
 
-    def _check_tokens(self, tokens) -> list[int]:
+    def _check_tokens(self, tokens) -> list[list[int]]:
         cfg = self.config
-        tokens = token_ids(cfg, tokens)
-        if not tokens:
+        rows = [token_ids(cfg, row) for row in ([tokens] if self.streams == 1 else tokens)]
+        if len(rows) != self.streams or len({len(row) for row in rows}) != 1:
+            raise ValueError(f"expected {self.streams} token lists of equal length")
+        if not rows[0]:
             raise ValueError("tokens must be non-empty")
-        if self.next_position + len(tokens) > cfg.context_len:
+        if self.next_position + len(rows[0]) > cfg.context_len:
             raise ValueError(
-                f"position overflow: position {self.next_position} plus {len(tokens)} tokens "
+                f"position overflow: position {self.next_position} plus {len(rows[0])} tokens "
                 f"exceeds context_len {cfg.context_len}"
             )
-        return tokens
+        return rows
 
     def _qkv(self, x: Tensor, layer: LayerWeights, Wqkv: Tensor, rope: tensor.RopeTable):
-        """Rotated q, k and unrotated v, head-major: [heads, rows, head_dim]."""
+        """Rotated q, k and unrotated v, head-major: [streams * heads, rows, head_dim]."""
         cfg = self.config
         h = tensor.rms_norm(x, layer.attn_norm_gain)
-        heads = tensor.matmul(h, Wqkv).reshape(x.shape[0], -1, cfg.head_dim).transpose(1, 0, 2)
+        n = x.shape[0] // self.streams
+        heads = tensor.matmul(h, Wqkv).reshape(self.streams, n, -1, cfg.head_dim).transpose(0, 2, 1, 3)
         n_rotated = cfg.n_heads + cfg.n_kv_heads
-        qk = tensor.rope_apply(heads[:n_rotated], rope)
-        return qk[: cfg.n_heads], qk[cfg.n_heads:], heads[n_rotated:]
+        qk = tensor.rope_apply(heads[:, :n_rotated], rope)
+        q, k, v = qk[:, : cfg.n_heads], qk[:, cfg.n_heads:], heads[:, n_rotated:]
+        return q.reshape(-1, n, cfg.head_dim), k.reshape(-1, n, cfg.head_dim), v.reshape(-1, n, cfg.head_dim)
 
     def _residual_ffn(self, x: Tensor, layer: LayerWeights, W13: Tensor, ctx: Tensor) -> Tensor:
-        """Attention context [heads, rows, head_dim] through Wo into the
+        """Attention context [streams * heads, rows, head_dim] through Wo into the
         residual, then the gated feed-forward with its residual."""
-        merged = ctx.transpose(1, 0, 2).reshape(x.shape[0], -1)
+        merged = ctx.reshape(self.streams, -1, *ctx.shape[1:]).transpose(0, 2, 1, 3).reshape(x.shape[0], -1)
         x = x + tensor.matmul(merged, layer.Wo)
         h = tensor.rms_norm(x, layer.ffn_norm_gain)
         gates = tensor.matmul(h, W13)
@@ -130,7 +140,8 @@ class GenerationSession:
         return x + tensor.matmul(gated, layer.W2)
 
     def forward_chunk(self, tokens) -> Tensor:
-        """Run tokens at the current position; return the last one's logit row.
+        """Run tokens at the current position; return the last one's logit row
+        (with streams > 1, one token list in and one row out per stream).
 
         The tokens are checked before any write. Layer l then computes K/V
         for its last kv_l rows and the rest for its last kv_{l+1} (see the
@@ -146,12 +157,12 @@ class GenerationSession:
         cache or in the chunk, and keys outside it would only have added
         exact zeros.
         """
-        tokens = self._check_tokens(tokens)
-        window = self.config.window_size
-        end = self.next_position + len(tokens)
+        rows = np.asarray(self._check_tokens(tokens))
+        window, n = self.config.window_size, rows.shape[1]
+        end = self.next_position + n
         reach = exact_reach(self.config)
-        kv_rows = [min(len(tokens), reach - i * (window - 1)) for i in range(self.config.n_layers)] + [1]
-        x = self.weights.token_embedding[np.asarray(tokens[len(tokens) - kv_rows[0]:])]  # [kv_0, dim]
+        kv_rows = [min(n, reach - i * (window - 1)) for i in range(self.config.n_layers)] + [1]
+        x = self.weights.token_embedding[rows[:, n - kv_rows[0]:].reshape(-1)]  # [streams * kv_0, dim]
         cos, sin = tensor.rope_table(np.arange(end - kv_rows[0], end), self.config.head_dim)
         for n_kv, n_out, layer, (Wqkv, W13), cache in zip(
             kv_rows, kv_rows[1:], self.weights.layers, self._fused, self.caches
@@ -159,14 +170,17 @@ class GenerationSession:
             q, k, v = self._qkv(x, layer, Wqkv, tensor.RopeTable(cos[-n_kv:], sin[-n_kv:]))
             key_start, keys, values = cache.extend(end - n_kv, k, v)  # positions [key_start, end)
             ctx = attention.window_attend(q[:, n_kv - n_out:], keys, values, end - n_out, key_start, window)
-            x = self._residual_ffn(x[n_kv - n_out:], layer, W13, ctx)
+            if n_out < n_kv:  # each stream's last n_out rows
+                x = x.reshape(self.streams, n_kv, -1)[:, n_kv - n_out:].reshape(-1, x.shape[1])
+            x = self._residual_ffn(x, layer, W13, ctx)
         self.next_position = end
         h = tensor.rms_norm(x, self.weights.final_norm_gain)
-        return tensor.matmul(h, self.weights.output_proj)[0]
+        logits = tensor.matmul(h, self.weights.output_proj)
+        return logits if self.streams > 1 else logits[0]
 
-    def forward_decode(self, token_id: int) -> Tensor:
-        """Decode one token at the current position: a chunk of one."""
-        return self.forward_chunk([token_id])
+    def forward_decode(self, token_id) -> Tensor:
+        """Decode one token (with streams > 1, a list of one per stream): a chunk of one."""
+        return self.forward_chunk([token_id] if self.streams == 1 else [[t] for t in token_id])
 
     def prefill(self, prompt) -> Tensor:
         """Process a whole prompt as one chunk on a fresh session.
@@ -179,7 +193,7 @@ class GenerationSession:
         return self.forward_chunk(prompt)
 
     def generate(self, prompt, max_tokens: int = 0, sampler: SamplerSpec = SamplerSpec()) -> list[int]:
-        """Prefill the prompt, then sample up to max_tokens continuation tokens.
+        """Prefill the prompt, then sample up to max_tokens continuation tokens (one stream).
 
         Returns the sampled tokens, fewer than max_tokens exactly when the
         context limit stopped the run. The final sampled token is not fed
@@ -200,7 +214,7 @@ class GenerationSession:
         return tokens
 
 
-def reach_probe(weights: DecoderWeights, tokens, perturb_position: int) -> list[int]:
+def reach_probe(weights: DecoderWeights, tokens, perturb_position: int, clean=None) -> list[int]:
     """Output positions that the input at perturb_position reaches.
 
     That input becomes an extra token id with a NaN embedding row (and a
@@ -211,6 +225,11 @@ def reach_probe(weights: DecoderWeights, tokens, perturb_position: int) -> list[
     dense masked AV product multiplies masked weights (0) by the NaN row,
     which turns every later row NaN. So non-finite detection in the
     kernels must leave this probe a way through.
+
+    `clean`, a (tokens, on_step) pair, is stepped as stream 0 of the same
+    session (the shorter stream padded with id 0); after each step,
+    on_step(session, row) gets its logits over the real vocabulary. Those
+    rows and stream 0's cache heads are a one-stream session's on `weights`.
     """
     config = weights.config
     tokens = token_ids(config, tokens)
@@ -223,6 +242,14 @@ def reach_probe(weights: DecoderWeights, tokens, perturb_position: int) -> list[
         output_proj=np.hstack([weights.output_proj, np.zeros((config.dim, 1), np.float32)]),
     )
     tokens[perturb_position] = config.vocab_size
-    session = GenerationSession(tainted)
-    session._check_tokens(tokens)  # refuse an overlong stream before the first step
-    return [p for p, t in enumerate(tokens) if np.isnan(session.forward_decode(t)).any()]
+    rows = [token_ids(config, clean[0]), tokens] if clean else [tokens]
+    rows = [row + [0] * (max(map(len, rows)) - len(row)) for row in rows]
+    session = GenerationSession(tainted, len(rows))
+    session._check_tokens(rows if clean else tokens)  # refuse an overlong stream before the first step
+    reached = []
+    for ids in zip(*rows):
+        logits = session.forward_decode(ids if clean else ids[0]).reshape(len(rows), -1)
+        if clean:
+            clean[1](session, logits[0, :-1])
+        reached.append(np.isnan(logits[-1]).any())
+    return [p for p, hit in enumerate(reached[: len(tokens)]) if hit]

@@ -5,12 +5,11 @@ Tensors are plain numpy float32 ndarrays, row-major. Every reduction here
 strictly left-to-right in float32, so a row pushed through a block operation
 is bit-identical to the same row pushed through alone. BLAS-backed matmul
 does not give that guarantee, so matmul sums each dot product itself, with
-no BLAS call. Products of fewer than BLOCK_ELEMENTS / 8 outputs write a
-block of k's terms (all of k if it fits, as in toy decode) C-ordered in one
-call and add them with one `np.add.reduce` down k, which numpy does one row
-at a time, from +0.0 (its initial) if all of k fits; larger ones add terms
-each formed by an einsum that sums over no index. Both regimes add the
-same terms in the same order, so the choice changes no bit. Other sums use
+no BLAS call: it forms the products' terms C-ordered with k first, in one
+block for a small product and in tiles along its longest output axis for a
+large one, and adds them with `np.add.reduce` down k, which numpy does one
+row at a time, from +0.0 (its initial). Both regimes add the same terms in
+the same order, so the choice changes no bit. Other sums use
 `np.add.accumulate`, sequential by definition; numpy does elementwise work.
 
 Because the order is fixed per output element, making an operation wider
@@ -28,6 +27,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -46,15 +46,12 @@ _ZERO, _ONE, _EPS = np.float32(0.0), np.float32(1.0), np.float32(RMS_NORM_EPS)
 #: rope_apply's float32 tables, each [rows, head_dim // 2, 2]: (cos, cos) and (-sin, sin) per pair.
 RopeTable = collections.namedtuple("RopeTable", "cos sin")
 
-#: Floats in one k-block of matmul terms (256 KiB): a product with `outputs`
-#: elements forms BLOCK_ELEMENTS // (outputs + 1) - 1 terms per output in one
-#: call (a block holds a running-sum row, and one spare column if outputs
-#: is 1), and takes the per-k regime below 7, i.e. above 8,191 outputs.
-#: Measured on a 2-core x86-64 host with numpy 2.4, desk-preset prefill of
-#: 150-1000-token prompts (CPU time, median of 5) took 848, 840, 935 and
-#: 1370 ms at 2**14, 2**16, 2**18 and 2**20: larger blocks spill L2. Toy
-#: decode, whose products all fit one block, did not move (1.52-1.65 ms).
+#: Most terms, (k + 1) * (outputs + 1), that matmul forms in one multiply.
 BLOCK_ELEMENTS = 2**16
+
+#: Floats in matmul's tile buffer (1 MiB): of 2**16 to 2**19, the fastest for desk-preset
+#: prefills (CPU time, 2-core x86-64, interleaved rounds; the figures are in BENCH_19.json).
+TILE_ELEMENTS = 2**18
 
 
 def _f32(x) -> Tensor:
@@ -81,29 +78,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     a: [..., n, k], b: [..., k, m] with identical leading batch axes; each
     batch slice is the 2-D product of its operands. Every output element is
-    +0.0 + t_0 + ... + t_{k-1}, t_i = a_i * b_i, in float32. A block holds
-    room = BLOCK_ELEMENTS // (outputs + 1) - 1 terms per output.
+    +0.0 + t_0 + ... + t_{k-1}, t_i = a_i * b_i, in float32: the terms are
+    formed C-ordered as [k, *outputs], and `np.add.reduce(axis=0,
+    initial=+0.0)` adds them one row at a time, since numpy sums pairwise
+    only along the fast axis (`numpy.sum`, Notes). Two regimes form them:
 
-    room >= 7 (up to 8,191 outputs): one `np.multiply` of [k, ..., n, 1]
-    and [k, ..., 1, m] transposed views (no copy) writes C-ordered
-    [k, ..., n, m] terms, and `np.add.reduce(axis=0)` adds them row by row:
-    numpy sums pairwise only along the fast axis (`numpy.sum`, Notes), and
-    its default order="K" would follow a's layout, where k can be fast. If
-    k <= room and outputs > 1 that is the product, with the +0.0 as the
-    reduce's `initial`. Otherwise k goes in blocks of step = min(k, room)
-    into rows 1.. of a [step + 1, width] buffer whose row 0 is the running
-    sum; width is outputs plus, for one output, a spare zero column
-    without which the reduced axis would be the contiguous one.
+    - one block, up to BLOCK_ELEMENTS terms (every toy decode product): one
+      `np.multiply(order="C")` of [k, ..., n, 1] and [k, ..., 1, m]
+      transposed views, which is faster than an einsum on tiny products;
+    - tiles along the output's longest axis other than the last, and along
+      its columns too where one index holds more than TILE_ELEMENTS terms:
+      per tile, an einsum that sums over no index (so no BLAS, one rounding
+      per term) writes [k, *tile] into a C-ordered buffer reused across
+      tiles, and one reduce adds them. The buffer is einsum's `out` on
+      purpose: its default order="K" follows the operands' layout, and for
+      an F-ordered b (the oracle's `k[kv].T`) puts k on the fast axis. A
+      tile of one output, whose k would be the fast axis, is one
+      `_ordered_sum` instead.
 
-    room < 7 (more outputs): per k, an einsum with no summed index writes
-    each term as one rounded product, and `np.add` adds it to the running
-    sum. Without a summed index einsum calls no BLAS. With so few terms per
-    block, a blocked product cost more than this: on 64 x 1024 products,
-    16 rows (room 2) took 1.7x as long blocked as per k.
-
-    Both regimes add the same terms in the same order, so the regime
-    changes no bit of a result; a NaN's sign and payload follow numpy's
-    SIMD lanes on either.
+    The regime changes no bit of a result; a NaN's sign and payload follow
+    numpy's SIMD lanes.
     """
     a, b = _f32(a), _f32(b)
     if a.ndim < 2 or b.ndim != a.ndim or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
@@ -111,26 +105,28 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     k = a.shape[-1]
     out_shape = a.shape[:-1] + b.shape[-1:]
     outputs = math.prod(out_shape)
-    room = BLOCK_ELEMENTS // (outputs + 1) - 1
-    if k and room >= 7:
+    if outputs > 1 and (k + 1) * (outputs + 1) <= BLOCK_ELEMENTS:
         a_axes, b_axes = _k_first(a.ndim)
         a_k = a.transpose(a_axes)[..., np.newaxis]  # [k, ..., n, 1]
         b_k = b.transpose(b_axes)[..., np.newaxis, :]  # [k, ..., 1, m]
-        if k <= room and outputs > 1:
-            return np.add.reduce(np.multiply(a_k, b_k, order="C"), axis=0, initial=_ZERO)
-        step, width = min(k, room), outputs + (outputs == 1)
-        block = np.zeros((step + 1, width), dtype=np.float32)
-        terms = block[1:, :outputs].reshape((step,) + out_shape)
-        for start in range(0, k, step):
-            stop = min(start + step, k)
-            np.multiply(a_k[start:stop], b_k[start:stop], out=terms[: stop - start])
-            np.add.reduce(block[: stop - start + 1], axis=0, out=block[0])
-        return block[0, :outputs].reshape(out_shape).copy()  # frees the block
-    out = np.zeros(out_shape, dtype=np.float32)
-    term = np.empty_like(out)
-    for i in range(k):
-        np.einsum("...i,...j->...ij", a[..., i], b[..., i, :], out=term)
-        np.add(out, term, out=out)
+        return np.add.reduce(np.multiply(a_k, b_k, order="C"), axis=0, initial=_ZERO)
+    axis = max(range(a.ndim - 1), key=out_shape.__getitem__)
+    length, m = out_shape[axis], out_shape[-1]
+    per_column = outputs // max(length * m, 1)  # outputs of one index of axis, per column
+    width = max(1, min(m, TILE_ELEMENTS // max(1, k * per_column)))
+    step = max(1, TILE_ELEMENTS // max(1, k * per_column * width))
+    out, buffer = np.empty(out_shape, np.float32), np.empty(k * per_column * width * step, np.float32)
+    index = [slice(None)] * a.ndim  # out's; a's drops the last, b's takes k whole
+    for start, column in itertools.product(range(0, length, step), range(0, m, width)):
+        index[axis], index[-1] = slice(start, start + step), slice(column, column + width)
+        tile = out[tuple(index)]
+        terms = buffer[: k * tile.size].reshape((k,) + tile.shape)
+        b_tile = b[(*index[:-2], slice(None), index[-1])]
+        np.einsum("...nk,...km->k...nm", a[tuple(index[:-1])], b_tile, out=terms)
+        if tile.size != 1:
+            np.add.reduce(terms, axis=0, initial=_ZERO, out=tile)
+        else:
+            tile[...] = _ordered_sum(terms.reshape(1, k))
     return out
 
 

@@ -40,6 +40,15 @@ def random_tokens(n, seed, vocab=256):
     return [int(t) for t in rng.integers(0, vocab, size=n)]
 
 
+def assert_same_state(a, b):
+    """Sessions a and b hold the same position and cache contents."""
+    assert a.next_position == b.next_position
+    for ca, cb in zip(a.caches, b.caches):
+        assert ca.next_position == cb.next_position
+        assert np.array_equal(ca.keys, cb.keys)
+        assert np.array_equal(ca.values, cb.values)
+
+
 def subprocess_env():
     """The environment for a `python -m rollwin` child: this checkout's
     package first on PYTHONPATH, whatever put it on the test's sys.path."""

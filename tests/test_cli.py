@@ -488,6 +488,38 @@ ONE_ULP_FAULTS = {
 }
 
 
+#: `rollwin verify --seed 0` stderr, by flags.
+GOLDEN_VERIFY = {
+    (): (
+        "oracle-equivalence: max |dlogit| 0.00e+00 over 64 steps: pass\n"
+        "prefill-decode: max |dlogit| 0.00e+00 over lengths [1, 7, 8, 9, 24, 26, 29, 30, 8+30], "
+        "caches identical: pass\n"
+        "reach: affected <= 28, boundary exact: pass\n"
+        "cache-bound: 8192 bytes after 64 tokens == 8192 after 8; 8 entries/layer: pass\n"
+    ),
+    ("--window", "4", "--layers", "2"): (
+        "oracle-equivalence: max |dlogit| 0.00e+00 over 32 steps: pass\n"
+        "prefill-decode: max |dlogit| 0.00e+00 over lengths [1, 3, 4, 5, 7, 8, 12, 4+8, 14], "
+        "caches identical: pass\n"
+        "reach: affected <= 6, boundary exact: pass\n"
+        "cache-bound: 2048 bytes after 32 tokens == 2048 after 4; 4 entries/layer: pass\n"
+    ),
+    ("--window", "16"): (
+        "oracle-equivalence: max |dlogit| 0.00e+00 over 128 steps: pass\n"
+        "prefill-decode: max |dlogit| 0.00e+00 over lengths [1, 15, 16, 17, 48, 50, 61, 62, 16+62], "
+        "caches identical: pass\n"
+        "reach: affected <= 60, boundary exact: pass\n"
+        "cache-bound: 16384 bytes after 128 tokens == 16384 after 16; 16 entries/layer: pass\n"
+    ),
+    ("--window", "3", "--layers", "12"): (
+        "oracle-equivalence: max |dlogit| 0.00e+00 over 24 steps: pass\n"
+        "prefill-decode: max |dlogit| 0.00e+00 over lengths [1, 2, 3, 4, 9, 11], caches identical: pass\n"
+        "reach: affected <= 24, boundary exact: pass\n"
+        "cache-bound: 9216 bytes after 24 tokens == 9216 after 3; 3 entries/layer: pass\n"
+    ),
+}
+
+
 def _one_key_too_many(real):
     """window_attend scoring W + 1 keys wherever the keys reach that far."""
     def wider(q, keys, values, q_start, key_start, window):
@@ -510,23 +542,27 @@ class TestVerify:
         assert "over lengths [1, 7, 8, 9, 24, 26, 29, 30, 8+30]," in lines[1]
 
     def test_one_stepped_session_serves_every_check(self, monkeypatch):
-        # prefill-decode reads its stepped reference off the
-        # oracle-equivalence stream rather than decoding each length again;
-        # the only other stepped session is the reach probe's.
-        sessions = []
-        real = rw.GenerationSession.forward_decode
+        # One two-stream session steps the oracle-equivalence stream and, in
+        # lockstep, the reach probe's tainted stream, max(length,
+        # probe_length) times; prefill-decode reads its stepped reference off
+        # stream 0 rather than decoding each length again. No other session
+        # is stepped. At W3/L12 the probe (30 steps) outlives the stream (24).
+        for config, steps in ((rw.PRESET_TOY, 64), (replace(rw.PRESET_TOY, window_size=3, n_layers=12), 30)):
+            sessions = []
+            real = rw.GenerationSession.forward_decode
 
-        def counted(self, token_id):
-            sessions.append(id(self))
-            return real(self, token_id)
+            def counted(self, token_id):
+                sessions.append((id(self), self.streams))
+                return real(self, token_id)
 
-        monkeypatch.setattr(rw.GenerationSession, "forward_decode", counted)
-        checks = cli.run_verification(rw.PRESET_TOY, 0)
-        assert all(check.passed for check in checks)
-        config = rw.PRESET_TOY
-        assert 64 == min(8 * config.window_size, config.context_len)
-        probe_steps = config.n_layers * (config.window_size - 1) + 6
-        assert list(collections.Counter(sessions).values()) == [64, probe_steps]
+            monkeypatch.setattr(rw.GenerationSession, "forward_decode", counted)
+            checks = cli.run_verification(config, 0)
+            monkeypatch.undo()
+            assert all(check.passed for check in checks)
+            length = min(8 * config.window_size, config.context_len)
+            probe_length = config.n_layers * (config.window_size - 1) + 6
+            assert steps == max(length, probe_length)
+            assert [(streams, count) for (_, streams), count in collections.Counter(sessions).items()] == [(2, steps)]
 
     @pytest.mark.parametrize("vocab_size", [32, 1])
     def test_faint_boundary_config_passes_at_every_seed(self, vocab_size):
@@ -553,6 +589,13 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify")
         assert code == cli.EXIT_VERIFY
         assert "reach" in [line.split(":")[0] for line in err.splitlines() if line.endswith(": fail")]
+
+    @pytest.mark.parametrize("flags", sorted(GOLDEN_VERIFY), ids=lambda flags: " ".join(flags) or "toy")
+    def test_verify_text_is_pinned(self, capsys, flags):
+        # The whole stderr text and exit code at seed 0. At W3/L12 the reach
+        # probe's stream (30 tokens) is longer than the equivalence stream (24).
+        code, out, err = run_cli(capsys, "verify", *flags, "--seed", "0")
+        assert (code, out, err) == (cli.EXIT_OK, "", GOLDEN_VERIFY[flags])
 
     def test_reach_override_line(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--window", "4", "--layers", "2")

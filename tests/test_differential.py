@@ -7,12 +7,18 @@ to the oracle's row at that position, and after the stream every layer's
 cache must be `array_equal` to the cache of a session stepped one token at
 a time. Over the same configs, tainting input 0 must reach output 0 and
 every output up to n_layers*(W-1) positions after it, and no later one.
+Over the same kind of configs, 1-3 streams stepped in lockstep by one
+session must each give the logits and cache heads of that stream run alone.
 """
+
+import copy
 
 from hypothesis import given, settings, strategies as st
 import numpy as np
+import pytest
 
 import rollwin as rw
+from conftest import assert_same_state
 
 
 @st.composite
@@ -65,3 +71,68 @@ def test_reach_probe_stays_inside_the_receptive_field(stream, seed):
     weights = rw.init_random(config, seed)
     field = range(min(config.n_layers * (config.window_size - 1), len(tokens) - 1) + 1)
     assert rw.reach_probe(weights, tokens, 0) == list(field)
+
+
+@st.composite
+def lockstep_streams(draw):
+    """(config, one token list per stream, prefill length, continuation
+    length): the continuation is longer than exact_reach, so every cache
+    restarts, and 1-3 tokens are decoded after it."""
+    window, layers = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    group, n_kv = draw(st.sampled_from([1, 2, 4])), draw(st.integers(1, 2))
+    reach = layers * (window - 1) + 1
+    prefill, continuation = draw(st.integers(1, window + 3)), draw(st.integers(reach + 1, reach + 4))
+    n = prefill + continuation + draw(st.integers(1, 3))
+    config = rw.ModelConfig(
+        dim=4 * group * n_kv, n_layers=layers, head_dim=4, hidden_dim=24, n_heads=group * n_kv,
+        n_kv_heads=n_kv, window_size=window, context_len=max(window, n), vocab_size=32,
+    )
+    token = st.integers(0, config.vocab_size - 1)
+    streams = draw(st.lists(st.lists(token, min_size=n, max_size=n), min_size=1, max_size=3))
+    return config, streams, prefill, continuation
+
+
+@settings(max_examples=80)
+@given(lockstep_streams(), st.integers(0, 2**16))
+def test_lockstep_streams_equal_each_stream_run_alone(case, seed):
+    config, streams, prefill, continuation = case
+    weights = rw.init_random(config, seed)
+    count, n = len(streams), len(streams[0])
+    together = rw.GenerationSession(weights, streams=count)
+    alone = [rw.GenerationSession(weights) for _ in streams]
+    cuts = [0, prefill, prefill + continuation, *range(prefill + continuation + 1, n + 1)]
+    for start, stop in zip(cuts, cuts[1:]):
+        chunks = [tokens[start:stop] for tokens in streams]
+        if stop - start == 1:
+            ids = [chunk[0] for chunk in chunks]
+            rows = together.forward_decode(ids if count > 1 else ids[0])
+        else:
+            rows = together.forward_chunk(chunks if count > 1 else chunks[0])
+        rows = rows.reshape(count, -1)
+        for row, session, chunk in zip(rows, alone, chunks):
+            assert np.array_equal(row, session.forward_chunk(chunk))
+    n_kv = config.n_kv_heads
+    for layer, cache in enumerate(together.caches):
+        positions, keys, values = cache.gather()
+        for s, session in enumerate(alone):
+            heads = slice(s * n_kv, (s + 1) * n_kv)
+            own_positions, own_keys, own_values = session.caches[layer].gather()
+            assert positions == own_positions
+            assert np.array_equal(keys[heads], own_keys) and np.array_equal(values[heads], own_values)
+
+
+@pytest.mark.parametrize("streams", [0, -1])
+def test_lockstep_refuses_fewer_than_one_stream(toy_weights, streams):
+    with pytest.raises(ValueError, match="streams must be >= 1"):
+        rw.GenerationSession(toy_weights, streams=streams)
+
+
+@pytest.mark.parametrize("chunk", [[[1, 2], [3]], [[1, 2]], [[1], [2], [3]], [1, 2], [[], []]],
+                         ids=["unequal", "one-list", "three-lists", "flat", "empty"])
+def test_lockstep_refuses_a_bad_chunk_before_any_write(toy_weights, chunk):
+    session = rw.GenerationSession(toy_weights, streams=2)
+    session.forward_chunk([[1, 2, 3], [4, 5, 6]])
+    before = copy.deepcopy(session)
+    with pytest.raises(ValueError):
+        session.forward_chunk(chunk)
+    assert_same_state(session, before)

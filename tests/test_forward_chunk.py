@@ -18,7 +18,7 @@ import pytest
 import rollwin as rw
 from rollwin import tensor
 
-from conftest import random_tokens
+from conftest import assert_same_state, random_tokens
 
 CONFIGS = {
     "toy": rw.PRESET_TOY,
@@ -30,14 +30,6 @@ CONFIGS = {
 @pytest.fixture(scope="module", params=sorted(CONFIGS))
 def weights(request):
     return rw.init_random(CONFIGS[request.param], 7)
-
-
-def assert_same_state(a, b):
-    assert a.next_position == b.next_position
-    for ca, cb in zip(a.caches, b.caches):
-        assert ca.next_position == cb.next_position
-        assert np.array_equal(ca.keys, cb.keys)
-        assert np.array_equal(ca.values, cb.values)
 
 
 @pytest.mark.parametrize("prefix,chunk", [(1, 3), (5, 8), (9, 5), (20, 8), (3, 1), (3, 20)])

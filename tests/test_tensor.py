@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ def reference_matmul(a, b):
 
 
 def loop_matmul(a, b):
-    """The per-k loop kernel, verbatim: the reference for both matmul paths."""
+    """A per-k loop kernel, one ordered add per k: the reference for every matmul path."""
     out = np.zeros(a.shape[:-1] + b.shape[-1:], dtype=np.float32)
     term = np.empty_like(out)
     for k in range(a.shape[-1]):
@@ -52,9 +53,18 @@ def float_bits(x):
     return np.where(np.isnan(x), np.float32(np.nan), x).tobytes()
 
 
-#: The largest output matmul sums in blocks of at least 7 terms; larger
-#: outputs take the per-k path.
-LARGEST_BLOCKED = rw.tensor.BLOCK_ELEMENTS // 8 - 1
+def tiles(a, b):
+    """Tiles matmul splits a product into (along the output's longest axis
+    but the last, then its columns), or None if it takes one block."""
+    out_shape = a.shape[:-1] + b.shape[-1:]
+    outputs, k, budget = math.prod(out_shape), a.shape[-1], rw.tensor.TILE_ELEMENTS
+    if outputs > 1 and (k + 1) * (outputs + 1) <= rw.tensor.BLOCK_ELEMENTS:
+        return None
+    length, m = max(out_shape[:-1]), out_shape[-1]
+    per_column = outputs // max(length * m, 1)
+    width = max(1, min(m, budget // max(1, k * per_column)))
+    step = max(1, budget // max(1, k * per_column * width))
+    return -(-length // step) * -(-m // width)
 
 
 def sampled_columns(count, at_most=48):
@@ -121,10 +131,9 @@ class TestKernelOrder:
     call the same kernels; these tests can.
     """
 
-    # Over k = 32: outputs up to 512 sum in one block, 4096 (32 x 128) in
-    # 3 blocks of up to 14 and 8188 (4 x 2047, just under LARGEST_BLOCKED)
-    # in 5 blocks of up to 7; one more output column (4 x 2048) and the
-    # larger products take the per-k path.
+    # Over k = 32: 1x1 is one tile of one output, outputs up to 640 (16 x 40)
+    # take one block, 4096 (32 x 128) up to 8192 (64 x 128) one tile, and
+    # 4 x 5461 and 4 x 5462 four tiles of one row.
     @pytest.mark.parametrize(
         "rows, cols",
         [(1, 8), (3, 8), (64, 8), (1, 1), (65, 8), (16, 40), (32, 128), (4, 2047), (4, 2048),
@@ -141,9 +150,9 @@ class TestKernelOrder:
 
     @pytest.mark.parametrize("k", [64, 200])
     def test_one_output_sums_in_order(self, k):
-        # A [k + 1, 1] block reduced along its only axis would be summed
-        # pairwise; the spare zero column that only one-output products get
-        # keeps the reduction row by row.
+        # Terms reduced along their only axis would be summed pairwise (k
+        # would be the fast axis); a tile of one output is one ordered
+        # accumulate instead.
         rng = np.random.default_rng(k)
         a, b = spread(rng, (1, k)), spread(rng, (k, 1))
         assert np.array_equal(rw.matmul(a, b), reference_matmul(a, b))
@@ -156,9 +165,8 @@ class TestKernelOrder:
         for i in range(3):
             assert np.array_equal(out[i], reference_matmul(a[i], b[i]))
 
-    # Outputs of 1, 512 and 540 elements (one block each), 8188 (just under
-    # LARGEST_BLOCKED, blocks of 7), and 8192, 21844 and 21848 (per k),
-    # batch axes included.
+    # Outputs of 1 (one output), 512 and 540 (one block each), and 8188,
+    # 8192, 21844 and 21848 (one tile each), batch axes included.
     @pytest.mark.parametrize(
         "batch, n, k, m",
         [((1,), 1, 17, 1), ((4,), 8, 9, 16), ((2, 3), 5, 7, 18), ((4,), 1, 9, 2047),
@@ -185,6 +193,38 @@ class TestKernelOrder:
         assert out.dtype == np.float32 and out.shape == expected.shape
         assert out.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize(
+        "a_shape, b_shape, count",
+        [((0, 5), (5, 3), 0), ((0, 65536), (65536, 3), 0), ((0, 3, 65536), (0, 65536, 2), 1)],
+        ids=["short-k", "long-k", "empty-batch"],
+    )
+    def test_zero_row_products_are_empty(self, a_shape, b_shape, count):
+        a, b = np.ones(a_shape, np.float32), np.ones(b_shape, np.float32)
+        assert tiles(a, b) == count
+        out = rw.matmul(a, b)
+        assert out.dtype == np.float32 and out.shape == a_shape[:-1] + b_shape[-1:]
+
+    @pytest.mark.parametrize("m", [1100, 1025], ids=["three-column-tiles", "one-column-remainder"])
+    def test_wide_row_is_tiled_by_columns(self, m):
+        # One row of more than TILE_ELEMENTS terms goes in tiles of 512
+        # columns; at m = 1025 the last tile is one output.
+        rng = np.random.default_rng(m)
+        a, b = spread(rng, (1, 512)), spread(rng, (512, m))
+        assert tiles(a, b) == 3
+        cols = sampled_columns(m)
+        assert np.array_equal(rw.matmul(a, b)[:, cols], reference_matmul(a, b[:, cols]))
+
+    def test_tile_buffer_stays_within_tile_elements(self):
+        # Untiled, this row's terms would take 16 MiB.
+        a, b = np.ones((1, 1024), np.float32), np.ones((1024, 4096), np.float32)
+        tracemalloc.start()
+        try:
+            rw.matmul(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * rw.tensor.TILE_ELEMENTS + 2**16
+
     def test_batched_matmul_rejects_mismatched_batch_axes(self):
         with pytest.raises(ValueError, match="shape mismatch"):
             rw.matmul(np.ones((2, 3, 4), np.float32), np.ones((3, 4, 5), np.float32))
@@ -193,10 +233,11 @@ class TestKernelOrder:
 
     def test_negative_zero_products_sum_to_positive_zero(self):
         # Summing from +0.0 turns an all-(-0.0) dot product into +0.0: in one
-        # block (4 outputs), in two (LARGEST_BLOCKED - 1) and per k (one more row).
-        for rows in (2, LARGEST_BLOCKED // 2, LARGEST_BLOCKED // 2 + 1):
-            a = np.full((rows, 9), -0.0, dtype=np.float32)
-            out = rw.matmul(a, np.ones((9, 2), np.float32))
+        # block (4 outputs), in one tile (10,000) and in two (40,000).
+        for rows, count in ((2, None), (5000, 1), (20000, 2)):
+            a, b = np.full((rows, 9), -0.0, dtype=np.float32), np.ones((9, 2), np.float32)
+            assert tiles(a, b) == count
+            out = rw.matmul(a, b)
             assert not np.signbit(out).any()
             assert not np.signbit(rw.tensor._ordered_sum(a)).any()
 
@@ -248,23 +289,24 @@ def _laid_out(draw, rng, shape):
 
 @st.composite
 def matmul_operands(draw):
-    """Operands with 0-2 batch axes and a chosen output size: a few columns
-    (k in one block), up to LARGEST_BLOCKED or just past it, the last two
-    with k spanning up to four blocks (or k-steps)."""
-    batch = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
-    n = draw(st.integers(1, 12))
-    per_column = math.prod(batch) * n
-    widest_blocked = LARGEST_BLOCKED // per_column
-    size = draw(st.sampled_from(["few", "blocked", "per-k"]))
-    if size == "few":
-        m, k = draw(st.integers(1, 8)), draw(st.integers(0, 24))
+    """Operands with 0-2 batch axes, sized for one way of forming terms: a
+    few columns (one block, or one output if every axis is 1), one tile,
+    several tiles (up to about four tiles' worth), or one output of up to
+    1000 terms."""
+    size = draw(st.sampled_from(["few", "one-tile", "tiles", "one-output"]))
+    if size == "one-output":
+        batch, n, k, m = (1,) * draw(st.integers(0, 2)), 1, draw(st.integers(0, 1000)), 1
     else:
-        if size == "blocked":
-            m = draw(st.integers(max(1, widest_blocked // 8), widest_blocked))
+        batch = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+        n = draw(st.integers(2 if size == "tiles" else 1, 12))
+        rows, k = math.prod(batch) * n, draw(st.integers(8, 48))
+        tile, block = rw.tensor.TILE_ELEMENTS // (k * rows), rw.tensor.BLOCK_ELEMENTS // (k * rows)
+        if size == "few":
+            m, k = draw(st.integers(1, 8)), draw(st.integers(0, 24))
+        elif size == "one-tile":
+            m = draw(st.integers(block + 1, tile))
         else:
-            m = draw(st.integers(widest_blocked + 1, widest_blocked + 24))
-        step = max(1, rw.tensor.BLOCK_ELEMENTS // (per_column * m + 1) - 1)
-        k = draw(st.integers(0, 4 * step))
+            m = draw(st.integers(tile + 1, 4 * tile))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return _laid_out(draw, rng, batch + (n, k)), _laid_out(draw, rng, batch + (k, m))
 
@@ -276,40 +318,50 @@ def band_view(rows, window):
 
 class TestMatmulOnViews:
     """matmul reads its operands through transposed views of any strides, so
-    a strided operand gives the same bits as its contiguous copy."""
+    a strided operand gives the same bits as its contiguous copy, and both
+    equal the scalar reference."""
 
-    # (a, b) builders per rank; "blocked" has few outputs, "per-k" more than
-    # LARGEST_BLOCKED.
+    # (a, b) builders per rank, by the way matmul forms their terms:
+    # "-blocked" takes one block, "-one-tile" one tile, "-tiles" several
+    # tiles, and "-one-output" sums one dot product.
     CASES = {
         "rank2-blocked": lambda rng: (spread(rng, (40, 6)).T, spread(rng, (40, 50))[:, 3:43]),
-        "rank2-per-k": lambda rng: (spread(rng, (32, 4)).T, spread(rng, (2100, 32)).T),
+        "rank2-tiles": lambda rng: (spread(rng, (32, 4)).T, spread(rng, (2100, 32)).T),
+        "rank2-one-output": lambda rng: (spread(rng, (1000, 3)).T[1:2], spread(rng, (1000, 5))[:, 2:3]),
+        # The oracle's scores product: q against k[kv].T, whose slices are
+        # F-ordered, so einsum's default order="K" would put k on the fast axis.
+        "rank3-f-ordered-tiles": lambda rng: (
+            spread(rng, (4, 128, 16)), spread(rng, (4, 128, 16)).transpose(0, 2, 1),
+        ),
         # Grouped queries against key bands, as window_attend reads them: the
         # scores product and then the weights against value bands.
         "rank4-blocked": lambda rng: (
             spread(rng, (2, 4, 5, 16)).transpose(0, 2, 1, 3),
             band_view(spread(rng, (2, 12, 16)), 8).transpose(0, 1, 3, 2),
         ),
-        "rank4-per-k": lambda rng: (
+        "rank4-one-tile": lambda rng: (
             spread(rng, (2, 4, 64, 16)).transpose(0, 2, 1, 3),
             band_view(spread(rng, (2, 83, 16)), 20).transpose(0, 1, 3, 2),
         ),
         "rank4-band-values-blocked": lambda rng: (
             spread(rng, (2, 5, 4, 8)), band_view(spread(rng, (2, 12, 16)), 8),
         ),
-        "rank4-band-values-per-k": lambda rng: (
-            spread(rng, (2, 70, 4, 8)), band_view(spread(rng, (2, 77, 16)), 8),
+        "rank4-band-values-tiles": lambda rng: (
+            spread(rng, (2, 600, 4, 8)), band_view(spread(rng, (2, 607, 16)), 8),
         ),
     }
-
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_strided_operands_equal_contiguous_copies(self, case):
         a, b = self.CASES[case](np.random.default_rng(31))
         assert not (a.flags.c_contiguous and b.flags.c_contiguous)
-        outputs = math.prod(a.shape[:-1]) * b.shape[-1]
-        assert (outputs <= LARGEST_BLOCKED) == case.endswith("-blocked")
+        count, outputs = tiles(a, b), math.prod(a.shape[:-1]) * b.shape[-1]
+        kind = "blocked" if count is None else "one-output" if outputs == 1 else "one-tile" if count == 1 else "tiles"
+        assert case.endswith(kind)
         out = rw.matmul(a, b)
         assert np.array_equal(out, rw.matmul(np.ascontiguousarray(a), np.ascontiguousarray(b)))
         assert out.flags.c_contiguous and out.flags.writeable
+        cols = sampled_columns(b.shape[-1], at_most=8)
+        assert np.array_equal(out[..., cols], batched_reference(a, b[..., cols]))
 
 
 class TestMatmulPaths:
@@ -356,8 +408,7 @@ def decode_products(config, rng):
 
 def takes_one_block(a, b):
     """The one-block case of matmul: one multiply and one reduce."""
-    outputs = math.prod(a.shape[:-1]) * b.shape[-1]
-    return outputs > 1 and a.shape[-1] <= rw.tensor.BLOCK_ELEMENTS // (outputs + 1) - 1
+    return tiles(a, b) is None
 
 
 DESK = rw.ModelConfig(dim=128, n_layers=6, head_dim=16, hidden_dim=384, n_heads=8, n_kv_heads=2,
@@ -387,8 +438,8 @@ class TestOneBlockMatmul:
         assert all(takes_one_block(a, b) for _, a, b in products)
 
     def test_one_head_window_one_products(self):
-        # W1 with one head: the scores product has one output (the spare-
-        # column block), the AV product has a one-term shared axis.
+        # W1 with one head: the scores product has one output (one ordered
+        # accumulate), the AV product has a one-term shared axis.
         products = {n: (a, b) for n, a, b in decode_products(W1_ONE_HEAD, np.random.default_rng(42))}
         scores, av = products["scores"], products["av"]
         assert rw.matmul(*scores).size == 1 and not takes_one_block(*scores)
