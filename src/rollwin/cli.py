@@ -6,10 +6,10 @@ JSON or one-line text so the token stream stays machine-parseable.
 
 Every `generate --mode` runs the one `GenerationSession.generate` loop; the
 oracle modes only swap in logits recomputed over the full history, so a
-cross-check compares forwards, not loops. `verify` steps a random stream and
-compares it bit for bit with the oracle and with chunked prefills of its
-prefixes, some long enough to skip past `exact_reach`; the same session steps
-a NaN-tainted second stream in lockstep, which checks the reach exactly.
+cross-check compares forwards, not loops. `verify` steps a random stream
+beside a NaN-tainted copy of it, which checks the reach exactly, and compares
+it bit for bit with the oracle and with chunked prefills of its prefixes,
+some long enough to skip past `exact_reach`.
 
 Exit codes are a stable contract: 0 success, 1 usage, 2 weight file,
 3 truncated generation, 4 failed verification.
@@ -206,19 +206,17 @@ def cmd_generate(args) -> int:
 def run_verification(config: ModelConfig, seed: int) -> list[CheckResult]:
     """The master equivalence and bound checks at the given desk-scale config.
 
-    `reach_probe` steps a random stream as stream 0 of its two-stream
-    session, in lockstep with the NaN-tainted probe stream. Its logit rows
-    are checked against the oracle, and each chunked prefill of a prefix of
-    it against the row and every layer's cache (stream 0's heads) it held
-    there. The longer stream passes `oracle.guard` before any weights are drawn.
+    `reach_probe` steps one random stream beside its NaN-tainted copy. The
+    stream's first `length` rows are checked against the oracle, and each
+    chunked prefill of a prefix against the row and the caches (stream 0's
+    heads) it held there; the cache bound reads those at W and `length`.
     """
     window = config.window_size
     boundary = config.n_layers * (window - 1)
     length = min(8 * window, config.context_len)
-    probe_length = min(boundary + 6, config.context_len)
-    guard(config, max(length, probe_length))
+    steps = max(length, min(boundary + 6, config.context_len))
+    guard(config, steps)
     weights = init_random(config, seed)
-    rng = np.random.default_rng(seed)
     checks: list[CheckResult] = []
 
     # Chunk sizes to prefill: awkward prompt lengths, both sides of the
@@ -228,24 +226,22 @@ def run_verification(config: ModelConfig, seed: int) -> list[CheckResult]:
     lengths = (1, window - 1, window, window + 1, 3 * window, 3 * window + 2, reach, reach + 1)
     splits = {(n,) for n in lengths} | {(window, reach + 1)}
     splits = sorted((s for s in splits if 0 not in s and sum(s) <= length), key=lambda s: (sum(s), len(s)))
-    ends = {sum(s) for s in splits}
+    ends = {sum(s) for s in splits} | {window, length}
 
-    tokens = [int(t) for t in rng.integers(0, config.vocab_size, size=length)]
-    probe = [int(t) for t in rng.integers(0, config.vocab_size, size=probe_length)]
-    n_kv, rows, bounds, snapshots = config.n_kv_heads, [], [], {}
+    tokens = [int(t) for t in np.random.default_rng(seed).integers(0, config.vocab_size, size=steps)]
+    n_kv, rows, snapshots = config.n_kv_heads, [], {}
 
     def record(session, logits):  # stream 0, after each step
         position, caches = session.next_position, session.caches
         rows.append(logits)
-        bounds.append((session.total_cache_bytes // session.streams, all(c.filled == window for c in caches)))
         if position in ends:
             snapshots[position] = [(p, k[:n_kv], v[:n_kv]) for p, k, v in (c.gather() for c in caches)]
 
-    affected = reach_probe(weights, probe, 0, clean=(tokens, record))
+    affected = reach_probe(weights, tokens, 0, on_step=record)
 
     # Rolling-cache engine vs full-history windowed oracle, step by step.
     engine_logits = np.stack(rows[:length])
-    oracle_logits = oracle_forward_swa(weights, config, tokens)
+    oracle_logits = oracle_forward_swa(weights, config, tokens[:length])
     err = float(np.max(np.abs(engine_logits - oracle_logits)))
     checks.append(
         CheckResult(
@@ -279,21 +275,20 @@ def run_verification(config: ModelConfig, seed: int) -> list[CheckResult]:
     )
 
     # Influence propagates exactly n_layers*(window-1) positions forward.
-    expected = list(range(0, min(boundary, probe_length - 1) + 1))
+    expected = list(range(0, min(boundary, steps - 1) + 1))
     checks.append(
         CheckResult("reach", f"affected <= {boundary}, boundary exact", affected == expected)
     )
 
-    # Cache memory per stream stops growing once the window is full,
-    # checked on the equivalence stream after its last step.
-    bytes_at_window = bounds[window - 1][0]
-    stream_bytes, entries_ok = bounds[length - 1]
+    # Cache memory stops growing once the window is full: the K/V bytes held
+    # after `length` steps equal those after W, with W entries in every layer.
+    held = {p: sum(k.nbytes + v.nbytes for _, k, v in snapshots[p]) for p in (window, length)}
     checks.append(
         CheckResult(
             "cache-bound",
-            f"{stream_bytes} bytes after {length} tokens == "
-            f"{bytes_at_window} after {window}; {window} entries/layer",
-            stream_bytes == bytes_at_window and entries_ok,
+            f"{held[length]} bytes after {length} tokens == "
+            f"{held[window]} after {window}; {window} entries/layer",
+            held[length] == held[window] and all(len(p) == window for p, _, _ in snapshots[length]),
         )
     )
     return checks

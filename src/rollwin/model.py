@@ -59,7 +59,7 @@ class SamplerSpec:
 
 
 def _check_sampler(sampler: SamplerSpec, vocab_size: int) -> None:
-    if not (1 <= sampler.k <= vocab_size):
+    if not (1 <= operator.index(sampler.k) <= vocab_size):  # TypeError for a non-integer
         raise ValueError(f"top-k k={sampler.k} outside [1, {vocab_size}]")
     if not 0 < sampler.temperature < np.inf:
         raise ValueError(f"temperature must be finite and positive, got {sampler.temperature}")
@@ -200,6 +200,8 @@ class GenerationSession:
         back through the model, so `next_position` ends at the prompt length
         plus all but one of them.
         """
+        if self.streams != 1:
+            raise ValueError(f"generate steps one stream, not {self.streams}")
         if operator.index(max_tokens) < 0:  # TypeError for a non-integer
             raise ValueError(f"max_tokens must be >= 0, got {max_tokens}")
         _check_sampler(sampler, self.config.vocab_size)
@@ -214,22 +216,22 @@ class GenerationSession:
         return tokens
 
 
-def reach_probe(weights: DecoderWeights, tokens, perturb_position: int, clean=None) -> list[int]:
+def reach_probe(weights: DecoderWeights, tokens, perturb_position: int, on_step=None) -> list[int]:
     """Output positions that the input at perturb_position reaches.
 
-    That input becomes an extra token id with a NaN embedding row (and a
-    zero output_proj column), one session steps the stream, and the
-    positions whose logits hold a NaN are returned. NaN survives every +,
-    *, exp and max, and 0 * NaN is NaN, so both ends are exact, even for a
-    masked read outside the window. The oracle cannot carry the taint: its
-    dense masked AV product multiplies masked weights (0) by the NaN row,
-    which turns every later row NaN. So non-finite detection in the
-    kernels must leave this probe a way through.
+    One session on a tainted weight set steps the tokens as stream 0 and,
+    as stream 1, a copy whose input at perturb_position is an extra id with
+    a NaN embedding row (and a zero output_proj column). A position is
+    reached when its two logit rows differ. NaN survives every +, *, exp
+    and max, and 0 * NaN is NaN, so a reached row is NaN even through a
+    masked read outside the window, and any other row is bit-identical to
+    stream 0's. The oracle cannot carry the taint: its dense masked AV
+    product multiplies masked weights (0) by the NaN row, which turns every
+    later row NaN. So non-finite detection in the kernels must leave this
+    probe a way through.
 
-    `clean`, a (tokens, on_step) pair, is stepped as stream 0 of the same
-    session (the shorter stream padded with id 0); after each step,
-    on_step(session, row) gets its logits over the real vocabulary. Those
-    rows and stream 0's cache heads are a one-stream session's on `weights`.
+    After each step, on_step(session, row) gets stream 0's logits over the
+    real vocabulary; they and its cache heads are a one-stream session's.
     """
     config = weights.config
     tokens = token_ids(config, tokens)
@@ -241,15 +243,14 @@ def reach_probe(weights: DecoderWeights, tokens, perturb_position: int, clean=No
         token_embedding=np.vstack([weights.token_embedding, np.full((1, config.dim), np.nan, np.float32)]),
         output_proj=np.hstack([weights.output_proj, np.zeros((config.dim, 1), np.float32)]),
     )
-    tokens[perturb_position] = config.vocab_size
-    rows = [token_ids(config, clean[0]), tokens] if clean else [tokens]
-    rows = [row + [0] * (max(map(len, rows)) - len(row)) for row in rows]
-    session = GenerationSession(tainted, len(rows))
-    session._check_tokens(rows if clean else tokens)  # refuse an overlong stream before the first step
+    probe = tokens[:perturb_position] + [config.vocab_size] + tokens[perturb_position + 1:]
+    session = GenerationSession(tainted, 2)
+    session._check_tokens([tokens, probe])  # refuse an overlong stream before the first step
     reached = []
-    for ids in zip(*rows):
-        logits = session.forward_decode(ids if clean else ids[0]).reshape(len(rows), -1)
-        if clean:
-            clean[1](session, logits[0, :-1])
-        reached.append(np.isnan(logits[-1]).any())
-    return [p for p, hit in enumerate(reached[: len(tokens)]) if hit]
+    for position, ids in enumerate(zip(tokens, probe)):
+        clean, probed = session.forward_decode(ids)
+        if on_step:
+            on_step(session, clean[:-1])
+        if not np.array_equal(clean, probed):
+            reached.append(position)
+    return reached

@@ -313,8 +313,8 @@ HUGE_CACHE_TINY = rw.ModelConfig(
     window_size=2**19, context_len=2**19, vocab_size=2,
 )
 
-#: Parameters and caches fit, and so does the verify stream (512 tokens x
-#: dim 64), but the probe's engine stream is 260 * 63 + 6 = 16,386 tokens.
+#: Parameters and caches fit, and so would the oracle's 512 tokens x dim
+#: 64, but the reach probe needs a stepped stream of 260 * 63 + 6 = 16,386.
 DEEP_REACH_PROBE = rw.ModelConfig(
     dim=64, n_layers=260, head_dim=16, hidden_dim=128, n_heads=4, n_kv_heads=2,
     window_size=64, context_len=16400, vocab_size=256,
@@ -542,11 +542,11 @@ class TestVerify:
         assert "over lengths [1, 7, 8, 9, 24, 26, 29, 30, 8+30]," in lines[1]
 
     def test_one_stepped_session_serves_every_check(self, monkeypatch):
-        # One two-stream session steps the oracle-equivalence stream and, in
-        # lockstep, the reach probe's tainted stream, max(length,
-        # probe_length) times; prefill-decode reads its stepped reference off
-        # stream 0 rather than decoding each length again. No other session
-        # is stepped. At W3/L12 the probe (30 steps) outlives the stream (24).
+        # The reach probe's one two-stream session steps the stream and its
+        # tainted copy max(length, probe_length) times; oracle-equivalence
+        # and prefill-decode read their stepped reference off stream 0 rather
+        # than decoding each length again. No other session is stepped. At
+        # W3/L12 the probe needs 30 steps, and the oracle reads the first 24.
         for config, steps in ((rw.PRESET_TOY, 64), (replace(rw.PRESET_TOY, window_size=3, n_layers=12), 30)):
             sessions = []
             real = rw.GenerationSession.forward_decode
@@ -592,8 +592,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("flags", sorted(GOLDEN_VERIFY), ids=lambda flags: " ".join(flags) or "toy")
     def test_verify_text_is_pinned(self, capsys, flags):
-        # The whole stderr text and exit code at seed 0. At W3/L12 the reach
-        # probe's stream (30 tokens) is longer than the equivalence stream (24).
+        # The whole stderr text and exit code at seed 0. At W3/L12 the stepped
+        # stream (30 tokens) is longer than the oracle-equivalence check (24).
         code, out, err = run_cli(capsys, "verify", *flags, "--seed", "0")
         assert (code, out, err) == (cli.EXIT_OK, "", GOLDEN_VERIFY[flags])
 

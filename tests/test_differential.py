@@ -6,7 +6,9 @@ stepped decoding. Every logit row the engine returns must be `array_equal`
 to the oracle's row at that position, and after the stream every layer's
 cache must be `array_equal` to the cache of a session stepped one token at
 a time. Over the same configs, tainting input 0 must reach output 0 and
-every output up to n_layers*(W-1) positions after it, and no later one.
+every output up to n_layers*(W-1) positions after it, and no later one,
+while the probe's clean stream gives a one-stream session's logits and
+cache heads at every step.
 Over the same kind of configs, 1-3 streams stepped in lockstep by one
 session must each give the logits and cache heads of that stream run alone.
 """
@@ -71,6 +73,25 @@ def test_reach_probe_stays_inside_the_receptive_field(stream, seed):
     weights = rw.init_random(config, seed)
     field = range(min(config.n_layers * (config.window_size - 1), len(tokens) - 1) + 1)
     assert rw.reach_probe(weights, tokens, 0) == list(field)
+
+
+@settings(max_examples=100)
+@given(streams(), st.integers(0, 2**16))
+def test_reach_probe_steps_its_clean_stream_as_a_session_alone(stream, seed):
+    config, tokens, _, _ = stream
+    weights = rw.init_random(config, seed)
+    alone, n_kv, steps = rw.GenerationSession(weights), config.n_kv_heads, []
+
+    def on_step(session, row):
+        steps.append(session.next_position)
+        assert np.array_equal(row, alone.forward_decode(tokens[len(steps) - 1]))
+        for probed, own in zip(session.caches, alone.caches):
+            (positions, keys, values), (own_positions, own_keys, own_values) = probed.gather(), own.gather()
+            assert positions == own_positions
+            assert np.array_equal(keys[:n_kv], own_keys) and np.array_equal(values[:n_kv], own_values)
+
+    rw.reach_probe(weights, tokens, 0, on_step=on_step)
+    assert steps == list(range(1, len(tokens) + 1))
 
 
 @st.composite

@@ -338,12 +338,18 @@ class TestSampling:
         draws = {rw.sample_token(logits, spec, rng) for _ in range(50)}
         assert draws <= {1, 2}
 
-    def test_bad_sampler_rejected(self, toy_weights):
+    def test_bad_sampler_rejected(self, toy_weights, monkeypatch):
+        products = []
+        monkeypatch.setattr(tensor_module, "matmul", lambda a, b: products.append(a.shape))
         session = rw.GenerationSession(toy_weights)
         for k in (0, toy_weights.config.vocab_size + 1):
             with pytest.raises(ValueError, match="top-k"):
                 session.generate([1], 2, rw.SamplerSpec(k=k))
+        for k in (2.5, 2.0, "2"):  # refused before the prefill, not truncated
+            with pytest.raises(TypeError):
+                session.generate([1, 2], 3, rw.SamplerSpec(k=k))
         assert session.next_position == 0
+        assert products == []
 
 
 class TestGenerate:
@@ -355,6 +361,15 @@ class TestGenerate:
         assert session.next_position == 0
         assert session.generate([1, 2, 3], max_tokens=0) == []
         assert session.next_position == 3
+
+    def test_multi_stream_session_refused_before_the_prefill(self, toy_weights, monkeypatch):
+        products = []
+        monkeypatch.setattr(tensor_module, "matmul", lambda a, b: products.append(a.shape))
+        session = rw.GenerationSession(toy_weights, streams=2)
+        with pytest.raises(ValueError, match="one stream"):
+            session.generate([[1, 2], [3, 4]], 3)
+        assert session.next_position == 0
+        assert products == []
 
     def test_greedy_deterministic_across_runs(self, toy_weights):
         runs = [rw.GenerationSession(toy_weights).generate([1, 2, 3], 12) for _ in range(2)]
