@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Chunked prefill: bulk-load a prompt without giant score matrices.
 
-A known prompt does not need token-by-token decoding. It runs as one chunk,
-layer by layer. Each layer computes only the rows a kept result can read
-(the last row's logits and each layer's last W cache rows), so later layers
-run fewer rows, and each query row scores exactly the W keys of its
-window. The final state is identical to having decoded every token one at
-a time.
+A known prompt does not need token-by-token decoding. As in the paper, it
+runs in chunks of W positions, each attending the cache and itself. Each
+layer computes only the rows a kept result can read (the last row's logits
+and each layer's last W cache rows), so later layers run fewer rows. The
+chunks are aligned to the prompt's end: the short remainder comes first,
+where only the early layers run, and a chunk stops at the first layer none
+of its rows reach. Each query row scores exactly the W keys of its window,
+so a head's score block is at most W x W. The final state is identical to
+having decoded every token one at a time.
 """
 
 import numpy as np
@@ -15,19 +18,38 @@ import rollwin as rw
 
 cfg = rw.PRESET_TOY
 weights = rw.init_random(cfg, 42)
-prompt = [int(t) for t in np.random.default_rng(0).integers(0, cfg.vocab_size, size=26)]
+prompt = [int(t) for t in np.random.default_rng(0).integers(0, cfg.vocab_size, size=30)]
+n, reach, W = len(prompt), rw.exact_reach(cfg), cfg.window_size
 
-print(f"prompt of {len(prompt)} tokens, window {cfg.window_size}")
-# Layer l computes K/V for its last kv_l rows and queries, Wo and the
-# feed-forward for its last out_l rows: W - 1 fewer per layer, 1 at the top.
-reach, W = rw.exact_reach(cfg), cfg.window_size
-kv = [min(len(prompt), reach - layer * (W - 1)) for layer in range(cfg.n_layers)]
-for layer, (kv_rows, out_rows) in enumerate(zip(kv, kv[1:] + [1])):
-    print(f"  layer {layer}: K/V rows {kv_rows:2d}, query/Wo/FFN rows {out_rows:2d}")
+print(f"prompt of {n} tokens, window {W}, exact_reach {reach}")
+# Layer l computes K/V for the last kv_l rows of the prompt and queries, Wo
+# and the feed-forward for its last kv_{l+1} rows: W - 1 fewer per layer,
+# 1 at the top. The chunks cover layer 0's rows, W at a time from the end.
+kv = [min(n, reach - layer * (W - 1)) for layer in range(cfg.n_layers)] + [1]
+stops = list(range(n, n - kv[0], -W))[::-1]
+print("chunk plan (K/V rows / query, Wo and FFN rows per layer):")
+for stop in stops:
+    begin, layers = max(n - kv[0], stop - W), []
+    for kv_rows, out_rows in zip(kv, kv[1:]):
+        layers.append(f"{stop - max(begin, n - kv_rows)}/{max(0, stop - max(begin, n - out_rows))}")
+        if layers[-1].endswith("/0"):
+            break
+    print(f"  positions [{begin:2d}, {stop:2d}): " + "  ".join(layers))
 print()
 
+scores = []
+softmax = rw.tensor.softmax_stable
+
+
+def recording(x, masked=None):
+    scores.append(x.shape)  # [n_kv_heads, query rows, group, keys]
+    return softmax(x, masked)
+
+
+rw.tensor.softmax_stable = recording
 chunked = rw.GenerationSession(weights)
 logits_chunked = chunked.prefill(prompt)
+rw.tensor.softmax_stable = softmax
 
 stepped = rw.GenerationSession(weights)
 for token in prompt:
@@ -48,10 +70,10 @@ print(f"  retained positions identical: {positions_equal}")
 print(f"  cache contents bit-identical: {contents_equal}")
 print()
 
-# Each query row scores exactly its W keys, and a layer runs at most
-# kv_1 = exact_reach - W + 1 query rows, so a head's score block stays
-# within (exact_reach - W + 1) x W however long the prompt is.
-rows = min(len(prompt), reach - W + 1)
-print("largest score block a single head ever sees during this prefill:")
-print(f"  {rows} queries x {W} keys = {rows * W} scores "
-      f"(vs {len(prompt)}^2 = {len(prompt) ** 2} for dense attention over the prompt)")
+# A chunk has at most W query rows, each scoring exactly its W keys, so a
+# head's score block stays within W x W however long the prompt is.
+rows = max(shape[1] for shape in scores)
+keys = max(shape[-1] for shape in scores)
+print(f"largest score block a single head saw during this prefill ({len(scores)} attention calls):")
+print(f"  {rows} queries x {keys} keys = {rows * keys} scores, bound W x W = {W * W} "
+      f"(vs {n}^2 = {n ** 2} for dense attention over the prompt)")

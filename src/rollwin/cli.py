@@ -229,11 +229,12 @@ def run_verification(config: ModelConfig, seed: int) -> list[CheckResult]:
     ends = {sum(s) for s in splits} | {window, length}
 
     tokens = [int(t) for t in np.random.default_rng(seed).integers(0, config.vocab_size, size=steps)]
-    n_kv, rows, snapshots = config.n_kv_heads, [], {}
+    n_kv, rows, streams, snapshots = config.n_kv_heads, [], [], {}
 
     def record(session, logits):  # stream 0, after each step
         position, caches = session.next_position, session.caches
         rows.append(logits)
+        streams.append(session.streams)
         if position in ends:
             snapshots[position] = [(p, k[:n_kv], v[:n_kv]) for p, k, v in (c.gather() for c in caches)]
 
@@ -274,10 +275,12 @@ def run_verification(config: ModelConfig, seed: int) -> list[CheckResult]:
         )
     )
 
-    # Influence propagates exactly n_layers*(window-1) positions forward.
+    # Influence propagates exactly n_layers*(window-1) positions forward, and the
+    # probe keeps the clean stream alone from the step after position boundary + 1.
     expected = list(range(0, min(boundary, steps - 1) + 1))
+    retired = [2] * min(boundary + 1, steps) + [1] * (steps - boundary - 1)
     checks.append(
-        CheckResult("reach", f"affected <= {boundary}, boundary exact", affected == expected)
+        CheckResult("reach", f"affected <= {boundary}, boundary exact", affected == expected and streams == retired)
     )
 
     # Cache memory stops growing once the window is full: the K/V bytes held

@@ -5,17 +5,19 @@ returns only the sampled tokens. Greedy decoding is top-k sampling at k = 1.
 Weights are shared and immutable; a GenerationSession owns the mutable state
 (a rolling cache per layer, the next absolute position) of one sequence, or
 of `streams` stepped in lockstep; a caller reads positions and cache bytes.
-`forward_chunk` is the only layer loop: decode is a chunk of one token and
-prefill is the prompt as one chunk. It runs layer by layer, each layer on
-only the rows that a kept result can read. What a session keeps is the
-last row's logits and each layer's last W K/V rows, and a query reads
-W - 1 positions back, so layer l (from 0) of a chunk of n tokens computes
-K/V for its last kv_l = min(n, exact_reach - l*(W-1)) rows and queries,
-Wo and the feed-forward for its last kv_{l+1} rows (one row at the last
-layer). Layer 0 starts `exact_reach` tokens from the end, so
-prefill work stops growing with prompt length, and the later layers shrink
-by W - 1 rows each. Every row computed sees its whole window, so the
-results are bit-identical to running every row.
+`forward_chunk` is the only layer loop: decode is a chunk of one token, and
+a prompt runs in chunks of W positions, as in the paper. A session keeps
+the last row's logits and each layer's last W K/V rows, and a query reads
+W - 1 positions back, so layer l (from 0) of a run of n tokens computes K/V
+for its last kv_l = min(n, exact_reach - l*(W-1)) rows and queries, Wo and
+the feed-forward for its last kv_{l+1} rows (one row at the last layer):
+prefill work stops growing at `exact_reach` tokens. The chunks are aligned
+to the end, so the short remainder comes first, where only the early
+layers run, and a chunk stops at the first layer none of its rows reach.
+No product takes more than W rows per stream and a head's score block is
+at most W x W, at the MACs of running the rows as one chunk. Every row
+computed sees its whole window, so the results are bit-identical to
+running every row.
 
 Layer arithmetic: rms-norm, grouped-query attention with rotary positions
 over the sliding window, then a gated feed-forward, each with a residual
@@ -143,13 +145,13 @@ class GenerationSession:
         """Run tokens at the current position; return the last one's logit row
         (with streams > 1, one token list in and one row out per stream).
 
-        The tokens are checked before any write. Layer l then computes K/V
-        for its last kv_l rows and the rest for its last kv_{l+1} (see the
-        module docstring). One `cache.extend` per layer writes the K/V rows
-        and returns the cached keys followed by the chunk's, over which the
-        query rows attend in one banded call: each row scores exactly the W
-        keys of its window. Wo and the feed-forward run once over all of the
-        layer's output rows. Decode is the one-row case of the same call.
+        The tokens are checked before any write, then run in end-aligned
+        chunks of at most W positions (see the module docstring). In a
+        chunk, one `cache.extend` per layer writes the K/V rows and returns
+        the cached keys followed by the chunk's, over which the query rows
+        attend in one banded call: each row scores exactly the W keys of
+        its window. Wo and the feed-forward run once over the layer's
+        output rows. Decode is the one-row case of the same call.
 
         This is exact. Each row of every product is its own ordered dot
         product, so computing fewer rows, or more in one product, changes no
@@ -158,36 +160,46 @@ class GenerationSession:
         exact zeros.
         """
         rows = np.asarray(self._check_tokens(tokens))
-        window, n = self.config.window_size, rows.shape[1]
-        end = self.next_position + n
-        reach = exact_reach(self.config)
-        kv_rows = [min(n, reach - i * (window - 1)) for i in range(self.config.n_layers)] + [1]
-        x = self.weights.token_embedding[rows[:, n - kv_rows[0]:].reshape(-1)]  # [streams * kv_0, dim]
-        cos, sin = tensor.rope_table(np.arange(end - kv_rows[0], end), self.config.head_dim)
-        for n_kv, n_out, layer, (Wqkv, W13), cache in zip(
-            kv_rows, kv_rows[1:], self.weights.layers, self._fused, self.caches
-        ):
-            q, k, v = self._qkv(x, layer, Wqkv, tensor.RopeTable(cos[-n_kv:], sin[-n_kv:]))
-            key_start, keys, values = cache.extend(end - n_kv, k, v)  # positions [key_start, end)
-            ctx = attention.window_attend(q[:, n_kv - n_out:], keys, values, end - n_out, key_start, window)
-            if n_out < n_kv:  # each stream's last n_out rows
-                x = x.reshape(self.streams, n_kv, -1)[:, n_kv - n_out:].reshape(-1, x.shape[1])
-            x = self._residual_ffn(x, layer, W13, ctx)
+        window, start, reach = self.config.window_size, self.next_position, exact_reach(self.config)
+        end = start + rows.shape[1]
+        # Layer l computes K/V from position firsts[l] and its output from firsts[l + 1].
+        firsts = [max(start, end - reach + i * (window - 1)) for i in range(self.config.n_layers)] + [end - 1]
+        layers = list(zip(firsts, firsts[1:], self.weights.layers, self._fused, self.caches))
+        for stop in range(end - (end - firsts[0] - 1) // window * window, end + 1, window):
+            begin = max(firsts[0], stop - window)
+            x = self.weights.token_embedding[rows[:, begin - start:stop - start].reshape(-1)]  # [streams * rows, dim]
+            cos, sin = tensor.rope_table(np.arange(begin, stop), self.config.head_dim)
+            for first, out, layer, (Wqkv, W13), cache in layers:
+                first, out = max(first, begin), max(out, begin)
+                q, k, v = self._qkv(x, layer, Wqkv, tensor.RopeTable(cos[first - begin:], sin[first - begin:]))
+                key_start, keys, values = cache.extend(first, k, v)  # positions [key_start, stop)
+                if out >= stop:  # no row of this chunk reaches the next layer
+                    break
+                ctx = attention.window_attend(q[:, out - first:], keys, values, out, key_start, window)
+                if out > first:  # each stream's last stop - out rows
+                    x = x.reshape(self.streams, stop - first, -1)[:, out - first:].reshape(-1, x.shape[1])
+                x = self._residual_ffn(x, layer, W13, ctx)
         self.next_position = end
         h = tensor.rms_norm(x, self.weights.final_norm_gain)
         logits = tensor.matmul(h, self.weights.output_proj)
         return logits if self.streams > 1 else logits[0]
+
+    def keep_stream(self, stream: int) -> None:
+        """Go on as that stream's one-stream session, dropping the other streams' cache heads."""
+        if not 0 <= operator.index(stream) < self.streams:
+            raise ValueError(f"stream {stream} outside [0, {self.streams})")
+        heads = slice(stream * self.config.n_kv_heads, (stream + 1) * self.config.n_kv_heads)
+        for cache in self.caches:
+            cache.keys, cache.values = cache.keys[heads].copy(), cache.values[heads].copy()
+        self.streams = 1
 
     def forward_decode(self, token_id) -> Tensor:
         """Decode one token (with streams > 1, a list of one per stream): a chunk of one."""
         return self.forward_chunk([token_id] if self.streams == 1 else [[t] for t in token_id])
 
     def prefill(self, prompt) -> Tensor:
-        """Process a whole prompt as one chunk on a fresh session.
-
-        The resulting session state matches token-by-token decoding, and the
-        returned logits are those of the last prompt position.
-        """
+        """Run a whole prompt on a fresh session, in chunks of W positions; the
+        state and the returned last-position logits match token-by-token decoding."""
         if self.next_position != 0:
             raise ValueError("prefill requires a fresh session (next_position 0)")
         return self.forward_chunk(prompt)
@@ -230,8 +242,12 @@ def reach_probe(weights: DecoderWeights, tokens, perturb_position: int, on_step=
     later row NaN. So non-finite detection in the kernels must leave this
     probe a way through.
 
-    After each step, on_step(session, row) gets stream 0's logits over the
-    real vocabulary; they and its cache heads are a one-stream session's.
+    Once every layer's cache heads of stream 1 equal stream 0's again (no NaN
+    row is left: after position perturb_position + n_layers*(W-1) + 1), the
+    streams hold the same state and read the same tokens, so no later row
+    can differ: the session keeps stream 0 alone from there. After each
+    step, on_step(session, row) gets stream 0's logits over the real
+    vocabulary; they and its cache heads are a one-stream session's.
     """
     config = weights.config
     tokens = token_ids(config, tokens)
@@ -248,9 +264,15 @@ def reach_probe(weights: DecoderWeights, tokens, perturb_position: int, on_step=
     session._check_tokens([tokens, probe])  # refuse an overlong stream before the first step
     reached = []
     for position, ids in enumerate(zip(tokens, probe)):
-        clean, probed = session.forward_decode(ids)
+        if session.streams == 1:
+            clean = session.forward_decode(ids[0])
+        else:
+            clean, probed = session.forward_decode(ids)
+            if not np.array_equal(clean, probed):
+                reached.append(position)
+            same = all(np.array_equal(*a.reshape(2, -1)) for c in session.caches for a in (c.keys, c.values))
+            if position >= perturb_position and same:
+                session.keep_stream(0)
         if on_step:
             on_step(session, clean[:-1])
-        if not np.array_equal(clean, probed):
-            reached.append(position)
     return reached

@@ -542,11 +542,13 @@ class TestVerify:
         assert "over lengths [1, 7, 8, 9, 24, 26, 29, 30, 8+30]," in lines[1]
 
     def test_one_stepped_session_serves_every_check(self, monkeypatch):
-        # The reach probe's one two-stream session steps the stream and its
-        # tainted copy max(length, probe_length) times; oracle-equivalence
-        # and prefill-decode read their stepped reference off stream 0 rather
-        # than decoding each length again. No other session is stepped. At
-        # W3/L12 the probe needs 30 steps, and the oracle reads the first 24.
+        # The reach probe's one session steps the stream and its tainted copy
+        # max(length, probe_length) times: two streams until the copy's last
+        # NaN cache row is evicted after position boundary + 1, then the
+        # stream alone. oracle-equivalence and prefill-decode read their
+        # stepped reference off stream 0 rather than decoding each length
+        # again. No other session is stepped. At W3/L12 the probe needs 30
+        # steps, and the oracle reads the first 24.
         for config, steps in ((rw.PRESET_TOY, 64), (replace(rw.PRESET_TOY, window_size=3, n_layers=12), 30)):
             sessions = []
             real = rw.GenerationSession.forward_decode
@@ -562,7 +564,12 @@ class TestVerify:
             length = min(8 * config.window_size, config.context_len)
             probe_length = config.n_layers * (config.window_size - 1) + 6
             assert steps == max(length, probe_length)
-            assert [(streams, count) for (_, streams), count in collections.Counter(sessions).items()] == [(2, steps)]
+            boundary = config.n_layers * (config.window_size - 1)
+            counts = collections.Counter(sessions)
+            assert len({session for session, _ in counts}) == 1
+            assert [(streams, count) for (_, streams), count in counts.items()] == [
+                (2, boundary + 2), (1, steps - boundary - 2)
+            ]
 
     @pytest.mark.parametrize("vocab_size", [32, 1])
     def test_faint_boundary_config_passes_at_every_seed(self, vocab_size):

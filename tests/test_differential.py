@@ -11,6 +11,9 @@ while the probe's clean stream gives a one-stream session's logits and
 cache heads at every step.
 Over the same kind of configs, 1-3 streams stepped in lockstep by one
 session must each give the logits and cache heads of that stream run alone.
+A continuation chunk that starts mid-window and runs at least two chunks
+of W past exact_reach must give stepped decoding's logits and caches, and
+a stream kept from it must decode on as that stream alone.
 """
 
 import copy
@@ -140,6 +143,69 @@ def test_lockstep_streams_equal_each_stream_run_alone(case, seed):
             own_positions, own_keys, own_values = session.caches[layer].gather()
             assert positions == own_positions
             assert np.array_equal(keys[heads], own_keys) and np.array_equal(values[heads], own_values)
+
+
+@st.composite
+def continuations(draw):
+    """(config, one token list per stream, prefix length, continuation
+    length): the prefix ends mid-window, and the continuation is at least
+    two chunks of W longer than exact_reach; 1-2 tokens follow it."""
+    window, layers = draw(st.integers(2, 12)), draw(st.integers(1, 4))
+    group, n_kv = draw(st.sampled_from([1, 2, 4])), draw(st.integers(1, 2))
+    reach = layers * (window - 1) + 1
+    prefix = draw(st.integers(0, 2)) * window + draw(st.integers(1, window - 1))
+    continuation = draw(st.integers(reach + 2 * window, reach + 3 * window))
+    n = prefix + continuation + draw(st.integers(1, 2))
+    config = rw.ModelConfig(
+        dim=4 * group * n_kv, n_layers=layers, head_dim=4, hidden_dim=24, n_heads=group * n_kv,
+        n_kv_heads=n_kv, window_size=window, context_len=n, vocab_size=32,
+    )
+    token = st.integers(0, config.vocab_size - 1)
+    streams = draw(st.lists(st.lists(token, min_size=n, max_size=n), min_size=1, max_size=3))
+    return config, streams, prefix, continuation
+
+
+@settings(max_examples=60)
+@given(continuations(), st.integers(0, 2**16), st.data())
+def test_continuation_chunks_equal_stepped_decoding(case, seed, data):
+    # A long chunk on a non-fresh session runs in W-sized chunks aligned to
+    # its end, not to the window; then one stream is kept and decodes on.
+    config, streams, prefix, continuation = case
+    weights = rw.init_random(config, seed)
+    count, end, n_kv = len(streams), prefix + continuation, config.n_kv_heads
+    stepped = [rw.GenerationSession(weights) for _ in streams]
+    rows = [[session.forward_decode(t) for t in tokens[:end]] for session, tokens in zip(stepped, streams)]
+    together = rw.GenerationSession(weights, streams=count)
+    for start, stop in ((0, prefix), (prefix, end)):
+        chunks = [tokens[start:stop] for tokens in streams]
+        last = together.forward_chunk(chunks if count > 1 else chunks[0]).reshape(count, -1)
+        assert all(np.array_equal(row, own[stop - 1]) for row, own in zip(last, rows))
+    for layer, cache in enumerate(together.caches):
+        positions, keys, values = cache.gather()
+        for s, session in enumerate(stepped):
+            heads = slice(s * n_kv, (s + 1) * n_kv)
+            stepped_positions, stepped_keys, stepped_values = session.caches[layer].gather()
+            assert positions == stepped_positions == range(end - config.window_size, end)
+            assert np.array_equal(keys[heads], stepped_keys) and np.array_equal(values[heads], stepped_values)
+    kept = data.draw(st.integers(0, count - 1))
+    together.keep_stream(kept)
+    for token in streams[kept][end:]:
+        assert np.array_equal(together.forward_decode(token), stepped[kept].forward_decode(token))
+    for mine, theirs in zip(together.caches, stepped[kept].caches):
+        (positions, keys, values), (own_positions, own_keys, own_values) = mine.gather(), theirs.gather()
+        assert positions == own_positions
+        assert np.array_equal(keys, own_keys) and np.array_equal(values, own_values)
+
+
+@pytest.mark.parametrize("stream", [-1, 2, 1.0])
+def test_keep_stream_refuses_a_stream_it_does_not_have(toy_weights, stream):
+    session = rw.GenerationSession(toy_weights, streams=2)
+    session.forward_chunk([[1, 2, 3], [4, 5, 6]])
+    before = copy.deepcopy(session)
+    with pytest.raises((ValueError, TypeError)):
+        session.keep_stream(stream)
+    assert session.streams == 2
+    assert_same_state(session, before)
 
 
 @pytest.mark.parametrize("streams", [0, -1])

@@ -10,6 +10,11 @@ from rollwin import tensor as tensor_module
 from conftest import FAINT_BOUNDARY, random_tokens
 
 
+#: The benchmark's prefill preset: dim 128, 6 layers, W 64, exact_reach 379.
+DESK = rw.ModelConfig(dim=128, n_layers=6, head_dim=16, hidden_dim=384, n_heads=8,
+                      n_kv_heads=2, window_size=64, context_len=2048, vocab_size=1024)
+
+
 class TestForwardDecode:
     def test_logits_shape_and_finiteness(self, toy_config, toy_weights):
         session = rw.GenerationSession(toy_weights)
@@ -106,52 +111,123 @@ class TestPrefill:
             rw.GenerationSession(toy_weights).prefill([])
 
     def test_transient_score_matrices_stay_bounded(self, toy_config, toy_weights, monkeypatch):
-        # Each query row scores exactly its W keys, and a layer runs at most
-        # kv_1 = exact_reach - W + 1 query rows, so a head's score block is
-        # at most (exact_reach - W + 1) x W whatever the prompt length.
-        window = toy_config.window_size
-        rows_bound = rw.exact_reach(toy_config) - window + 1
-        original = tensor_module.softmax_stable
+        # Chunks of at most W positions: each query row scores exactly its W
+        # keys, so a head's score block is at most W x W, and no rank-2
+        # product takes more than W rows, whatever the prompt length.
+        window, group = toy_config.window_size, toy_config.n_heads // toy_config.n_kv_heads
         for length in (64, 3 * rw.exact_reach(toy_config), toy_config.context_len):
-            seen = []
-
-            def recording(scores, masked=None):
-                seen.append(scores.shape)  # [n_kv_heads, n_q, group, W]
-                return original(scores, masked)
-
-            monkeypatch.setattr(tensor_module, "softmax_stable", recording)
-            session = rw.GenerationSession(toy_weights)
-            session.prefill(random_tokens(length, seed=length))
-            assert seen, "prefill never reached attention"
-            assert all(shape[-1] == window for shape in seen)
-            assert max(shape[1] for shape in seen) == rows_bound
+            scores, rows = record_prefill(monkeypatch, toy_weights, length)
+            assert max(scores) == (toy_config.n_kv_heads, window, group, window)
+            assert all(shape[0] == toy_config.n_kv_heads and shape[1] <= window and shape[2:] == (group, window)
+                       for shape in scores)
+            assert max(rows) == window
 
     def test_attention_scores_exactly_each_window(self, monkeypatch):
-        # One softmax per layer per chunk over n_heads * W scores per output
-        # row; at the desk preset of the benchmark's prefill workload, its
-        # five prompt lengths make 2,276,352 scores in all.
-        config = rw.ModelConfig(dim=128, n_layers=6, head_dim=16, hidden_dim=384, n_heads=8,
-                                n_kv_heads=2, window_size=64, context_len=2048, vocab_size=1024)
-        weights = rw.init_random(config, 5)
-        window, reach = config.window_size, rw.exact_reach(config)
-        calls = []
-        original = tensor_module.softmax_stable
-
-        def recording(scores, masked=None):
-            calls.append(scores.size)
-            return original(scores, masked)
-
-        monkeypatch.setattr(tensor_module, "softmax_stable", recording)
+        # One softmax per chunk and layer with output rows, over n_heads * W
+        # scores per output row, and each product on the rows the chunk plan
+        # says; at the desk preset
+        # of the benchmark's prefill workload, its five prompt lengths make
+        # 2,276,352 scores in all, as many as one chunk per prompt did.
+        weights = rw.init_random(DESK, 5)
+        window, group = DESK.window_size, DESK.n_heads // DESK.n_kv_heads
         total = 0
         for length in (150, 363, 576, 789, 1000):
-            calls.clear()
-            rw.GenerationSession(weights).prefill(random_tokens(length, seed=length, vocab=config.vocab_size))
-            kv_rows = [min(length, reach - i * (window - 1)) for i in range(config.n_layers)]
-            out_rows = kv_rows[1:] + [1]
-            assert len(calls) == config.n_layers
-            assert calls == [config.n_heads * window * rows for rows in out_rows]
-            total += sum(calls)
+            scores, rows = record_prefill(monkeypatch, weights, length)
+            plan = [layer for chunk in chunk_plan(DESK, length) for layer in chunk]
+            assert scores == [(DESK.n_kv_heads, out, group, window) for _, out in plan if out]
+            # Wq|Wk|Wv on the K/V rows, then Wo, W1|W3 and W2 on the output rows; one logit row.
+            assert rows == [n for kv, out in plan for n in ([kv] + [out] * 3 if out else [kv])] + [1]
+            total += sum(np.prod(shape) for shape in scores)
         assert total == 2_276_352
+
+    @pytest.mark.parametrize(
+        "config, lengths, flat_macs",
+        [
+            (rw.PRESET_TOY, (1, 7, 8, 9, 29, 30, 64, 128), 1_988_608),
+            (DESK, (1, 63, 64, 65, 379, 380, 150, 576, 1000, 2000), 204_185_600),
+        ],
+        ids=["toy", "desk"],
+    )
+    def test_chunked_prefill_does_the_one_chunk_macs(self, monkeypatch, config, lengths, flat_macs):
+        # Summed from the matmul shapes: exactly the MACs of running the
+        # prompt as one chunk trimmed per layer, which stop growing at
+        # exact_reach (29 on toy, 379 on desk).
+        weights, reach = rw.init_random(config, 5), rw.exact_reach(config)
+        for length in lengths:
+            calls = []
+            original = tensor_module.matmul
+
+            def counting(a, b):
+                out = original(a, b)
+                calls.append(out.size * np.shape(a)[-1])
+                return out
+
+            monkeypatch.setattr(tensor_module, "matmul", counting)
+            rw.GenerationSession(weights).prefill(random_tokens(length, seed=length, vocab=config.vocab_size))
+            monkeypatch.undo()
+            assert sum(calls) == one_chunk_macs(config, length), length
+            if length >= reach:
+                assert sum(calls) == flat_macs, length
+
+    def test_chunk_plan_aligns_to_the_end(self):
+        # The short remainder chunk comes first, where only the early layers
+        # run: a 30-token toy prefill makes 7 full layer passes (10 if the
+        # chunks started at the prompt's start), and a desk one of 379
+        # tokens or more makes 16.
+        plan = chunk_plan(rw.PRESET_TOY, 30)
+        assert plan[0] == [(5, 0)]
+        assert [len([out for _, out in chunk if out]) for chunk in plan] == [0, 1, 2, 4]
+        for length in (379, 1000, 2000):
+            assert sum(1 for chunk in chunk_plan(DESK, length) for _, out in chunk if out) == 16
+
+
+def chunk_plan(config, length):
+    """Per chunk of a fresh prefill of length tokens, oldest first, each
+    layer's (K/V rows, output rows) until the first layer with no output
+    row: chunks of W positions back from the end, over the last kv_0 rows."""
+    window, reach = config.window_size, rw.exact_reach(config)
+    kv = [min(length, reach - i * (window - 1)) for i in range(config.n_layers)] + [1]
+    stops = list(range(length, length - kv[0], -window))[::-1]
+    plan = []
+    for stop in stops:
+        begin, layers = max(length - kv[0], stop - window), []
+        for kv_rows, out_rows in zip(kv, kv[1:]):
+            layers.append((stop - max(begin, length - kv_rows), max(0, stop - max(begin, length - out_rows))))
+            if layers[-1][1] == 0:
+                break
+        plan.append(layers)
+    return plan
+
+
+def one_chunk_macs(config, length):
+    """A prefill's MACs with each layer's kv_l and kv_{l+1} rows in one chunk."""
+    window, reach, dim, head_dim = config.window_size, rw.exact_reach(config), config.dim, config.head_dim
+    kv = [min(length, reach - i * (window - 1)) for i in range(config.n_layers)] + [1]
+    qkv = dim * (config.n_heads + 2 * config.n_kv_heads) * head_dim
+    row = 2 * config.n_heads * window * head_dim + config.n_heads * head_dim * dim + 3 * dim * config.hidden_dim
+    return sum(kv_rows * qkv + out_rows * row for kv_rows, out_rows in zip(kv, kv[1:])) + dim * config.vocab_size
+
+
+def record_prefill(monkeypatch, weights, length):
+    """Score block shapes (one per softmax) and rank-2 product row counts of one fresh prefill."""
+    scores, rows = [], []
+    softmax, matmul = tensor_module.softmax_stable, tensor_module.matmul
+
+    def recording_softmax(x, masked=None):
+        scores.append(x.shape)  # [n_kv_heads, n_q, group, W]
+        return softmax(x, masked)
+
+    def recording_matmul(a, b):
+        if np.ndim(a) == 2:
+            rows.append(np.shape(a)[0])
+        return matmul(a, b)
+
+    monkeypatch.setattr(tensor_module, "softmax_stable", recording_softmax)
+    monkeypatch.setattr(tensor_module, "matmul", recording_matmul)
+    config = weights.config
+    rw.GenerationSession(weights).prefill(random_tokens(length, seed=length, vocab=config.vocab_size))
+    monkeypatch.undo()
+    return scores, rows
 
 
 def unbatched_matmul(a, b):
