@@ -6,9 +6,9 @@ ascending absolute-position order so that every caller accumulates
 attention sums identically. The head grouping comes from the shapes: q
 is [n_heads, ...], keys are [n_kv_heads, ...], and query head h reads kv
 head h // (n_heads // n_kv_heads). The engine calls `window_attend`, which
-reads each query's window as a band of contiguous key rows; `gqa_attend`
-under an explicit mask is its dense reference, and the oracle builds its
-masks with `build_swa_mask`.
+reads each query's window as a band of the key rows that end at the last
+query; `gqa_attend` under a `build_swa_mask` mask is its dense reference
+and the oracle's attention.
 """
 
 from __future__ import annotations
@@ -71,33 +71,31 @@ def build_prefill_mask(
 
 
 def gqa_attend(q: Tensor, k: Tensor, v: Tensor, admissible: np.ndarray) -> Tensor:
-    """Grouped-query attention over position-ordered keys.
+    """Grouped-query attention under an explicit mask: window_attend's
+    dense reference and the oracle's attention.
 
-    q: [n_heads, n_q, head_dim]; k, v: [n_kv_heads, n_k, head_dim];
-    admissible: bool [n_q, n_k], as build_swa_mask returns. The caller
-    gives the key rows in ascending absolute-position order, the order
-    every other attention path sums in. Query head h reads kv head
-    h // (n_heads // n_kv_heads); per head the output is
-    softmax(q k^T / sqrt(head_dim)) v with inadmissible pairs excluded from
-    the max and the normalizer. All heads share one batched product per
-    stage, bit-identical to one 2-D product per head.
+    q: [n_heads, n_q, head_dim]; k, v: [n_kv_heads, n_k, head_dim], rows in
+    ascending position order, the order every attention path sums in;
+    admissible: bool [n_q, n_k], as build_swa_mask returns. Query head h
+    reads kv head h // group and is softmax(q k^T / sqrt(head_dim)) v, one
+    2-D product per stage, inadmissible pairs excluded from the max and the
+    normalizer; the largest transient is one head's [n_q, n_k] block.
     """
     if q.ndim != 3 or k.ndim != 3 or k.shape != v.shape:
         raise ValueError(f"q/k/v shapes {q.shape}/{k.shape}/{v.shape} are not [heads, rows, head_dim]")
     group = _group_size(q, k)
     if q.shape[2] != k.shape[2]:
         raise ValueError(f"head_dim mismatch: q {q.shape[2]} vs k {k.shape[2]}")
-    n_q, n_k = q.shape[1], k.shape[1]
-    if admissible.shape != (n_q, n_k):
-        raise ValueError(f"mask shape {admissible.shape}, expected {(n_q, n_k)}")
+    if admissible.shape != (q.shape[1], k.shape[1]):
+        raise ValueError(f"mask shape {admissible.shape}, expected {(q.shape[1], k.shape[1])}")
 
-    # One batched product per stage: query head h reads kv head h // group.
-    kv = np.arange(q.shape[0]) // group
     scale = np.float32(math.sqrt(q.shape[2]))
-    scores = tensor.matmul(q, k[kv].transpose(0, 2, 1)) / scale    # [n_heads, n_q, n_k]
-    masked = np.broadcast_to(~admissible, scores.shape)
-    weights = tensor.softmax_stable(scores, masked=masked)
-    return tensor.matmul(weights, v[kv])
+    masked = ~admissible
+    out = np.empty(q.shape, dtype=np.float32)
+    for head in range(q.shape[0]):
+        scores = tensor.matmul(q[head], k[head // group].T) / scale
+        out[head] = tensor.matmul(tensor.softmax_stable(scores, masked=masked), v[head // group])
+    return out
 
 
 def _bands(rows: Tensor, first: int, n_q: int, window: int) -> Tensor:
@@ -111,21 +109,19 @@ def _bands(rows: Tensor, first: int, n_q: int, window: int) -> Tensor:
     return bands
 
 
-def window_attend(
-    q: Tensor, keys: Tensor, values: Tensor, q_start: int, key_start: int, window: int
-) -> Tensor:
+def window_attend(q: Tensor, keys: Tensor, values: Tensor, window: int) -> Tensor:
     """Sliding-window grouped-query attention as one banded product.
 
-    q: [n_heads, n_q, head_dim] for positions [q_start, q_start + n_q);
-    keys, values: [n_kv_heads, n_k, head_dim] for the contiguous positions
-    [key_start, q_start + n_q). Query i scores exactly the `window` keys at
-    positions q_start + i - window + 1 ... q_start + i, read as strided
-    bands over the key rows (copied only if not C-contiguous; the engine's
-    are). Slots before key_start are zero rows, masked; there are none once
-    the keys reach W - 1 positions before q_start, so the steady state runs
-    softmax without a mask. Query heads sit as rows on the kv head they
-    read, so K/V are never repeated per query head, and a call is one
-    scores product, one softmax and one AV product for all heads.
+    q: [n_heads, n_q, head_dim]; keys, values: [n_kv_heads, n_k, head_dim]
+    with n_k >= n_q, contiguous positions ending at the last query's. Query
+    i scores exactly the `window` key rows ending at its own, read as
+    strided bands (copied only if not C-contiguous; the engine's are). The
+    rule is relative, so no positions are passed: a shortfall of
+    n_q + window - 1 - n_k rows is the start of the sequence, zero rows
+    under a mask; the steady state has none and runs softmax unmasked.
+    Query heads sit as rows on the kv head they read, so K/V are never
+    repeated per query head, and a call is one scores product, one softmax
+    and one AV product for all heads.
 
     Bit-identical to gqa_attend under build_swa_mask over the same keys:
     every admissible score is the same ordered dot product, and the keys a
@@ -136,20 +132,17 @@ def window_attend(
     n_kv, group = keys.shape[0], _group_size(q, keys)
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    if key_start < 0 or key_start > q_start:
-        raise ValueError(f"key_start {key_start} must lie in [0, q_start {q_start}]")
-    expected = (n_kv, q_start + n_q - key_start, head_dim)
-    if keys.shape != expected or values.shape != expected:
-        raise ValueError(f"k/v shapes {keys.shape}/{values.shape}, expected {expected}")
+    if values.shape != keys.shape or keys.shape[2:] != (head_dim,) or keys.shape[1] < n_q:
+        raise ValueError(f"k/v shapes {keys.shape}/{values.shape} do not fit {n_q} queries of head_dim {head_dim}")
 
-    first = q_start - window + 1 - key_start  # key row of query 0's oldest slot
+    first = keys.shape[1] - n_q - window + 1  # key row of query 0's oldest slot
     masked = None
     if first < 0:
         pad = np.zeros((n_kv, -first, head_dim), dtype=np.float32)
         keys = np.concatenate([pad, keys], axis=1)
         values = np.concatenate([pad, values], axis=1)
-        slot_positions = q_start - window + 1 + np.arange(n_q)[:, None] + np.arange(window)
-        masked = np.broadcast_to((slot_positions < key_start)[:, None, :], (n_kv, n_q, group, window))
+        slot_rows = first + np.arange(n_q)[:, None] + np.arange(window)
+        masked = np.broadcast_to((slot_rows < 0)[:, None, :], (n_kv, n_q, group, window))
         first = 0
     k_bands = _bands(keys, first, n_q, window)
     v_bands = _bands(values, first, n_q, window)

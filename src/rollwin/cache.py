@@ -83,10 +83,10 @@ class RollingKvCache:
         return (positions, np.concatenate([self.keys[:, run] for run in runs], axis=1),
                 np.concatenate([self.values[:, run] for run in runs], axis=1))
 
-    def extend(self, first: int, k_block: Tensor, v_block: Tensor) -> tuple[int, Tensor, Tensor]:
+    def extend(self, first: int, k_block: Tensor, v_block: Tensor) -> tuple[Tensor, Tensor]:
         """Write a block at `first` through `prefill_bulk` (restarting there if
-        it starts past the end); return `gather`'s first position and copies
-        of its keys and values from before the write, each followed by the block."""
+        it starts past the end); return copies of `gather`'s keys and values
+        from before the write, each followed by the block."""
         if first > self.next_position:
             self.restart(first)
         positions = self.retained_positions()
@@ -94,7 +94,7 @@ class RollingKvCache:
         keys = np.concatenate([self.keys[:, run] for run in runs] + [k_block], axis=1)
         values = np.concatenate([self.values[:, run] for run in runs] + [v_block], axis=1)
         self.prefill_bulk(first, k_block, v_block)
-        return positions.start, keys, values
+        return keys, values
 
     def window_view(self) -> list[tuple[int, Tensor, Tensor]]:
         """Retained (position, k_row, v_row) triples, ascending by position.

@@ -220,11 +220,12 @@ def run_verification(config: ModelConfig, seed: int) -> list[CheckResult]:
     checks: list[CheckResult] = []
 
     # Chunk sizes to prefill: awkward prompt lengths, both sides of the
-    # receptive-field skip, and a continuation chunk that skips at a
-    # non-zero position. Each must end within the stream.
+    # receptive-field skip, and continuations: one that skips at a non-zero
+    # position, and one of over W rows that reads a cache wrapped mid-window.
     reach = exact_reach(config)
     lengths = (1, window - 1, window, window + 1, 3 * window, 3 * window + 2, reach, reach + 1)
-    splits = {(n,) for n in lengths} | {(window, reach + 1)}
+    continuations = [(window, reach + 1), (window + window // 2, min(2 * window + 1, reach - window))]
+    splits = {(n,) for n in lengths} | {s for s in continuations if s[1] > window}
     splits = sorted((s for s in splits if 0 not in s and sum(s) <= length), key=lambda s: (sum(s), len(s)))
     ends = {sum(s) for s in splits} | {window, length}
 

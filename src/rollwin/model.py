@@ -172,10 +172,10 @@ class GenerationSession:
             for first, out, layer, (Wqkv, W13), cache in layers:
                 first, out = max(first, begin), max(out, begin)
                 q, k, v = self._qkv(x, layer, Wqkv, tensor.RopeTable(cos[first - begin:], sin[first - begin:]))
-                key_start, keys, values = cache.extend(first, k, v)  # positions [key_start, stop)
+                keys, values = cache.extend(first, k, v)  # rows ending at position stop - 1
                 if out >= stop:  # no row of this chunk reaches the next layer
                     break
-                ctx = attention.window_attend(q[:, out - first:], keys, values, out, key_start, window)
+                ctx = attention.window_attend(q[:, out - first:], keys, values, window)
                 if out > first:  # each stream's last stop - out rows
                     x = x.reshape(self.streams, stop - first, -1)[:, out - first:].reshape(-1, x.shape[1])
                 x = self._residual_ffn(x, layer, W13, ctx)

@@ -1,21 +1,24 @@
 """Slow full-history baselines used as ground truth for the rolling engine.
 
-These deliberately duplicate the decoder's layer arithmetic instead of
-calling into it: an equivalence test against shared code would prove
-nothing. Every layer keeps the K/V of every position, as [n_kv_heads, n,
-head_dim] arrays, so memory grows linearly with sequence length, which is
-exactly the behavior the rolling cache removes. This module must stay
-independent of the cache module. It cannot carry `model.reach_probe`'s NaN
-taint: its dense masked products multiply masked weights by every key row.
+These deliberately duplicate the decoder's layer stack instead of calling
+into it: an equivalence test against shared code would prove nothing.
+Attention is the dense `gqa_attend` under a `build_swa_mask` mask (window
+n for plain causal), one [n, n] block per head, not the engine's banded
+kernel. Every layer keeps the K/V of every position, so memory grows
+linearly with sequence length, which is exactly the behavior the rolling
+cache removes. This module must stay independent of the cache and model
+modules. It cannot carry `model.reach_probe`'s NaN taint: its dense masked
+products multiply masked weights by every key row.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import attention, tensor
+# By name: perfbench/tracer.py swaps attention.gqa_attend for a wrapper that
+# reads an older signature and raises, so a call through the module breaks.
+from .attention import gqa_attend
 from .config import ModelConfig, token_ids
 from .tensor import Tensor
 from .weights import DecoderWeights
@@ -25,7 +28,7 @@ from .weights import DecoderWeights
 MAX_HISTORY_ELEMENTS = 2**20
 
 #: Refuse runs longer than this many tokens: each head's n x n score block
-#: costs 25-29 bytes of peak memory per entry, about 230 MiB at 3072.
+#: costs 20-23 bytes of peak memory per entry, about 181 MiB at 3072.
 MAX_ORACLE_TOKENS = 3072
 
 
@@ -58,14 +61,8 @@ def _forward(
         raise ValueError(f"config {config} is not the weights' config {weights.config}")
     guard(config, len(tokens))
     n = len(tokens)
-    if causal:
-        admissible = np.tril(np.ones((n, n), dtype=bool))
-    else:
-        admissible = attention.build_swa_mask(range(n), range(n), config.window_size)
+    admissible = attention.build_swa_mask(range(n), range(n), n if causal else config.window_size)
     x = weights.token_embedding[np.asarray(token_ids(config, tokens))]  # [n, dim]
-    group_size = config.n_heads // config.n_kv_heads
-    scale = np.float32(math.sqrt(config.head_dim))
-    inadmissible = ~admissible
     rope = tensor.rope_table(np.arange(n), config.head_dim)
     history = []
     for layer in weights.layers:
@@ -76,13 +73,7 @@ def _forward(
         k = tensor.rope_apply(k.transpose(1, 0, 2), rope)  # [n_kv_heads, n, head_dim]
         v = tensor.matmul(h, layer.Wv).reshape(n, config.n_kv_heads, config.head_dim).transpose(1, 0, 2)
         history.append((k, v))
-        ctx = np.empty((config.n_heads, n, config.head_dim), dtype=np.float32)
-        for head in range(config.n_heads):
-            kv = head // group_size
-            scores = tensor.matmul(q[head], k[kv].T) / scale
-            probs = tensor.softmax_stable(scores, masked=inadmissible)
-            ctx[head] = tensor.matmul(probs, v[kv])
-        merged = ctx.transpose(1, 0, 2).reshape(n, config.n_heads * config.head_dim)
+        merged = gqa_attend(q, k, v, admissible).transpose(1, 0, 2).reshape(n, -1)  # [n, n_heads * head_dim]
         x = x + tensor.matmul(merged, layer.Wo)
         h2 = tensor.rms_norm(x, layer.ffn_norm_gain)
         gated = tensor.silu_gate(tensor.matmul(h2, layer.W1), tensor.matmul(h2, layer.W3))

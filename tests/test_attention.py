@@ -133,7 +133,7 @@ def one_position_heads(n_heads, n_kv, head_dim=2):
 
 def attend_both(q, k, v):
     """gqa_attend and window_attend of one query over the one key."""
-    return [rw.gqa_attend(q, k, v, rw.build_swa_mask([0], [0], window=1)), rw.window_attend(q, k, v, 0, 0, 1)]
+    return [rw.gqa_attend(q, k, v, rw.build_swa_mask([0], [0], window=1)), rw.window_attend(q, k, v, 1)]
 
 
 class TestHeadGrouping:
@@ -153,7 +153,7 @@ class TestHeadGrouping:
         with pytest.raises(ValueError, match="6 query heads cannot share 4 kv heads"):
             rw.gqa_attend(q, k, v, rw.build_swa_mask([0], [0], window=1))
         with pytest.raises(ValueError, match="6 query heads cannot share 4 kv heads"):
-            rw.window_attend(q, k, v, 0, 0, 1)
+            rw.window_attend(q, k, v, 1)
 
     def test_zero_kv_heads_rejected(self):
         # Not a ZeroDivisionError: the count is checked before it divides.
@@ -161,7 +161,7 @@ class TestHeadGrouping:
         with pytest.raises(ValueError, match="4 query heads cannot share 0 kv heads"):
             rw.gqa_attend(q, k, v, rw.build_swa_mask([0], [0], window=1))
         with pytest.raises(ValueError, match="4 query heads cannot share 0 kv heads"):
-            rw.window_attend(q, k, v, 0, 0, 1)
+            rw.window_attend(q, k, v, 1)
 
 
 class TestGqaAttend:
@@ -219,7 +219,7 @@ class TestGqaAttend:
                     assert np.all(out[h, i] <= rows.max(axis=0) + 1e-5)
 
     @pytest.mark.parametrize("n_kv", [4, 2, 1])
-    def test_batched_heads_equal_per_head_reference(self, n_kv):
+    def test_each_head_equals_its_2d_reference(self, n_kv):
         # Chunk 8..13 at W=4 over cache 4..7: cache keys in and out of the
         # window, in-chunk keys cut by causality and by the window.
         n_heads, head_dim = 4, 8
@@ -258,7 +258,8 @@ def spread_normal(rng, shape):
 
 
 class TestWindowAttend:
-    """The banded product against gqa_attend under the dense window mask."""
+    """The banded product, given only the key rows, against gqa_attend under
+    the dense window mask over the rows' absolute positions."""
 
     def _dense(self, q, keys, values, q_start, key_start, window):
         n_q = q.shape[1]
@@ -284,7 +285,7 @@ class TestWindowAttend:
     def test_equals_gqa_attend_under_dense_mask(self, window, q_start, key_start, n_q, n_kv):
         n_k = q_start + n_q - key_start
         q, keys, values = self._inputs(window * 100 + q_start + n_q, 4, n_kv, n_q, n_k)
-        banded = rw.window_attend(q, keys, values, q_start, key_start, window)
+        banded = rw.window_attend(q, keys, values, window)
         dense = self._dense(q, keys, values, q_start, key_start, window)
         assert banded.shape == (4, n_q, 8)
         assert np.array_equal(banded, dense)
@@ -292,8 +293,8 @@ class TestWindowAttend:
     def test_strided_query_rows_equal_contiguous(self):
         # The engine passes q[:, n_kv - n_out:], a view into a wider block.
         q, keys, values = self._inputs(3, 4, 2, 12, 16)
-        view = rw.window_attend(q[:, 4:], keys[:, 4:], values[:, 4:], 8, 4, 4)
-        copy = rw.window_attend(q[:, 4:].copy(), keys[:, 4:].copy(), values[:, 4:].copy(), 8, 4, 4)
+        view = rw.window_attend(q[:, 4:], keys[:, 4:], values[:, 4:], 4)
+        copy = rw.window_attend(q[:, 4:].copy(), keys[:, 4:].copy(), values[:, 4:].copy(), 4)
         assert np.array_equal(view, copy)
 
     @pytest.mark.parametrize("q_start, key_start, n_q", [(20, 16, 1), (20, 17, 6), (2, 0, 5)],
@@ -306,8 +307,8 @@ class TestWindowAttend:
         k_view = np.ascontiguousarray(keys.transpose(1, 0, 2)).transpose(1, 0, 2)
         v_view = np.ascontiguousarray(values.transpose(1, 0, 2)).transpose(1, 0, 2)
         assert not k_view.flags.c_contiguous and np.array_equal(k_view, keys)
-        view = rw.window_attend(q, k_view, v_view, q_start, key_start, 4)
-        assert np.array_equal(view, rw.window_attend(q, keys, values, q_start, key_start, 4))
+        view = rw.window_attend(q, k_view, v_view, 4)
+        assert np.array_equal(view, rw.window_attend(q, keys, values, 4))
 
     @pytest.mark.parametrize("layout", ["contiguous", "transposed", "row-slice"])
     def test_bands_are_read_only_windows_of_rows(self, layout):
@@ -331,19 +332,21 @@ class TestWindowAttend:
     def test_inputs_left_unchanged(self):
         q, keys, values = self._inputs(4, 4, 2, 3, 5)
         before = [a.copy() for a in (q, keys, values)]
-        rw.window_attend(q, keys, values, 2, 0, 4)
+        rw.window_attend(q, keys, values, 4)
         assert all(np.array_equal(a, b) for a, b in zip((q, keys, values), before))
 
     def test_shape_mismatches_rejected(self):
         q, keys, values = self._inputs(5, 4, 2, 3, 6)
         with pytest.raises(ValueError, match="k/v shapes"):
-            rw.window_attend(q, keys, values, 2, 0, 4)  # keys need positions [0, 5)
+            rw.window_attend(q, keys, values[:, 1:], 4)
+        with pytest.raises(ValueError, match="k/v shapes"):
+            rw.window_attend(q, keys[:, :2], values[:, :2], 4)  # fewer key rows than queries
+        with pytest.raises(ValueError, match="k/v shapes"):
+            rw.window_attend(q[..., :4], keys, values, 4)
         with pytest.raises(ValueError, match="query heads"):
-            rw.window_attend(q[:3], keys, values, 3, 0, 4)
-        with pytest.raises(ValueError, match="key_start"):
-            rw.window_attend(q, keys[:, :2], values[:, :2], 3, 4, 4)
+            rw.window_attend(q[:3], keys, values, 4)
         with pytest.raises(ValueError, match="window"):
-            rw.window_attend(q, keys, values, 3, 0, 0)
+            rw.window_attend(q, keys, values, 0)
 
 
 class TestPairCounts:

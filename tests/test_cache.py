@@ -335,8 +335,7 @@ class TestSlotRuns:
                     if write == 1:
                         cache.prefill_bulk(position, k, v)
                     else:
-                        key_start, keys, values = cache.extend(position, k, v)
-                        assert key_start == before[0].start
+                        keys, values = cache.extend(position, k, v)
                         assert np.array_equal(keys, np.concatenate([before[1], k], axis=1))
                         assert np.array_equal(values, np.concatenate([before[2], v], axis=1))
                     for i in range(block_len):
@@ -357,8 +356,7 @@ class TestExtend:
         rng = np.random.default_rng(14)
         cache.prefill_bulk(0, *rng.standard_normal((2, 2, 5, 3), dtype=np.float32))
         k, v = rng.standard_normal((2, 2, 2, 3), dtype=np.float32)
-        key_start, keys, values = cache.extend(9, k, v)
-        assert key_start == 9
+        keys, values = cache.extend(9, k, v)
         assert np.array_equal(keys, k) and np.array_equal(values, v)
         assert cache.retained_positions() == range(9, 11)
 
@@ -376,7 +374,7 @@ class TestExtend:
     def test_result_is_a_copy(self):
         cache = rw.RollingKvCache(1, 4, 2)
         block = np.ones((1, 3, 2), np.float32)
-        _, keys, values = cache.extend(0, block, block)
+        keys, values = cache.extend(0, block, block)
         keys[...] = values[...] = 7.0
         block[...] = 5.0
         assert np.array_equal(cache.gather()[1], np.ones((1, 3, 2), np.float32))

@@ -492,7 +492,7 @@ ONE_ULP_FAULTS = {
 GOLDEN_VERIFY = {
     (): (
         "oracle-equivalence: max |dlogit| 0.00e+00 over 64 steps: pass\n"
-        "prefill-decode: max |dlogit| 0.00e+00 over lengths [1, 7, 8, 9, 24, 26, 29, 30, 8+30], "
+        "prefill-decode: max |dlogit| 0.00e+00 over lengths [1, 7, 8, 9, 24, 26, 29, 12+17, 30, 8+30], "
         "caches identical: pass\n"
         "reach: affected <= 28, boundary exact: pass\n"
         "cache-bound: 8192 bytes after 64 tokens == 8192 after 8; 8 entries/layer: pass\n"
@@ -506,14 +506,14 @@ GOLDEN_VERIFY = {
     ),
     ("--window", "16"): (
         "oracle-equivalence: max |dlogit| 0.00e+00 over 128 steps: pass\n"
-        "prefill-decode: max |dlogit| 0.00e+00 over lengths [1, 15, 16, 17, 48, 50, 61, 62, 16+62], "
+        "prefill-decode: max |dlogit| 0.00e+00 over lengths [1, 15, 16, 17, 48, 50, 24+33, 61, 62, 16+62], "
         "caches identical: pass\n"
         "reach: affected <= 60, boundary exact: pass\n"
         "cache-bound: 16384 bytes after 128 tokens == 16384 after 16; 16 entries/layer: pass\n"
     ),
     ("--window", "3", "--layers", "12"): (
         "oracle-equivalence: max |dlogit| 0.00e+00 over 24 steps: pass\n"
-        "prefill-decode: max |dlogit| 0.00e+00 over lengths [1, 2, 3, 4, 9, 11], caches identical: pass\n"
+        "prefill-decode: max |dlogit| 0.00e+00 over lengths [1, 2, 3, 4, 9, 11, 4+7], caches identical: pass\n"
         "reach: affected <= 24, boundary exact: pass\n"
         "cache-bound: 9216 bytes after 24 tokens == 9216 after 3; 3 entries/layer: pass\n"
     ),
@@ -522,11 +522,21 @@ GOLDEN_VERIFY = {
 
 def _one_key_too_many(real):
     """window_attend scoring W + 1 keys wherever the keys reach that far."""
-    def wider(q, keys, values, q_start, key_start, window):
-        if q_start - window >= key_start:
+    def wider(q, keys, values, window):
+        if keys.shape[1] >= q.shape[1] + window:
             window += 1
-        return real(q, keys, values, q_start, key_start, window)
+        return real(q, keys, values, window)
     return wider
+
+
+def _restart_before_long_runs(real):
+    """forward_chunk restarting every cache before a one-stream run longer than W."""
+    def restarting(self, tokens):
+        if self.streams == 1 and len(tokens) > self.config.window_size:
+            for cache in self.caches:
+                cache.restart(self.next_position)
+        return real(self, tokens)
+    return restarting
 
 
 class TestVerify:
@@ -537,9 +547,10 @@ class TestVerify:
         lines = [line for line in err.strip().splitlines() if line]
         assert len(lines) == 4
         assert all(line.endswith(": pass") for line in lines)
-        # Prefill lengths reach past exact_reach (29), and a continuation
-        # chunk of 30 tokens after 8 skips at a non-zero position.
-        assert "over lengths [1, 7, 8, 9, 24, 26, 29, 30, 8+30]," in lines[1]
+        # Prefill lengths reach past exact_reach (29), a continuation chunk
+        # of 30 tokens after 8 skips at a non-zero position, and one of 17
+        # after 12 starts mid-window and reads the wrapped cache.
+        assert "over lengths [1, 7, 8, 9, 24, 26, 29, 12+17, 30, 8+30]," in lines[1]
 
     def test_one_stepped_session_serves_every_check(self, monkeypatch):
         # The reach probe's one session steps the stream and its tainted copy
@@ -596,6 +607,30 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify")
         assert code == cli.EXIT_VERIFY
         assert "reach" in [line.split(":")[0] for line in err.splitlines() if line.endswith(": fail")]
+
+    @pytest.mark.parametrize("flags", [(), ("--window", "16"), ("--window", "3", "--layers", "12")],
+                             ids=lambda flags: " ".join(flags) or "toy")
+    def test_restarting_caches_before_a_long_run_fails_prefill_decode(self, capsys, monkeypatch, flags):
+        # Negative control for a continuation that reads the cache: only the
+        # mid-window split (12+17 on toy) runs more than W tokens after a
+        # prefix that the cache must still hold. At W4/L2 that split does
+        # not fit (its continuation would be 3 <= W rows), so no check sees it.
+        monkeypatch.setattr(rw.GenerationSession, "forward_chunk",
+                            _restart_before_long_runs(rw.GenerationSession.forward_chunk))
+        code, _, err = run_cli(capsys, "verify", *flags)
+        assert code == cli.EXIT_VERIFY
+        assert [line.split(":")[0] for line in err.splitlines() if line.endswith(": fail")] == ["prefill-decode"]
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("flags", sorted(GOLDEN_VERIFY), ids=lambda flags: " ".join(flags) or "toy")
+    def test_exact_at_every_seed(self, capsys, flags, seed):
+        # Engine and oracle, and chunked and stepped runs, agree bit for bit
+        # at seeds 0-9 on every pinned config, not only at the golden seed.
+        code, out, err = run_cli(capsys, "verify", *flags, "--seed", str(seed))
+        assert (code, out) == (cli.EXIT_OK, "")
+        lines = err.splitlines()
+        assert lines[0].startswith("oracle-equivalence: max |dlogit| 0.00e+00 over ")
+        assert lines[1].startswith("prefill-decode: max |dlogit| 0.00e+00 over ")
 
     @pytest.mark.parametrize("flags", sorted(GOLDEN_VERIFY), ids=lambda flags: " ".join(flags) or "toy")
     def test_verify_text_is_pinned(self, capsys, flags):

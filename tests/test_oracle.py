@@ -196,3 +196,25 @@ class TestIndependence:
                 imported.update(f"{module}.{alias.name}" if module else alias.name for alias in node.names)
         assert not any("cache" in name for name in imported)
         assert not any("model" in name for name in imported)
+
+    def test_oracle_never_names_the_engine_kernel(self):
+        # The oracle attends densely through gqa_attend; the engine's banded
+        # window_attend must not be what it is checked against.
+        assert "window_attend" not in inspect.getsource(rollwin.oracle)
+
+    @pytest.mark.parametrize("forward", [rw.oracle_forward_swa, rw.oracle_forward_causal],
+                             ids=["swa", "causal"])
+    def test_attention_holds_one_head_block_at_a_time(self, monkeypatch, toy_config, toy_weights, forward):
+        # MAX_ORACLE_TOKENS is sized per head: every softmax input is one
+        # head's [n, n] score block, never a stack of heads.
+        shapes = []
+        real = rw.tensor.softmax_stable
+
+        def recorded(scores, masked=None):
+            shapes.append(scores.shape)
+            return real(scores, masked=masked)
+
+        monkeypatch.setattr(rw.tensor, "softmax_stable", recorded)
+        n = 3 * toy_config.window_size
+        forward(toy_weights, toy_config, random_tokens(n, seed=30))
+        assert shapes == [(n, n)] * (toy_config.n_layers * toy_config.n_heads)

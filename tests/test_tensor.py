@@ -270,7 +270,7 @@ def _laid_out(draw, rng, shape):
     layout = draw(st.sampled_from(["contiguous", "transposed", "column-slice"]))
     specials = draw(st.sampled_from([(), (-0.0,), (np.nan, np.inf, -np.inf, -0.0)]))
     rate = draw(st.sampled_from([0.05, 0.3, 1.0]))
-    if layout == "transposed":  # like k[kv].transpose(0, 2, 1) in gqa_attend
+    if layout == "transposed":  # like k[head // group].T in gqa_attend
         base_shape = shape[:-2] + (shape[-1], shape[-2])
     elif layout == "column-slice":  # like gates[:, :hidden] in the engine
         base_shape = shape[:-1] + (shape[-1] + 5,)
