@@ -9,11 +9,11 @@ positions in ascending order whatever the slot layout: up to `capacity`
 consecutive positions fill at most two contiguous slot runs (up to the
 last slot, then from slot 0), and every read and write goes through them.
 
-`restart(position)` empties the cache and moves it to any position: the
-retained range then starts there and grows with each write, as if the
-cache had been built from `position` onwards. A session uses it when a
-layer of a long chunk starts computing rows past the cache's end, because
-no result it keeps can read the rows in between.
+`extend` may start a block past the cache's end. It then skips there: the
+retained range starts at the block and grows with each write, as if the
+cache had been built from that position onwards. A layer of a long chunk
+does this when it starts computing rows past the cache's end, because no
+result it keeps can read the rows in between.
 
 A cache belongs to exactly one generation session: single writer, no
 concurrent readers during a write. Distinct sessions are independent.
@@ -40,11 +40,6 @@ class RollingKvCache:
         self.next_position = 0
 
     @property
-    def filled(self) -> int:
-        """Count of valid entries, saturating at capacity."""
-        return len(self.retained_positions())
-
-    @property
     def nbytes(self) -> int:
         """Allocated cache bytes; constant for the cache's lifetime."""
         return self.keys.nbytes + self.values.nbytes
@@ -52,16 +47,6 @@ class RollingKvCache:
     def retained_positions(self) -> range:
         """Absolute positions currently stored, oldest first."""
         return range(max(self.first_position, self.next_position - self.capacity), self.next_position)
-
-    def restart(self, position: int) -> None:
-        """Forget every entry; the next write must be at `position`.
-
-        Nothing is cleared or reallocated: stale slots are simply never
-        gathered again, and the retained range starts at `position`.
-        """
-        if position < 0:
-            raise ValueError(f"restart position must be >= 0, got {position}")
-        self.first_position = self.next_position = position
 
     def append(self, position: int, k_row: Tensor, v_row: Tensor) -> None:
         """Store one token's K/V rows ([n_kv_heads, head_dim]) at `position`.
@@ -74,7 +59,7 @@ class RollingKvCache:
     def gather(self) -> tuple[range, Tensor, Tensor]:
         """Retained positions, ascending, with their keys and values.
 
-        keys and values are [n_kv_heads, filled, head_dim] copies, row i
+        keys and values are [n_kv_heads, len(positions), head_dim] copies, row i
         holding positions[i]; the caller may hold them across later writes.
         An empty cache gives an empty range and zero-row blocks.
         """
@@ -84,11 +69,11 @@ class RollingKvCache:
                 np.concatenate([self.values[:, run] for run in runs], axis=1))
 
     def extend(self, first: int, k_block: Tensor, v_block: Tensor) -> tuple[Tensor, Tensor]:
-        """Write a block at `first` through `prefill_bulk` (restarting there if
-        it starts past the end); return copies of `gather`'s keys and values
-        from before the write, each followed by the block."""
+        """Write a block at `first` through `prefill_bulk`; return copies of
+        `gather`'s keys and values from before the write, each followed by the
+        block. A block past the end skips there: the retained range restarts."""
         if first > self.next_position:
-            self.restart(first)
+            self.first_position = self.next_position = first
         positions = self.retained_positions()
         runs = self._slot_runs(positions.start, positions.stop)
         keys = np.concatenate([self.keys[:, run] for run in runs] + [k_block], axis=1)
@@ -101,9 +86,9 @@ class RollingKvCache:
 
         Rows are copies; the caller may hold them across later writes.
         """
-        if self.filled == 0:
-            raise ValueError("window_view on an empty cache")
         positions, keys, values = self.gather()
+        if not positions:
+            raise ValueError("window_view on an empty cache")
         return [(p, keys[:, i, :], values[:, i, :]) for i, p in enumerate(positions)]
 
     def prefill_bulk(self, start_position: int, k_block: Tensor, v_block: Tensor) -> None:

@@ -212,7 +212,10 @@ def run_verification(config: ModelConfig, seed: int) -> list[CheckResult]:
     heads) it held there; the cache bound reads those at W and `length`.
     """
     window = config.window_size
-    boundary = config.n_layers * (window - 1)
+    boundary, reach = config.n_layers * (window - 1), exact_reach(config)
+    if config.context_len < reach + 1:  # the tainted stream must run past the boundary
+        raise UsageError(f"verify needs context_len >= {reach + 1} to step past the reach boundary "
+                         f"at position {boundary}, got {config.context_len}")
     length = min(8 * window, config.context_len)
     steps = max(length, min(boundary + 6, config.context_len))
     guard(config, steps)
@@ -222,7 +225,6 @@ def run_verification(config: ModelConfig, seed: int) -> list[CheckResult]:
     # Chunk sizes to prefill: awkward prompt lengths, both sides of the
     # receptive-field skip, and continuations: one that skips at a non-zero
     # position, and one of over W rows that reads a cache wrapped mid-window.
-    reach = exact_reach(config)
     lengths = (1, window - 1, window, window + 1, 3 * window, 3 * window + 2, reach, reach + 1)
     continuations = [(window, reach + 1), (window + window // 2, min(2 * window + 1, reach - window))]
     splits = {(n,) for n in lengths} | {s for s in continuations if s[1] > window}
@@ -278,8 +280,8 @@ def run_verification(config: ModelConfig, seed: int) -> list[CheckResult]:
 
     # Influence propagates exactly n_layers*(window-1) positions forward, and the
     # probe keeps the clean stream alone from the step after position boundary + 1.
-    expected = list(range(0, min(boundary, steps - 1) + 1))
-    retired = [2] * min(boundary + 1, steps) + [1] * (steps - boundary - 1)
+    expected = list(range(boundary + 1))
+    retired = [2] * (boundary + 1) + [1] * (steps - boundary - 1)
     checks.append(
         CheckResult("reach", f"affected <= {boundary}, boundary exact", affected == expected and streams == retired)
     )

@@ -74,9 +74,11 @@ def sample_token(logits: Tensor, sampler: SamplerSpec, rng: np.random.Generator 
         return int(np.argmax(logits))
     # A stable descending sort breaks logit ties toward the lower token id.
     order = np.argsort(-logits, kind="stable")[: sampler.k]
-    scaled = logits[order].astype(np.float64) / sampler.temperature
-    scaled -= scaled.max()
-    probs = np.exp(scaled)
+    top = logits[order].astype(np.float64)
+    # Gaps below the top logit scale to -inf under a tiny temperature; exp
+    # then gives the correct limit 0, so the warning alone is suppressed.
+    with np.errstate(over="ignore"):
+        probs = np.exp((top - top[0]) / sampler.temperature)
     probs /= probs.sum()
     return int(rng.choice(order, p=probs))
 

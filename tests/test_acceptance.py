@@ -79,7 +79,7 @@ def test_criterion_04_cache_bound():
     session = rw.GenerationSession(weights)
     for t in tokens:
         session.forward_decode(t)
-    rolling_entries = {c.filled for c in session.caches}
+    rolling_entries = {len(c.retained_positions()) for c in session.caches}
     _, history = rw.run_swa_with_history(weights, TOY, tokens)
     oracle_entries = {keys.shape[1] for keys, _ in history}
     ratio = 64 / TOY.window_size

@@ -18,12 +18,12 @@ class TestConstruction:
     def test_new_cache_from_config(self, toy_config):
         cache = rw.new_cache(toy_config)
         assert cache.capacity == toy_config.window_size
-        assert cache.filled == 0
+        assert len(cache.retained_positions()) == 0
         assert cache.next_position == 0
 
     def test_four_slot_cache_starts_empty(self):
         cache = rw.RollingKvCache(2, 4, 3)
-        assert cache.filled == 0
+        assert len(cache.retained_positions()) == 0
         with pytest.raises(ValueError):
             cache.window_view()
 
@@ -179,7 +179,7 @@ class TestMemoryBound:
         seen = []
         for pos in range(7):
             cache.append(pos, *row_pair(rng, 1, 2))
-            seen.append(cache.filled)
+            seen.append(len(cache.retained_positions()))
         assert seen == [1, 2, 3, 3, 3, 3, 3]
 
 
@@ -254,56 +254,6 @@ class TestPrefillBulk:
             cache.prefill_bulk(0, block, block)
 
 
-class TestRestart:
-    @pytest.fixture
-    def restarted(self):
-        cache = rw.RollingKvCache(2, 4, 3)
-        rng = np.random.default_rng(12)
-        for pos in range(6):
-            cache.append(pos, *row_pair(rng))
-        cache.restart(20)
-        return cache
-
-    def test_restarted_cache_is_empty(self, restarted):
-        assert restarted.filled == 0
-        assert restarted.next_position == 20
-        assert list(restarted.retained_positions()) == []
-        positions, keys, values = restarted.gather()
-        assert list(positions) == []
-        assert keys.shape == values.shape == (2, 0, 3)
-
-    def test_next_write_must_be_at_the_restart_position(self, restarted):
-        row = np.zeros((2, 1, 3), np.float32)
-        for wrong in (6, 19, 21):
-            with pytest.raises(ValueError, match=f"expected position 20, got {wrong}"):
-                restarted.prefill_bulk(wrong, row, row)
-
-    def test_allocation_unchanged(self):
-        cache = rw.RollingKvCache(2, 4, 3)
-        keys_buffer, size = cache.keys, cache.nbytes
-        cache.restart(9)
-        assert cache.nbytes == size and cache.keys is keys_buffer
-
-    def test_retained_range_grows_from_the_restart(self, restarted):
-        rng = np.random.default_rng(13)
-        rows, filled = {}, []
-        for pos in range(20, 27):
-            rows[pos] = row_pair(rng)
-            restarted.append(pos, *rows[pos])
-            filled.append(restarted.filled)
-            assert list(restarted.retained_positions()) == list(range(max(20, pos - 3), pos + 1))
-        assert filled == [1, 2, 3, 4, 4, 4, 4]
-        positions, keys, values = restarted.gather()
-        assert list(positions) == [23, 24, 25, 26]
-        for i, pos in enumerate(positions):
-            assert np.array_equal(keys[:, i, :], rows[pos][0])
-            assert np.array_equal(values[:, i, :], rows[pos][1])
-
-    def test_negative_position_rejected(self):
-        with pytest.raises(ValueError, match="restart position"):
-            rw.RollingKvCache(1, 4, 2).restart(-1)
-
-
 def modular_gather(cache):
     """The read the slot runs replaced: one index gather over position % capacity."""
     positions = cache.retained_positions()
@@ -313,25 +263,26 @@ def modular_gather(cache):
 
 class TestSlotRuns:
     """Reads and writes address slots as at most two contiguous runs. Over
-    capacities 1-6, restart positions 0..2*capacity and block lengths
-    1..2*capacity+1 (oversized blocks included), `gather` and `extend` return
-    exactly what the modular index returned, and the slot arrays after every
-    write equal a reference written one row at a time."""
+    capacities 1-6, `extend` skips to positions capacity+1..3*capacity+1
+    (every slot residue) and block lengths 1..2*capacity+1 (oversized blocks
+    included), `gather` and `extend` return exactly what the modular index
+    returned, and the slot arrays after every write equal a reference written
+    one row at a time."""
 
     @pytest.mark.parametrize("capacity", range(1, 7))
     def test_runs_equal_the_modular_index_and_a_row_by_row_reference(self, capacity):
         rng = np.random.default_rng(capacity)
-        for start in range(2 * capacity + 1):
+        for start in range(capacity + 1, 3 * capacity + 2):
             for block_len in range(1, 2 * capacity + 2):
                 cache = rw.RollingKvCache(2, capacity, 3)
                 stale = rng.standard_normal((2, 2, capacity, 3), dtype=np.float32)
-                cache.prefill_bulk(0, stale[0], stale[1])  # rows no read after the restart may show
-                cache.restart(start)
+                cache.prefill_bulk(0, stale[0], stale[1])  # rows no read after the skip may show
                 reference = stale.copy()
                 position = start
                 for write in range(3):
                     k, v = rng.standard_normal((2, 2, block_len, 3), dtype=np.float32)
-                    before = modular_gather(cache)
+                    # The first extend skips past the stale rows, so none precede its block.
+                    before = modular_gather(cache) if write else (range(0), k[:, :0], v[:, :0])
                     if write == 1:
                         cache.prefill_bulk(position, k, v)
                     else:
@@ -351,6 +302,60 @@ class TestSlotRuns:
 
 
 class TestExtend:
+    @pytest.fixture
+    def written(self):
+        cache = rw.RollingKvCache(2, 4, 3)
+        rng = np.random.default_rng(12)
+        for pos in range(6):
+            cache.append(pos, *row_pair(rng))
+        return cache
+
+    def test_block_past_the_end_empties_the_cache_first(self, written):
+        block = np.ones((2, 1, 3), np.float32)
+        keys, values = written.extend(20, block, block)
+        assert keys.shape == values.shape == (2, 1, 3)  # no row from before the skip
+        assert written.next_position == 21
+        positions, keys, values = written.gather()
+        assert list(positions) == [20]
+        assert np.array_equal(keys, block) and np.array_equal(values, block)
+
+    def test_next_write_must_be_at_the_blocks_end(self, written):
+        row = np.zeros((2, 1, 3), np.float32)
+        written.extend(20, row, row)
+        for wrong in (6, 20, 22):
+            with pytest.raises(ValueError, match=f"expected position 21, got {wrong}"):
+                written.prefill_bulk(wrong, row, row)
+        for wrong in (6, 20):
+            with pytest.raises(ValueError, match=f"expected position 21, got {wrong}"):
+                written.extend(wrong, row, row)
+
+    def test_allocation_unchanged(self):
+        cache = rw.RollingKvCache(2, 4, 3)
+        keys_buffer, size = cache.keys, cache.nbytes
+        block = np.zeros((2, 1, 3), np.float32)
+        cache.extend(9, block, block)
+        assert cache.nbytes == size and cache.keys is keys_buffer
+
+    def test_retained_range_grows_from_the_block(self, written):
+        rng = np.random.default_rng(13)
+        rows, retained = {}, []
+        for pos in range(20, 27):
+            rows[pos] = row_pair(rng)
+            written.extend(pos, *(row[:, np.newaxis] for row in rows[pos]))  # skips at 20
+            retained.append(len(written.retained_positions()))
+            assert list(written.retained_positions()) == list(range(max(20, pos - 3), pos + 1))
+        assert retained == [1, 2, 3, 4, 4, 4, 4]
+        positions, keys, values = written.gather()
+        assert list(positions) == [23, 24, 25, 26]
+        for i, pos in enumerate(positions):
+            assert np.array_equal(keys[:, i, :], rows[pos][0])
+            assert np.array_equal(values[:, i, :], rows[pos][1])
+
+    def test_negative_position_rejected(self):
+        block = np.zeros((1, 1, 2), np.float32)
+        with pytest.raises(ValueError, match="out-of-order write: expected position 0, got -1"):
+            rw.RollingKvCache(1, 4, 2).extend(-1, block, block)
+
     def test_block_past_the_end_restarts_the_cache_there(self):
         cache = rw.RollingKvCache(2, 4, 3)
         rng = np.random.default_rng(14)

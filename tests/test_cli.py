@@ -111,6 +111,16 @@ class TestGenerate:
         assert out_a == out_b
         assert len(out_a.split()) == 6
 
+    def test_tiny_temperature_draws_the_argmax_without_a_warning(self, capsys, toy_config_file):
+        # Scaling the logits before subtracting the top one overflowed to
+        # inf - inf at this temperature, and the draw failed on NaN probabilities.
+        base = ("generate", "--random-init", "--config", toy_config_file, "--prompt-ids", "1 2", "--max-tokens", "3")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(capsys, *base, "--top-k", "5", "--temperature", "5e-324")
+        assert (code, out) == (cli.EXIT_OK, "252 148 33\n")
+        assert run_cli(capsys, *base, "--greedy")[:2] == (cli.EXIT_OK, out)
+
     def test_oracle_modes_agree_with_engine(self, capsys, toy_config_file):
         # Seven positions fit in the toy window of 8, so even the plain
         # causal oracle sees the same keys as the windowed engine.
@@ -534,7 +544,7 @@ def _restart_before_long_runs(real):
     def restarting(self, tokens):
         if self.streams == 1 and len(tokens) > self.config.window_size:
             for cache in self.caches:
-                cache.restart(self.next_position)
+                cache.first_position = cache.next_position = self.next_position
         return real(self, tokens)
     return restarting
 
@@ -620,6 +630,20 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", *flags)
         assert code == cli.EXIT_VERIFY
         assert [line.split(":")[0] for line in err.splitlines() if line.endswith(": fail")] == ["prefill-decode"]
+
+    def test_stream_that_cannot_pass_the_reach_boundary_is_refused(self, capsys, monkeypatch):
+        # At W33 the toy's boundary is position 128, past its last position
+        # (127), so the tainted copy would never be dropped. The refusal comes
+        # before any weights are drawn. At W32 the boundary is 124.
+        monkeypatch.setattr(cli, "init_random", lambda *args: pytest.fail("weights drawn"))
+        code, out, err = run_cli(capsys, "verify", "--window", "33")
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err == ("error: verify needs context_len >= 130 to step past the reach boundary "
+                       "at position 128, got 128\n")
+        monkeypatch.undo()
+        code, _, err = run_cli(capsys, "verify", "--window", "32")
+        assert code == cli.EXIT_OK
+        assert "reach: affected <= 124, boundary exact: pass\n" in err
 
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("flags", sorted(GOLDEN_VERIFY), ids=lambda flags: " ".join(flags) or "toy")

@@ -14,6 +14,9 @@ session must each give the logits and cache heads of that stream run alone.
 A continuation chunk that starts mid-window and runs at least two chunks
 of W past exact_reach must give stepped decoding's logits and caches, and
 a stream kept from it must decode on as that stream alone.
+`rollwin verify` must pass all four checks on drawn configs whose
+context_len lets the stream run past the reach boundary, and refuse one
+that is a position short.
 """
 
 import copy
@@ -24,6 +27,7 @@ import pytest
 
 import rollwin as rw
 from conftest import assert_same_state
+from rollwin import cli
 
 
 @st.composite
@@ -223,3 +227,28 @@ def test_lockstep_refuses_a_bad_chunk_before_any_write(toy_weights, chunk):
     with pytest.raises(ValueError):
         session.forward_chunk(chunk)
     assert_same_state(session, before)
+
+
+@st.composite
+def verify_configs(draw, slack):
+    """A small config whose context_len is exact_reach plus a drawn `slack`."""
+    window, layers = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    n_kv, group, head_dim = draw(st.integers(1, 2)), draw(st.sampled_from([1, 2, 4])), draw(st.sampled_from([2, 4]))
+    return rw.ModelConfig(
+        dim=group * n_kv * head_dim, n_layers=layers, head_dim=head_dim, hidden_dim=8, n_heads=group * n_kv,
+        n_kv_heads=n_kv, window_size=window, context_len=layers * (window - 1) + 1 + draw(slack),
+        vocab_size=draw(st.integers(2, 32)),
+    )
+
+
+@settings(max_examples=200)
+@given(verify_configs(st.integers(1, 9)), st.integers(0, 4))
+def test_verify_passes_across_the_config_space(config, seed):
+    assert [check.name for check in cli.run_verification(config, seed) if not check.passed] == []
+
+
+@settings(max_examples=20)
+@given(verify_configs(st.just(0)))
+def test_verify_refuses_a_stream_one_position_short(config):
+    with pytest.raises(cli.UsageError, match=f"needs context_len >= {rw.exact_reach(config) + 1} "):
+        cli.run_verification(config, 0)

@@ -360,7 +360,7 @@ class TestCacheBoundDuringDecode:
         for t in tokens[window:]:
             session.forward_decode(t)
         assert session.total_cache_bytes == snapshot
-        assert all(c.filled == window for c in session.caches)
+        assert all(len(c.retained_positions()) == window for c in session.caches)
 
     def test_no_state_grows_with_context_len(self, toy_config, toy_weights):
         # A context_len of 2**40 runs like the toy: nothing (caches, RoPE
