@@ -25,7 +25,6 @@ from .config import (
     exact_reach,
     parse_config,
     theoretical_span,
-    validate,
 )
 from .model import (
     GenerationSession,
@@ -101,6 +100,5 @@ __all__ = [
     "softmax_stable",
     "tensor_shapes",
     "theoretical_span",
-    "validate",
     "window_attend",
 ]

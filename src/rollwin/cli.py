@@ -174,12 +174,18 @@ def cmd_generate(args) -> int:
         session = _OracleSession(weights, forward)
 
     # The loop checks max_tokens, the sampler, prompt ids and length; its
-    # ValueError is a usage error.
+    # ValueError is a usage error. Finite weights can still overflow the
+    # activations (rms_norm would then scale a row to zero, silently), so
+    # overflow and invalid results are refused as a bad weight file.
     started = time.perf_counter()
     try:
-        tokens = session.generate(prompt, args.max_tokens, sampler)
+        with np.errstate(over="raise", invalid="raise"):
+            tokens = session.generate(prompt, args.max_tokens, sampler)
     except ValueError as exc:
         raise UsageError(str(exc))
+    except FloatingPointError as exc:
+        print(f"error: weights: {exc}", file=sys.stderr)
+        return EXIT_WEIGHTS
     wall_time = time.perf_counter() - started
 
     if tokens:
@@ -303,10 +309,7 @@ def run_verification(config: ModelConfig, seed: int) -> list[CheckResult]:
 def cmd_verify(args) -> int:
     config = _read_config(args.config) if args.config else PRESET_TOY
     overrides = {"window_size": args.window, "n_layers": args.layers}
-    try:
-        config = replace(config, **{name: value for name, value in overrides.items() if value is not None})
-    except ConfigError as exc:
-        raise UsageError(str(exc))
+    config = replace(config, **{name: value for name, value in overrides.items() if value is not None})
     _check_random_size(config)
     _check_cache_size(config)
     checks = run_verification(config, args.seed)
@@ -415,7 +418,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, OracleSizeError) as exc:
+    except (UsageError, ConfigError, OracleSizeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

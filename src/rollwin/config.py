@@ -1,7 +1,9 @@
 """Model hyperparameters, validation, and analytic architecture properties.
 
 The engine is dimension-driven: every tensor shape, cache size, and mask in
-the package derives from the nine integers collected here.
+the package derives from the nine integers collected here. `ModelConfig`
+construction is the one place that decides which configs run: a config
+that exists is valid, and nothing downstream checks again.
 """
 
 from __future__ import annotations
@@ -30,33 +32,23 @@ class ModelConfig:
     vocab_size: int
 
     def __post_init__(self):
-        violations = validate(self)
+        # The one rule list, also run by `replace`: raise naming every
+        # violated rule, in this order. RoPE turns pairs of dimensions, so
+        # head_dim must be even.
+        violations = [f"{name} > 0" for name in CONFIG_KEYS if getattr(self, name) <= 0]
+        if self.dim != self.n_heads * self.head_dim:
+            violations.append("dim == n_heads*head_dim")
+        if self.head_dim % 2 != 0:
+            violations.append("head_dim % 2 == 0")
+        if self.n_kv_heads >= 1 and self.n_heads % self.n_kv_heads != 0:
+            violations.append("n_heads % n_kv_heads == 0")
+        if not (1 <= self.window_size <= self.context_len):
+            violations.append("1 <= window_size <= context_len")
         if violations:
             raise ConfigError("invalid config: " + "; ".join(violations))
 
 
 CONFIG_KEYS: tuple[str, ...] = tuple(f.name for f in fields(ModelConfig))
-
-
-def validate(config: ModelConfig) -> list[str]:
-    """The names of all violated invariants, empty when every one holds.
-
-    The one rule list: `ModelConfig` construction (and so `replace`) runs it
-    and raises ConfigError naming every violated rule, so a config that
-    exists is valid and nothing downstream checks again. Never raises on
-    int fields.
-    """
-    violations: list[str] = []
-    for name in CONFIG_KEYS:
-        if getattr(config, name) <= 0:
-            violations.append(f"{name} > 0")
-    if config.dim != config.n_heads * config.head_dim:
-        violations.append("dim == n_heads*head_dim")
-    if config.n_kv_heads >= 1 and config.n_heads % config.n_kv_heads != 0:
-        violations.append("n_heads % n_kv_heads == 0")
-    if not (1 <= config.window_size <= config.context_len):
-        violations.append("1 <= window_size <= context_len")
-    return violations
 
 
 #: Desk-scale preset used by the verification harness, demos, and tests.

@@ -133,25 +133,21 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def softmax_stable(x: Tensor, masked: Tensor | None = None) -> Tensor:
     """Softmax over the trailing axis, stabilized by max-subtraction.
 
-    `masked` marks entries to exclude: they are dropped from the max and the
-    normalizer (never set to -inf) and come back as exactly 0. Each slice
-    must keep at least one entry. Without a mask the same values come from
-    plain elementwise steps, with no keep array to build.
+    `masked` marks entries to exclude: they are set to -inf, so they drop
+    out of the max and come back from exp as exactly +0.0, adding nothing
+    to the normalizer. Each slice must keep at least one entry.
     """
     x = _f32(x)
-    if masked is None:
-        if x.shape[-1] == 0:
+    if masked is not None:
+        masked = np.asarray(masked, dtype=bool)
+        if masked.shape != x.shape:
+            raise ValueError(f"mask shape {masked.shape} != input shape {x.shape}")
+        if masked.all(axis=-1).any():
             raise ValueError("degenerate attention row: all entries masked")
-        weights = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
-    else:
-        keep = ~np.asarray(masked, dtype=bool)
-        if keep.shape != x.shape:
-            raise ValueError(f"mask shape {keep.shape} != input shape {x.shape}")
-        if not keep.any(axis=-1).all():
-            raise ValueError("degenerate attention row: all entries masked")
-        peak = np.maximum.reduce(x, axis=-1, keepdims=True, where=keep, initial=np.float32(-np.inf))
-        shifted = np.where(keep, x - peak, _ZERO)
-        weights = np.where(keep, np.exp(shifted), _ZERO)
+        x = np.where(masked, np.float32(-np.inf), x)
+    elif x.shape[-1] == 0:
+        raise ValueError("degenerate attention row: all entries masked")
+    weights = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
     return weights / _ordered_sum(weights)
 
 

@@ -5,7 +5,7 @@ import struct
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -303,11 +303,26 @@ def _file(tmp_path, data: bytes) -> str:
     return str(path)
 
 
-def _embedded_config(saved: bytes, config) -> bytes:
+def _embedded_doc(saved: bytes, text: str) -> bytes:
     """A saved weight file's tensors behind another embedded config document."""
     (doc_len,) = struct.unpack_from("<I", saved, 8)
-    doc = rw.config_to_json(config).encode()
+    doc = text.encode()
     return saved[:8] + struct.pack("<I", len(doc)) + doc + saved[12 + doc_len:]
+
+
+def _embedded_config(saved: bytes, config) -> bytes:
+    return _embedded_doc(saved, rw.config_to_json(config))
+
+
+def _overflowing_weights(tmp_path) -> str:
+    """Toy weights, all finite, whose feed-forward products overflow float32."""
+    weights = rw.init_random(rw.PRESET_TOY, 1)
+    for layer in weights.layers:
+        layer.W1 *= np.float32(1e18)
+        layer.W3 *= np.float32(1e18)
+    path = tmp_path / "overflow.bin"
+    rw.save_weights(weights, path)
+    return str(path)
 
 
 GENERATE_FROM = ("--prompt-ids", "1 2", "--max-tokens", "1")
@@ -412,6 +427,10 @@ HOSTILE_INPUTS = {
         lambda tmp: ["generate", "--weights", _file(tmp, _saved_weights(tmp)[:-4]), *GENERATE_FROM],
         cli.EXIT_WEIGHTS,
     ),
+    "overflowing-weights": (
+        lambda tmp: ["generate", "--weights", _overflowing_weights(tmp), "--prompt-ids", "1 2 3", "--max-tokens", "4"],
+        cli.EXIT_WEIGHTS,
+    ),
     "payload-one-float-long": (
         lambda tmp: ["generate", "--weights", _file(tmp, _saved_weights(tmp) + struct.pack("<f", 1.0)),
                      *GENERATE_FROM],
@@ -459,6 +478,43 @@ def test_hostile_input_exits_with_its_code_and_no_traceback(case, tmp_path):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error:")
     assert proc.stdout == ""
+
+
+#: One config document per rule `ModelConfig` states, each breaking only that rule.
+RULE_BREAKING_DOCS = {
+    "vocab_size > 0": {"vocab_size": 0},
+    "dim == n_heads*head_dim": {"dim": 63},
+    "head_dim % 2 == 0": {"dim": 60, "head_dim": 15},
+    "n_heads % n_kv_heads == 0": {"n_kv_heads": 3},
+    "1 <= window_size <= context_len": {"window_size": 129},
+}
+
+
+@pytest.mark.parametrize("rule", RULE_BREAKING_DOCS)
+def test_every_config_rule_is_refused_at_every_entry_point(rule, tmp_path, capsys):
+    text = json.dumps({**asdict(rw.PRESET_TOY), **RULE_BREAKING_DOCS[rule]})
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    for argv in (
+        ["verify", "--config", str(path)],
+        ["generate", "--random-init", "--config", str(path), *GENERATE_FROM],
+        ["bench", "--config", str(path), "--bench", "16:4"],
+    ):
+        assert run_cli(capsys, *argv) == (cli.EXIT_USAGE, "", f"error: config {path}: invalid config: {rule}\n")
+    weights = _file(tmp_path, _embedded_doc(_saved_weights(tmp_path), text))
+    assert run_cli(capsys, "generate", "--weights", weights, *GENERATE_FROM) == (
+        cli.EXIT_WEIGHTS, "", f"error: weight file: embedded config rejected: invalid config: {rule}\n"
+    )
+
+
+@pytest.mark.parametrize("flags", [["--greedy"], ["--top-k", "5"], ["--mode", "oracle-swa"]])
+def test_weights_that_overflow_the_activations_exit_with_weights_code(flags, tmp_path, capsys):
+    # Unchecked, rms_norm's square overflows to inf, every row normalizes to
+    # zero and the run prints finite logits' argmax tokens with exit 0.
+    argv = ["generate", "--weights", _overflowing_weights(tmp_path), "--prompt-ids", "1 2 3", "--max-tokens", "4"]
+    assert run_cli(capsys, *argv, *flags) == (
+        cli.EXIT_WEIGHTS, "", "error: weights: overflow encountered in multiply\n"
+    )
 
 
 def test_weight_file_truncated_anywhere_in_its_header_exits_with_weights_code(tmp_path, capsys):

@@ -16,7 +16,7 @@ raw_values = st.fixed_dictionaries({key: st.integers(-2, 12) for key in CONFIG_K
 @st.composite
 def valid_configs(draw):
     n_heads = draw(st.integers(1, 8))
-    head_dim = draw(st.integers(1, 16))
+    head_dim = 2 * draw(st.integers(1, 8))
     divisors = [d for d in range(1, n_heads + 1) if n_heads % d == 0]
     context_len = draw(st.integers(1, 4096))
     return rw.ModelConfig(
@@ -43,16 +43,18 @@ def nudged_values(draw):
 
 class TestValidate:
     def test_preset_7b_is_valid(self):
-        assert rw.validate(rw.PRESET_7B) == []
         assert replace(rw.PRESET_7B) == rw.PRESET_7B
 
     def test_preset_toy_is_valid(self):
-        assert rw.validate(rw.PRESET_TOY) == []
         assert replace(rw.PRESET_TOY) == rw.PRESET_TOY
 
     def test_dim_head_product_mismatch(self):
         with pytest.raises(rw.ConfigError, match=r"invalid config: dim == n_heads\*head_dim$"):
             replace(rw.PRESET_7B, head_dim=64)
+
+    def test_odd_head_dim(self):
+        with pytest.raises(rw.ConfigError, match="invalid config: head_dim % 2 == 0$"):
+            replace(rw.PRESET_7B, dim=32 * 127, head_dim=127)
 
     def test_kv_head_divisibility(self):
         with pytest.raises(rw.ConfigError, match="invalid config: n_heads % n_kv_heads == 0$"):
@@ -72,6 +74,7 @@ class TestValidate:
         # otherwise names every violated rule, in rule-list order.
         holds = {f"{key} > 0": values[key] > 0 for key in CONFIG_KEYS}
         holds["dim == n_heads*head_dim"] = values["dim"] == values["n_heads"] * values["head_dim"]
+        holds["head_dim % 2 == 0"] = values["head_dim"] % 2 == 0
         holds["n_heads % n_kv_heads == 0"] = values["n_kv_heads"] < 1 or values["n_heads"] % values["n_kv_heads"] == 0
         holds["1 <= window_size <= context_len"] = 1 <= values["window_size"] <= values["context_len"]
         violated = [rule for rule, ok in holds.items() if not ok]

@@ -17,11 +17,13 @@ a stream kept from it must decode on as that stream alone.
 `rollwin verify` must pass all four checks on drawn configs whose
 context_len lets the stream run past the reach boundary, and refuse one
 that is a position short.
+Every small config that `ModelConfig` accepts must run: prefill equals the
+oracle and generation completes, with no overflow or invalid operation.
 """
 
 import copy
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -252,3 +254,34 @@ def test_verify_passes_across_the_config_space(config, seed):
 def test_verify_refuses_a_stream_one_position_short(config):
     with pytest.raises(cli.UsageError, match=f"needs context_len >= {rw.exact_reach(config) + 1} "):
         cli.run_verification(config, 0)
+
+
+@st.composite
+def raw_configs(draw):
+    """Small raw values, with n_kv_heads a divisor of n_heads; ModelConfig may refuse them."""
+    n_heads, head_dim = draw(st.integers(1, 4)), draw(st.integers(1, 8))
+    context_len = draw(st.integers(1, 12))
+    return dict(
+        dim=n_heads * head_dim, n_layers=draw(st.integers(1, 3)), head_dim=head_dim,
+        hidden_dim=draw(st.integers(1, 16)), n_heads=n_heads,
+        n_kv_heads=draw(st.sampled_from([d for d in range(1, n_heads + 1) if n_heads % d == 0])),
+        window_size=draw(st.integers(1, context_len)), context_len=context_len,
+        vocab_size=draw(st.integers(1, 32)),
+    )
+
+
+@settings(max_examples=100)
+@given(raw_configs(), st.integers(0, 2**16), st.data())
+def test_every_config_that_exists_runs(values, seed, data):
+    try:
+        config = rw.ModelConfig(**values)
+    except rw.ConfigError:
+        assume(False)
+    weights = rw.init_random(config, seed)
+    n = data.draw(st.integers(1, min(2, config.context_len)))
+    prompt = data.draw(st.lists(st.integers(0, config.vocab_size - 1), min_size=n, max_size=n))
+    with np.errstate(over="raise", invalid="raise"):
+        logits = rw.GenerationSession(weights).prefill(prompt)
+        assert np.array_equal(logits, rw.oracle_forward_swa(weights, config, prompt)[-1])
+        tokens = rw.GenerationSession(weights).generate(prompt, 3)
+    assert len(tokens) == min(3, config.context_len - n + 1)
