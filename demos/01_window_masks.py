@@ -25,8 +25,8 @@ print()
 
 print("=== the same predicate during a chunked prefill ===")
 print("Chunk at positions 8..11, cache holding 4..7, W=4:")
-prefill = rw.build_prefill_mask(8, 4, [4, 5, 6, 7], window=4)
-draw(range(8, 12), range(4, 12), prefill)
+keys = [4, 5, 6, 7, *range(8, 12)]  # the cache's positions, then the chunk's own
+draw(range(8, 12), keys, rw.build_swa_mask(range(8, 12), keys, window=4))
 print()
 print("Left keys fell out of the window, the middle block is the windowed")
 print("cache, and the right block is plain causal attention inside the chunk.")

@@ -15,24 +15,25 @@ cache = rw.RollingKvCache(n_kv_heads=1, capacity=W, head_dim=2)
 print(f"capacity {W} slots, {cache.nbytes} bytes allocated up front\n")
 
 for position in range(8):
-    marker = np.full((1, 2), float(position), dtype=np.float32)
-    cache.append(position, marker, marker)
+    marker = np.full((1, 1, 2), float(position), dtype=np.float32)  # [n_kv_heads, rows, head_dim]
+    cache.extend(position, marker, marker)
     slots = ["--"] * W
     for p in cache.retained_positions():
         slots[p % W] = f"{p:2d}"
     retained = list(cache.retained_positions())
     print(
-        f"append pos {position}: slot {position % W} | slots {slots} "
+        f"write pos {position}: slot {position % W} | slots {slots} "
         f"| retained {retained} | {cache.nbytes} bytes"
     )
 
 print()
-print("window_view() gathers ascending positions, not slot order:")
-for position, k_row, _ in cache.window_view():
-    print(f"  position {position} (slot {position % W}) -> key row {k_row[0]}")
+print("gather() reads ascending positions, not slot order:")
+positions, keys, _ = cache.gather()
+for row, position in enumerate(positions):
+    print(f"  position {position} (slot {position % W}) -> key row {keys[0, row]}")
 
 print()
-print("Bulk writes behave exactly like repeated appends:")
+print("Bulk writes behave exactly like repeated one-row writes:")
 bulk = rw.RollingKvCache(1, W, 2)
 block = np.arange(12, dtype=np.float32).reshape(1, 6, 2)  # [n_kv_heads, rows, head_dim]
 bulk.prefill_bulk(0, block, block.copy())

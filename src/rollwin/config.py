@@ -2,8 +2,8 @@
 
 The engine is dimension-driven: every tensor shape, cache size, and mask in
 the package derives from the nine integers collected here. `ModelConfig`
-construction is the one place that decides which configs run: a config
-that exists is valid, and nothing downstream checks again.
+construction alone decides which configs run, types included: a config that
+exists is valid and round-trips, and nothing downstream checks again.
 """
 
 from __future__ import annotations
@@ -32,9 +32,13 @@ class ModelConfig:
     vocab_size: int
 
     def __post_init__(self):
-        # The one rule list, also run by `replace`: raise naming every
-        # violated rule, in this order. RoPE turns pairs of dimensions, so
-        # head_dim must be even.
+        # The one rule list, also run by `replace`. First, plain ints only (a bool,
+        # float or numpy scalar would not round-trip; the rules cannot compare a str).
+        # Then raise naming every violated rule, in this order. RoPE turns pairs
+        # of dimensions, so head_dim must be even.
+        for name in CONFIG_KEYS:
+            if isinstance(value := getattr(self, name), bool) or not isinstance(value, int):
+                raise ConfigError(f"non-integer value for {name!r}: {value!r}")
         violations = [f"{name} > 0" for name in CONFIG_KEYS if getattr(self, name) <= 0]
         if self.dim != self.n_heads * self.head_dim:
             violations.append("dim == n_heads*head_dim")
@@ -68,9 +72,9 @@ PRESET_7B = ModelConfig(
 def parse_config(text: str) -> ModelConfig:
     """Parse a JSON configuration document carrying exactly the nine known keys.
 
-    Raises ConfigError naming the offending key for a missing key, an
-    unexpected key, or a non-integer value; construction names the violated
-    rules when the parsed values are invalid.
+    Raises ConfigError naming the offending key for a missing or unexpected
+    key; construction refuses the values (a non-integer, or a violated
+    rule) with a ConfigError naming them.
     """
     try:
         doc = json.loads(text)
@@ -84,14 +88,7 @@ def parse_config(text: str) -> ModelConfig:
     for key in doc:
         if key not in CONFIG_KEYS:
             raise ConfigError(f"unexpected key: {key!r}")
-    values: dict[str, int] = {}
-    for key in CONFIG_KEYS:
-        value = doc[key]
-        # JSON booleans are ints to Python; they are not valid here.
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"non-integer value for {key!r}: {value!r}")
-        values[key] = value
-    return ModelConfig(**values)
+    return ModelConfig(**doc)
 
 
 def config_to_json(config: ModelConfig) -> str:

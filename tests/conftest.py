@@ -35,6 +35,11 @@ FAINT_BOUNDARY = rw.ModelConfig(
 )
 
 
+#: Tolerance of a float32 kernel against its float64 mistral-src reference,
+#: as both atol and rtol: a few float32 roundings of unit-scale values.
+KERNEL_TOL = 1e-5
+
+
 def random_tokens(n, seed, vocab=256):
     rng = np.random.default_rng(seed)
     return [int(t) for t in rng.integers(0, vocab, size=n)]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import rollwin as rw
+from conftest import KERNEL_TOL
 from rollwin import attention as attention_module
 
 
@@ -255,6 +256,67 @@ def spread_normal(rng, shape):
     """float32 values over four decades, so a reordered or padded sum shows in the bits."""
     magnitude = np.float32(10.0) ** rng.uniform(-2, 2, size=shape).astype(np.float32)
     return (rng.standard_normal(shape) * magnitude).astype(np.float32)
+
+
+def repeat_kv(rows, group):
+    """mistral-src `repeat_kv`: each kv head `group` times in a row along the
+    head axis (torch.repeat_interleave), so query head h reads kv head h // group."""
+    return np.repeat(rows, group, axis=0)
+
+
+def tiled_kv(rows, group):
+    """A wrong repeat_kv, for the negative control: all kv heads, `group` times over."""
+    return np.tile(rows, (group, 1, 1))
+
+
+def mistral_attention(q, keys, values, window, expand=repeat_kv):
+    """float64 sliding-window GQA written from mistral-src `Attention`: kv
+    heads expanded to query heads, then softmax(q k^T / sqrt(head_dim)) v
+    over keys j with 0 <= i - j <= window - 1. Keys are positions 0..n_k-1
+    and the queries the last n_q of them, as window_attend reads its rows."""
+    n_q, n_k = q.shape[1], keys.shape[1]
+    group = q.shape[0] // keys.shape[0]
+    k, v = (expand(rows.astype(np.float64), group) for rows in (keys, values))
+    delta = (n_k - n_q + np.arange(n_q))[:, None] - np.arange(n_k)
+    scores = q.astype(np.float64) @ k.transpose(0, 2, 1) / np.sqrt(q.shape[2])
+    scores = np.where((delta >= 0) & (delta <= window - 1), scores, -np.inf)
+    weights = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return (weights / weights.sum(axis=-1, keepdims=True)) @ v
+
+
+class TestMistralReference:
+    """Both attentions against mistral_attention, within float32 tolerance."""
+
+    def _inputs(self, n_kv, group, n_q, n_k, head_dim=8):
+        rng = np.random.default_rng(n_kv * 100 + group * 10 + n_q)
+        return (rng.standard_normal((n_kv * group, n_q, head_dim), dtype=np.float32),
+                rng.standard_normal((n_kv, n_k, head_dim), dtype=np.float32),
+                rng.standard_normal((n_kv, n_k, head_dim), dtype=np.float32))
+
+    def _both(self, q, keys, values, window):
+        n_q, n_k = q.shape[1], keys.shape[1]
+        mask = rw.build_swa_mask(range(n_k - n_q, n_k), range(n_k), window)
+        return rw.window_attend(q, keys, values, window), rw.gqa_attend(q, keys, values, mask)
+
+    @pytest.mark.parametrize("n_q, n_k", [(1, 1), (1, 12), (5, 5), (6, 14)])
+    @pytest.mark.parametrize("window", [1, 3, 8])
+    @pytest.mark.parametrize("group", [1, 2, 4])
+    @pytest.mark.parametrize("n_kv", [1, 2])
+    def test_holds_to_mistral_reference(self, n_kv, group, window, n_q, n_k):
+        q, keys, values = self._inputs(n_kv, group, n_q, n_k)
+        reference = mistral_attention(q, keys, values, window)
+        for out in self._both(q, keys, values, window):
+            assert np.allclose(out, reference, atol=KERNEL_TOL, rtol=KERNEL_TOL)
+
+    @pytest.mark.parametrize("window", [1, 3, 8])
+    @pytest.mark.parametrize("group", [2, 4])
+    def test_tiled_kv_heads_fail_mistral_reference(self, group, window):
+        # Negative control: with 1 < n_kv_heads < n_heads, tiling the kv heads
+        # pairs query heads with the wrong kv heads.
+        q, keys, values = self._inputs(2, group, 6, 14)
+        tiled = mistral_attention(q, keys, values, window, expand=tiled_kv)
+        for out in self._both(q, keys, values, window):
+            assert not np.allclose(out, tiled, atol=KERNEL_TOL, rtol=KERNEL_TOL)
 
 
 class TestWindowAttend:

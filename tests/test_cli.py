@@ -1,11 +1,14 @@
 import collections
+import importlib
 import json
 import resource
 import struct
 import subprocess
 import sys
+import tomllib
 import warnings
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -603,6 +606,19 @@ def _restart_before_long_runs(real):
                 cache.first_position = cache.next_position = self.next_position
         return real(self, tokens)
     return restarting
+
+
+def test_console_script_runs_cli_entry(monkeypatch, capsys):
+    # The installed `rollwin` command runs the target pyproject.toml names.
+    pyproject = tomllib.loads((Path(__file__).resolve().parent.parent / "pyproject.toml").read_text())
+    module, _, name = pyproject["project"]["scripts"]["rollwin"].partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    assert entry is cli.entry
+    monkeypatch.setattr(sys, "argv", ["rollwin", "bench", "--bench", "8:4"])
+    with pytest.raises(SystemExit) as exited:
+        entry()
+    assert exited.value.code == cli.EXIT_OK == 0
+    assert json.loads(capsys.readouterr().err)["swa_score_pairs"] == rw.score_pair_count(8, 4)
 
 
 class TestVerify:

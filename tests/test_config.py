@@ -2,6 +2,7 @@ import json
 import math
 from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -67,6 +68,22 @@ class TestValidate:
     def test_nonpositive_field_named(self):
         with pytest.raises(rw.ConfigError, match="invalid config: vocab_size > 0$"):
             replace(rw.PRESET_7B, vocab_size=0)
+
+    # Each of these once constructed and ran, yet could not be written as a
+    # config document or a weight file and read back.
+    @pytest.mark.parametrize("value", [True, 8.0, np.int64(8), float("inf"), "8", None],
+                             ids=["bool", "float", "numpy-int", "inf", "str", "none"])
+    @pytest.mark.parametrize("field", ["dim", "n_layers", "window_size", "context_len", "vocab_size"])
+    def test_non_integer_refused_at_construction(self, field, value):
+        with pytest.raises(rw.ConfigError, match=f"^non-integer value for '{field}'"):
+            replace(rw.PRESET_TOY, **{field: value})
+        with pytest.raises(rw.ConfigError, match=f"^non-integer value for '{field}'"):
+            rw.ModelConfig(**{**asdict(rw.PRESET_TOY), field: value})
+
+    def test_first_non_integer_field_is_named(self):
+        # Types are checked before any rule, in field order.
+        with pytest.raises(rw.ConfigError, match="^non-integer value for 'n_layers': None$"):
+            replace(rw.PRESET_TOY, n_layers=None, window_size="8", dim=0)
 
     @given(st.one_of(raw_values, nudged_values(), valid_configs().map(asdict)))
     def test_total_and_consistent(self, values):

@@ -19,9 +19,14 @@ context_len lets the stream run past the reach boundary, and refuse one
 that is a position short.
 Every small config that `ModelConfig` accepts must run: prefill equals the
 oracle and generation completes, with no overflow or invalid operation.
+Every such config must read back equal from its config document and, with
+its weights, from a weight file; with any field drawn as a look-alike of an
+int (a float, bool or numpy scalar) instead, `ModelConfig` must refuse it.
 """
 
 import copy
+import tempfile
+from pathlib import Path
 
 from hypothesis import assume, given, settings, strategies as st
 import numpy as np
@@ -30,6 +35,7 @@ import pytest
 import rollwin as rw
 from conftest import assert_same_state
 from rollwin import cli
+from rollwin.config import CONFIG_KEYS
 
 
 @st.composite
@@ -285,3 +291,33 @@ def test_every_config_that_exists_runs(values, seed, data):
         assert np.array_equal(logits, rw.oracle_forward_swa(weights, config, prompt)[-1])
         tokens = rw.GenerationSession(weights).generate(prompt, 3)
     assert len(tokens) == min(3, config.context_len - n + 1)
+
+
+#: Some fields of a drawn config, each to be passed as a look-alike of an int.
+look_alikes = st.one_of(st.just({}), st.dictionaries(
+    st.sampled_from(CONFIG_KEYS), st.sampled_from([float, bool, np.int64]), min_size=1, max_size=2))
+
+
+@settings(max_examples=100)
+@given(raw_configs(), look_alikes, st.integers(0, 2**16))
+def test_every_config_that_exists_round_trips(values, look_alikes, seed):
+    drawn = {key: look_alikes.get(key, int)(value) for key, value in values.items()}
+    if look_alikes:
+        # Refused before any rule, naming the first look-alike in field order.
+        first = next(key for key in CONFIG_KEYS if key in look_alikes)
+        with pytest.raises(rw.ConfigError, match=f"^non-integer value for '{first}'"):
+            rw.ModelConfig(**drawn)
+        return
+    try:
+        config = rw.ModelConfig(**drawn)
+    except rw.ConfigError:
+        assume(False)
+    assert rw.parse_config(rw.config_to_json(config)) == config
+    weights = rw.init_random(config, seed)
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "weights.bin"
+        rw.save_weights(weights, path)
+        loaded = rw.load_weights(path)
+    assert loaded.config == config
+    for (name, tensor), (loaded_name, loaded_tensor) in zip(weights.named_tensors(), loaded.named_tensors(), strict=True):
+        assert name == loaded_name and np.array_equal(tensor, loaded_tensor)

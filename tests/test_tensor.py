@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rollwin as rw
+from conftest import KERNEL_TOL
 
 
 def f32(x):
@@ -520,6 +521,19 @@ class TestSoftmax:
         assert abs(float(out.sum()) - 1.0) <= 1e-6
 
 
+def mistral_rms_norm(x, gain, eps=rw.tensor.RMS_NORM_EPS):
+    """float64 RMSNorm written from mistral-src `RMSNorm`:
+    x * rsqrt(mean(x**2) + eps) * weight over the last axis."""
+    x = x.astype(np.float64)
+    return x / np.sqrt(np.mean(x * x, axis=-1, keepdims=True) + eps) * gain.astype(np.float64)
+
+
+def norm_inputs(scale):
+    """Rows of a hidden state at `scale` and a gain near 1."""
+    rng = np.random.default_rng(56)
+    return (scale * rng.standard_normal((6, 64))).astype(np.float32), (1 + 0.1 * rng.standard_normal(64)).astype(np.float32)
+
+
 class TestRmsNorm:
     # Inputs of magnitude 1000 put mean squares near 1e6, where adding
     # RMS_NORM_EPS changes no bit, so the exact normalized values show.
@@ -543,6 +557,18 @@ class TestRmsNorm:
     def test_gain_shape_mismatch(self):
         with pytest.raises(ValueError):
             rw.rms_norm(np.ones((2, 4), np.float32), np.ones(3, np.float32))
+
+    @pytest.mark.parametrize("scale", [1.0, 0.01])
+    def test_holds_to_mistral_reference(self, scale):
+        x, gain = norm_inputs(scale)
+        assert np.allclose(rw.rms_norm(x, gain), mistral_rms_norm(x, gain), atol=KERNEL_TOL, rtol=KERNEL_TOL)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.01])
+    def test_eps_off_by_ten_fails_mistral_reference(self, scale, monkeypatch):
+        # Negative control: eps 1e-4 instead of 1e-5.
+        monkeypatch.setattr(rw.tensor, "_EPS", np.float32(1e-4))
+        x, gain = norm_inputs(scale)
+        assert not np.allclose(rw.rms_norm(x, gain), mistral_rms_norm(x, gain), atol=KERNEL_TOL, rtol=KERNEL_TOL)
 
 
 def rope(x, positions):
@@ -756,3 +782,11 @@ class TestSiluGate:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             rw.silu_gate(np.ones(3, np.float32), np.ones(4, np.float32))
+
+    def test_holds_to_mistral_reference(self):
+        # mistral-src `FeedForward`: w2(silu(w1 x) * w3 x), silu(t) = t * sigmoid(t).
+        rng = np.random.default_rng(57)
+        x1, x3 = (3 * rng.standard_normal((2, 4, 64))).astype(np.float32)
+        t = x1.astype(np.float64)
+        reference = t / (1 + np.exp(-t)) * x3.astype(np.float64)
+        assert np.allclose(rw.silu_gate(x1, x3), reference, atol=KERNEL_TOL, rtol=KERNEL_TOL)

@@ -115,6 +115,16 @@ class TestWeightFile:
         with pytest.raises(rw.WeightFormatError, match="non-finite.*token_embedding"):
             rw.load_weights(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_layers", True), ("context_len", 1000.0), ("window_size", np.int64(8)),
+        ("window_size", 8.0), ("dim", "64"),
+    ])
+    def test_no_weights_for_a_config_a_file_cannot_hold(self, toy_config, field, value):
+        # Weights drawn for such a config once saved to a file that load_weights
+        # refused, or raised a TypeError in save_weights; the config cannot exist.
+        with pytest.raises(rw.ConfigError, match=f"^non-integer value for '{field}'"):
+            rw.init_random(replace(toy_config, **{field: value}), 0)
+
     def test_loaded_weights_drive_identical_logits(self, toy_weights, tmp_path):
         path = tmp_path / "toy.bin"
         rw.save_weights(toy_weights, path)
