@@ -23,10 +23,10 @@ Layer arithmetic: rms-norm, grouped-query attention with rotary positions
 over the sliding window, then a gated feed-forward, each with a residual
 connection. Attention is one banded product per layer: every query row
 scores exactly its W keys (`attention.window_attend`), and the query
-heads that share a kv head follow from the q and K/V shapes. A session
-concatenates each layer's Wq|Wk|Wv and W1|W3 by columns once, so each is
-one ordered product per layer; every output column is still its own
-left-to-right dot product. The Wq|Wk|Wv product runs on all kv_l rows:
+heads that share a kv head follow from the q and K/V shapes. The weight set
+holds each layer's Wq|Wk|Wv and W1|W3 by columns (`LayerWeights.Wqkv`, `W13`),
+one ordered product each per layer, so a session allocates only its caches;
+every output column is still its own left-to-right dot product. The Wq|Wk|Wv product runs on all kv_l rows:
 its W - 1 unused query rows per layer cost less than a second product
 would on every decode step.
 """
@@ -96,11 +96,6 @@ class GenerationSession:
         self.weights, self.config, self.streams = weights, weights.config, streams
         shape = (streams * self.config.n_kv_heads, self.config.window_size, self.config.head_dim)
         self.caches = [RollingKvCache(*shape) for _ in weights.layers]
-        self._fused = [
-            (np.concatenate([layer.Wq, layer.Wk, layer.Wv], axis=1),
-             np.concatenate([layer.W1, layer.W3], axis=1))
-            for layer in weights.layers
-        ]
         self.next_position = 0
 
     @property
@@ -121,24 +116,24 @@ class GenerationSession:
             )
         return rows
 
-    def _qkv(self, x: Tensor, layer: LayerWeights, Wqkv: Tensor, rope: tensor.RopeTable):
+    def _qkv(self, x: Tensor, layer: LayerWeights, rope: tensor.RopeTable):
         """Rotated q, k and unrotated v, head-major: [streams * heads, rows, head_dim]."""
         cfg = self.config
         h = tensor.rms_norm(x, layer.attn_norm_gain)
         n = x.shape[0] // self.streams
-        heads = tensor.matmul(h, Wqkv).reshape(self.streams, n, -1, cfg.head_dim).transpose(0, 2, 1, 3)
+        heads = tensor.matmul(h, layer.Wqkv).reshape(self.streams, n, -1, cfg.head_dim).transpose(0, 2, 1, 3)
         n_rotated = cfg.n_heads + cfg.n_kv_heads
         qk = tensor.rope_apply(heads[:, :n_rotated], rope)
         q, k, v = qk[:, : cfg.n_heads], qk[:, cfg.n_heads:], heads[:, n_rotated:]
         return q.reshape(-1, n, cfg.head_dim), k.reshape(-1, n, cfg.head_dim), v.reshape(-1, n, cfg.head_dim)
 
-    def _residual_ffn(self, x: Tensor, layer: LayerWeights, W13: Tensor, ctx: Tensor) -> Tensor:
+    def _residual_ffn(self, x: Tensor, layer: LayerWeights, ctx: Tensor) -> Tensor:
         """Attention context [streams * heads, rows, head_dim] through Wo into the
         residual, then the gated feed-forward with its residual."""
         merged = ctx.reshape(self.streams, -1, *ctx.shape[1:]).transpose(0, 2, 1, 3).reshape(x.shape[0], -1)
         x = x + tensor.matmul(merged, layer.Wo)
         h = tensor.rms_norm(x, layer.ffn_norm_gain)
-        gates = tensor.matmul(h, W13)
+        gates = tensor.matmul(h, layer.W13)
         hidden = self.config.hidden_dim
         gated = tensor.silu_gate(gates[:, :hidden], gates[:, hidden:])
         return x + tensor.matmul(gated, layer.W2)
@@ -166,21 +161,21 @@ class GenerationSession:
         end = start + rows.shape[1]
         # Layer l computes K/V from position firsts[l] and its output from firsts[l + 1].
         firsts = [max(start, end - reach + i * (window - 1)) for i in range(self.config.n_layers)] + [end - 1]
-        layers = list(zip(firsts, firsts[1:], self.weights.layers, self._fused, self.caches))
+        layers = list(zip(firsts, firsts[1:], self.weights.layers, self.caches))
         for stop in range(end - (end - firsts[0] - 1) // window * window, end + 1, window):
             begin = max(firsts[0], stop - window)
             x = self.weights.token_embedding[rows[:, begin - start:stop - start].reshape(-1)]  # [streams * rows, dim]
             cos, sin = tensor.rope_table(np.arange(begin, stop), self.config.head_dim)
-            for first, out, layer, (Wqkv, W13), cache in layers:
+            for first, out, layer, cache in layers:
                 first, out = max(first, begin), max(out, begin)
-                q, k, v = self._qkv(x, layer, Wqkv, tensor.RopeTable(cos[first - begin:], sin[first - begin:]))
+                q, k, v = self._qkv(x, layer, tensor.RopeTable(cos[first - begin:], sin[first - begin:]))
                 keys, values = cache.extend(first, k, v)  # rows ending at position stop - 1
                 if out >= stop:  # no row of this chunk reaches the next layer
                     break
                 ctx = attention.window_attend(q[:, out - first:], keys, values, window)
                 if out > first:  # each stream's last stop - out rows
                     x = x.reshape(self.streams, stop - first, -1)[:, out - first:].reshape(-1, x.shape[1])
-                x = self._residual_ffn(x, layer, W13, ctx)
+                x = self._residual_ffn(x, layer, ctx)
         self.next_position = end
         h = tensor.rms_norm(x, self.weights.final_norm_gain)
         logits = tensor.matmul(h, self.weights.output_proj)

@@ -1,17 +1,21 @@
 """Decoder weight tensors: random initialization and the binary file format.
 
 Weight sets are immutable once built and safe to share across sessions and
-threads. The file format is little-endian: magic "MWDC", a u32 version, a
-u32 byte length followed by the embedded JSON config document, then every
-tensor as raw row-major float32 in canonical field order with no per-tensor
-headers.
+threads. A frozen `LayerWeights` holds Wq|Wk|Wv and W1|W3 once, by columns
+(`Wqkv`, `W13`), and its Wq, Wk, Wv, W1 and W3 are views of them. The file
+format is little-endian: magic "MWDC", a u32 version, a u32 byte length
+followed by the embedded JSON config document, then every tensor as raw
+row-major float32 in canonical field order with no per-tensor headers.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import stat
 import struct
-from dataclasses import dataclass, fields
+from collections.abc import Iterator
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -26,7 +30,7 @@ class WeightFormatError(ValueError):
     """Raised when a weight file fails a structural check."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayerWeights:
     attn_norm_gain: Tensor  # [dim]
     Wq: Tensor              # [dim, n_heads*head_dim]
@@ -37,9 +41,19 @@ class LayerWeights:
     W1: Tensor              # [dim, hidden_dim]
     W2: Tensor              # [hidden_dim, dim]
     W3: Tensor              # [dim, hidden_dim]
+    Wqkv: Tensor = field(init=False, repr=False, compare=False)  # Wq|Wk|Wv by columns
+    W13: Tensor = field(init=False, repr=False, compare=False)   # W1|W3 by columns
+
+    def __post_init__(self):
+        for fused, names in (("Wqkv", ("Wq", "Wk", "Wv")), ("W13", ("W1", "W3"))):
+            parts = [getattr(self, name) for name in names]
+            object.__setattr__(self, fused, np.concatenate(parts, axis=1))
+            views = np.split(getattr(self, fused), np.cumsum([p.shape[1] for p in parts[:-1]]), axis=1)
+            for name, view in zip(names, views):
+                object.__setattr__(self, name, view)
 
 
-_LAYER_FIELDS = tuple(f.name for f in fields(LayerWeights))
+_LAYER_FIELDS = tuple(f.name for f in fields(LayerWeights) if f.init)
 
 
 @dataclass
@@ -94,12 +108,12 @@ def parameter_count(config: ModelConfig) -> int:
     return global_tensors + config.n_layers * sum(math.prod(shape) for shape in _layer_shapes(config).values())
 
 
-def _assemble(config: ModelConfig, tensors: list[Tensor]) -> DecoderWeights:
-    it = iter(tensors)
-    token_embedding = next(it)
-    layers = [LayerWeights(*(next(it) for _ in _LAYER_FIELDS)) for _ in range(config.n_layers)]
-    final_norm_gain = next(it)
-    output_proj = next(it)
+def _assemble(config: ModelConfig, tensors: Iterator[Tensor]) -> DecoderWeights:
+    """The weight set from its tensors in serialization order, drawn one layer at a time."""
+    token_embedding = next(tensors)
+    layers = [LayerWeights(*(next(tensors) for _ in _LAYER_FIELDS)) for _ in range(config.n_layers)]
+    final_norm_gain = next(tensors)
+    output_proj = next(tensors)
     return DecoderWeights(config, token_embedding, layers, final_norm_gain, output_proj)
 
 
@@ -111,13 +125,14 @@ def init_random(config: ModelConfig, seed: int) -> DecoderWeights:
     """
     rng = np.random.default_rng(seed)
     proj_scale = np.float32(0.02 / math.sqrt(config.n_layers))
-    tensors = []
-    for name, shape in tensor_shapes(config):
-        draw = rng.standard_normal(shape, dtype=np.float32)
-        if not name.endswith("norm_gain"):
-            draw *= proj_scale
-        tensors.append(draw)
-    return _assemble(config, tensors)
+
+    def draws():
+        for name, shape in tensor_shapes(config):
+            draw = rng.standard_normal(shape, dtype=np.float32)
+            if not name.endswith("norm_gain"):
+                draw *= proj_scale
+            yield draw
+    return _assemble(config, draws())
 
 
 def save_weights(weights: DecoderWeights, path) -> None:
@@ -132,36 +147,36 @@ def save_weights(weights: DecoderWeights, path) -> None:
 
 
 def load_weights(path) -> DecoderWeights:
-    """Read and validate a weight file; every rejected check names itself."""
+    """Read and validate a weight file one tensor at a time, each declared length checked
+    against the file's size before it is read; every rejected check names itself."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != WEIGHT_MAGIC:
-        raise WeightFormatError(f"bad magic: expected {WEIGHT_MAGIC!r}, got {blob[:4]!r}")
-    if len(blob) < 12:
-        raise WeightFormatError("header truncated")
-    version, doc_len = struct.unpack_from("<II", blob, 4)
-    if version != WEIGHT_VERSION:
-        raise WeightFormatError(f"unsupported version: {version} (expected {WEIGHT_VERSION})")
-    header_end = 12 + doc_len
-    if len(blob) < header_end:
-        raise WeightFormatError("embedded config document truncated")
-    try:
-        config = parse_config(blob[12:header_end].decode("utf-8"))
-    except (ConfigError, UnicodeDecodeError) as exc:
-        raise WeightFormatError(f"embedded config rejected: {exc}") from None
-    expected_len = header_end + parameter_count(config) * 4
-    if len(blob) != expected_len:
-        raise WeightFormatError(
-            f"file length {len(blob)} does not match header + parameter_count*4 = {expected_len}"
-        )
-    flat = np.frombuffer(blob, dtype="<f4", offset=header_end)
-    tensors = []
-    cursor = 0
-    for name, shape in tensor_shapes(config):
-        size = int(np.prod(shape))
-        t = flat[cursor:cursor + size].reshape(shape).astype(np.float32)
-        if not np.isfinite(t).all():
-            raise WeightFormatError(f"non-finite values in {name}")
-        tensors.append(t)
-        cursor += size
-    return _assemble(config, tensors)
+        info = os.fstat(fh.fileno())
+        if not stat.S_ISREG(info.st_mode):  # a pipe has no size to check the lengths against
+            raise WeightFormatError("not a regular file")
+        size = info.st_size
+        header = fh.read(12)
+        if header[:4] != WEIGHT_MAGIC:
+            raise WeightFormatError(f"bad magic: expected {WEIGHT_MAGIC!r}, got {header[:4]!r}")
+        if len(header) < 12:
+            raise WeightFormatError("header truncated")
+        version, doc_len = struct.unpack_from("<II", header, 4)
+        if version != WEIGHT_VERSION:
+            raise WeightFormatError(f"unsupported version: {version} (expected {WEIGHT_VERSION})")
+        header_end = 12 + doc_len
+        if size < header_end:
+            raise WeightFormatError("embedded config document truncated")
+        try:
+            config = parse_config(fh.read(doc_len).decode("utf-8"))
+        except (ConfigError, UnicodeDecodeError) as exc:
+            raise WeightFormatError(f"embedded config rejected: {exc}") from None
+        expected = header_end + parameter_count(config) * 4
+        if size != expected:
+            raise WeightFormatError(f"file length {size} does not match header + parameter_count*4 = {expected}")
+
+        def tensors():
+            for name, shape in tensor_shapes(config):
+                t = np.frombuffer(fh.read(4 * math.prod(shape)), "<f4").astype(np.float32).reshape(shape)
+                if not np.isfinite(t).all():
+                    raise WeightFormatError(f"non-finite values in {name}")
+                yield t
+        return _assemble(config, tensors())

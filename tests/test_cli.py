@@ -321,8 +321,8 @@ def _overflowing_weights(tmp_path) -> str:
     """Toy weights, all finite, whose feed-forward products overflow float32."""
     weights = rw.init_random(rw.PRESET_TOY, 1)
     for layer in weights.layers:
-        layer.W1 *= np.float32(1e18)
-        layer.W3 *= np.float32(1e18)
+        layer.W1[...] *= np.float32(1e18)
+        layer.W3[...] *= np.float32(1e18)
     path = tmp_path / "overflow.bin"
     rw.save_weights(weights, path)
     return str(path)
@@ -734,6 +734,19 @@ class TestVerify:
         # stream (30 tokens) is longer than the oracle-equivalence check (24).
         code, out, err = run_cli(capsys, "verify", *flags, "--seed", "0")
         assert (code, out, err) == (cli.EXIT_OK, "", GOLDEN_VERIFY[flags])
+
+    def test_verify_holds_at_numpys_baseline_dispatch(self):
+        # With every SIMD target numpy dispatches to disabled, float32 exp and
+        # the logits take other bits, but the engine and the oracle still agree
+        # bit for bit: the pinned text is the same. Warnings numpy prints
+        # about targets the host lacks come first.
+        umath = importlib.import_module("numpy._core._multiarray_umath")
+        env = dict(subprocess_env(), NPY_DISABLE_CPU_FEATURES=" ".join(umath.__cpu_dispatch__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rollwin", "verify"], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert (proc.returncode, proc.stdout) == (cli.EXIT_OK, "")
+        assert proc.stderr.endswith(GOLDEN_VERIFY[()])
 
     def test_reach_override_line(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--window", "4", "--layers", "2")

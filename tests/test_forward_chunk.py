@@ -248,8 +248,8 @@ def test_each_layer_computes_only_the_rows_a_kept_output_reads(name, prefix, n, 
     if prefix:
         session.prefill(random_tokens(prefix, seed=1))
     stage_of = {}
-    for i, (layer, (Wqkv, _)) in enumerate(zip(session.weights.layers, session._fused)):
-        stage_of.update({id(Wqkv): ("qkv", i), id(layer.Wo): ("Wo", i), id(layer.W2): ("W2", i)})
+    for i, layer in enumerate(session.weights.layers):
+        stage_of.update({id(layer.Wqkv): ("qkv", i), id(layer.Wo): ("Wo", i), id(layer.W2): ("W2", i)})
     rows = {}
     real = tensor.matmul
 

@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -500,3 +502,40 @@ class TestGenerate:
             2 * toy_config.n_kv_heads * toy_config.window_size * toy_config.head_dim * 4
         )
         assert session.total_cache_bytes == session.caches[0].nbytes * toy_config.n_layers
+
+
+def _arrays_held(obj, skip):
+    """Every ndarray reachable from obj through containers and instance
+    attributes, except through skip."""
+    if obj is skip:
+        return
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _arrays_held(item, skip)
+    elif hasattr(obj, "__dict__"):
+        for value in vars(obj).values():
+            yield from _arrays_held(value, skip)
+
+
+class TestSessionHoldsOnlyItsCaches:
+    """A session's state is its caches and a position; the weights are shared."""
+
+    def test_a_desk_session_allocates_its_caches_and_little_more(self):
+        weights = rw.init_random(DESK, 5)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            session = rw.GenerationSession(weights)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= session.total_cache_bytes + 16 * 1024
+
+    def test_no_session_attribute_holds_a_weight_array(self, toy_weights):
+        session = rw.GenerationSession(toy_weights, 2)
+        session.forward_chunk([random_tokens(20, seed=1), random_tokens(20, seed=2)])
+        arrays = list(_arrays_held(session, toy_weights))
+        assert sum(a.nbytes for a in arrays) == session.total_cache_bytes
+        assert not any(np.shares_memory(a, t) for a in arrays for _, t in toy_weights.named_tensors())

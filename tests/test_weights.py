@@ -1,11 +1,16 @@
+import gc
+import os
 import struct
-from dataclasses import replace
+import tracemalloc
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
 import rollwin as rw
 from rollwin.weights import WEIGHT_MAGIC, WEIGHT_VERSION
+
+from test_model import DESK
 
 
 class TestInitRandom:
@@ -159,8 +164,67 @@ class TestLoadWeightsFuzz:
         with pytest.raises(rw.WeightFormatError, match="truncated"):
             self._load(tmp_path, blob)
 
+    def test_a_pipe_is_refused_before_any_read(self, saved):
+        # A pipe's size is unknown, so no declared length could be checked
+        # against it before the read.
+        read_end, write_end = os.pipe()
+        os.write(write_end, saved[:12])
+        os.close(write_end)
+        with pytest.raises(rw.WeightFormatError, match="^not a regular file$"):
+            rw.load_weights(read_end)
+
     @pytest.mark.parametrize("edit", [lambda b: b[:-4], lambda b: b + struct.pack("<f", 1.0)],
                              ids=["one-float-short", "one-float-long"])
     def test_payload_off_by_one_float(self, saved, tmp_path, edit):
         with pytest.raises(rw.WeightFormatError, match="length"):
             self._load(tmp_path, edit(saved))
+
+
+class TestFusedProjections:
+    """A layer holds Wq|Wk|Wv and W1|W3 once; the separate projections are views."""
+
+    @pytest.mark.parametrize("fused, parts", [("Wqkv", ("Wq", "Wk", "Wv")), ("W13", ("W1", "W3"))])
+    def test_each_projection_is_a_column_view_of_its_fused_array(self, toy_weights, fused, parts):
+        for layer in toy_weights.layers:
+            whole = getattr(layer, fused)
+            assert all(np.shares_memory(getattr(layer, name), whole) for name in parts)
+            assert np.array_equal(whole, np.concatenate([getattr(layer, name) for name in parts], axis=1))
+
+    def test_a_layer_refuses_to_rebind_a_tensor(self, toy_weights):
+        # A rebound W1 would leave W13 stale: the engine would read the old
+        # values while the oracle read the new ones.
+        layer = toy_weights.layers[0]
+        with pytest.raises(FrozenInstanceError):
+            layer.Wq = np.zeros_like(layer.Wq)
+
+    def test_replace_fuses_the_new_tensor(self, toy_config, toy_weights):
+        layer = toy_weights.layers[0]
+        x = np.full_like(layer.W1, 0.5)
+        changed = replace(layer, W1=x)
+        assert np.array_equal(changed.W13[:, :toy_config.hidden_dim], x)
+        assert np.array_equal(changed.W13[:, toy_config.hidden_dim:], layer.W3)
+        assert not np.shares_memory(changed.W13, layer.W13)
+        assert not np.array_equal(layer.W1, x)
+
+    @pytest.mark.parametrize("config", [rw.PRESET_TOY, DESK], ids=["toy", "desk"])
+    def test_load_then_save_writes_identical_bytes(self, config, tmp_path):
+        first, second = tmp_path / "first.bin", tmp_path / "second.bin"
+        rw.save_weights(rw.init_random(config, 3), first)
+        rw.save_weights(rw.load_weights(first), second)
+        assert second.read_bytes() == first.read_bytes()
+
+
+def test_loading_peaks_near_the_parameter_bytes(tmp_path):
+    # The loader reads one tensor at a time and fuses one layer at a time,
+    # so no whole-file buffer or second copy of the parameters is alive.
+    path = tmp_path / "desk.bin"
+    rw.save_weights(rw.init_random(DESK, 1), path)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        weights = rw.load_weights(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert weights.config == DESK
+    assert peak <= 1.2 * rw.parameter_count(DESK) * 4
