@@ -129,30 +129,27 @@ def window_attend(q: Tensor, keys: Tensor, values: Tensor, window: int) -> Tenso
     start at +0.0.
     """
     n_heads, n_q, head_dim = q.shape
-    n_kv, group = keys.shape[0], _group_size(q, keys)
+    n_kv, n_k = keys.shape[:2]
+    group = _group_size(q, keys)
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    if values.shape != keys.shape or keys.shape[2:] != (head_dim,) or keys.shape[1] < n_q:
+    if values.shape != keys.shape or keys.shape[2:] != (head_dim,) or n_k < n_q:
         raise ValueError(f"k/v shapes {keys.shape}/{values.shape} do not fit {n_q} queries of head_dim {head_dim}")
 
-    first = keys.shape[1] - n_q - window + 1  # key row of query 0's oldest slot
+    first = n_k - n_q - window + 1  # key row of query 0's oldest slot
     masked = None
     if first < 0:
         pad = np.zeros((n_kv, -first, head_dim), dtype=np.float32)
-        keys = np.concatenate([pad, keys], axis=1)
-        values = np.concatenate([pad, values], axis=1)
+        keys, values = (np.concatenate([pad, rows], axis=1) for rows in (keys, values))
         slot_rows = first + np.arange(n_q)[:, None] + np.arange(window)
         masked = np.broadcast_to((slot_rows < 0)[:, None, :], (n_kv, n_q, group, window))
         first = 0
-    k_bands = _bands(keys, first, n_q, window)
-    v_bands = _bands(values, first, n_q, window)
     # Query head h = kv * group + g becomes row g of kv head kv's band product.
     grouped = q.reshape(n_kv, group, n_q, head_dim).transpose(0, 2, 1, 3)
-    scale = np.float32(math.sqrt(head_dim))
-    scores = tensor.matmul(grouped, k_bands.transpose(0, 1, 3, 2)) / scale  # [n_kv, n_q, group, W]
-    weights = tensor.softmax_stable(scores, masked=masked)
-    out = tensor.matmul(weights, v_bands)  # [n_kv, n_q, group, head_dim]
-    return out.transpose(0, 2, 1, 3).reshape(n_heads, n_q, head_dim)
+    k_bands = _bands(keys, first, n_q, window).transpose(0, 1, 3, 2)
+    scores = tensor.matmul(grouped, k_bands) / np.float32(math.sqrt(head_dim))  # [n_kv, n_q, group, W]
+    out = tensor.matmul(tensor.softmax_stable(scores, masked), _bands(values, first, n_q, window))
+    return out.transpose(0, 2, 1, 3).reshape(n_heads, n_q, head_dim)  # from [n_kv, n_q, group, head_dim]
 
 
 def full_pair_count(seq_len: int) -> int:

@@ -71,7 +71,9 @@ class RollingKvCache:
     def extend(self, first: int, k_block: Tensor, v_block: Tensor) -> tuple[Tensor, Tensor]:
         """Write a block at `first` through `prefill_bulk`; return copies of
         `gather`'s keys and values from before the write, each followed by the
-        block. A block past the end skips there: the retained range restarts."""
+        block. A block past the end skips there: the retained range restarts.
+        The block is checked first, so a refused one leaves the cache as it was."""
+        self._check_block(min(first, self.next_position), k_block, v_block)  # past the end: as if at it
         if first > self.next_position:
             self.first_position = self.next_position = first
         positions = self.retained_positions()
@@ -100,22 +102,24 @@ class RollingKvCache:
         overwritten (anything before the trailing `capacity` rows) are
         never materialized in the cache.
         """
-        if start_position != self.next_position:
-            raise ValueError(f"out-of-order write: expected position {self.next_position}, "
-                             f"got {start_position}")
-        n_kv, _, head_dim = self.keys.shape
-        if k_block.shape != v_block.shape or k_block.shape[:1] + k_block.shape[2:] != (n_kv, head_dim):
-            raise ValueError(f"block shapes {k_block.shape}/{v_block.shape} do not fit "
-                             f"[{n_kv}, rows, {head_dim}] cache blocks")
+        self._check_block(start_position, k_block, v_block)
         block_len = k_block.shape[1]
-        if block_len < 1:
-            raise ValueError("bulk write needs at least one row")
         row = max(0, block_len - self.capacity)
         for run in self._slot_runs(start_position + row, start_position + block_len):
             rows = slice(row, row + run.stop - run.start)
             self.keys[:, run], self.values[:, run] = k_block[:, rows], v_block[:, rows]
             row = rows.stop
         self.next_position = start_position + block_len
+
+    def _check_block(self, start: int, k_block: Tensor, v_block: Tensor) -> None:
+        """ValueError unless start is the cache's end and the block fits it with at least one row."""
+        if start != self.next_position:
+            raise ValueError(f"out-of-order write: expected position {self.next_position}, got {start}")
+        shape, (n_kv, _, head_dim) = k_block.shape, self.keys.shape
+        if shape != v_block.shape or len(shape) != 3 or shape[0] != n_kv or shape[2] != head_dim:
+            raise ValueError(f"block shapes {shape}/{v_block.shape} do not fit [{n_kv}, rows, {head_dim}] blocks")
+        if shape[1] < 1:
+            raise ValueError("bulk write needs at least one row")
 
     def _slot_runs(self, start: int, stop: int) -> list[slice]:
         """Slots of positions [start, stop) (at most `capacity`), in order: one run, or two on a wrap."""

@@ -18,11 +18,12 @@ Exit codes are a stable contract: 0 success, 1 usage, 2 weight file,
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import re
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -75,11 +76,7 @@ def non_negative_int(text: str) -> int:
     return int(text)
 
 
-@dataclass
-class CheckResult:
-    name: str
-    detail: str
-    passed: bool
+CheckResult = collections.namedtuple("CheckResult", "name detail passed")
 
 
 def _read_config(path: str) -> ModelConfig:
@@ -336,9 +333,7 @@ def _parse_scenarios(text: str) -> list[tuple[int, int]]:
 
 def _timed_execution(length: int, window: int, seed: int) -> dict:
     """Time a real toy-model decode through both paths for one scenario."""
-    exec_config = replace(
-        PRESET_TOY, window_size=min(window, length), context_len=length
-    )
+    exec_config = replace(PRESET_TOY, window_size=min(window, length), context_len=length)
     guard(exec_config, length)
     weights = init_random(exec_config, seed)
     tokens = [int(t) for t in np.random.default_rng(seed).integers(0, exec_config.vocab_size, size=length)]

@@ -118,22 +118,20 @@ class GenerationSession:
 
     def _qkv(self, x: Tensor, layer: LayerWeights, rope: tensor.RopeTable):
         """Rotated q, k and unrotated v, head-major: [streams * heads, rows, head_dim]."""
-        cfg = self.config
-        h = tensor.rms_norm(x, layer.attn_norm_gain)
+        n_heads, n_kv, head_dim = self.config.n_heads, self.config.n_kv_heads, self.config.head_dim
         n = x.shape[0] // self.streams
-        heads = tensor.matmul(h, layer.Wqkv).reshape(self.streams, n, -1, cfg.head_dim).transpose(0, 2, 1, 3)
-        n_rotated = cfg.n_heads + cfg.n_kv_heads
-        qk = tensor.rope_apply(heads[:, :n_rotated], rope)
-        q, k, v = qk[:, : cfg.n_heads], qk[:, cfg.n_heads:], heads[:, n_rotated:]
-        return q.reshape(-1, n, cfg.head_dim), k.reshape(-1, n, cfg.head_dim), v.reshape(-1, n, cfg.head_dim)
+        h = tensor.rms_norm(x, layer.attn_norm_gain)
+        heads = tensor.matmul(h, layer.Wqkv).reshape(self.streams, n, -1, head_dim).swapaxes(1, 2)
+        qk = tensor.rope_apply(heads[:, :n_heads + n_kv], rope)
+        q, k, v = qk[:, :n_heads], qk[:, n_heads:], heads[:, n_heads + n_kv:]
+        return q.reshape(-1, n, head_dim), k.reshape(-1, n, head_dim), v.reshape(-1, n, head_dim)
 
     def _residual_ffn(self, x: Tensor, layer: LayerWeights, ctx: Tensor) -> Tensor:
         """Attention context [streams * heads, rows, head_dim] through Wo into the
         residual, then the gated feed-forward with its residual."""
-        merged = ctx.reshape(self.streams, -1, *ctx.shape[1:]).transpose(0, 2, 1, 3).reshape(x.shape[0], -1)
+        merged = ctx.reshape(self.streams, -1, *ctx.shape[1:]).swapaxes(1, 2).reshape(x.shape[0], -1)
         x = x + tensor.matmul(merged, layer.Wo)
-        h = tensor.rms_norm(x, layer.ffn_norm_gain)
-        gates = tensor.matmul(h, layer.W13)
+        gates = tensor.matmul(tensor.rms_norm(x, layer.ffn_norm_gain), layer.W13)
         hidden = self.config.hidden_dim
         gated = tensor.silu_gate(gates[:, :hidden], gates[:, hidden:])
         return x + tensor.matmul(gated, layer.W2)
@@ -157,25 +155,26 @@ class GenerationSession:
         exact zeros.
         """
         rows = np.asarray(self._check_tokens(tokens))
-        window, start, reach = self.config.window_size, self.next_position, exact_reach(self.config)
-        end = start + rows.shape[1]
+        config, start = self.config, self.next_position
+        window, end = config.window_size, start + rows.shape[1]
         # Layer l computes K/V from position firsts[l] and its output from firsts[l + 1].
-        firsts = [max(start, end - reach + i * (window - 1)) for i in range(self.config.n_layers)] + [end - 1]
-        layers = list(zip(firsts, firsts[1:], self.weights.layers, self.caches))
+        firsts = [max(start, end - exact_reach(config) + i * (window - 1)) for i in range(config.n_layers)]
+        layers = list(zip(firsts, firsts[1:] + [end - 1], self.weights.layers, self.caches))
         for stop in range(end - (end - firsts[0] - 1) // window * window, end + 1, window):
             begin = max(firsts[0], stop - window)
-            x = self.weights.token_embedding[rows[:, begin - start:stop - start].reshape(-1)]  # [streams * rows, dim]
-            cos, sin = tensor.rope_table(np.arange(begin, stop), self.config.head_dim)
+            x = self.weights.token_embedding[rows[:, begin - start:stop - start].ravel()]  # [streams * rows, dim]
+            table = tensor.rope_table(np.arange(begin, stop), config.head_dim)
             for first, out, layer, cache in layers:
-                first, out = max(first, begin), max(out, begin)
-                q, k, v = self._qkv(x, layer, tensor.RopeTable(cos[first - begin:], sin[first - begin:]))
+                first = max(first, begin)
+                rope = table if first == begin else tensor.RopeTable(*(t[first - begin:] for t in table))
+                q, k, v = self._qkv(x, layer, rope)
                 keys, values = cache.extend(first, k, v)  # rows ending at position stop - 1
                 if out >= stop:  # no row of this chunk reaches the next layer
                     break
-                ctx = attention.window_attend(q[:, out - first:], keys, values, window)
                 if out > first:  # each stream's last stop - out rows
+                    q = q[:, out - first:]
                     x = x.reshape(self.streams, stop - first, -1)[:, out - first:].reshape(-1, x.shape[1])
-                x = self._residual_ffn(x, layer, ctx)
+                x = self._residual_ffn(x, layer, attention.window_attend(q, keys, values, window))
         self.next_position = end
         h = tensor.rms_norm(x, self.weights.final_norm_gain)
         logits = tensor.matmul(h, self.weights.output_proj)

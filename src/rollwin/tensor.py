@@ -54,10 +54,6 @@ BLOCK_ELEMENTS = 2**16
 TILE_ELEMENTS = 2**18
 
 
-def _f32(x) -> Tensor:
-    return np.asarray(x, dtype=np.float32)
-
-
 def _ordered_sum(x: Tensor) -> Tensor:
     """Sum over the trailing axis, kept as length 1, accumulating strictly left-to-right."""
     if x.shape[-1] == 0:
@@ -99,24 +95,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     The regime changes no bit of a result; a NaN's sign and payload follow
     numpy's SIMD lanes.
     """
-    a, b = _f32(a), _f32(b)
-    if a.ndim < 2 or b.ndim != a.ndim or a.shape[:-2] != b.shape[:-2] or a.shape[-1] != b.shape[-2]:
-        raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    k = a.shape[-1]
-    out_shape = a.shape[:-1] + b.shape[-1:]
+    a, b = np.asarray(a, np.float32), np.asarray(b, np.float32)
+    a_shape, b_shape, ndim = a.shape, b.shape, a.ndim
+    if ndim < 2 or len(b_shape) != ndim or a_shape[:-2] != b_shape[:-2] or a_shape[-1] != b_shape[-2]:
+        raise ValueError(f"matmul shape mismatch: {a_shape} @ {b_shape}")
+    k, out_shape = a_shape[-1], a_shape[:-1] + b_shape[-1:]
     outputs = math.prod(out_shape)
     if outputs > 1 and (k + 1) * (outputs + 1) <= BLOCK_ELEMENTS:
-        a_axes, b_axes = _k_first(a.ndim)
-        a_k = a.transpose(a_axes)[..., np.newaxis]  # [k, ..., n, 1]
-        b_k = b.transpose(b_axes)[..., np.newaxis, :]  # [k, ..., 1, m]
+        a_axes, b_axes = _k_first(ndim)  # a 2-D b is k-first as it is
+        a_k = (a.T if ndim == 2 else a.transpose(a_axes))[..., np.newaxis]  # [k, ..., n, 1]
+        b_k = (b if ndim == 2 else b.transpose(b_axes))[..., np.newaxis, :]  # [k, ..., 1, m]
         return np.add.reduce(np.multiply(a_k, b_k, order="C"), axis=0, initial=_ZERO)
-    axis = max(range(a.ndim - 1), key=out_shape.__getitem__)
+    axis = max(range(ndim - 1), key=out_shape.__getitem__)
     length, m = out_shape[axis], out_shape[-1]
     per_column = outputs // max(length * m, 1)  # outputs of one index of axis, per column
     width = max(1, min(m, TILE_ELEMENTS // max(1, k * per_column)))
     step = max(1, TILE_ELEMENTS // max(1, k * per_column * width))
     out, buffer = np.empty(out_shape, np.float32), np.empty(k * per_column * width * step, np.float32)
-    index = [slice(None)] * a.ndim  # out's; a's drops the last, b's takes k whole
+    index = [slice(None)] * ndim  # out's; a's drops the last, b's takes k whole
     for start, column in itertools.product(range(0, length, step), range(0, m, width)):
         index[axis], index[-1] = slice(start, start + step), slice(column, column + width)
         tile = out[tuple(index)]
@@ -137,7 +133,7 @@ def softmax_stable(x: Tensor, masked: Tensor | None = None) -> Tensor:
     out of the max and come back from exp as exactly +0.0, adding nothing
     to the normalizer. Each slice must keep at least one entry.
     """
-    x = _f32(x)
+    x = np.asarray(x, np.float32)
     if masked is not None:
         masked = np.asarray(masked, dtype=bool)
         if masked.shape != x.shape:
@@ -148,25 +144,34 @@ def softmax_stable(x: Tensor, masked: Tensor | None = None) -> Tensor:
     elif x.shape[-1] == 0:
         raise ValueError("degenerate attention row: all entries masked")
     weights = np.exp(x - np.maximum.reduce(x, axis=-1, keepdims=True))
-    return weights / _ordered_sum(weights)
+    # No weight is -0.0, so no slice needs _ordered_sum's +0.0: its last partial sum is the total.
+    return weights / np.add.accumulate(weights, axis=-1)[..., -1:]
 
 
 def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
     """Scale each trailing-axis slice to unit root-mean-square, then by gain."""
-    x, gain = _f32(x), _f32(gain)
+    x, gain = np.asarray(x, np.float32), np.asarray(gain, np.float32)
     if gain.ndim != 1 or x.shape[-1] != gain.shape[0]:
         raise ValueError(f"rms_norm gain shape {gain.shape} does not fit input shape {x.shape}")
-    mean_sq = _ordered_sum(x * x) / np.float32(x.shape[-1])
+    # Squares, like softmax_stable's weights, are never -0.0: the last partial sum is the ordered total.
+    mean_sq = np.add.accumulate(x * x, axis=-1)[..., -1:] / np.float32(x.shape[-1])
     return x / np.sqrt(mean_sq + _EPS) * gain
+
+
+@functools.cache
+def _rope_frequencies(head_dim: int) -> Tensor:
+    """Read-only float64 [head_dim // 2, 2]: pair j's ROPE_THETA**(-2j / head_dim), once per member."""
+    frequencies = ROPE_THETA ** (-2.0 * np.arange(head_dim // 2).repeat(2).reshape(-1, 2) / head_dim)
+    frequencies.flags.writeable = False
+    return frequencies
 
 
 def rope_table(positions, head_dim: int) -> RopeTable:
     """The RopeTable of a 1-D run of non-negative integer positions; angles in float64."""
     positions = np.asarray(positions)
-    if positions.ndim != 1 or positions.dtype.kind not in "iu" or (positions < 0).any():
+    if positions.ndim != 1 or positions.dtype.kind not in "iu" or positions.min(initial=0) < 0:
         raise ValueError(f"positions must be a 1-D run of non-negative integers, got {positions!r}")
-    pair = np.arange(head_dim // 2).repeat(2).reshape(-1, 2)  # pair j's index, once per member
-    angles = positions[:, np.newaxis, np.newaxis] * ROPE_THETA ** (-2.0 * pair / head_dim)
+    angles = positions[:, np.newaxis, np.newaxis] * _rope_frequencies(head_dim)
     cos, sin = np.cos(angles).astype(np.float32), np.sin(angles).astype(np.float32)
     np.negative(sin[..., 0], out=sin[..., 0])
     return RopeTable(cos, sin)
@@ -181,7 +186,7 @@ def rope_apply(x: Tensor, table: RopeTable) -> Tensor:
     rope_table's, one row per row of x along axis -2. A row is the same bits
     in any table it is in.
     """
-    x = _f32(x)
+    x = np.asarray(x, np.float32)
     head_dim = x.shape[-1]
     if head_dim % 2 != 0:
         raise ValueError(f"rope_apply needs an even trailing dimension, got {head_dim}")
@@ -196,7 +201,7 @@ def rope_apply(x: Tensor, table: RopeTable) -> Tensor:
 
 def silu_gate(x1: Tensor, x3: Tensor) -> Tensor:
     """Gated activation: silu(x1) * x3 with silu(t) = t / (1 + exp(-t))."""
-    x1, x3 = _f32(x1), _f32(x3)
+    x1, x3 = np.asarray(x1, np.float32), np.asarray(x3, np.float32)
     if x1.shape != x3.shape:
         raise ValueError(f"silu_gate shape mismatch: {x1.shape} vs {x3.shape}")
     # exp(-t) may overflow for very negative t; the quotient then underflows

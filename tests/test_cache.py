@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -383,3 +385,47 @@ class TestExtend:
         keys[...] = values[...] = 7.0
         block[...] = 5.0
         assert np.array_equal(cache.gather()[1], np.ones((1, 3, 2), np.float32))
+
+
+def assert_same_cache(cache, before):
+    assert (cache.first_position, cache.next_position) == (before.first_position, before.next_position)
+    assert cache.retained_positions() == before.retained_positions()
+    assert np.array_equal(cache.keys, before.keys) and np.array_equal(cache.values, before.values)
+
+
+class TestRefusedExtendChangesNothing:
+    """extend checks the block before it moves the retained range, so a
+    refused block leaves the cache as a deep copy taken before the call."""
+
+    @pytest.fixture
+    def cache(self):
+        cache = rw.RollingKvCache(2, 4, 8)  # capacity 4, holding positions 0-2
+        cache.prefill_bulk(0, *np.random.default_rng(16).standard_normal((2, 2, 3, 8), dtype=np.float32))
+        return cache
+
+    @pytest.mark.parametrize("first", [10, 3, 1], ids=["past-the-end", "at-the-end", "before-the-end"])
+    @pytest.mark.parametrize("k_shape,v_shape,match", [
+        ((3, 1, 8), (3, 1, 8), "block shapes"),  # three kv heads, the cache has two
+        ((2, 1, 4), (2, 1, 4), "block shapes"),  # head_dim 4, the cache has 8
+        ((2, 1, 8), (2, 2, 8), "block shapes"),  # k and v differ
+        ((2, 0, 8), (2, 0, 8), "at least one row"),
+    ], ids=["kv-heads", "head-dim", "k-v-differ", "zero-rows"])
+    def test_bad_block(self, cache, first, k_shape, v_shape, match):
+        before = copy.deepcopy(cache)
+        if first < cache.next_position:
+            match = "out-of-order write: expected position 3, got 1"  # the order is checked first
+        with pytest.raises(ValueError, match=match):
+            cache.extend(first, np.ones(k_shape, np.float32), np.ones(v_shape, np.float32))
+        assert_same_cache(cache, before)
+
+    def test_block_before_the_end(self, cache):
+        before = copy.deepcopy(cache)
+        block = np.ones((2, 1, 8), np.float32)
+        with pytest.raises(ValueError, match="out-of-order write: expected position 3, got 2"):
+            cache.extend(2, block, block)
+        assert_same_cache(cache, before)
+
+    def test_accepted_block_past_the_end_still_restarts(self, cache):
+        block = np.ones((2, 1, 8), np.float32)
+        cache.extend(10, block, block)
+        assert cache.retained_positions() == range(10, 11)

@@ -557,6 +557,15 @@ ONE_ULP_FAULTS = {
 }
 
 
+#: The paper's shape (Table 1): 32 layers, and 4 query heads per kv head (32
+#: and 8), at head_dim 2 and W 8 so that a run takes about 1.5 s.
+PAPER_SHAPE = ("--config", str(Path(__file__).resolve().parent / "paper_shape.json"))
+
+
+def flags_id(flags):
+    return "paper-shape" if flags == PAPER_SHAPE else " ".join(flags) or "toy"
+
+
 #: `rollwin verify --seed 0` stderr, by flags.
 GOLDEN_VERIFY = {
     (): (
@@ -585,6 +594,13 @@ GOLDEN_VERIFY = {
         "prefill-decode: max |dlogit| 0.00e+00 over lengths [1, 2, 3, 4, 9, 11, 4+7], caches identical: pass\n"
         "reach: affected <= 24, boundary exact: pass\n"
         "cache-bound: 9216 bytes after 24 tokens == 9216 after 3; 3 entries/layer: pass\n"
+    ),
+    # exact_reach is 225, past the 64-token stream, so no prefill length skips a row.
+    PAPER_SHAPE: (
+        "oracle-equivalence: max |dlogit| 0.00e+00 over 64 steps: pass\n"
+        "prefill-decode: max |dlogit| 0.00e+00 over lengths [1, 7, 8, 9, 24, 26, 12+17], caches identical: pass\n"
+        "reach: affected <= 224, boundary exact: pass\n"
+        "cache-bound: 32768 bytes after 64 tokens == 32768 after 8; 8 entries/layer: pass\n"
     ),
 }
 
@@ -718,7 +734,7 @@ class TestVerify:
         assert "reach: affected <= 124, boundary exact: pass\n" in err
 
     @pytest.mark.parametrize("seed", range(10))
-    @pytest.mark.parametrize("flags", sorted(GOLDEN_VERIFY), ids=lambda flags: " ".join(flags) or "toy")
+    @pytest.mark.parametrize("flags", sorted(GOLDEN_VERIFY), ids=flags_id)
     def test_exact_at_every_seed(self, capsys, flags, seed):
         # Engine and oracle, and chunked and stepped runs, agree bit for bit
         # at seeds 0-9 on every pinned config, not only at the golden seed.
@@ -728,7 +744,7 @@ class TestVerify:
         assert lines[0].startswith("oracle-equivalence: max |dlogit| 0.00e+00 over ")
         assert lines[1].startswith("prefill-decode: max |dlogit| 0.00e+00 over ")
 
-    @pytest.mark.parametrize("flags", sorted(GOLDEN_VERIFY), ids=lambda flags: " ".join(flags) or "toy")
+    @pytest.mark.parametrize("flags", sorted(GOLDEN_VERIFY), ids=flags_id)
     def test_verify_text_is_pinned(self, capsys, flags):
         # The whole stderr text and exit code at seed 0. At W3/L12 the stepped
         # stream (30 tokens) is longer than the oracle-equivalence check (24).
@@ -776,6 +792,16 @@ class TestVerify:
         assert code == cli.EXIT_VERIFY
         failed = [line.split(":")[0] for line in err.splitlines() if line.endswith(": fail")]
         assert failed == [check]
+
+    @pytest.mark.parametrize("fault", sorted(ONE_ULP_FAULTS))
+    def test_one_ulp_fault_fails_its_check_at_the_papers_shape(self, capsys, monkeypatch, fault):
+        # At 32 layers a one-ulp error passes through eight times as many
+        # layers as on toy, and still exactly its check fails.
+        owner, name, wrap, check = ONE_ULP_FAULTS[fault]
+        monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
+        code, _, err = run_cli(capsys, "verify", *PAPER_SHAPE)
+        assert code == cli.EXIT_VERIFY
+        assert [line.split(":")[0] for line in err.splitlines() if line.endswith(": fail")] == [check]
 
     def test_oversized_config_refused(self, capsys, tmp_path):
         cfg_path = tmp_path / "big.json"

@@ -38,6 +38,8 @@ import numpy as np  # noqa: E402
 import rollwin as rw  # noqa: E402
 from rollwin import cli  # noqa: E402
 
+PAPER_SHAPE = Path(__file__).resolve().parent.parent / "tests" / "paper_shape.json"
+
 #: Seed of every config's weights and token stream.
 SEED = 1
 
@@ -47,6 +49,8 @@ CONFIGS = {
     "w4l2": (("--window", "4", "--layers", "2"), replace(rw.PRESET_TOY, window_size=4, n_layers=2)),
     "w16": (("--window", "16"), replace(rw.PRESET_TOY, window_size=16)),
     "w3l12": (("--window", "3", "--layers", "12"), replace(rw.PRESET_TOY, window_size=3, n_layers=12)),
+    # The paper's depth and head grouping; the config document that `rollwin verify` pins.
+    "paper": (("--config", str(PAPER_SHAPE)), rw.parse_config(PAPER_SHAPE.read_text())),
     # The benchmark's prefill preset.
     "desk": (None, rw.ModelConfig(dim=128, n_layers=6, head_dim=16, hidden_dim=384, n_heads=8, n_kv_heads=2,
                                   window_size=64, context_len=2048, vocab_size=1024)),
