@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from test_cli import ONE_ULP_FAULTS
+from test_cli import GOLDEN_VERIFY, ONE_ULP_FAULTS
 
 
 @pytest.fixture(scope="module")
@@ -44,3 +44,8 @@ def test_output_differs_under_each_one_ulp_fault(bitdigest, clean, monkeypatch, 
     # The engine's own bits move, not only verify's text.
     assert faulty["configs"]["toy"]["engine"] != clean["configs"]["toy"]["engine"]
     assert faulty["digest"] != clean["digest"]
+
+
+def test_every_pinned_verify_config_is_digested(bitdigest):
+    # The paper's shape included: its 32 layers carry the bit check furthest.
+    assert set(GOLDEN_VERIFY) <= {tuple(flags) for flags, _ in bitdigest.CONFIGS.values() if flags is not None}

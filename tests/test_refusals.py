@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import rollwin as rw
-from rollwin import attention, tensor
+from rollwin import tensor
 
 
 def ones(*shape):
@@ -74,6 +74,7 @@ REFUSALS = {
     "prefill-bulk-kv-heads": (lambda: cache_at_3().prefill_bulk(3, ones(3, 1, 8), ones(3, 1, 8)), "block shapes"),
     "prefill-bulk-head-dim": (lambda: cache_at_3().prefill_bulk(3, ones(2, 1, 4), ones(2, 1, 4)), "block shapes"),
     "prefill-bulk-k-v-differ": (lambda: cache_at_3().prefill_bulk(3, ones(2, 1, 8), ones(2, 2, 8)), "block shapes"),
+    "prefill-bulk-rank": (lambda: cache_at_3().prefill_bulk(3, ones(2, 1, 8, 1), ones(2, 1, 8, 1)), "block shapes"),
     "prefill-bulk-zero-rows": (lambda: cache_at_3().prefill_bulk(3, ones(2, 0, 8), ones(2, 0, 8)),
                                "at least one row"),
 }

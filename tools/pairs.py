@@ -32,7 +32,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import math
+import os
 import platform
 import statistics
 import subprocess
@@ -136,9 +136,9 @@ def stage_split(src: Path, weight_path: Path, rounds: int = 9, steps: int = 80) 
     """Per-step microseconds of a toy decode step on a full window, in this process.
 
     The step is timed bare (`time.process_time`), then with each stage wrapped
-    in a `time.perf_counter` accumulator; `rest` is the wrapped step less its
-    stages and the wrappers' own cost: forward_chunk's bookkeeping, the final
-    norm and the logits product.
+    in a `time.perf_counter` accumulator. `rest` is the wrapped step less its
+    stages and the wrappers' own cost, that is forward_chunk's bookkeeping,
+    the final norm and the logits product.
     """
     sys.path.insert(0, str(src))
     import importlib
@@ -176,11 +176,10 @@ def stage_split(src: Path, weight_path: Path, rounds: int = 9, steps: int = 80) 
         return wrapper
 
     bare, _ = run(time.process_time)
-    owners = {}
     for module, attribute, name in STAGES:
         owner = importlib.import_module(f"rollwin.{module}")
-        owners[name] = getattr(owner, attribute) if attribute else owner
-        setattr(owners[name], name, timed(name, getattr(owners[name], name)))
+        owner = getattr(owner, attribute) if attribute else owner
+        setattr(owner, name, timed(name, getattr(owner, name)))
     wrapped, stages = run(time.perf_counter)
     calls = 4 * rw.PRESET_TOY.n_layers + 1
     probe, n = timed(STAGES[0][2], lambda: None), 100_000
@@ -249,7 +248,7 @@ def main(argv=None) -> int:
                     f"export (src/ and perfbench/); in each pair the workloads ran in the order {', '.join(WORKLOADS)}, "
                     "the pair's two sides of each back to back. Summaries as in the tools/pairs.py docstring; "
                     f"a gain needs >= {MIN_PAIRS} pairs, >= 9/10 of them better and a median gap above the parent's IQR.",
-        "host": {"nproc": __import__("os").cpu_count(), "machine": platform.machine(),
+        "host": {"nproc": os.cpu_count(), "machine": platform.machine(),
                  "python": platform.python_version(), "numpy": np.__version__},
         "workloads": measure(parent_tree, change_tree, args.pairs, args.seed, seconds, benchmark["end_to_end"]),
     }
