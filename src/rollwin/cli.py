@@ -18,12 +18,11 @@ Exit codes are a stable contract: 0 success, 1 usage, 2 weight file,
 from __future__ import annotations
 
 import argparse
-import collections
 import json
 import re
 import sys
 import time
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -76,7 +75,11 @@ def non_negative_int(text: str) -> int:
     return int(text)
 
 
-CheckResult = collections.namedtuple("CheckResult", "name detail passed")
+@dataclass
+class CheckResult:
+    name: str
+    detail: str
+    passed: bool
 
 
 def _read_config(path: str) -> ModelConfig:
@@ -333,7 +336,9 @@ def _parse_scenarios(text: str) -> list[tuple[int, int]]:
 
 def _timed_execution(length: int, window: int, seed: int) -> dict:
     """Time a real toy-model decode through both paths for one scenario."""
-    exec_config = replace(PRESET_TOY, window_size=min(window, length), context_len=length)
+    exec_config = replace(
+        PRESET_TOY, window_size=min(window, length), context_len=length
+    )
     guard(exec_config, length)
     weights = init_random(exec_config, seed)
     tokens = [int(t) for t in np.random.default_rng(seed).integers(0, exec_config.vocab_size, size=length)]

@@ -156,9 +156,9 @@ class GenerationSession:
         """
         rows = np.asarray(self._check_tokens(tokens))
         config, start = self.config, self.next_position
-        window, end = config.window_size, start + rows.shape[1]
+        window, end, reach = config.window_size, start + rows.shape[1], exact_reach(config)
         # Layer l computes K/V from position firsts[l] and its output from firsts[l + 1].
-        firsts = [max(start, end - exact_reach(config) + i * (window - 1)) for i in range(config.n_layers)]
+        firsts = [max(start, end - reach + i * (window - 1)) for i in range(config.n_layers)]
         layers = list(zip(firsts, firsts[1:] + [end - 1], self.weights.layers, self.caches))
         for stop in range(end - (end - firsts[0] - 1) // window * window, end + 1, window):
             begin = max(firsts[0], stop - window)

@@ -1,7 +1,7 @@
 """Paired benchmark runs of two revisions, written as one BENCH file.
 
     python tools/pairs.py --parent HEAD~1 --change HEAD --seed 2701 --out BENCH_27.json
-    python tools/pairs.py --parent HEAD --change HEAD --pairs 1 --seconds 2 --check-no-gain
+    python tools/pairs.py --parent HEAD --change HEAD --pairs 1 --seconds 2
 
 Each revision's `src/` and `perfbench/` are exported with `git archive` into
 `.bench_build/pairs/<commit>/`, and its `perfbench/run.py` runs there as it
@@ -23,8 +23,8 @@ than its `bound` is a regression.
 
 `--split` adds the in-process per-stage split of a toy decode step, one
 process per side and round, sides alternating, both loading one weight file.
-`--check-no-gain` exits 1 if a run is not correct, any operation failed, or a
-gain is claimed (a revision against itself must claim none).
+The file is written in full either way; the exit status is 1 if a run is not
+correct or any operation failed.
 """
 
 from __future__ import annotations
@@ -227,7 +227,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--split", type=int, default=0, metavar="ROUNDS", help="stage-split processes per side")
     parser.add_argument("--out", help="write the BENCH file here (default: stdout)")
-    parser.add_argument("--check-no-gain", action="store_true")
     parser.add_argument("--stage-split", nargs=2, metavar=("SRC", "WEIGHTS"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.stage_split:
@@ -266,7 +265,7 @@ def main(argv=None) -> int:
     bad = [w for w, e in report["workloads"].items() if not e["correct"] or any(e["failed"].values())]
     print(f"claims: {report['claims']}; regressions: {report['regressions']}; not correct or failed: {bad}",
           file=sys.stderr)
-    return 1 if args.check_no_gain and (bad or report["claims"]) else 0
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
