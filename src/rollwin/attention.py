@@ -22,14 +22,6 @@ from . import tensor
 from .tensor import Tensor
 
 
-def _group_size(q: Tensor, keys: Tensor) -> int:
-    """Query heads per kv head, read from q's and keys' leading axes."""
-    n_heads, n_kv = q.shape[0], keys.shape[0]
-    if n_kv < 1 or n_heads % n_kv != 0:
-        raise ValueError(f"{n_heads} query heads cannot share {n_kv} kv heads evenly")
-    return n_heads // n_kv
-
-
 def build_swa_mask(
     query_positions: Iterable[int], key_positions: Iterable[int], window: int
 ) -> np.ndarray:
@@ -83,16 +75,18 @@ def gqa_attend(q: Tensor, k: Tensor, v: Tensor, admissible: np.ndarray) -> Tenso
     """
     if q.ndim != 3 or k.ndim != 3 or k.shape != v.shape:
         raise ValueError(f"q/k/v shapes {q.shape}/{k.shape}/{v.shape} are not [heads, rows, head_dim]")
-    group = _group_size(q, k)
-    if q.shape[2] != k.shape[2]:
-        raise ValueError(f"head_dim mismatch: q {q.shape[2]} vs k {k.shape[2]}")
+    (n_heads, _, head_dim), n_kv = q.shape, k.shape[0]
+    if n_kv < 1 or n_heads % n_kv != 0:
+        raise ValueError(f"{n_heads} query heads cannot share {n_kv} kv heads evenly")
+    if head_dim != k.shape[2]:
+        raise ValueError(f"head_dim mismatch: q {head_dim} vs k {k.shape[2]}")
     if admissible.shape != (q.shape[1], k.shape[1]):
         raise ValueError(f"mask shape {admissible.shape}, expected {(q.shape[1], k.shape[1])}")
 
-    scale = np.float32(math.sqrt(q.shape[2]))
+    scale, group = np.float32(math.sqrt(head_dim)), n_heads // n_kv
     masked = ~admissible
     out = np.empty(q.shape, dtype=np.float32)
-    for head in range(q.shape[0]):
+    for head in range(n_heads):
         scores = tensor.matmul(q[head], k[head // group].T) / scale
         out[head] = tensor.matmul(tensor.softmax_stable(scores, masked=masked), v[head // group])
     return out
@@ -101,11 +95,14 @@ def gqa_attend(q: Tensor, k: Tensor, v: Tensor, admissible: np.ndarray) -> Tenso
 def _bands(rows: Tensor, first: int, n_q: int, window: int) -> Tensor:
     """Read-only [n_kv_heads, n_q, window, head_dim] view of rows
     [n_kv_heads, n_k, head_dim]: band i is rows[:, first + i : first + i + window]."""
-    rows = np.ascontiguousarray(rows)
-    kv_stride, row_stride, dim_stride = rows.strides
-    bands = np.ndarray((rows.shape[0], n_q, window, rows.shape[2]), rows.dtype, rows,
-                       first * row_stride, (kv_stride, row_stride, row_stride, dim_stride))
-    bands.flags.writeable = False
+    if n_q == 1:  # one band: a basic slice
+        bands = rows[:, np.newaxis, first:first + window]
+    else:  # numpy refuses a view past the end of its buffer
+        rows = np.ascontiguousarray(rows)
+        kv_stride, row_stride, dim_stride = rows.strides
+        bands = np.ndarray((rows.shape[0], n_q, window, rows.shape[2]), rows.dtype, rows,
+                           first * row_stride, (kv_stride, row_stride, row_stride, dim_stride))
+    bands.setflags(write=False)
     return bands
 
 
@@ -130,13 +127,14 @@ def window_attend(q: Tensor, keys: Tensor, values: Tensor, window: int) -> Tenso
     """
     n_heads, n_q, head_dim = q.shape
     n_kv, n_k = keys.shape[:2]
-    group = _group_size(q, keys)
+    if n_kv < 1 or n_heads % n_kv != 0:
+        raise ValueError(f"{n_heads} query heads cannot share {n_kv} kv heads evenly")
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     if values.shape != keys.shape or keys.shape[2:] != (head_dim,) or n_k < n_q:
         raise ValueError(f"k/v shapes {keys.shape}/{values.shape} do not fit {n_q} queries of head_dim {head_dim}")
 
-    first = n_k - n_q - window + 1  # key row of query 0's oldest slot
+    first, group = n_k - n_q - window + 1, n_heads // n_kv  # first: key row of query 0's oldest slot
     masked = None
     if first < 0:
         pad = np.zeros((n_kv, -first, head_dim), dtype=np.float32)
@@ -145,11 +143,11 @@ def window_attend(q: Tensor, keys: Tensor, values: Tensor, window: int) -> Tenso
         masked = np.broadcast_to((slot_rows < 0)[:, None, :], (n_kv, n_q, group, window))
         first = 0
     # Query head h = kv * group + g becomes row g of kv head kv's band product.
-    grouped = q.reshape(n_kv, group, n_q, head_dim).transpose(0, 2, 1, 3)
-    k_bands = _bands(keys, first, n_q, window).transpose(0, 1, 3, 2)
-    scores = tensor.matmul(grouped, k_bands) / np.float32(math.sqrt(head_dim))  # [n_kv, n_q, group, W]
+    grouped = q.reshape(n_kv, group, n_q, head_dim).swapaxes(1, 2)
+    k_bands = _bands(keys, first, n_q, window).swapaxes(2, 3)
+    scores = tensor.matmul(grouped, k_bands) / tensor._float32(math.sqrt(head_dim))  # [n_kv, n_q, group, W]
     out = tensor.matmul(tensor.softmax_stable(scores, masked), _bands(values, first, n_q, window))
-    return out.transpose(0, 2, 1, 3).reshape(n_heads, n_q, head_dim)  # from [n_kv, n_q, group, head_dim]
+    return out.swapaxes(1, 2).reshape(n_heads, n_q, head_dim)  # from [n_kv, n_q, group, head_dim]
 
 
 def full_pair_count(seq_len: int) -> int:

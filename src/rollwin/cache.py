@@ -64,9 +64,9 @@ class RollingKvCache:
         An empty cache gives an empty range and zero-row blocks.
         """
         positions = self.retained_positions()
-        runs = self._slot_runs(positions.start, positions.stop)
-        return (positions, np.concatenate([self.keys[:, run] for run in runs], axis=1),
-                np.concatenate([self.values[:, run] for run in runs], axis=1))
+        head, tail = self._slot_runs(positions.start, positions.stop)
+        return (positions, np.concatenate((self.keys[:, head], self.keys[:, tail]), axis=1),
+                np.concatenate((self.values[:, head], self.values[:, tail]), axis=1))
 
     def extend(self, first: int, k_block: Tensor, v_block: Tensor) -> tuple[Tensor, Tensor]:
         """Write a block at `first` through `prefill_bulk`; return copies of
@@ -76,10 +76,9 @@ class RollingKvCache:
         self._check_block(min(first, self.next_position), k_block, v_block)  # past the end: as if at it
         if first > self.next_position:
             self.first_position = self.next_position = first
-        positions = self.retained_positions()
-        runs = self._slot_runs(positions.start, positions.stop)
-        keys = np.concatenate([self.keys[:, run] for run in runs] + [k_block], axis=1)
-        values = np.concatenate([self.values[:, run] for run in runs] + [v_block], axis=1)
+        head, tail = self._slot_runs(max(self.first_position, first - self.capacity), first)  # retained positions
+        keys = np.concatenate((self.keys[:, head], self.keys[:, tail], k_block), axis=1)
+        values = np.concatenate((self.values[:, head], self.values[:, tail], v_block), axis=1)
         self.prefill_bulk(first, k_block, v_block)
         return keys, values
 
@@ -105,10 +104,11 @@ class RollingKvCache:
         self._check_block(start_position, k_block, v_block)
         block_len = k_block.shape[1]
         row = max(0, block_len - self.capacity)
-        for run in self._slot_runs(start_position + row, start_position + block_len):
-            rows = slice(row, row + run.stop - run.start)
-            self.keys[:, run], self.values[:, run] = k_block[:, rows], v_block[:, rows]
-            row = rows.stop
+        head, tail = self._slot_runs(start_position + row, start_position + block_len)
+        split = row + head.stop - head.start
+        self.keys[:, head], self.values[:, head] = k_block[:, row:split], v_block[:, row:split]
+        if tail.stop:  # the kept rows wrap to slot 0
+            self.keys[:, tail], self.values[:, tail] = k_block[:, split:], v_block[:, split:]
         self.next_position = start_position + block_len
 
     def _check_block(self, start: int, k_block: Tensor, v_block: Tensor) -> None:
@@ -121,13 +121,11 @@ class RollingKvCache:
         if shape[1] < 1:
             raise ValueError("bulk write needs at least one row")
 
-    def _slot_runs(self, start: int, stop: int) -> list[slice]:
-        """Slots of positions [start, stop) (at most `capacity`), in order: one run, or two on a wrap."""
+    def _slot_runs(self, start: int, stop: int) -> tuple[slice, slice]:
+        """Slots of positions [start, stop), at most `capacity`: two runs, the second empty but on a wrap."""
         first = start % self.capacity
         end = first + stop - start
-        if end <= self.capacity:
-            return [slice(first, end)]
-        return [slice(first, self.capacity), slice(0, end - self.capacity)]
+        return slice(first, min(end, self.capacity)), slice(0, max(0, end - self.capacity))
 
 
 def position_bytes(config: ModelConfig) -> int:

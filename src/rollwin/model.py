@@ -127,10 +127,10 @@ class GenerationSession:
         return q.reshape(-1, n, head_dim), k.reshape(-1, n, head_dim), v.reshape(-1, n, head_dim)
 
     def _residual_ffn(self, x: Tensor, layer: LayerWeights, ctx: Tensor) -> Tensor:
-        """Attention context [streams * heads, rows, head_dim] through Wo into the
-        residual, then the gated feed-forward with its residual."""
-        merged = ctx.reshape(self.streams, -1, *ctx.shape[1:]).swapaxes(1, 2).reshape(x.shape[0], -1)
-        x = x + tensor.matmul(merged, layer.Wo)
+        """Attention context [streams * heads, rows, head_dim] (in row order already at one row
+        per stream) through Wo into the residual, then the gated feed-forward with its residual."""
+        rows = ctx if ctx.shape[1] == 1 else ctx.reshape(self.streams, -1, *ctx.shape[1:]).swapaxes(1, 2)
+        x = x + tensor.matmul(rows.reshape(x.shape[0], -1), layer.Wo)
         gates = tensor.matmul(tensor.rms_norm(x, layer.ffn_norm_gain), layer.W13)
         hidden = self.config.hidden_dim
         gated = tensor.silu_gate(gates[:, :hidden], gates[:, hidden:])
@@ -162,7 +162,7 @@ class GenerationSession:
         layers = list(zip(firsts, firsts[1:] + [end - 1], self.weights.layers, self.caches))
         for stop in range(end - (end - firsts[0] - 1) // window * window, end + 1, window):
             begin = max(firsts[0], stop - window)
-            x = self.weights.token_embedding[rows[:, begin - start:stop - start].ravel()]  # [streams * rows, dim]
+            x = self.weights.token_embedding.take(rows[:, begin - start:stop - start].ravel(), axis=0)
             table = tensor.rope_table(np.arange(begin, stop), config.head_dim)
             for first, out, layer, cache in layers:
                 first = max(first, begin)

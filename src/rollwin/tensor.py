@@ -4,13 +4,10 @@ Tensors are plain numpy float32 ndarrays, row-major. Every reduction here
 (matrix products, softmax normalizers, mean-square norms) accumulates
 strictly left-to-right in float32, so a row pushed through a block operation
 is bit-identical to the same row pushed through alone. BLAS-backed matmul
-does not give that guarantee, so matmul sums each dot product itself, with
-no BLAS call: it forms the products' terms C-ordered with k first, in one
-block for a small product and in tiles along its longest output axis for a
-large one, and adds them with `np.add.reduce` down k, which numpy does one
-row at a time, from +0.0 (its initial). Both regimes add the same terms in
-the same order, so the choice changes no bit. Other sums use
-`np.add.accumulate`, sequential by definition; numpy does elementwise work.
+does not give that guarantee, so matmul adds the terms of each dot product
+itself, with no BLAS call, in the same order whichever way it forms them.
+Other sums use `np.add.accumulate`, sequential by definition; numpy does
+elementwise work.
 
 Because the order is fixed per output element, making an operation wider
 never changes a bit: matmul takes leading batch axes (one product for all
@@ -40,8 +37,16 @@ ROPE_THETA = 10000.0
 #: Variance floor for rms_norm.
 RMS_NORM_EPS = 1e-5
 
-# float32 scalars made once: building one costs about as much as a small ufunc call.
-_ZERO, _ONE, _EPS = np.float32(0.0), np.float32(1.0), np.float32(RMS_NORM_EPS)
+
+@functools.cache
+def _float32(value) -> Tensor:
+    """Read-only 0-d float32 array of value, made once: a cheaper ufunc operand than a numpy scalar."""
+    return np.broadcast_to(np.float32(value), ())
+
+
+_ZERO, _ONE, _EPS = _float32(0.0), _float32(1.0), _float32(RMS_NORM_EPS)
+_F32 = np.dtype(np.float32)  # np.asarray converts a dtype faster than the scalar type
+_SIN_SIGNS = np.array([-1.0, 1.0])  # rope_table's (-sin, sin); a sign commutes with rounding, so precedes the cast
 
 #: rope_apply's float32 tables, each [rows, head_dim // 2, 2]: (cos, cos) and (-sin, sin) per pair.
 RopeTable = collections.namedtuple("RopeTable", "cos sin")
@@ -81,7 +86,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     - one block, up to BLOCK_ELEMENTS terms (every toy decode product): one
       `np.multiply(order="C")` of [k, ..., n, 1] and [k, ..., 1, m]
-      transposed views, which is faster than an einsum on tiny products;
+      transposed views (of [k, 1] and [k, m] for a 2-D a of one row), which
+      is faster than an einsum on tiny products;
     - tiles along the output's longest axis other than the last, and along
       its columns too where one index holds more than TILE_ELEMENTS terms:
       per tile, an einsum that sums over no index (so no BLAS, one rounding
@@ -95,19 +101,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     The regime changes no bit of a result; a NaN's sign and payload follow
     numpy's SIMD lanes.
     """
-    a, b = np.asarray(a, np.float32), np.asarray(b, np.float32)
+    a, b = np.asarray(a, _F32), np.asarray(b, _F32)
     a_shape, b_shape, ndim = a.shape, b.shape, a.ndim
     if ndim < 2 or len(b_shape) != ndim or a_shape[:-2] != b_shape[:-2] or a_shape[-1] != b_shape[-2]:
         raise ValueError(f"matmul shape mismatch: {a_shape} @ {b_shape}")
-    k, out_shape = a_shape[-1], a_shape[:-1] + b_shape[-1:]
+    k, m, out_shape = a_shape[-1], b_shape[-1], a_shape[:-1] + b_shape[-1:]
+    if a_shape == (1, k) and 1 < m and (k + 1) * (m + 1) <= BLOCK_ELEMENTS:  # one row: [k, 1] by [k, m]
+        return np.add.reduce(np.multiply(a.T, b, order="C"), axis=0, keepdims=True, initial=_ZERO)
     outputs = math.prod(out_shape)
     if outputs > 1 and (k + 1) * (outputs + 1) <= BLOCK_ELEMENTS:
-        a_axes, b_axes = _k_first(ndim)  # a 2-D b is k-first as it is
-        a_k = (a.T if ndim == 2 else a.transpose(a_axes))[..., np.newaxis]  # [k, ..., n, 1]
-        b_k = (b if ndim == 2 else b.transpose(b_axes))[..., np.newaxis, :]  # [k, ..., 1, m]
-        return np.add.reduce(np.multiply(a_k, b_k, order="C"), axis=0, initial=_ZERO)
+        a_axes, b_axes = _k_first(ndim)
+        a_k, b_k = a.transpose(a_axes)[..., np.newaxis], b.transpose(b_axes)[..., np.newaxis, :]
+        return np.add.reduce(np.multiply(a_k, b_k, order="C"), axis=0, initial=_ZERO)  # [k, ..., n, m] terms
     axis = max(range(ndim - 1), key=out_shape.__getitem__)
-    length, m = out_shape[axis], out_shape[-1]
+    length = out_shape[axis]
     per_column = outputs // max(length * m, 1)  # outputs of one index of axis, per column
     width = max(1, min(m, TILE_ELEMENTS // max(1, k * per_column)))
     step = max(1, TILE_ELEMENTS // max(1, k * per_column * width))
@@ -133,7 +140,7 @@ def softmax_stable(x: Tensor, masked: Tensor | None = None) -> Tensor:
     out of the max and come back from exp as exactly +0.0, adding nothing
     to the normalizer. Each slice must keep at least one entry.
     """
-    x = np.asarray(x, np.float32)
+    x = np.asarray(x, _F32)
     if masked is not None:
         masked = np.asarray(masked, dtype=bool)
         if masked.shape != x.shape:
@@ -150,11 +157,11 @@ def softmax_stable(x: Tensor, masked: Tensor | None = None) -> Tensor:
 
 def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
     """Scale each trailing-axis slice to unit root-mean-square, then by gain."""
-    x, gain = np.asarray(x, np.float32), np.asarray(gain, np.float32)
+    x, gain = np.asarray(x, _F32), np.asarray(gain, _F32)
     if gain.ndim != 1 or x.shape[-1] != gain.shape[0]:
         raise ValueError(f"rms_norm gain shape {gain.shape} does not fit input shape {x.shape}")
     # Squares, like softmax_stable's weights, are never -0.0: the last partial sum is the ordered total.
-    mean_sq = np.add.accumulate(x * x, axis=-1)[..., -1:] / np.float32(x.shape[-1])
+    mean_sq = np.add.accumulate(x * x, axis=-1)[..., -1:] / _float32(x.shape[-1])
     return x / np.sqrt(mean_sq + _EPS) * gain
 
 
@@ -169,12 +176,10 @@ def _rope_frequencies(head_dim: int) -> Tensor:
 def rope_table(positions, head_dim: int) -> RopeTable:
     """The RopeTable of a 1-D run of non-negative integer positions; angles in float64."""
     positions = np.asarray(positions)
-    if positions.ndim != 1 or positions.dtype.kind not in "iu" or positions.min(initial=0) < 0:
+    if positions.ndim != 1 or positions.dtype.kind not in "iu" or min(positions.tolist(), default=0) < 0:
         raise ValueError(f"positions must be a 1-D run of non-negative integers, got {positions!r}")
     angles = positions[:, np.newaxis, np.newaxis] * _rope_frequencies(head_dim)
-    cos, sin = np.cos(angles).astype(np.float32), np.sin(angles).astype(np.float32)
-    np.negative(sin[..., 0], out=sin[..., 0])
-    return RopeTable(cos, sin)
+    return RopeTable(np.cos(angles).astype(_F32), (np.sin(angles) * _SIN_SIGNS).astype(_F32))
 
 
 def rope_apply(x: Tensor, table: RopeTable) -> Tensor:
@@ -186,22 +191,21 @@ def rope_apply(x: Tensor, table: RopeTable) -> Tensor:
     rope_table's, one row per row of x along axis -2. A row is the same bits
     in any table it is in.
     """
-    x = np.asarray(x, np.float32)
-    head_dim = x.shape[-1]
-    if head_dim % 2 != 0:
-        raise ValueError(f"rope_apply needs an even trailing dimension, got {head_dim}")
-    cos, sin = table
-    if cos.shape != x.shape[-2:-1] + (head_dim // 2, 2):
-        raise ValueError(f"table shapes {cos.shape} do not fit input shape {x.shape}")
-    pairs = x.reshape(x.shape[:-1] + (head_dim // 2, 2))
+    x = np.asarray(x, _F32)
+    shape = x.shape
+    if shape[-1] % 2 != 0:
+        raise ValueError(f"rope_apply needs an even trailing dimension, got {shape[-1]}")
+    pairs, (cos, sin) = x.reshape(shape[:-1] + (shape[-1] // 2, 2)), table
+    if cos.shape != pairs.shape[-3:]:
+        raise ValueError(f"table shapes {cos.shape} do not fit input shape {shape}")
     # (even, odd) * (cos, cos) + (odd, even) * (-sin, sin) is even*cos - odd*sin and
     # even*sin + odd*cos bit for bit: a - b is a + (-b), and float addition commutes.
-    return (pairs * cos + pairs[..., ::-1] * sin).reshape(x.shape)
+    return (pairs * cos + pairs[..., ::-1] * sin).reshape(shape)
 
 
 def silu_gate(x1: Tensor, x3: Tensor) -> Tensor:
     """Gated activation: silu(x1) * x3 with silu(t) = t / (1 + exp(-t))."""
-    x1, x3 = np.asarray(x1, np.float32), np.asarray(x3, np.float32)
+    x1, x3 = np.asarray(x1, _F32), np.asarray(x3, _F32)
     if x1.shape != x3.shape:
         raise ValueError(f"silu_gate shape mismatch: {x1.shape} vs {x3.shape}")
     # exp(-t) may overflow for very negative t; the quotient then underflows

@@ -372,8 +372,10 @@ class TestWindowAttend:
         view = rw.window_attend(q, k_view, v_view, 4)
         assert np.array_equal(view, rw.window_attend(q, keys, values, 4))
 
+    # n_q = 1 is the one-band case, a basic slice of the rows.
+    @pytest.mark.parametrize("n_q", [6, 1])
     @pytest.mark.parametrize("layout", ["contiguous", "transposed", "row-slice"])
-    def test_bands_are_read_only_windows_of_rows(self, layout):
+    def test_bands_are_read_only_windows_of_rows(self, layout, n_q):
         rng = np.random.default_rng(9)
         if layout == "transposed":
             rows = spread_normal(rng, (11, 2, 8)).transpose(1, 0, 2)
@@ -382,11 +384,11 @@ class TestWindowAttend:
         else:
             rows = spread_normal(rng, (2, 11, 8))
         before = rows.copy()
-        bands = attention_module._bands(rows, 2, 6, 4)
-        assert bands.shape == (2, 6, 4, 8) and not bands.flags.writeable
-        for i in range(6):
+        bands = attention_module._bands(rows, 2, n_q, 4)
+        assert bands.shape == (2, n_q, 4, 8) and not bands.flags.writeable
+        for i in range(n_q):
             assert np.array_equal(bands[:, i], rows[:, 2 + i : 6 + i])
-        assert np.array_equal(bands, attention_module._bands(before, 2, 6, 4))
+        assert np.array_equal(bands, attention_module._bands(before, 2, n_q, 4))
         with pytest.raises(ValueError, match="read-only"):
             bands[0, 0, 0, 0] = 1.0
         assert np.array_equal(rows, before)

@@ -1,11 +1,15 @@
 """`tools/pairs.py`: its summaries recompute the committed BENCH files from
-their `runs`, and its decision rule claims a gain only as it states."""
+their `runs`, its decision rule claims a gain only as it states, and its
+call counts of a decode step are exact."""
 
 import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+import rollwin as rw
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -88,3 +92,10 @@ class TestDecisionRule:
     def test_identical_runs_claim_nothing(self, pairs):
         verdict = pairs.compare(ten_pairs(self.PARENT, self.PARENT), "lower", 0.2)
         assert (verdict["change_better_pairs"], verdict["gain"], verdict["median_change"]) == (0, False, 0.0)
+
+
+def test_two_call_counts_of_one_tree_agree(pairs):
+    weights = rw.init_random(rw.PRESET_TOY, 1)
+    tokens = [int(t) for t in np.random.default_rng(0).integers(0, rw.PRESET_TOY.vocab_size, 41)]
+    first, second = pairs.step_calls(rw, weights, tokens), pairs.step_calls(rw, weights, tokens)
+    assert first == second and first["python"] > 0 and first["c"] > 0

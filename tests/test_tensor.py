@@ -56,7 +56,8 @@ def float_bits(x):
 
 def tiles(a, b):
     """Tiles matmul splits a product into (along the output's longest axis
-    but the last, then its columns), or None if it takes one block."""
+    but the last, then its columns), or None if it takes one block (in its
+    one-row case too, see `takes_one_row`)."""
     out_shape = a.shape[:-1] + b.shape[-1:]
     outputs, k, budget = math.prod(out_shape), a.shape[-1], rw.tensor.TILE_ELEMENTS
     if outputs > 1 and (k + 1) * (outputs + 1) <= rw.tensor.BLOCK_ELEMENTS:
@@ -66,6 +67,12 @@ def tiles(a, b):
     width = max(1, min(m, budget // max(1, k * per_column)))
     step = max(1, budget // max(1, k * per_column * width))
     return -(-length // step) * -(-m // width)
+
+
+def takes_one_row(a, b):
+    """matmul's one-row case of the one-block regime: a 2-D a of one row,
+    whose [k, 1] by [k, m] terms need no third axis."""
+    return a.ndim == b.ndim == 2 and a.shape[0] == 1 and tiles(a, b) is None
 
 
 def sampled_columns(count, at_most=48):
@@ -234,10 +241,10 @@ class TestKernelOrder:
 
     def test_negative_zero_products_sum_to_positive_zero(self):
         # Summing from +0.0 turns an all-(-0.0) dot product into +0.0: in one
-        # block (4 outputs), in one tile (10,000) and in two (40,000).
-        for rows, count in ((2, None), (5000, 1), (20000, 2)):
+        # row (2 outputs), in one block (4), in one tile (10,000) and in two (40,000).
+        for rows, count in ((1, None), (2, None), (5000, 1), (20000, 2)):
             a, b = np.full((rows, 9), -0.0, dtype=np.float32), np.ones((9, 2), np.float32)
-            assert tiles(a, b) == count
+            assert tiles(a, b) == count and takes_one_row(a, b) == (rows == 1)
             out = rw.matmul(a, b)
             assert not np.signbit(out).any()
             assert not np.signbit(rw.tensor._ordered_sum(a)).any()
@@ -291,12 +298,15 @@ def _laid_out(draw, rng, shape):
 @st.composite
 def matmul_operands(draw):
     """Operands with 0-2 batch axes, sized for one way of forming terms: a
-    few columns (one block, or one output if every axis is 1), one tile,
-    several tiles (up to about four tiles' worth), or one output of up to
-    1000 terms."""
-    size = draw(st.sampled_from(["few", "one-tile", "tiles", "one-output"]))
+    few columns (one block, or one output if every axis is 1), one row of a
+    2-D product in one block, one tile, several tiles (up to about four
+    tiles' worth), or one output of up to 1000 terms."""
+    size = draw(st.sampled_from(["few", "one-row", "one-tile", "tiles", "one-output"]))
     if size == "one-output":
         batch, n, k, m = (1,) * draw(st.integers(0, 2)), 1, draw(st.integers(0, 1000)), 1
+    elif size == "one-row":  # 2-D, every layout of b: C-ordered, F-ordered ("transposed") and column-sliced
+        batch, n, k = (), 1, draw(st.integers(0, 64))
+        m = draw(st.integers(2, rw.tensor.BLOCK_ELEMENTS // (k + 1) - 1))
     else:
         batch = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
         n = draw(st.integers(2 if size == "tiles" else 1, 12))
@@ -323,12 +333,18 @@ class TestMatmulOnViews:
     equal the scalar reference."""
 
     # (a, b) builders per rank, by the way matmul forms their terms:
-    # "-blocked" takes one block, "-one-tile" one tile, "-tiles" several
-    # tiles, and "-one-output" sums one dot product.
+    # "-blocked" takes one block, "-one-row" one block of a one-row 2-D
+    # product, "-one-tile" one tile, "-tiles" several tiles, and
+    # "-one-output" sums one dot product.
     CASES = {
         "rank2-blocked": lambda rng: (spread(rng, (40, 6)).T, spread(rng, (40, 50))[:, 3:43]),
         "rank2-tiles": lambda rng: (spread(rng, (32, 4)).T, spread(rng, (2100, 32)).T),
         "rank2-one-output": lambda rng: (spread(rng, (1000, 3)).T[1:2], spread(rng, (1000, 5))[:, 2:3]),
+        # One row, as every toy decode weight product; an F-ordered b puts k on
+        # the fast axis of its terms unless they are formed C-ordered.
+        "rank2-c-ordered-one-row": lambda rng: (spread(rng, (40, 3)).T[1:2], spread(rng, (40, 50))),
+        "rank2-column-sliced-one-row": lambda rng: (spread(rng, (1, 40)), spread(rng, (40, 60))[:, 5:55]),
+        "rank2-f-ordered-one-row": lambda rng: (spread(rng, (1, 40)), spread(rng, (50, 40)).T),
         # The oracle's scores product: q against k[kv].T, whose slices are
         # F-ordered, so einsum's default order="K" would put k on the fast axis.
         "rank3-f-ordered-tiles": lambda rng: (
@@ -356,7 +372,8 @@ class TestMatmulOnViews:
         a, b = self.CASES[case](np.random.default_rng(31))
         assert not (a.flags.c_contiguous and b.flags.c_contiguous)
         count, outputs = tiles(a, b), math.prod(a.shape[:-1]) * b.shape[-1]
-        kind = "blocked" if count is None else "one-output" if outputs == 1 else "one-tile" if count == 1 else "tiles"
+        kind = ("one-row" if takes_one_row(a, b) else "blocked" if count is None else "one-output" if outputs == 1
+                else "one-tile" if count == 1 else "tiles")
         assert case.endswith(kind)
         out = rw.matmul(a, b)
         assert np.array_equal(out, rw.matmul(np.ascontiguousarray(a), np.ascontiguousarray(b)))

@@ -22,7 +22,8 @@ by more than the parent's IQR. A metric whose change median is worse by more
 than its `bound` is a regression.
 
 `--split` adds the in-process per-stage split of a toy decode step, one
-process per side and round, sides alternating, both loading one weight file.
+process per side and round, sides alternating, both loading one weight file,
+and the step's exact Python and C call counts (`step_calls`).
 The file is written in full either way; the exit status is 1 if a run is not
 correct or any operation failed.
 """
@@ -132,13 +133,38 @@ def measure(parent_tree: Path, change_tree: Path, pairs: int, seed: int, seconds
     return out
 
 
+def step_calls(rw, weights, tokens) -> dict:
+    """Python and C function calls of one toy decode step on a full window, as
+    `sys.setprofile` sees them: exact where timings swing, though blind to
+    ufunc calls and to numpy's indexing and arithmetic operators."""
+    session = rw.GenerationSession(weights)
+    session.prefill(tokens[:8])
+    for token in tokens[8:40]:  # past the window, as the timed steps are
+        session.forward_decode(token)
+    counts = {"python": 0, "c": 0}
+
+    def profile(frame, event, arg):
+        if event == "call":
+            counts["python"] += 1
+        elif event == "c_call" and arg is not sys.setprofile:
+            counts["c"] += 1
+
+    sys.setprofile(profile)
+    try:
+        session.forward_decode(tokens[40])
+    finally:
+        sys.setprofile(None)
+    return counts
+
+
 def stage_split(src: Path, weight_path: Path, rounds: int = 9, steps: int = 80) -> dict:
     """Per-step microseconds of a toy decode step on a full window, in this process.
 
     The step is timed bare (`time.process_time`), then with each stage wrapped
     in a `time.perf_counter` accumulator. `rest` is the wrapped step less its
     stages and the wrappers' own cost, that is forward_chunk's bookkeeping,
-    the final norm and the logits product.
+    the final norm and the logits product. `calls_per_step` is `step_calls`,
+    counted before any stage is wrapped.
     """
     sys.path.insert(0, str(src))
     import importlib
@@ -176,19 +202,20 @@ def stage_split(src: Path, weight_path: Path, rounds: int = 9, steps: int = 80) 
         return wrapper
 
     bare, _ = run(time.process_time)
+    calls = step_calls(rw, weights, tokens)
     for module, attribute, name in STAGES:
         owner = importlib.import_module(f"rollwin.{module}")
         owner = getattr(owner, attribute) if attribute else owner
         setattr(owner, name, timed(name, getattr(owner, name)))
     wrapped, stages = run(time.perf_counter)
-    calls = 4 * rw.PRESET_TOY.n_layers + 1
+    wrapped_calls = 4 * rw.PRESET_TOY.n_layers + 1
     probe, n = timed(STAGES[0][2], lambda: None), 100_000
     started = time.perf_counter()
     for _ in range(n):
         probe()
     overhead = (time.perf_counter() - started) / n * 1e6
     return {"step_us": round(bare, 1), "stages_us": {k: round(v, 1) for k, v in stages.items()},
-            "rest_us": round(wrapped - sum(stages.values()) - calls * overhead, 1)}
+            "rest_us": round(wrapped - sum(stages.values()) - wrapped_calls * overhead, 1), "calls_per_step": calls}
 
 
 def split(parent_tree: Path, change_tree: Path, rounds: int) -> dict:
@@ -206,6 +233,10 @@ def split(parent_tree: Path, change_tree: Path, rounds: int) -> dict:
         out = {k: round(statistics.median(e[k] for e in entries), 1) for k in keys}
         out["stages_us"] = {k: round(statistics.median(e["stages_us"][k] for e in entries), 1)
                             for k in entries[0]["stages_us"]}
+        counts = [e["calls_per_step"] for e in entries]
+        if any(c != counts[0] for c in counts):
+            raise RuntimeError(f"call counts differ between processes of one tree: {counts}")
+        out["calls_per_step"] = counts[0]
         return out
 
     return {
@@ -213,7 +244,9 @@ def split(parent_tree: Path, change_tree: Path, rounds: int) -> dict:
                   "(init_random seed 1, saved once) loaded by each side's own load_weights; prefill 8 tokens, "
                   "32 warm-up steps, 80 timed steps, median of 9 rounds per process; the figures are medians "
                   f"over {rounds} processes per side, sides alternating. stages_us is per step: _qkv, extend, "
-                  "window_attend and _residual_ffn run once per layer (4), rope_table once per step.",
+                  "window_attend and _residual_ffn run once per layer (4), rope_table once per step. "
+                  "calls_per_step counts the Python and C function calls of one such step with sys.setprofile "
+                  "(the same in every process of a side), which does not see ufunc calls or numpy operators.",
         "parent": median_of(runs["parent"]), "change": median_of(runs["change"]), "runs": runs,
     }
 
