@@ -49,9 +49,10 @@ def test_summaries_recompute_from_the_recorded_runs(pairs, name):
 
 def test_the_drivers_own_file_recomputes_exactly(pairs):
     # The driver rounds the runs before it summarises them.
-    for workload, metric, figures in recorded_metrics("BENCH_27.json"):
-        compared = pairs.compare(figures["runs"], figures["better"], figures["bound"])
-        assert {key: figures[key] for key in compared} == compared, (workload, metric)
+    for name in ("BENCH_27.json", "BENCH_28.json"):
+        for workload, metric, figures in recorded_metrics(name):
+            compared = pairs.compare(figures["runs"], figures["better"], figures["bound"])
+            assert {key: figures[key] for key in compared} == compared, (name, workload, metric)
 
 
 def ten_pairs(parent, change):
