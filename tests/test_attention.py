@@ -372,9 +372,10 @@ class TestWindowAttend:
         view = rw.window_attend(q, k_view, v_view, 4)
         assert np.array_equal(view, rw.window_attend(q, keys, values, 4))
 
-    # n_q = 1 is the one-band case, a basic slice of the rows.
-    @pytest.mark.parametrize("n_q", [6, 1])
-    @pytest.mark.parametrize("layout", ["contiguous", "transposed", "row-slice"])
+    @pytest.mark.parametrize("layout, n_q", [
+        ("contiguous", 6), ("transposed", 6), ("row-slice", 6),
+        ("contiguous", 1), ("transposed", 1), ("row-slice", 1),  # one band: a basic slice of the rows
+    ], ids=["contiguous", "transposed", "row-slice", "contiguous-one-band", "transposed-one-band", "row-slice-one-band"])
     def test_bands_are_read_only_windows_of_rows(self, layout, n_q):
         rng = np.random.default_rng(9)
         if layout == "transposed":
