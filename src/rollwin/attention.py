@@ -95,13 +95,10 @@ def gqa_attend(q: Tensor, k: Tensor, v: Tensor, admissible: np.ndarray) -> Tenso
 def _bands(rows: Tensor, first: int, n_q: int, window: int) -> Tensor:
     """Read-only [n_kv_heads, n_q, window, head_dim] view of rows
     [n_kv_heads, n_k, head_dim]: band i is rows[:, first + i : first + i + window]."""
-    if n_q == 1:  # one band: a basic slice
-        bands = rows[:, np.newaxis, first:first + window]
-    else:  # numpy refuses a view past the end of its buffer
-        rows = np.ascontiguousarray(rows)
-        kv_stride, row_stride, dim_stride = rows.strides
-        bands = np.ndarray((rows.shape[0], n_q, window, rows.shape[2]), rows.dtype, rows,
-                           first * row_stride, (kv_stride, row_stride, row_stride, dim_stride))
+    rows = np.ascontiguousarray(rows)  # numpy refuses a view past the end of its buffer
+    kv_stride, row_stride, dim_stride = rows.strides
+    bands = np.ndarray((rows.shape[0], n_q, window, rows.shape[2]), rows.dtype, rows,
+                       first * row_stride, (kv_stride, row_stride, row_stride, dim_stride))
     bands.setflags(write=False)
     return bands
 
@@ -118,7 +115,9 @@ def window_attend(q: Tensor, keys: Tensor, values: Tensor, window: int) -> Tenso
     under a mask; the steady state has none and runs softmax unmasked.
     Query heads sit as rows on the kv head they read, so K/V are never
     repeated per query head, and a call is one scores product, one softmax
-    and one AV product for all heads.
+    and one AV product for all heads. One query on a full window (every
+    steady decode step) forms the two products' terms itself, as matmul's
+    one-block regime does, from views of q and of the window's rows.
 
     Bit-identical to gqa_attend under build_swa_mask over the same keys:
     every admissible score is the same ordered dot product, and the keys a
@@ -135,6 +134,17 @@ def window_attend(q: Tensor, keys: Tensor, values: Tensor, window: int) -> Tenso
         raise ValueError(f"k/v shapes {keys.shape}/{values.shape} do not fit {n_q} queries of head_dim {head_dim}")
 
     first, group = n_k - n_q - window + 1, n_heads // n_kv  # first: key row of query 0's oldest slot
+    scale = tensor._float32(math.sqrt(head_dim))
+    if n_q == 1 < window and first >= 0 and n_heads * window * head_dim <= tensor.BLOCK_ELEMENTS:
+        # [head_dim, n_kv, group, W] score terms and [W, n_kv, group, head_dim] AV terms
+        terms = np.multiply(q.T.reshape(head_dim, n_kv, group, 1),
+                            keys.transpose(2, 0, 1)[:, :, np.newaxis, first:], order="C")
+        scores = np.add.reduce(terms, axis=0, initial=tensor._ZERO) / scale
+        weights = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
+        weights = weights / np.add.accumulate(weights, axis=-1)[..., -1:]
+        terms = np.multiply(weights.transpose(2, 0, 1)[..., np.newaxis],
+                            values.transpose(1, 0, 2)[first:, :, np.newaxis], order="C")
+        return np.add.reduce(terms, axis=0, initial=tensor._ZERO).reshape(n_heads, 1, head_dim)
     masked = None
     if first < 0:
         pad = np.zeros((n_kv, -first, head_dim), dtype=np.float32)
@@ -145,7 +155,7 @@ def window_attend(q: Tensor, keys: Tensor, values: Tensor, window: int) -> Tenso
     # Query head h = kv * group + g becomes row g of kv head kv's band product.
     grouped = q.reshape(n_kv, group, n_q, head_dim).swapaxes(1, 2)
     k_bands = _bands(keys, first, n_q, window).swapaxes(2, 3)
-    scores = tensor.matmul(grouped, k_bands) / tensor._float32(math.sqrt(head_dim))  # [n_kv, n_q, group, W]
+    scores = tensor.matmul(grouped, k_bands) / scale  # [n_kv, n_q, group, W]
     out = tensor.matmul(tensor.softmax_stable(scores, masked), _bands(values, first, n_q, window))
     return out.swapaxes(1, 2).reshape(n_heads, n_q, head_dim)  # from [n_kv, n_q, group, head_dim]
 

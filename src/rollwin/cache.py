@@ -69,18 +69,17 @@ class RollingKvCache:
                 np.concatenate((self.values[:, head], self.values[:, tail]), axis=1))
 
     def extend(self, first: int, k_block: Tensor, v_block: Tensor) -> tuple[Tensor, Tensor]:
-        """Write a block at `first` through `prefill_bulk`; return copies of
-        `gather`'s keys and values from before the write, each followed by the
-        block. A block past the end skips there: the retained range restarts.
-        The block is checked first, so a refused one leaves the cache as it was."""
-        self._check_block(min(first, self.next_position), k_block, v_block)  # past the end: as if at it
-        if first > self.next_position:
-            self.first_position = self.next_position = first
-        head, tail = self._slot_runs(max(self.first_position, first - self.capacity), first)  # retained positions
-        keys = np.concatenate((self.keys[:, head], self.keys[:, tail], k_block), axis=1)
-        values = np.concatenate((self.values[:, head], self.values[:, tail], v_block), axis=1)
-        self.prefill_bulk(first, k_block, v_block)
-        return keys, values
+        """`prefill_bulk` at `first`, which may be past the end: the retained
+        range then restarts there, and stays as it was if the block is refused."""
+        if first <= self.next_position:
+            return self.prefill_bulk(first, k_block, v_block)
+        kept = self.first_position, self.next_position
+        self.first_position = self.next_position = first
+        try:
+            return self.prefill_bulk(first, k_block, v_block)
+        finally:
+            if self.next_position == first:  # refused: the block wrote nothing, so the skip is undone
+                self.first_position, self.next_position = kept
 
     def window_view(self) -> list[tuple[int, Tensor, Tensor]]:
         """Retained (position, k_row, v_row) triples, ascending by position.
@@ -92,34 +91,40 @@ class RollingKvCache:
             raise ValueError("window_view on an empty cache")
         return [(p, keys[:, i, :], values[:, i, :]) for i, p in enumerate(positions)]
 
-    def prefill_bulk(self, start_position: int, k_block: Tensor, v_block: Tensor) -> None:
-        """Write a block of rows ([n_kv_heads, block_len, head_dim]) at once.
+    def prefill_bulk(self, start_position: int, k_block: Tensor, v_block: Tensor) -> tuple[Tensor, Tensor]:
+        """Write a block of rows ([n_kv_heads, block_len, head_dim]) at once;
+        return copies of `gather`'s keys and values from before the write, each
+        followed by the block: the rows the block's queries read.
 
-        The cache's one write: `append` and `extend` (every engine forward
-        step) come here, in the layout `gather` returns. Equivalent to
-        appending each row in order. Rows that would already have been
-        overwritten (anything before the trailing `capacity` rows) are
-        never materialized in the cache.
+        The cache's one write and its one check: `append` and `extend` (every
+        engine forward step) come here, in the layout `gather` returns. A
+        refused block leaves the cache as it was. Equivalent to appending
+        each row in order. Rows that would already have been overwritten
+        (anything before the trailing `capacity` rows) are never
+        materialized in the cache.
         """
-        self._check_block(start_position, k_block, v_block)
-        block_len = k_block.shape[1]
-        row = max(0, block_len - self.capacity)
-        head, tail = self._slot_runs(start_position + row, start_position + block_len)
-        split = row + head.stop - head.start
-        self.keys[:, head], self.values[:, head] = k_block[:, row:split], v_block[:, row:split]
-        if tail.stop:  # the kept rows wrap to slot 0
-            self.keys[:, tail], self.values[:, tail] = k_block[:, split:], v_block[:, split:]
-        self.next_position = start_position + block_len
-
-    def _check_block(self, start: int, k_block: Tensor, v_block: Tensor) -> None:
-        """ValueError unless start is the cache's end and the block fits it with at least one row."""
-        if start != self.next_position:
-            raise ValueError(f"out-of-order write: expected position {self.next_position}, got {start}")
+        if start_position != self.next_position:
+            raise ValueError(f"out-of-order write: expected position {self.next_position}, got {start_position}")
         shape, (n_kv, _, head_dim) = k_block.shape, self.keys.shape
         if shape != v_block.shape or len(shape) != 3 or shape[0] != n_kv or shape[2] != head_dim:
             raise ValueError(f"block shapes {shape}/{v_block.shape} do not fit [{n_kv}, rows, {head_dim}] blocks")
-        if shape[1] < 1:
+        block_len, capacity = shape[1], self.capacity
+        if block_len < 1:
             raise ValueError("bulk write needs at least one row")
+        head, tail = self._slot_runs(max(self.first_position, start_position - capacity), start_position)
+        keys = np.concatenate((self.keys[:, head], self.keys[:, tail], k_block), axis=1)
+        values = np.concatenate((self.values[:, head], self.values[:, tail], v_block), axis=1)
+        # The block's last min(block_len, capacity) rows are kept: from row `skip`, in slots from
+        # `slot` up to the last one, then from slot 0.
+        skip = max(0, block_len - capacity)
+        slot = (start_position + skip) % capacity
+        split = min(block_len, skip + capacity - slot)
+        self.keys[:, slot:slot + split - skip], self.values[:, slot:slot + split - skip] = (
+            k_block[:, skip:split], v_block[:, skip:split])
+        if split < block_len:
+            self.keys[:, :block_len - split], self.values[:, :block_len - split] = k_block[:, split:], v_block[:, split:]
+        self.next_position = start_position + block_len
+        return keys, values
 
     def _slot_runs(self, start: int, stop: int) -> tuple[slice, slice]:
         """Slots of positions [start, stop), at most `capacity`: two runs, the second empty but on a wrap."""

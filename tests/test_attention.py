@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rollwin as rw
 from conftest import KERNEL_TOL
 from rollwin import attention as attention_module
+from rollwin import tensor as tensor_module
 
 
 def plain_mha_reference(q, k, v, admissible):
@@ -412,6 +414,41 @@ class TestWindowAttend:
             rw.window_attend(q[:3], keys, values, 4)
         with pytest.raises(ValueError, match="window"):
             rw.window_attend(q, keys, values, 0)
+
+
+class TestOneQueryRegime:
+    """window_attend's one query on a full window (every steady decode step)
+    forms its score and AV terms itself, with no matmul or softmax call: each
+    drawn case equals, bit for bit, the last row of a many-query call over
+    the same rows and gqa_attend under the dense window mask."""
+
+    @settings(max_examples=150)
+    @given(n_kv=st.sampled_from([1, 2, 3]), group=st.sampled_from([1, 2, 4]), head_dim=st.sampled_from([2, 4, 8, 16]),
+           window=st.integers(2, 9), n_q=st.integers(2, 12), extra=st.integers(0, 12), seed=st.integers(0, 2**32 - 1),
+           specials=st.sampled_from([(), (0.0, -0.0), (-0.0, 3e4, -3e4)]))
+    def test_equals_many_query_last_row_and_gqa_attend(self, n_kv, group, head_dim, window, n_q, extra, seed,
+                                                      specials):
+        # Below n_q + W - 1 key rows the many-query call pads its first queries' windows.
+        rng = np.random.default_rng(seed)
+        n_heads, n_k = n_kv * group, max(window, n_q) + extra
+        q, keys, values = (spread_normal(rng, shape) for shape in
+                           ((n_heads, n_q, head_dim), (n_kv, n_k, head_dim), (n_kv, n_k, head_dim)))
+        for rows in (q, keys, values):
+            for value in specials:
+                rows[rng.random(rows.shape) < 0.1] = value
+        many = rw.window_attend(q, keys, values, window)
+        mask = rw.build_swa_mask([n_k - 1], range(n_k), window)
+        dense = rw.gqa_attend(q[:, -1:], keys, values, mask)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the one-query regime called a kernel")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tensor_module, "matmul", refused)
+            patch.setattr(tensor_module, "softmax_stable", refused)
+            one = rw.window_attend(q[:, -1:], keys, values, window)
+        assert one.shape == (n_heads, 1, head_dim)
+        assert np.array_equal(one, many[:, -1:]) and np.array_equal(one, dense)
 
 
 class TestPairCounts:

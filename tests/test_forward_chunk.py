@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import rollwin as rw
-from rollwin import tensor
+from rollwin import attention, tensor
 
 from conftest import assert_same_state, random_tokens
 
@@ -273,27 +273,38 @@ def test_each_layer_computes_only_the_rows_a_kept_output_reads(name, prefix, n, 
 
 @pytest.mark.parametrize("step", ["decode", "chunk-5", "prefill-5"])
 def test_each_step_makes_one_call_per_product_and_one_cache_write_per_layer(step, toy_weights, monkeypatch):
-    # Per layer: Wq|Wk|Wv, scores, AV, Wo, W1|W3 and W2; then the logits. A
-    # split product or an extra cache write fails this.
+    # Per layer: the Wq|Wk|Wv, Wo, W1|W3 and W2 products, one attention call
+    # and one cache write; then the logits. An attention call makes its
+    # scores and AV products as two batched matmuls, or none in its one-query
+    # regime: the decode step's layers and a chunk's last layer, whose one
+    # output row sees a full window. A split product, a second attention
+    # call or an extra cache write fails this.
     config = toy_weights.config
     session = rw.GenerationSession(toy_weights)
     if step != "prefill-5":
         session.prefill(random_tokens(20, seed=3))
-    counts = {"matmul": 0, "prefill_bulk": 0}
-    real_matmul, real_write = tensor.matmul, rw.RollingKvCache.prefill_bulk
+    counts = {"matmul": 0, "batched": 0, "window_attend": 0, "prefill_bulk": 0}
+    real_matmul, real_attend, real_write = tensor.matmul, attention.window_attend, rw.RollingKvCache.prefill_bulk
 
-    def counting_matmul(*args):
-        counts["matmul"] += 1
-        return real_matmul(*args)
+    def counting_matmul(a, b):
+        counts["matmul" if np.ndim(a) == 2 else "batched"] += 1
+        return real_matmul(a, b)
+
+    def counting_attend(*args):
+        counts["window_attend"] += 1
+        return real_attend(*args)
 
     def counting_write(*args):
         counts["prefill_bulk"] += 1
         return real_write(*args)
 
     monkeypatch.setattr(tensor, "matmul", counting_matmul)
+    monkeypatch.setattr(attention, "window_attend", counting_attend)
     monkeypatch.setattr(rw.RollingKvCache, "prefill_bulk", counting_write)
     if step == "decode":
         session.forward_decode(5)
     else:
         session.forward_chunk(random_tokens(5, seed=4))
-    assert counts == {"matmul": 6 * config.n_layers + 1, "prefill_bulk": config.n_layers}
+    layers = config.n_layers
+    batched = {"decode": 0, "chunk-5": 2 * (layers - 1), "prefill-5": 2 * layers}[step]
+    assert counts == {"matmul": 4 * layers + 1, "batched": batched, "window_attend": layers, "prefill_bulk": layers}

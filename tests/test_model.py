@@ -157,14 +157,22 @@ class TestPrefill:
         weights, reach = rw.init_random(config, 5), rw.exact_reach(config)
         for length in lengths:
             calls = []
-            original = tensor_module.matmul
+            original, attend = tensor_module.matmul, rw.attention.window_attend
 
             def counting(a, b):
                 out = original(a, b)
                 calls.append(out.size * np.shape(a)[-1])
                 return out
 
+            def counting_attend(q, keys, values, window):
+                before = len(calls)
+                out = attend(q, keys, values, window)
+                if len(calls) == before:  # the one-query regime forms its scores and AV terms itself
+                    calls.extend([q.size * window] * 2)
+                return out
+
             monkeypatch.setattr(tensor_module, "matmul", counting)
+            monkeypatch.setattr(rw.attention, "window_attend", counting_attend)
             rw.GenerationSession(weights).prefill(random_tokens(length, seed=length, vocab=config.vocab_size))
             monkeypatch.undo()
             assert sum(calls) == one_chunk_macs(config, length), length
@@ -213,11 +221,18 @@ def one_chunk_macs(config, length):
 def record_prefill(monkeypatch, weights, length):
     """Score block shapes (one per softmax) and rank-2 product row counts of one fresh prefill."""
     scores, rows = [], []
-    softmax, matmul = tensor_module.softmax_stable, tensor_module.matmul
+    softmax, matmul, attend = tensor_module.softmax_stable, tensor_module.matmul, rw.attention.window_attend
 
     def recording_softmax(x, masked=None):
         scores.append(x.shape)  # [n_kv_heads, n_q, group, W]
         return softmax(x, masked)
+
+    def recording_attend(q, keys, values, window):
+        before = len(scores)
+        out = attend(q, keys, values, window)
+        if len(scores) == before:  # the one-query regime: no softmax call, the block it scores
+            scores.append((keys.shape[0], 1, q.shape[0] // keys.shape[0], window))
+        return out
 
     def recording_matmul(a, b):
         if np.ndim(a) == 2:
@@ -226,6 +241,7 @@ def record_prefill(monkeypatch, weights, length):
 
     monkeypatch.setattr(tensor_module, "softmax_stable", recording_softmax)
     monkeypatch.setattr(tensor_module, "matmul", recording_matmul)
+    monkeypatch.setattr(rw.attention, "window_attend", recording_attend)
     config = weights.config
     rw.GenerationSession(weights).prefill(random_tokens(length, seed=length, vocab=config.vocab_size))
     monkeypatch.undo()

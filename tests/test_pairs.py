@@ -4,6 +4,8 @@ call counts of a decode step are exact."""
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +51,7 @@ def test_summaries_recompute_from_the_recorded_runs(pairs, name):
 
 def test_the_drivers_own_file_recomputes_exactly(pairs):
     # The driver rounds the runs before it summarises them.
-    for name in ("BENCH_27.json", "BENCH_28.json"):
+    for name in ("BENCH_27.json", "BENCH_28.json", "BENCH_29.json"):
         for workload, metric, figures in recorded_metrics(name):
             compared = pairs.compare(figures["runs"], figures["better"], figures["bound"])
             assert {key: figures[key] for key in compared} == compared, (name, workload, metric)
@@ -100,3 +102,14 @@ def test_two_call_counts_of_one_tree_agree(pairs):
     tokens = [int(t) for t in np.random.default_rng(0).integers(0, rw.PRESET_TOY.vocab_size, 41)]
     first, second = pairs.step_calls(rw, weights, tokens), pairs.step_calls(rw, weights, tokens)
     assert first == second and first["python"] > 0 and first["c"] > 0
+
+
+def test_the_stage_split_times_every_stage(pairs, tmp_path):
+    # Only `--split` runs the split otherwise, so a stage renamed in the engine
+    # would surface only when a BENCH file is recorded.
+    command = [sys.executable, str(ROOT / "tools" / "pairs.py"), "--stage-split", str(Path(rw.__file__).parent.parent),
+               str(tmp_path / "toy.mwdc")]
+    split = json.loads(subprocess.run(command, check=True, capture_output=True, text=True).stdout)
+    assert set(split["stages_us"]) == {name for _, _, name in pairs.STAGES}
+    assert all(us > 0 for us in split["stages_us"].values()) and split["step_us"] > 0
+    assert split["calls_per_step"]["python"] > 0 and split["calls_per_step"]["c"] > 0

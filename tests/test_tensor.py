@@ -588,6 +588,41 @@ class TestRmsNorm:
         assert not np.allclose(rw.rms_norm(x, gain), mistral_rms_norm(x, gain), atol=KERNEL_TOL, rtol=KERNEL_TOL)
 
 
+def rms_rows(draw, rows, dim):
+    """Drawn float32 rows: a spread of magnitudes, exact zeros, subnormals and
+    squares near float32's largest value (some of whose sums overflow)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-30, 1e-19, 1e-3, 1.0, 1e3, 1e17, 1.8e19]))
+    x = (scale * spread(rng, (rows, dim))).astype(np.float32) if scale < 1e17 else (
+        scale * rng.uniform(-1.0, 1.0, (rows, dim))).astype(np.float32)
+    for value in draw(st.lists(st.sampled_from([0.0, -0.0, 1e-40, -3e-45, 1.8446743e19]), max_size=3)):
+        x[rng.random(x.shape) < 0.2] = value
+    return x
+
+
+class TestOneRowRmsNorm:
+    """rms_norm of one row ([1, dim], every decode step) takes its mean square
+    as a float32 scalar and its root as binary64 math.sqrt rounded to float32,
+    the correctly rounded float32 root: bit for bit the same row normalized
+    inside a block of rows."""
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_equals_the_row_inside_a_block(self, data):
+        rows, dim = data.draw(st.integers(2, 5)), data.draw(st.sampled_from([2, 3, 16, 64, 128, 385]))
+        x, gain = rms_rows(data.draw, rows, dim), rms_rows(data.draw, 1, dim)[0]
+        with np.errstate(over="ignore", invalid="ignore"):  # overflowing squares make inf and 0 * inf rows
+            block = rw.rms_norm(x, gain)
+            for i in range(rows):
+                assert np.array_equal(rw.rms_norm(x[i:i + 1], gain), block[i:i + 1], equal_nan=True)
+
+    def test_one_row_keeps_its_shape_and_overflow_raises(self):
+        x = np.full((1, 4), 3e19, np.float32)
+        assert rw.rms_norm(np.ones((1, 4), np.float32), np.ones(4, np.float32)).shape == (1, 4)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="overflow encountered in multiply"):
+            rw.rms_norm(x, np.ones(4, np.float32))
+
+
 def rope(x, positions):
     """rope_apply by the table of `positions`, one per row of x along axis -2."""
     return rw.rope_apply(x, rw.tensor.rope_table(positions, x.shape[-1]))

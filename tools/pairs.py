@@ -23,7 +23,8 @@ than its `bound` is a regression.
 
 `--split` adds the in-process per-stage split of a toy decode step, one
 process per side and round, sides alternating, both loading one weight file,
-and the step's exact Python and C call counts (`step_calls`).
+with the benchmark's host-speed probe kernel run after each step, and the
+step's exact Python and C call counts (`step_calls`).
 The file is written in full either way; the exit status is 1 if a run is not
 correct or any operation failed.
 """
@@ -160,23 +161,30 @@ def step_calls(rw, weights, tokens) -> dict:
 def stage_split(src: Path, weight_path: Path, rounds: int = 9, steps: int = 80) -> dict:
     """Per-step microseconds of a toy decode step on a full window, in this process.
 
-    The step is timed bare (`time.process_time`), then with each stage wrapped
-    in a `time.perf_counter` accumulator. `rest` is the wrapped step less its
-    stages and the wrappers' own cost, that is forward_chunk's bookkeeping,
-    the final norm and the logits product. `calls_per_step` is `step_calls`,
-    counted before any stage is wrapped.
+    Each step is timed as `decode_steady` times it: by `perfbench/clock.py`'s
+    `Probe.time` with `decode_steady`'s probe shape, which runs the host-speed
+    probe kernel after the step, so the next step starts after that work as
+    in the benchmark (a back-to-back loop ranked cuts differently). The step
+    is timed bare, then with each stage wrapped in a `time.perf_counter`
+    accumulator. `rest` is the wrapped step less its stages and the wrappers'
+    own cost, that is forward_chunk's bookkeeping, the final norm and the
+    logits product. `calls_per_step` is `step_calls`, counted before any
+    stage is wrapped.
     """
     sys.path.insert(0, str(src))
+    sys.path.insert(0, str(ROOT / "perfbench"))
     import importlib
     import numpy as np
+    from clock import Probe
     rw = importlib.import_module("rollwin")
     if not weight_path.exists():
         rw.save_weights(rw.init_random(rw.PRESET_TOY, 1), weight_path)
     weights = rw.load_weights(weight_path)
     tokens = [int(t) for t in np.random.default_rng(0).integers(0, rw.PRESET_TOY.vocab_size, 40 + steps)]
     spent = {name: 0.0 for _, _, name in STAGES}
+    probe = Probe(((1, 64, 256),), None)  # decode_steady's probe_shapes and probe_period_s
 
-    def run(clock):
+    def run():
         totals, per_stage = [], {name: [] for name in spent}
         for _ in range(rounds):
             session = rw.GenerationSession(weights)
@@ -184,10 +192,8 @@ def stage_split(src: Path, weight_path: Path, rounds: int = 9, steps: int = 80) 
             for token in tokens[8:40]:  # past the window: every step below runs on a full one
                 session.forward_decode(token)
             spent.update(dict.fromkeys(spent, 0.0))
-            started = clock()
-            for token in tokens[40:]:
-                session.forward_decode(token)
-            totals.append((clock() - started) / steps * 1e6)
+            total = sum(probe.time(session.forward_decode, token)[1] for token in tokens[40:])
+            totals.append(total / steps * 1e6)
             for name in spent:
                 per_stage[name].append(spent[name] / steps * 1e6)
         return statistics.median(totals), {name: statistics.median(v) for name, v in per_stage.items()}
@@ -201,13 +207,13 @@ def stage_split(src: Path, weight_path: Path, rounds: int = 9, steps: int = 80) 
                 spent[name] += time.perf_counter() - started
         return wrapper
 
-    bare, _ = run(time.process_time)
+    bare, _ = run()
     calls = step_calls(rw, weights, tokens)
     for module, attribute, name in STAGES:
         owner = importlib.import_module(f"rollwin.{module}")
         owner = getattr(owner, attribute) if attribute else owner
         setattr(owner, name, timed(name, getattr(owner, name)))
-    wrapped, stages = run(time.perf_counter)
+    wrapped, stages = run()
     wrapped_calls = 4 * rw.PRESET_TOY.n_layers + 1
     probe, n = timed(STAGES[0][2], lambda: None), 100_000
     started = time.perf_counter()
@@ -242,7 +248,10 @@ def split(parent_tree: Path, change_tree: Path, rounds: int) -> dict:
     return {
         "method": stage_split.__doc__.split("\n\n")[0].strip() + " PRESET_TOY weights from one weight file "
                   "(init_random seed 1, saved once) loaded by each side's own load_weights; prefill 8 tokens, "
-                  "32 warm-up steps, 80 timed steps, median of 9 rounds per process; the figures are medians "
+                  "32 warm-up steps, 80 timed steps, mean per step, median of 9 rounds per process. Each step "
+                  "is timed in wall time by perfbench/clock.py's Probe.time with decode_steady's probe shape, which "
+                  "runs the host-speed probe kernel after the step, as decode_steady does between its steps. "
+                  "The figures are medians "
                   f"over {rounds} processes per side, sides alternating. stages_us is per step: _qkv, extend, "
                   "window_attend and _residual_ffn run once per layer (4), rope_table once per step. "
                   "calls_per_step counts the Python and C function calls of one such step with sys.setprofile "
