@@ -611,7 +611,7 @@ class TestOneRowRmsNorm:
     def test_equals_the_row_inside_a_block(self, data):
         rows, dim = data.draw(st.integers(2, 5)), data.draw(st.sampled_from([2, 3, 16, 64, 128, 385]))
         x, gain = rms_rows(data.draw, rows, dim), rms_rows(data.draw, 1, dim)[0]
-        with np.errstate(over="ignore", invalid="ignore"):  # overflowing squares make inf and 0 * inf rows
+        with np.errstate(over="ignore", invalid="ignore"):  # a sum of squares past float32's range: a row of zeros
             block = rw.rms_norm(x, gain)
             for i in range(rows):
                 assert np.array_equal(rw.rms_norm(x[i:i + 1], gain), block[i:i + 1], equal_nan=True)

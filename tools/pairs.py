@@ -182,7 +182,7 @@ def stage_split(src: Path, weight_path: Path, rounds: int = 9, steps: int = 80) 
     weights = rw.load_weights(weight_path)
     tokens = [int(t) for t in np.random.default_rng(0).integers(0, rw.PRESET_TOY.vocab_size, 40 + steps)]
     spent = {name: 0.0 for _, _, name in STAGES}
-    probe = Probe(((1, 64, 256),), None)  # decode_steady's probe_shapes and probe_period_s
+    host_probe = Probe(((1, 64, 256),), None)  # decode_steady's probe_shapes and probe_period_s
 
     def run():
         totals, per_stage = [], {name: [] for name in spent}
@@ -192,7 +192,7 @@ def stage_split(src: Path, weight_path: Path, rounds: int = 9, steps: int = 80) 
             for token in tokens[8:40]:  # past the window: every step below runs on a full one
                 session.forward_decode(token)
             spent.update(dict.fromkeys(spent, 0.0))
-            total = sum(probe.time(session.forward_decode, token)[1] for token in tokens[40:])
+            total = sum(host_probe.time(session.forward_decode, token)[1] for token in tokens[40:])
             totals.append(total / steps * 1e6)
             for name in spent:
                 per_stage[name].append(spent[name] / steps * 1e6)
