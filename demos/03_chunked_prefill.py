@@ -7,7 +7,7 @@ layer computes only the rows a kept result can read (the last row's logits
 and each layer's last W cache rows), so later layers run fewer rows. The
 chunks are aligned to the prompt's end: the short remainder comes first,
 where only the early layers run, and a chunk stops at the first layer none
-of its rows reach. Each query row scores exactly the W keys of its window,
+of its rows reach. Each query row scores at most the W keys of its window,
 so a head's score block is at most W x W. The final state is identical to
 having decoded every token one at a time.
 """
@@ -37,19 +37,19 @@ for stop in stops:
     print(f"  positions [{begin:2d}, {stop:2d}): " + "  ".join(layers))
 print()
 
-scores = []
-softmax = rw.tensor.softmax_stable
+blocks = []
+attend = rw.attention.window_attend
 
 
-def recording(x, masked=None):
-    scores.append(x.shape)  # [n_kv_heads, query rows, group, keys]
-    return softmax(x, masked)
+def recording(q, keys, values, window):
+    blocks.append((q.shape[1], min(keys.shape[1], window)))  # query rows, keys a row reads at most
+    return attend(q, keys, values, window)
 
 
-rw.tensor.softmax_stable = recording
+rw.attention.window_attend = recording
 chunked = rw.GenerationSession(weights)
 logits_chunked = chunked.prefill(prompt)
-rw.tensor.softmax_stable = softmax
+rw.attention.window_attend = attend
 
 stepped = rw.GenerationSession(weights)
 for token in prompt:
@@ -70,10 +70,9 @@ print(f"  retained positions identical: {positions_equal}")
 print(f"  cache contents bit-identical: {contents_equal}")
 print()
 
-# A chunk has at most W query rows, each scoring exactly its W keys, so a
+# A chunk has at most W query rows, each scoring at most W keys, so a
 # head's score block stays within W x W however long the prompt is.
-rows = max(shape[1] for shape in scores)
-keys = max(shape[-1] for shape in scores)
-print(f"largest score block a single head saw during this prefill ({len(scores)} attention calls):")
+rows, keys = max(rows for rows, _ in blocks), max(keys for _, keys in blocks)
+print(f"largest score block a single head saw during this prefill ({len(blocks)} attention calls):")
 print(f"  {rows} queries x {keys} keys = {rows * keys} scores, bound W x W = {W * W} "
       f"(vs {n}^2 = {n ** 2} for dense attention over the prompt)")

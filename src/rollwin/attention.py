@@ -115,14 +115,14 @@ def window_attend(q: Tensor, keys: Tensor, values: Tensor, window: int) -> Tenso
     under a mask; the steady state has none and runs softmax unmasked.
     Query heads sit as rows on the kv head they read, so K/V are never
     repeated per query head, and a call is one scores product, one softmax
-    and one AV product for all heads. One query on a full window (every
-    steady decode step) forms the two products' terms itself, as matmul's
-    one-block regime does, from views of q and of the window's rows.
+    and one AV product for all heads. One query (every decode step) forms
+    both products' float32 terms itself from its last min(n_k, W) rows, as
+    matmul's one-block regime does, if each reduce keeps over one output.
 
     Bit-identical to gqa_attend under build_swa_mask over the same keys:
-    every admissible score is the same ordered dot product, and the keys a
-    band leaves out would only have added exact zeros to ordered sums that
-    start at +0.0.
+    every admissible score is the same ordered dot product, and the keys
+    left out or padded would only have added exact zeros to ordered sums
+    that start at +0.0.
     """
     n_heads, n_q, head_dim = q.shape
     n_kv, n_k = keys.shape[:2]
@@ -133,19 +133,19 @@ def window_attend(q: Tensor, keys: Tensor, values: Tensor, window: int) -> Tenso
     if values.shape != keys.shape or keys.shape[2:] != (head_dim,) or n_k < n_q:
         raise ValueError(f"k/v shapes {keys.shape}/{values.shape} do not fit {n_q} queries of head_dim {head_dim}")
 
-    first, group = n_k - n_q - window + 1, n_heads // n_kv  # first: key row of query 0's oldest slot
-    scale = tensor._float32(math.sqrt(head_dim))
-    if n_q == 1 < window and first >= 0 and n_heads * window * head_dim <= tensor.BLOCK_ELEMENTS:
-        # [head_dim, n_kv, group, W] score terms and [W, n_kv, group, head_dim] AV terms
-        terms = np.multiply(q.T.reshape(head_dim, n_kv, group, 1),
-                            keys.transpose(2, 0, 1)[:, :, np.newaxis, first:], order="C")
+    group, scale = n_heads // n_kv, tensor._float32(math.sqrt(head_dim))
+    if n_q == 1 and n_heads * min(n_k, window, head_dim) > 1 and n_heads * window * head_dim <= tensor.BLOCK_ELEMENTS:
+        # [head_dim, n_kv, group, w] score and [w, n_kv, group, head_dim] AV terms, w = min(n_k, W). Each reduce
+        # keeps more than one output: numpy would sum a lone reduced axis pairwise, not in order.
+        terms = np.multiply(q.T.reshape(head_dim, n_kv, group, 1), keys.transpose(2, 0, 1)[:, :, np.newaxis, -window:],
+                            order="C", dtype=tensor._F32)
         scores = np.add.reduce(terms, axis=0, initial=tensor._ZERO) / scale
         weights = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
         weights = weights / np.add.accumulate(weights, axis=-1)[..., -1:]
         terms = np.multiply(weights.transpose(2, 0, 1)[..., np.newaxis],
-                            values.transpose(1, 0, 2)[first:, :, np.newaxis], order="C")
+                            values.transpose(1, 0, 2)[-window:, :, np.newaxis], order="C", dtype=tensor._F32)
         return np.add.reduce(terms, axis=0, initial=tensor._ZERO).reshape(n_heads, 1, head_dim)
-    masked = None
+    first, masked = n_k - n_q - window + 1, None  # first: key row of query 0's oldest slot
     if first < 0:
         pad = np.zeros((n_kv, -first, head_dim), dtype=np.float32)
         keys, values = (np.concatenate([pad, rows], axis=1) for rows in (keys, values))

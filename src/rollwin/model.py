@@ -21,8 +21,8 @@ running every row.
 
 Layer arithmetic: rms-norm, grouped-query attention with rotary positions
 over the sliding window, then a gated feed-forward, each with a residual
-connection. Attention is one banded product per layer: every query row
-scores exactly its W keys (`attention.window_attend`), and the query
+connection. Attention is one `attention.window_attend` call per layer, W
+key slots per row of a chunk and min(n_k, W) keys for one query; the query
 heads that share a kv head follow from the q and K/V shapes. The weight set
 holds each layer's Wq|Wk|Wv and W1|W3 by columns (`LayerWeights.Wqkv`, `W13`),
 one ordered product each per layer, so a session allocates only its caches;
@@ -144,8 +144,8 @@ class GenerationSession:
         chunks of at most W positions (see the module docstring). In a
         chunk, one `cache.extend` per layer writes the K/V rows and returns
         the cached keys followed by the chunk's, over which the query rows
-        attend in one banded call: each row scores exactly the W keys of
-        its window. Wo and the feed-forward run once over the layer's
+        attend in one call: each row scores the keys of its window, at
+        most W. Wo and the feed-forward run once over the layer's
         output rows. Decode is the one-row case of the same call.
 
         This is exact. Each row of every product is its own ordered dot

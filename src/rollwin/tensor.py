@@ -162,7 +162,7 @@ def rms_norm(x: Tensor, gain: Tensor) -> Tensor:
     if gain.ndim != 1 or x.shape[-1] != gain.shape[0]:
         raise ValueError(f"rms_norm gain shape {gain.shape} does not fit input shape {x.shape}")
     # Squares, like softmax_stable's weights, are never -0.0: the last partial sum is the ordered total.
-    if x.shape[:-1] == (1,):  # one row: its mean square as a float32 scalar
+    if x.shape[:-1] == (1,) and x.shape[-1]:  # one non-empty row: its mean square as a float32 scalar
         row = x[0]
         mean_sq = np.add.accumulate(row * row)[-1] / np.float32(row.shape[0]) + _EPS
         # binary64 sqrt rounded to binary32 is the correctly rounded binary32 sqrt, as np.sqrt's is

@@ -65,13 +65,10 @@ class DecoderWeights:
     output_proj: Tensor      # [dim, vocab_size]
 
     def named_tensors(self):
-        """Yield (name, tensor) pairs in canonical serialization order."""
-        yield "token_embedding", self.token_embedding
-        for i, layer in enumerate(self.layers):
-            for field in _LAYER_FIELDS:
-                yield f"layers[{i}].{field}", getattr(layer, field)
-        yield "final_norm_gain", self.final_norm_gain
-        yield "output_proj", self.output_proj
+        """(name, tensor) pairs in canonical serialization order, named by tensor_shapes."""
+        layer_tensors = (getattr(layer, field) for layer in self.layers for field in _LAYER_FIELDS)
+        tensors = (self.token_embedding, *layer_tensors, self.final_norm_gain, self.output_proj)
+        return zip((name for name, _ in tensor_shapes(self.config)), tensors, strict=True)
 
 
 def _layer_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:

@@ -417,20 +417,24 @@ class TestWindowAttend:
 
 
 class TestOneQueryRegime:
-    """window_attend's one query on a full window (every steady decode step)
-    forms its score and AV terms itself, with no matmul or softmax call: each
-    drawn case equals, bit for bit, the last row of a many-query call over
-    the same rows and gqa_attend under the dense window mask."""
+    """window_attend's one query (every decode step, from position 0) reads
+    its last min(n_k, W) key rows, exactly its window, and forms its score
+    and AV terms itself in float32, with no matmul or softmax call, whenever
+    each reduce keeps more than one output: each drawn case equals, bit for
+    bit, the last row of a many-query call over the same rows and gqa_attend
+    under the dense window mask."""
 
-    @settings(max_examples=150)
-    @given(n_kv=st.sampled_from([1, 2, 3]), group=st.sampled_from([1, 2, 4]), head_dim=st.sampled_from([2, 4, 8, 16]),
-           window=st.integers(2, 9), n_q=st.integers(2, 12), extra=st.integers(0, 12), seed=st.integers(0, 2**32 - 1),
+    @settings(max_examples=200)
+    @given(n_kv=st.sampled_from([1, 2, 3]), group=st.sampled_from([1, 2, 4]),
+           head_dim=st.sampled_from([1, 2, 4, 8, 16]), window=st.integers(1, 9), n_k=st.integers(1, 21),
+           n_q=st.integers(2, 12), seed=st.integers(0, 2**32 - 1),
            specials=st.sampled_from([(), (0.0, -0.0), (-0.0, 3e4, -3e4)]))
-    def test_equals_many_query_last_row_and_gqa_attend(self, n_kv, group, head_dim, window, n_q, extra, seed,
+    def test_equals_many_query_last_row_and_gqa_attend(self, n_kv, group, head_dim, window, n_k, n_q, seed,
                                                       specials):
-        # Below n_q + W - 1 key rows the many-query call pads its first queries' windows.
+        # n_k below W is a shallow window; below n_q + W - 1 key rows the
+        # many-query call pads its first queries' windows.
         rng = np.random.default_rng(seed)
-        n_heads, n_k = n_kv * group, max(window, n_q) + extra
+        n_heads, n_q = n_kv * group, min(n_q, n_k)
         q, keys, values = (spread_normal(rng, shape) for shape in
                            ((n_heads, n_q, head_dim), (n_kv, n_k, head_dim), (n_kv, n_k, head_dim)))
         for rows in (q, keys, values):
@@ -444,11 +448,48 @@ class TestOneQueryRegime:
             raise AssertionError("the one-query regime called a kernel")
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(tensor_module, "matmul", refused)
-            patch.setattr(tensor_module, "softmax_stable", refused)
+            # A reduce that keeps one output (one score, or one AV output) runs down a lone
+            # axis, which numpy sums pairwise, so the band path takes that query.
+            if n_heads * min(n_k, window, head_dim) > 1:
+                patch.setattr(tensor_module, "matmul", refused)
+                patch.setattr(tensor_module, "softmax_stable", refused)
             one = rw.window_attend(q[:, -1:], keys, values, window)
-        assert one.shape == (n_heads, 1, head_dim)
+        assert one.shape == (n_heads, 1, head_dim) and one.dtype == np.float32
         assert np.array_equal(one, many[:, -1:]) and np.array_equal(one, dense)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float16])
+    def test_other_float_inputs_give_the_float32_result(self, dtype):
+        # As the band path and gqa_attend do, whatever the inputs' dtype: over
+        # a shallow window, a full one and one past full.
+        rng = np.random.default_rng(8)
+        for n_k in (3, 8, 11):
+            shapes = ((4, 1, 8), (2, n_k, 8), (2, n_k, 8))
+            q, keys, values = (spread_normal(rng, shape).astype(dtype) for shape in shapes)
+            out = rw.window_attend(q, keys, values, 8)
+            assert out.dtype == np.float32
+            assert np.array_equal(out, rw.window_attend(*(rows.astype(np.float32) for rows in (q, keys, values)), 8))
+
+    def test_one_head_of_head_dim_one_sums_its_values_in_order(self):
+        # One AV output per call, so numpy would sum the lone window axis
+        # pairwise; q = 0 weights the 16 keys equally, 1/16 each.
+        rng = np.random.default_rng(16)
+        for _ in range(20):
+            q, keys, values = np.zeros((1, 1, 1), np.float32), *(spread_normal(rng, (1, 16, 1)) for _ in "kv")
+            dense = rw.gqa_attend(q, keys, values, rw.build_swa_mask([15], range(16), 16))
+            assert np.array_equal(rw.window_attend(q, keys, values, 16), dense)
+
+    @pytest.mark.parametrize("window", [1, 4])
+    def test_one_head_over_one_key_sums_its_score_in_order(self, window):
+        # Sixteen score terms, eight of +2e38 then eight of -2e38: in order
+        # they overflow to +inf and the row is NaN, as under gqa_attend; a
+        # pairwise sum would cancel to 0 and return the value row.
+        q = np.ones((1, 1, 16), np.float32)
+        keys = np.repeat(np.float32([2e38, -2e38]), 8).reshape(1, 1, 16)
+        values = np.arange(16, dtype=np.float32).reshape(1, 1, 16)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = rw.window_attend(q, keys, values, window)
+            dense = rw.gqa_attend(q, keys, values, rw.build_swa_mask([0], [0], window))
+        assert np.isnan(dense).all() and np.array_equal(out, dense, equal_nan=True)
 
 
 class TestPairCounts:

@@ -276,9 +276,9 @@ def test_each_step_makes_one_call_per_product_and_one_cache_write_per_layer(step
     # Per layer: the Wq|Wk|Wv, Wo, W1|W3 and W2 products, one attention call
     # and one cache write; then the logits. An attention call makes its
     # scores and AV products as two batched matmuls, or none in its one-query
-    # regime: the decode step's layers and a chunk's last layer, whose one
-    # output row sees a full window. A split product, a second attention
-    # call or an extra cache write fails this.
+    # regime: the decode step's layers and a chunk's or prefill's last layer,
+    # whose one output row forms its own terms. A split product, a second
+    # attention call or an extra cache write fails this.
     config = toy_weights.config
     session = rw.GenerationSession(toy_weights)
     if step != "prefill-5":
@@ -306,5 +306,28 @@ def test_each_step_makes_one_call_per_product_and_one_cache_write_per_layer(step
     else:
         session.forward_chunk(random_tokens(5, seed=4))
     layers = config.n_layers
-    batched = {"decode": 0, "chunk-5": 2 * (layers - 1), "prefill-5": 2 * layers}[step]
+    batched = {"decode": 0, "chunk-5": 2 * (layers - 1), "prefill-5": 2 * (layers - 1)}[step]
     assert counts == {"matmul": 4 * layers + 1, "batched": batched, "window_attend": layers, "prefill_bulk": layers}
+
+
+def test_every_decode_step_attends_without_a_kernel_call_or_band(toy_weights, toy_config, monkeypatch):
+    # From position 0, where the window holds one key, to past W: each step's
+    # one query forms its own terms from the keys it has, with no matmul,
+    # softmax or band view inside window_attend, and the logits are the
+    # oracle's.
+    real_attend, tokens = attention.window_attend, random_tokens(2 * toy_config.window_size + 2, seed=6)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a decode step's attention called a kernel or built a band")
+
+    def guarded_attend(*args):
+        with pytest.MonkeyPatch.context() as patch:
+            for module, name in ((tensor, "matmul"), (tensor, "softmax_stable"), (attention, "_bands")):
+                patch.setattr(module, name, refused)
+            return real_attend(*args)
+
+    monkeypatch.setattr(attention, "window_attend", guarded_attend)
+    session = rw.GenerationSession(toy_weights)
+    logits = [session.forward_decode(token) for token in tokens]
+    monkeypatch.undo()
+    assert np.array_equal(np.stack(logits), rw.oracle_forward_swa(toy_weights, toy_config, tokens))

@@ -230,8 +230,8 @@ def record_prefill(monkeypatch, weights, length):
     def recording_attend(q, keys, values, window):
         before = len(scores)
         out = attend(q, keys, values, window)
-        if len(scores) == before:  # the one-query regime: no softmax call, the block it scores
-            scores.append((keys.shape[0], 1, q.shape[0] // keys.shape[0], window))
+        if len(scores) == before:  # the one-query regime: no softmax call, the block of the rows it reads
+            scores.append((keys.shape[0], 1, q.shape[0] // keys.shape[0], min(keys.shape[1], window)))
         return out
 
     def recording_matmul(a, b):

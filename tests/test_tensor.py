@@ -403,10 +403,12 @@ def batched_reference(a, b):
 
 
 def decode_products(config, rng):
-    """(name, a, b) for every product of one decode step on a full window,
-    laid out as the engine passes them: rank-2 weight products, also with
-    transposed views as operands, and the rank-4 scores and AV products over
-    band views of the keys and values."""
+    """(name, a, b) for the rank-2 weight products of one decode step, laid
+    out as the engine passes them, also with transposed views as operands,
+    and the rank-4 scores and AV products of one query over band views of a
+    full window's keys and values. A decode step makes those two only where
+    window_attend's band path takes its query, one head over one key (at
+    W = 1, or at position 0); else it forms their terms itself."""
     n_kv, hd, W = config.n_kv_heads, config.head_dim, config.window_size
     group = config.n_heads // n_kv
     qkv = config.dim + 2 * n_kv * hd
@@ -468,8 +470,8 @@ class TestOneBlockMatmul:
     @pytest.mark.parametrize("a_shape, b_shape", [((1, 64), (64, 128)), ((2, 1, 2, 16), (2, 1, 16, 8))],
                              ids=["rank2", "rank4"])
     def test_all_negative_zero_terms_sum_to_positive_zero(self, a_shape, b_shape):
-        # The reduce starts from the first term, not from +0.0; the +0.0
-        # added after it maps an all-(-0.0) sum to +0.0.
+        # The reduce starts from initial=+0.0, so an all-(-0.0) sum is
+        # +0.0 + -0.0 + ... + -0.0 = +0.0.
         a, b = np.full(a_shape, -0.0, np.float32), np.ones(b_shape, np.float32)
         assert takes_one_block(a, b)
         out = rw.matmul(a, b)
@@ -615,6 +617,11 @@ class TestOneRowRmsNorm:
             block = rw.rms_norm(x, gain)
             for i in range(rows):
                 assert np.array_equal(rw.rms_norm(x[i:i + 1], gain), block[i:i + 1], equal_nan=True)
+
+    @pytest.mark.parametrize("rows", [0, 1, 2, 3])
+    def test_zero_width_rows_give_empty_rows(self, rows):
+        # One row of width 0 is no one-row case: it has no mean square to take.
+        assert rw.rms_norm(np.zeros((rows, 0), np.float32), np.zeros(0, np.float32)).shape == (rows, 0)
 
     def test_one_row_keeps_its_shape_and_overflow_raises(self):
         x = np.full((1, 4), 3e19, np.float32)

@@ -51,6 +51,8 @@ CONFIGS = {
     "w3l12": (("--window", "3", "--layers", "12"), replace(rw.PRESET_TOY, window_size=3, n_layers=12)),
     # The paper's depth and head grouping; the config document that `rollwin verify` pins.
     "paper": (("--config", str(PAPER_SHAPE)), rw.parse_config(PAPER_SHAPE.read_text())),
+    # One head: a decode step's attention takes the band path at position 0 and the one-query path after it.
+    "one-head": (None, replace(rw.PRESET_TOY, n_heads=1, n_kv_heads=1, head_dim=64)),
     # The benchmark's prefill preset.
     "desk": (None, rw.ModelConfig(dim=128, n_layers=6, head_dim=16, hidden_dim=384, n_heads=8, n_kv_heads=2,
                                   window_size=64, context_len=2048, vocab_size=1024)),
