@@ -117,7 +117,7 @@ def window_attend(q: Tensor, keys: Tensor, values: Tensor, window: int) -> Tenso
     repeated per query head, and a call is one scores product, one softmax
     and one AV product for all heads. One query (every decode step) forms
     both products' float32 terms itself from its last min(n_k, W) rows, as
-    matmul's one-block regime does, if each reduce keeps over one output.
+    matmul's one-row multiply does, if each reduce keeps over one output.
 
     Bit-identical to gqa_attend under build_swa_mask over the same keys:
     every admissible score is the same ordered dot product, and the keys

@@ -5,7 +5,8 @@ Tensors are plain numpy float32 ndarrays, row-major. Every reduction here
 strictly left-to-right in float32, so a row pushed through a block operation
 is bit-identical to the same row pushed through alone. BLAS-backed matmul
 does not give that guarantee, so matmul adds the terms of each dot product
-itself, with no BLAS call, in the same order whichever way it forms them.
+itself, with no BLAS call, in the same order whichever way it forms them:
+one multiply for one row, else one einsum per tile of terms.
 Other sums use `np.add.accumulate`, sequential by definition; numpy does
 elementwise work.
 
@@ -51,7 +52,7 @@ _F32 = np.dtype(np.float32)  # np.asarray converts a dtype faster than the scala
 #: rope_apply's float32 tables, each [rows, head_dim]: (cos, cos) and (-sin, sin) per pair.
 RopeTable = collections.namedtuple("RopeTable", "cos sin")
 
-#: Most terms, (k + 1) * (outputs + 1), that matmul forms in one multiply.
+#: Most terms, (k + 1) * (m + 1), that matmul's one-row multiply forms (window_attend's one query too).
 BLOCK_ELEMENTS = 2**16
 
 #: Floats in matmul's tile buffer (1 MiB): of 2**16 to 2**19, the fastest for desk-preset
@@ -68,12 +69,6 @@ def _ordered_sum(x: Tensor) -> Tensor:
     return np.add.accumulate(x, axis=-1)[..., -1:] + _ZERO
 
 
-@functools.cache
-def _k_first(ndim: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Axis orders that bring matmul's shared axis k to the front of a and b."""
-    return (ndim - 1, *range(ndim - 1)), (ndim - 2, *range(ndim - 2), ndim - 1)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product with fixed left-to-right accumulation per dot product.
 
@@ -82,23 +77,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     +0.0 + t_0 + ... + t_{k-1}, t_i = a_i * b_i, in float32: the terms are
     formed C-ordered as [k, *outputs], and `np.add.reduce(axis=0,
     initial=+0.0)` adds them one row at a time, since numpy sums pairwise
-    only along the fast axis (`numpy.sum`, Notes). Two regimes form them:
+    only along the fast axis (`numpy.sum`, Notes). Three ways form them:
 
-    - one block, up to BLOCK_ELEMENTS terms (every toy decode product): one
-      `np.multiply(order="C")` of [k, ..., n, 1] and [k, ..., 1, m]
-      transposed views (of [k, 1] and [k, m] for a 2-D a of one row), which
-      is faster than an einsum on tiny products;
+    - one row, up to BLOCK_ELEMENTS terms (every one-session decode weight
+      product): a 2-D a of one row is one `np.multiply(order="C")` of the
+      [k, 1] view a.T and the [k, m] b, which is faster than an einsum on
+      tiny products;
+    - one tile, any other product of more than one output and up to
+      TILE_ELEMENTS terms (lockstep streams, short chunks, the oracle's
+      small products): one `np.einsum("...nk,...km->k...nm",
+      order="C")`, which sums over no index (so no BLAS, one rounding per
+      term), and one reduce. The order is load-bearing: einsum's default
+      order="K" follows the operands' layout, and for an F-ordered b (the
+      oracle's `k[kv].T`) puts k on the fast axis;
     - tiles along the output's longest axis other than the last, and along
       its columns too where one index holds more than TILE_ELEMENTS terms:
-      per tile, an einsum that sums over no index (so no BLAS, one rounding
-      per term) writes [k, *tile] into a C-ordered buffer reused across
-      tiles, and one reduce adds them. The buffer is einsum's `out` on
-      purpose: its default order="K" follows the operands' layout, and for
-      an F-ordered b (the oracle's `k[kv].T`) puts k on the fast axis. A
-      tile of one output, whose k would be the fast axis, is one
-      `_ordered_sum` instead.
+      per tile, the same einsum writes [k, *tile] into a C-ordered buffer
+      reused across tiles (its `out`, which fixes the order as well), and
+      one reduce adds them. A tile of one output, whose k would be the
+      fast axis, is one `_ordered_sum` instead.
 
-    The regime changes no bit of a result; a NaN's sign and payload follow
+    The way changes no bit of a result; a NaN's sign and payload follow
     numpy's SIMD lanes.
     """
     a, b = np.asarray(a, _F32), np.asarray(b, _F32)
@@ -110,10 +109,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return np.add.reduce(np.multiply(a.T, b, order="C"), axis=0, keepdims=True, initial=_ZERO)
     out_shape = a_shape[:-1] + b_shape[-1:]
     outputs = math.prod(out_shape)
-    if outputs > 1 and (k + 1) * (outputs + 1) <= BLOCK_ELEMENTS:
-        a_axes, b_axes = _k_first(ndim)
-        a_k, b_k = a.transpose(a_axes)[..., np.newaxis], b.transpose(b_axes)[..., np.newaxis, :]
-        return np.add.reduce(np.multiply(a_k, b_k, order="C"), axis=0, initial=_ZERO)  # [k, ..., n, m] terms
+    if outputs > 1 and k * outputs <= TILE_ELEMENTS:  # one tile: [k, ..., n, m] terms
+        return np.add.reduce(np.einsum("...nk,...km->k...nm", a, b, order="C"), axis=0, initial=_ZERO)
     axis = max(range(ndim - 1), key=out_shape.__getitem__)
     length = out_shape[axis]
     per_column = outputs // max(length * m, 1)  # outputs of one index of axis, per column

@@ -151,9 +151,13 @@ class TestPrefill:
         ids=["toy", "desk"],
     )
     def test_chunked_prefill_does_the_one_chunk_macs(self, monkeypatch, config, lengths, flat_macs):
-        # Summed from the matmul shapes: exactly the MACs of running the
-        # prompt as one chunk trimmed per layer, which stop growing at
-        # exact_reach (29 on toy, 379 on desk).
+        # Summed from what the products make: several queries score W key
+        # rows each (a band pads shallow slots), one query scores the
+        # min(n_k, W) rows it reads. Chunk by chunk that is prefill_macs,
+        # never more than running the prompt as one chunk trimmed per layer,
+        # and the same from exact_reach (29 on toy, 379 on desk), where it
+        # stops growing. Below it, a first chunk of one row scores fewer
+        # keys alone than inside the one chunk's band (toy 9, desk 65).
         weights, reach = rw.init_random(config, 5), rw.exact_reach(config)
         for length in lengths:
             calls = []
@@ -168,16 +172,17 @@ class TestPrefill:
                 before = len(calls)
                 out = attend(q, keys, values, window)
                 if len(calls) == before:  # the one-query regime forms its scores and AV terms itself
-                    calls.extend([q.size * window] * 2)
+                    calls.extend([q.size * min(keys.shape[1], window)] * 2)
                 return out
 
             monkeypatch.setattr(tensor_module, "matmul", counting)
             monkeypatch.setattr(rw.attention, "window_attend", counting_attend)
             rw.GenerationSession(weights).prefill(random_tokens(length, seed=length, vocab=config.vocab_size))
             monkeypatch.undo()
-            assert sum(calls) == one_chunk_macs(config, length), length
+            assert sum(calls) == prefill_macs(config, length), length
+            assert sum(calls) <= prefill_macs(config, length, one_chunk=True), length
             if length >= reach:
-                assert sum(calls) == flat_macs, length
+                assert sum(calls) == prefill_macs(config, length, one_chunk=True) == flat_macs, length
 
     def test_chunk_plan_aligns_to_the_end(self):
         # The short remainder chunk comes first, where only the early layers
@@ -209,13 +214,26 @@ def chunk_plan(config, length):
     return plan
 
 
-def one_chunk_macs(config, length):
-    """A prefill's MACs with each layer's kv_l and kv_{l+1} rows in one chunk."""
+def prefill_macs(config, length, one_chunk=False):
+    """A fresh prefill's MACs as its products make them, chunk by chunk as
+    chunk_plan runs it, or with the whole prompt as one chunk: each layer
+    projects its kv_l K/V rows and computes its kv_{l+1} output rows. Several
+    queries score W key rows each, shallow slots padded; one query scores
+    the min(n_k, W) rows it reads, those from the layer's first row on."""
     window, reach, dim, head_dim = config.window_size, rw.exact_reach(config), config.dim, config.head_dim
     kv = [min(length, reach - i * (window - 1)) for i in range(config.n_layers)] + [1]
     qkv = dim * (config.n_heads + 2 * config.n_kv_heads) * head_dim
-    row = 2 * config.n_heads * window * head_dim + config.n_heads * head_dim * dim + 3 * dim * config.hidden_dim
-    return sum(kv_rows * qkv + out_rows * row for kv_rows, out_rows in zip(kv, kv[1:])) + dim * config.vocab_size
+    row = config.n_heads * head_dim * dim + 3 * dim * config.hidden_dim
+    macs, begin = dim * config.vocab_size, length - kv[0]
+    for stop in [length] if one_chunk else range(length - (kv[0] - 1) // window * window, length + 1, window):
+        for kv_rows, out_rows in zip(kv, kv[1:]):
+            out = max(0, stop - max(begin, length - out_rows))
+            keys = window * out if out > 1 else out * min(stop - (length - kv_rows), window)
+            macs += (stop - max(begin, length - kv_rows)) * qkv + out * row + 2 * config.n_heads * head_dim * keys
+            if out == 0:
+                break
+        begin = stop
+    return macs
 
 
 def record_prefill(monkeypatch, weights, length):

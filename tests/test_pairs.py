@@ -51,7 +51,7 @@ def test_summaries_recompute_from_the_recorded_runs(pairs, name):
 
 def test_the_drivers_own_file_recomputes_exactly(pairs):
     # The driver rounds the runs before it summarises them.
-    for name in ("BENCH_27.json", "BENCH_28.json", "BENCH_29.json", "BENCH_30.json"):
+    for name in ("BENCH_27.json", "BENCH_28.json", "BENCH_29.json", "BENCH_30.json", "BENCH_31.json"):
         for workload, metric, figures in recorded_metrics(name):
             compared = pairs.compare(figures["runs"], figures["better"], figures["bound"])
             assert {key: figures[key] for key in compared} == compared, (name, workload, metric)
@@ -97,6 +97,13 @@ class TestDecisionRule:
         assert (verdict["change_better_pairs"], verdict["gain"], verdict["median_change"]) == (0, False, 0.0)
 
 
+def test_the_split_medians_recompute_from_the_recorded_processes(pairs):
+    split = json.loads((ROOT / "BENCH_31.json").read_text())["decode_step_split"]
+    for side in ("parent", "change"):
+        assert pairs.split_medians(split["runs"][side]) == split[side], side
+        assert set(split[side]["lockstep_us"]) == {str(streams) for streams in pairs.LOCKSTEP}
+
+
 def test_two_call_counts_of_one_tree_agree(pairs):
     weights = rw.init_random(rw.PRESET_TOY, 1)
     tokens = [int(t) for t in np.random.default_rng(0).integers(0, rw.PRESET_TOY.vocab_size, 41)]
@@ -112,4 +119,6 @@ def test_the_stage_split_times_every_stage(pairs, tmp_path):
     split = json.loads(subprocess.run(command, check=True, capture_output=True, text=True).stdout)
     assert set(split["stages_us"]) == {name for _, _, name in pairs.STAGES}
     assert all(us > 0 for us in split["stages_us"].values()) and split["step_us"] > 0
+    assert set(split["lockstep_us"]) == {str(streams) for streams in pairs.LOCKSTEP}
+    assert all(us > 0 for us in split["lockstep_us"].values())
     assert split["calls_per_step"]["python"] > 0 and split["calls_per_step"]["c"] > 0

@@ -56,11 +56,12 @@ def float_bits(x):
 
 def tiles(a, b):
     """Tiles matmul splits a product into (along the output's longest axis
-    but the last, then its columns), or None if it takes one block (in its
-    one-row case too, see `takes_one_row`)."""
+    but the last, then its columns), or None if it forms every term in one
+    block: one einsum of at most TILE_ELEMENTS terms (k * outputs) for
+    more than one output, or its one-row multiply (see `takes_one_row`)."""
     out_shape = a.shape[:-1] + b.shape[-1:]
     outputs, k, budget = math.prod(out_shape), a.shape[-1], rw.tensor.TILE_ELEMENTS
-    if outputs > 1 and (k + 1) * (outputs + 1) <= rw.tensor.BLOCK_ELEMENTS:
+    if outputs > 1 and k * outputs <= budget:
         return None
     length, m = max(out_shape[:-1]), out_shape[-1]
     per_column = outputs // max(length * m, 1)
@@ -70,9 +71,10 @@ def tiles(a, b):
 
 
 def takes_one_row(a, b):
-    """matmul's one-row case of the one-block regime: a 2-D a of one row,
-    whose [k, 1] by [k, m] terms need no third axis."""
-    return a.ndim == b.ndim == 2 and a.shape[0] == 1 and tiles(a, b) is None
+    """matmul's one-row multiply: a 2-D a of one row, whose [k, 1] by [k, m]
+    terms need no third axis, up to BLOCK_ELEMENTS of (k + 1) * (m + 1)."""
+    k, m = b.shape[-2:]
+    return a.ndim == 2 and a.shape[0] == 1 and 1 < m and (k + 1) * (m + 1) <= rw.tensor.BLOCK_ELEMENTS
 
 
 def sampled_columns(count, at_most=48):
@@ -139,9 +141,9 @@ class TestKernelOrder:
     call the same kernels; these tests can.
     """
 
-    # Over k = 32: 1x1 is one tile of one output, outputs up to 640 (16 x 40)
-    # take one block, 4096 (32 x 128) up to 8192 (64 x 128) one tile, and
-    # 4 x 5461 and 4 x 5462 four tiles of one row.
+    # Over k = 32: 1x1 is one tile of one output, one row of 8 columns the
+    # one-row multiply, outputs up to 8192 (64 x 128, exactly TILE_ELEMENTS
+    # terms) one einsum, and 4 x 5461 and 4 x 5462 four tiles of one row.
     @pytest.mark.parametrize(
         "rows, cols",
         [(1, 8), (3, 8), (64, 8), (1, 1), (65, 8), (16, 40), (32, 128), (4, 2047), (4, 2048),
@@ -173,17 +175,19 @@ class TestKernelOrder:
         for i in range(3):
             assert np.array_equal(out[i], reference_matmul(a[i], b[i]))
 
-    # Outputs of 1 (one output), 512 and 540 (one block each), and 8188,
-    # 8192, 21844 and 21848 (one tile each), batch axes included.
+    # Outputs of 1 (one output), 512 to 29124 (one einsum each; 29124 is
+    # the most of k = 9 within TILE_ELEMENTS terms) and 29128 (two tiles),
+    # batch axes included.
     @pytest.mark.parametrize(
         "batch, n, k, m",
         [((1,), 1, 17, 1), ((4,), 8, 9, 16), ((2, 3), 5, 7, 18), ((4,), 1, 9, 2047),
-         ((2, 2), 1, 9, 2048), ((4,), 1, 9, 5461), ((2, 2), 1, 9, 5462)],
-        ids=["out1", "out512", "out540", "out8188", "out8192", "out21844", "out21848"],
+         ((2, 2), 1, 9, 2048), ((4,), 1, 9, 5461), ((2, 2), 1, 9, 5462), ((4,), 1, 9, 7281), ((2, 2), 1, 9, 7282)],
+        ids=["out1", "out512", "out540", "out8188", "out8192", "out21844", "out21848", "out29124", "out29128"],
     )
     def test_batched_matmul_equals_scalar_reference_on_both_paths(self, batch, n, k, m):
         rng = np.random.default_rng(24)
         a, b = spread(rng, batch + (n, k)), spread(rng, batch + (k, m))
+        assert tiles(a, b) == (1 if m == 1 else 2 if m == 7282 else None)
         out = rw.matmul(a, b)
         assert out.shape == batch + (n, m)
         cols = sampled_columns(m)
@@ -241,8 +245,8 @@ class TestKernelOrder:
 
     def test_negative_zero_products_sum_to_positive_zero(self):
         # Summing from +0.0 turns an all-(-0.0) dot product into +0.0: in one
-        # row (2 outputs), in one block (4), in one tile (10,000) and in two (40,000).
-        for rows, count in ((1, None), (2, None), (5000, 1), (20000, 2)):
+        # row (2 outputs), in one einsum (4 and 10,000) and in two tiles (40,000).
+        for rows, count in ((1, None), (2, None), (5000, None), (20000, 2)):
             a, b = np.full((rows, 9), -0.0, dtype=np.float32), np.ones((9, 2), np.float32)
             assert tiles(a, b) == count and takes_one_row(a, b) == (rows == 1)
             out = rw.matmul(a, b)
@@ -298,24 +302,29 @@ def _laid_out(draw, rng, shape):
 @st.composite
 def matmul_operands(draw):
     """Operands with 0-2 batch axes, sized for one way of forming terms: a
-    few columns (one block, or one output if every axis is 1), one row of a
-    2-D product in one block, one tile, several tiles (up to about four
-    tiles' worth), or one output of up to 1000 terms."""
-    size = draw(st.sampled_from(["few", "one-row", "one-tile", "tiles", "one-output"]))
+    few columns (one einsum, or one output if every axis is 1), one row of a
+    2-D product in one multiply, one einsum of up to TILE_ELEMENTS terms,
+    exactly that many or one more (k * outputs), several tiles (up to about
+    four tiles' worth), or one output of up to 1000 terms."""
+    size = draw(st.sampled_from(["few", "one-row", "one-tile", "tile-edge", "tiles", "one-output"]))
     if size == "one-output":
         batch, n, k, m = (1,) * draw(st.integers(0, 2)), 1, draw(st.integers(0, 1000)), 1
     elif size == "one-row":  # 2-D, every layout of b: C-ordered, F-ordered ("transposed") and column-sliced
         batch, n, k = (), 1, draw(st.integers(0, 64))
         m = draw(st.integers(2, rw.tensor.BLOCK_ELEMENTS // (k + 1) - 1))
+    elif size == "tile-edge":  # batch + (n, k, m) of TILE_ELEMENTS terms, or of TILE_ELEMENTS + 1 = 5 * 13 * 37 * 109
+        *batch, n, k, m = draw(st.sampled_from([(64, 64, 64), (4, 16, 64, 64), (2, 2, 32, 32, 64),
+                                                (37, 109, 65), (13, 37, 545), (5, 37, 13, 109)]))
+        batch = tuple(batch)
     else:
         batch = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
         n = draw(st.integers(2 if size == "tiles" else 1, 12))
         rows, k = math.prod(batch) * n, draw(st.integers(8, 48))
-        tile, block = rw.tensor.TILE_ELEMENTS // (k * rows), rw.tensor.BLOCK_ELEMENTS // (k * rows)
+        tile = rw.tensor.TILE_ELEMENTS // (k * rows)
         if size == "few":
             m, k = draw(st.integers(1, 8)), draw(st.integers(0, 24))
         elif size == "one-tile":
-            m = draw(st.integers(block + 1, tile))
+            m = draw(st.integers(2, tile))
         else:
             m = draw(st.integers(tile + 1, 4 * tile))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -333,12 +342,17 @@ class TestMatmulOnViews:
     equal the scalar reference."""
 
     # (a, b) builders per rank, by the way matmul forms their terms:
-    # "-blocked" takes one block, "-one-row" one block of a one-row 2-D
-    # product, "-one-tile" one tile, "-tiles" several tiles, and
-    # "-one-output" sums one dot product.
+    # "-blocked" takes one einsum, "-one-row" the one-row multiply of a 2-D
+    # product, "-tiles" several tiles, and "-one-output" sums one dot product.
     CASES = {
         "rank2-blocked": lambda rng: (spread(rng, (40, 6)).T, spread(rng, (40, 50))[:, 3:43]),
         "rank2-tiles": lambda rng: (spread(rng, (32, 4)).T, spread(rng, (2100, 32)).T),
+        # At the einsum's bound: exactly TILE_ELEMENTS terms (64 x 64 x 64) take
+        # one einsum, one more (37 x 109 x 65) two tiles; F-ordered or sliced b.
+        "rank2-f-ordered-edge-blocked": lambda rng: (spread(rng, (64, 64)), spread(rng, (64, 64)).T),
+        "rank2-column-sliced-edge-blocked": lambda rng: (spread(rng, (64, 64)), spread(rng, (64, 70))[:, 3:67]),
+        "rank2-f-ordered-edge-tiles": lambda rng: (spread(rng, (37, 109)), spread(rng, (65, 109)).T),
+        "rank2-column-sliced-edge-tiles": lambda rng: (spread(rng, (37, 109)), spread(rng, (109, 70))[:, 3:68]),
         "rank2-one-output": lambda rng: (spread(rng, (1000, 3)).T[1:2], spread(rng, (1000, 5))[:, 2:3]),
         # One row, as every toy decode weight product; an F-ordered b puts k on
         # the fast axis of its terms unless they are formed C-ordered.
@@ -356,7 +370,7 @@ class TestMatmulOnViews:
             spread(rng, (2, 4, 5, 16)).transpose(0, 2, 1, 3),
             band_view(spread(rng, (2, 12, 16)), 8).transpose(0, 1, 3, 2),
         ),
-        "rank4-one-tile": lambda rng: (
+        "rank4-chunk-blocked": lambda rng: (  # a 64-row chunk's scores, 163,840 terms
             spread(rng, (2, 4, 64, 16)).transpose(0, 2, 1, 3),
             band_view(spread(rng, (2, 83, 16)), 20).transpose(0, 1, 3, 2),
         ),
@@ -373,8 +387,8 @@ class TestMatmulOnViews:
         assert not (a.flags.c_contiguous and b.flags.c_contiguous)
         count, outputs = tiles(a, b), math.prod(a.shape[:-1]) * b.shape[-1]
         kind = ("one-row" if takes_one_row(a, b) else "blocked" if count is None else "one-output" if outputs == 1
-                else "one-tile" if count == 1 else "tiles")
-        assert case.endswith(kind)
+                else "tiles")
+        assert case.endswith(kind) and (kind != "tiles" or count > 1)
         out = rw.matmul(a, b)
         assert np.array_equal(out, rw.matmul(np.ascontiguousarray(a), np.ascontiguousarray(b)))
         assert out.flags.c_contiguous and out.flags.writeable
@@ -402,23 +416,24 @@ def batched_reference(a, b):
     return out
 
 
-def decode_products(config, rng):
-    """(name, a, b) for the rank-2 weight products of one decode step, laid
-    out as the engine passes them, also with transposed views as operands,
-    and the rank-4 scores and AV products of one query over band views of a
-    full window's keys and values. A decode step makes those two only where
+def decode_products(config, rng, streams=1):
+    """(name, a, b) for the rank-2 weight products of one decode step of
+    `streams` lockstep streams (one row each), laid out as the engine passes
+    them, also with transposed views as operands, and the rank-4 scores and
+    AV products of one query per stream over band views of a full window's
+    keys and values. A decode step makes those two only where
     window_attend's band path takes its query, one head over one key (at
     W = 1, or at position 0); else it forms their terms itself."""
-    n_kv, hd, W = config.n_kv_heads, config.head_dim, config.window_size
-    group = config.n_heads // n_kv
-    qkv = config.dim + 2 * n_kv * hd
+    n_kv, hd, W = streams * config.n_kv_heads, config.head_dim, config.window_size
+    group = config.n_heads // config.n_kv_heads
+    qkv = config.dim + 2 * config.n_kv_heads * hd
     products = []
     for name, k, m in [("Wqkv", config.dim, qkv), ("Wo", config.dim, config.dim),
                        ("W13", config.dim, 2 * config.hidden_dim), ("W2", config.hidden_dim, config.dim),
                        ("logits", config.dim, config.vocab_size)]:
-        products.append((name, spread(rng, (1, k)), spread(rng, (k, m))))
-        products.append((name + "-transposed", spread(rng, (k, 1)).T, spread(rng, (m, k)).T))
-    q = spread(rng, (config.n_heads, 1, hd)).reshape(n_kv, group, 1, hd).transpose(0, 2, 1, 3)
+        products.append((name, spread(rng, (streams, k)), spread(rng, (k, m))))
+        products.append((name + "-transposed", spread(rng, (k, streams)).T, spread(rng, (m, k)).T))
+    q = spread(rng, (streams * config.n_heads, 1, hd)).reshape(n_kv, group, 1, hd).transpose(0, 2, 1, 3)
     keys, values = spread(rng, (n_kv, W, hd)), spread(rng, (n_kv, W, hd))
     k_bands = rw.attention._bands(keys, 0, 1, W)
     products.append(("scores", q, k_bands.transpose(0, 1, 3, 2)))
@@ -427,7 +442,8 @@ def decode_products(config, rng):
 
 
 def takes_one_block(a, b):
-    """The one-block case of matmul: one multiply and one reduce."""
+    """matmul forms every term at once, one multiply for one row or else one
+    einsum, and reduces them once."""
     return tiles(a, b) is None
 
 
@@ -435,27 +451,33 @@ DESK = rw.ModelConfig(dim=128, n_layers=6, head_dim=16, hidden_dim=384, n_heads=
                       window_size=64, context_len=2048, vocab_size=1024)
 W1_ONE_HEAD = rw.ModelConfig(dim=64, n_layers=4, head_dim=64, hidden_dim=128, n_heads=1, n_kv_heads=1,
                              window_size=1, context_len=128, vocab_size=256)
-DECODE_CONFIGS = {"toy": rw.PRESET_TOY, "desk": DESK, "w1-one-head": W1_ONE_HEAD}
+#: (config, lockstep streams) of the decode steps whose products are checked.
+DECODE_CONFIGS = {"toy": (rw.PRESET_TOY, 1), "toy-two-streams": (rw.PRESET_TOY, 2), "desk": (DESK, 1),
+                  "w1-one-head": (W1_ONE_HEAD, 1)}
 DECODE_PRODUCTS = [(config, name) for config in sorted(DECODE_CONFIGS)
-                   for name, _, _ in decode_products(DECODE_CONFIGS[config], np.random.default_rng(0))]
+                   for name, _, _ in decode_products(DECODE_CONFIGS[config][0], np.random.default_rng(0))]
 
 
 class TestOneBlockMatmul:
-    """A product whose shared axis fits one block is one multiply of
-    C-ordered [k, outputs] terms and one reduce down k. Every decode product
-    of the toy preset takes it; each case here is held to the scalar
-    left-to-right reference."""
+    """A product of at most TILE_ELEMENTS terms (k * outputs) forms its
+    C-ordered [k, *outputs] terms in one block, one multiply for one row of a
+    2-D product and else one einsum, and reduces them once down k. Every
+    decode product of the toy preset takes it, one stream or several; each
+    case here is held to the scalar left-to-right reference."""
 
     @pytest.mark.parametrize("config, name", DECODE_PRODUCTS, ids=[f"{c}-{n}" for c, n in DECODE_PRODUCTS])
     def test_decode_products_equal_scalar_reference(self, config, name):
-        rng = np.random.default_rng(41)
-        a, b = {n: (a, b) for n, a, b in decode_products(DECODE_CONFIGS[config], rng)}[name]
+        (config, streams), rng = DECODE_CONFIGS[config], np.random.default_rng(41)
+        a, b = {n: (a, b) for n, a, b in decode_products(config, rng, streams)}[name]
         cols = sampled_columns(b.shape[-1])
         assert np.array_equal(rw.matmul(a, b)[..., cols], batched_reference(a, b[..., cols]))
 
     def test_every_toy_decode_product_takes_one_block(self):
-        products = decode_products(rw.PRESET_TOY, np.random.default_rng(0))
-        assert all(takes_one_block(a, b) for _, a, b in products)
+        # One stream's weight products take the one-row multiply, lockstep streams' one einsum.
+        for streams in (1, 2, 8):
+            products = decode_products(rw.PRESET_TOY, np.random.default_rng(0), streams)
+            assert all(takes_one_block(a, b) for _, a, b in products)
+            assert all(takes_one_row(a, b) == (streams == 1) for _, a, b in products if a.ndim == 2)
 
     def test_one_head_window_one_products(self):
         # W1 with one head: the scores product has one output (one ordered

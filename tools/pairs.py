@@ -24,7 +24,8 @@ than its `bound` is a regression.
 `--split` adds the in-process per-stage split of a toy decode step, one
 process per side and round, sides alternating, both loading one weight file,
 with the benchmark's host-speed probe kernel run after each step, and the
-step's exact Python and C call counts (`step_calls`).
+step's exact Python and C call counts (`step_calls`); beside it, the time of
+one step of LOCKSTEP streams stepped together, timed the same way.
 The file is written in full either way; the exit status is 1 if a run is not
 correct or any operation failed.
 """
@@ -50,6 +51,9 @@ WORKLOADS = ("verify_sweep", "decode_steady", "prefill_long")
 
 #: Fewest pairs on which a gain can be claimed.
 MIN_PAIRS = 10
+
+#: Stream counts of the lockstep steps that the split times beside the one-stream step.
+LOCKSTEP = (2, 4, 8)
 
 #: The stages of a decode step that the split times, as (owner module, owner attribute or "", name).
 STAGES = (("model", "GenerationSession", "_qkv"), ("cache", "RollingKvCache", "extend"),
@@ -168,8 +172,9 @@ def stage_split(src: Path, weight_path: Path, rounds: int = 9, steps: int = 80) 
     is timed bare, then with each stage wrapped in a `time.perf_counter`
     accumulator. `rest` is the wrapped step less its stages and the wrappers'
     own cost, that is forward_chunk's bookkeeping, the final norm and the
-    logits product. `calls_per_step` is `step_calls`, counted before any
-    stage is wrapped.
+    logits product. `lockstep_us` is a bare step of one session of 2, 4 and
+    8 streams, whose rows share every product. `calls_per_step` is
+    `step_calls`, counted before any stage is wrapped.
     """
     sys.path.insert(0, str(src))
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -181,18 +186,20 @@ def stage_split(src: Path, weight_path: Path, rounds: int = 9, steps: int = 80) 
         rw.save_weights(rw.init_random(rw.PRESET_TOY, 1), weight_path)
     weights = rw.load_weights(weight_path)
     tokens = [int(t) for t in np.random.default_rng(0).integers(0, rw.PRESET_TOY.vocab_size, 40 + steps)]
+    grid = np.random.default_rng(1).integers(0, rw.PRESET_TOY.vocab_size, (40 + steps, max(LOCKSTEP))).tolist()
     spent = {name: 0.0 for _, _, name in STAGES}
     host_probe = Probe(((1, 64, 256),), None)  # decode_steady's probe_shapes and probe_period_s
 
-    def run():
+    def run(streams=1):
+        inputs = tokens if streams == 1 else [row[:streams] for row in grid]  # per step: a token, or one per stream
         totals, per_stage = [], {name: [] for name in spent}
         for _ in range(rounds):
-            session = rw.GenerationSession(weights)
-            session.prefill(tokens[:8])
-            for token in tokens[8:40]:  # past the window: every step below runs on a full one
-                session.forward_decode(token)
+            session = rw.GenerationSession(weights, streams)
+            session.prefill(inputs[:8] if streams == 1 else [list(stream) for stream in zip(*inputs[:8])])
+            for step_input in inputs[8:40]:  # past the window: every step below runs on a full one
+                session.forward_decode(step_input)
             spent.update(dict.fromkeys(spent, 0.0))
-            total = sum(host_probe.time(session.forward_decode, token)[1] for token in tokens[40:])
+            total = sum(host_probe.time(session.forward_decode, step_input)[1] for step_input in inputs[40:])
             totals.append(total / steps * 1e6)
             for name in spent:
                 per_stage[name].append(spent[name] / steps * 1e6)
@@ -208,6 +215,7 @@ def stage_split(src: Path, weight_path: Path, rounds: int = 9, steps: int = 80) 
         return wrapper
 
     bare, _ = run()
+    lockstep = {str(streams): round(run(streams)[0], 1) for streams in LOCKSTEP}
     calls = step_calls(rw, weights, tokens)
     for module, attribute, name in STAGES:
         owner = importlib.import_module(f"rollwin.{module}")
@@ -220,8 +228,21 @@ def stage_split(src: Path, weight_path: Path, rounds: int = 9, steps: int = 80) 
     for _ in range(n):
         probe()
     overhead = (time.perf_counter() - started) / n * 1e6
-    return {"step_us": round(bare, 1), "stages_us": {k: round(v, 1) for k, v in stages.items()},
+    return {"step_us": round(bare, 1), "lockstep_us": lockstep,
+            "stages_us": {k: round(v, 1) for k, v in stages.items()},
             "rest_us": round(wrapped - sum(stages.values()) - wrapped_calls * overhead, 1), "calls_per_step": calls}
+
+
+def split_medians(entries: list[dict]) -> dict:
+    """One side's split: the median of each figure over its processes, and their one call count."""
+    out = {k: round(statistics.median(e[k] for e in entries), 1) for k in ("step_us", "rest_us")}
+    for key in ("lockstep_us", "stages_us"):
+        out[key] = {k: round(statistics.median(e[key][k] for e in entries), 1) for k in entries[0][key]}
+    counts = [e["calls_per_step"] for e in entries]
+    if any(c != counts[0] for c in counts):
+        raise RuntimeError(f"call counts differ between processes of one tree: {counts}")
+    out["calls_per_step"] = counts[0]
+    return out
 
 
 def split(parent_tree: Path, change_tree: Path, rounds: int) -> dict:
@@ -234,17 +255,6 @@ def split(parent_tree: Path, change_tree: Path, rounds: int) -> dict:
             command = [sys.executable, __file__, "--stage-split", str(tree / "src"), str(weight_path)]
             runs[side].append(json.loads(subprocess.run(command, check=True, capture_output=True, text=True).stdout))
 
-    def median_of(entries):
-        keys = ["step_us", "rest_us"]
-        out = {k: round(statistics.median(e[k] for e in entries), 1) for k in keys}
-        out["stages_us"] = {k: round(statistics.median(e["stages_us"][k] for e in entries), 1)
-                            for k in entries[0]["stages_us"]}
-        counts = [e["calls_per_step"] for e in entries]
-        if any(c != counts[0] for c in counts):
-            raise RuntimeError(f"call counts differ between processes of one tree: {counts}")
-        out["calls_per_step"] = counts[0]
-        return out
-
     return {
         "method": stage_split.__doc__.split("\n\n")[0].strip() + " PRESET_TOY weights from one weight file "
                   "(init_random seed 1, saved once) loaded by each side's own load_weights; prefill 8 tokens, "
@@ -252,11 +262,14 @@ def split(parent_tree: Path, change_tree: Path, rounds: int) -> dict:
                   "is timed in wall time by perfbench/clock.py's Probe.time with decode_steady's probe shape, which "
                   "runs the host-speed probe kernel after the step, as decode_steady does between its steps. "
                   "The figures are medians "
-                  f"over {rounds} processes per side, sides alternating. stages_us is per step: _qkv, extend, "
+                  f"over {rounds} processes per side, sides alternating. lockstep_us is the bare step of one "
+                  f"session of S streams, for S in {', '.join(map(str, LOCKSTEP))}, timed the same way over its own "
+                  "tokens (default_rng(1)), one token per stream and step; a row costs lockstep_us[S] / S. "
+                  "stages_us is per step: _qkv, extend, "
                   "window_attend and _residual_ffn run once per layer (4), rope_table once per step. "
                   "calls_per_step counts the Python and C function calls of one such step with sys.setprofile "
                   "(the same in every process of a side), which does not see ufunc calls or numpy operators.",
-        "parent": median_of(runs["parent"]), "change": median_of(runs["change"]), "runs": runs,
+        "parent": split_medians(runs["parent"]), "change": split_medians(runs["change"]), "runs": runs,
     }
 
 
