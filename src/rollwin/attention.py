@@ -117,7 +117,9 @@ def window_attend(q: Tensor, keys: Tensor, values: Tensor, window: int) -> Tenso
     repeated per query head, and a call is one scores product, one softmax
     and one AV product for all heads. One query (every decode step) forms
     both products' float32 terms itself from its last min(n_k, W) rows, as
-    matmul's one-row multiply does, if each reduce keeps over one output.
+    matmul's one-row multiply does, if each reduce keeps over one output and
+    each product is at most BLOCK_ELEMENTS terms; it normalizes with the
+    same softmax_stable.
 
     Bit-identical to gqa_attend under build_swa_mask over the same keys:
     every admissible score is the same ordered dot product, and the keys
@@ -139,9 +141,7 @@ def window_attend(q: Tensor, keys: Tensor, values: Tensor, window: int) -> Tenso
         # keeps more than one output: numpy would sum a lone reduced axis pairwise, not in order.
         terms = np.multiply(q.T.reshape(head_dim, n_kv, group, 1), keys.transpose(2, 0, 1)[:, :, np.newaxis, -window:],
                             order="C", dtype=tensor._F32)
-        scores = np.add.reduce(terms, axis=0, initial=tensor._ZERO) / scale
-        weights = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
-        weights = weights / np.add.accumulate(weights, axis=-1)[..., -1:]
+        weights = tensor.softmax_stable(np.add.reduce(terms, axis=0, initial=tensor._ZERO) / scale)
         terms = np.multiply(weights.transpose(2, 0, 1)[..., np.newaxis],
                             values.transpose(1, 0, 2)[-window:, :, np.newaxis], order="C", dtype=tensor._F32)
         return np.add.reduce(terms, axis=0, initial=tensor._ZERO).reshape(n_heads, 1, head_dim)

@@ -108,22 +108,20 @@ class RollingKvCache:
         shape, (n_kv, _, head_dim) = k_block.shape, self.keys.shape
         if shape != v_block.shape or len(shape) != 3 or shape[0] != n_kv or shape[2] != head_dim:
             raise ValueError(f"block shapes {shape}/{v_block.shape} do not fit [{n_kv}, rows, {head_dim}] blocks")
-        block_len, capacity = shape[1], self.capacity
-        if block_len < 1:
+        if shape[1] < 1:
             raise ValueError("bulk write needs at least one row")
-        head, tail = self._slot_runs(max(self.first_position, start_position - capacity), start_position)
+        positions = self.retained_positions()
+        head, tail = self._slot_runs(positions.start, positions.stop)
         keys = np.concatenate((self.keys[:, head], self.keys[:, tail], k_block), axis=1)
         values = np.concatenate((self.values[:, head], self.values[:, tail], v_block), axis=1)
-        # The block's last min(block_len, capacity) rows are kept: from row `skip`, in slots from
-        # `slot` up to the last one, then from slot 0.
-        skip = max(0, block_len - capacity)
-        slot = (start_position + skip) % capacity
-        split = min(block_len, skip + capacity - slot)
-        self.keys[:, slot:slot + split - skip], self.values[:, slot:slot + split - skip] = (
-            k_block[:, skip:split], v_block[:, skip:split])
-        if split < block_len:
-            self.keys[:, :block_len - split], self.values[:, :block_len - split] = k_block[:, split:], v_block[:, split:]
-        self.next_position = start_position + block_len
+        # Only the block's last `capacity` positions outlive the write: its rows from `first` on.
+        end, first = start_position + shape[1], max(0, shape[1] - self.capacity)
+        head, tail = self._slot_runs(start_position + first, end)
+        split = first + head.stop - head.start
+        self.keys[:, head], self.values[:, head] = k_block[:, first:split], v_block[:, first:split]
+        if tail.stop:  # they wrap: rows from `split` on land from slot 0
+            self.keys[:, tail], self.values[:, tail] = k_block[:, split:], v_block[:, split:]
+        self.next_position = end
         return keys, values
 
     def _slot_runs(self, start: int, stop: int) -> tuple[slice, slice]:

@@ -52,7 +52,7 @@ _F32 = np.dtype(np.float32)  # np.asarray converts a dtype faster than the scala
 #: rope_apply's float32 tables, each [rows, head_dim]: (cos, cos) and (-sin, sin) per pair.
 RopeTable = collections.namedtuple("RopeTable", "cos sin")
 
-#: Most terms, (k + 1) * (m + 1), that matmul's one-row multiply forms (window_attend's one query too).
+#: Most terms, k * m, that matmul's one-row multiply forms (window_attend's one query too, per product).
 BLOCK_ELEMENTS = 2**16
 
 #: Floats in matmul's tile buffer (1 MiB): of 2**16 to 2**19, the fastest for desk-preset
@@ -79,10 +79,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     initial=+0.0)` adds them one row at a time, since numpy sums pairwise
     only along the fast axis (`numpy.sum`, Notes). Three ways form them:
 
-    - one row, up to BLOCK_ELEMENTS terms (every one-session decode weight
-      product): a 2-D a of one row is one `np.multiply(order="C")` of the
-      [k, 1] view a.T and the [k, m] b, which is faster than an einsum on
-      tiny products;
+    - one row, up to BLOCK_ELEMENTS terms, k * m (every weight product of
+      a toy decode step): a 2-D a of one row is one
+      `np.multiply(order="C")` of the [k, 1] view a.T and the [k, m] b,
+      which is faster than an einsum on tiny products;
     - one tile, any other product of more than one output and up to
       TILE_ELEMENTS terms (lockstep streams, short chunks, the oracle's
       small products): one `np.einsum("...nk,...km->k...nm",
@@ -105,7 +105,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if ndim < 2 or len(b_shape) != ndim or a_shape[:-2] != b_shape[:-2] or a_shape[-1] != b_shape[-2]:
         raise ValueError(f"matmul shape mismatch: {a_shape} @ {b_shape}")
     k, m = a_shape[-1], b_shape[-1]
-    if a_shape == (1, k) and 1 < m and (k + 1) * (m + 1) <= BLOCK_ELEMENTS:  # one row: [k, 1] by [k, m]
+    if a_shape == (1, k) and 1 < m and k * m <= BLOCK_ELEMENTS:  # one row: [k, 1] by [k, m]
         return np.add.reduce(np.multiply(a.T, b, order="C"), axis=0, keepdims=True, initial=_ZERO)
     out_shape = a_shape[:-1] + b_shape[-1:]
     outputs = math.prod(out_shape)

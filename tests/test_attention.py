@@ -419,10 +419,11 @@ class TestWindowAttend:
 class TestOneQueryRegime:
     """window_attend's one query (every decode step, from position 0) reads
     its last min(n_k, W) key rows, exactly its window, and forms its score
-    and AV terms itself in float32, with no matmul or softmax call, whenever
-    each reduce keeps more than one output: each drawn case equals, bit for
-    bit, the last row of a many-query call over the same rows and gqa_attend
-    under the dense window mask."""
+    and AV terms itself in float32, with no matmul call or band view, and
+    one softmax_stable call, whenever each reduce keeps more than one
+    output: each drawn case equals, bit for bit, the last row of a
+    many-query call over the same rows and gqa_attend under the dense
+    window mask."""
 
     @settings(max_examples=200)
     @given(n_kv=st.sampled_from([1, 2, 3]), group=st.sampled_from([1, 2, 4]),
@@ -444,16 +445,26 @@ class TestOneQueryRegime:
         mask = rw.build_swa_mask([n_k - 1], range(n_k), window)
         dense = rw.gqa_attend(q[:, -1:], keys, values, mask)
 
-        def refused(*args, **kwargs):
-            raise AssertionError("the one-query regime called a kernel")
+        softmax, calls = tensor_module.softmax_stable, []
 
+        def refused(*args, **kwargs):
+            raise AssertionError("the one-query regime called matmul or built a band")
+
+        def counting_softmax(x, masked=None):
+            calls.append((x.shape, masked))
+            return softmax(x, masked)
+
+        one_query = n_heads * min(n_k, window, head_dim) > 1
         with pytest.MonkeyPatch.context() as patch:
             # A reduce that keeps one output (one score, or one AV output) runs down a lone
             # axis, which numpy sums pairwise, so the band path takes that query.
-            if n_heads * min(n_k, window, head_dim) > 1:
+            if one_query:
                 patch.setattr(tensor_module, "matmul", refused)
-                patch.setattr(tensor_module, "softmax_stable", refused)
+                patch.setattr(attention_module, "_bands", refused)
+            patch.setattr(tensor_module, "softmax_stable", counting_softmax)
             one = rw.window_attend(q[:, -1:], keys, values, window)
+        if one_query:
+            assert calls == [((n_kv, group, min(n_k, window)), None)]
         assert one.shape == (n_heads, 1, head_dim) and one.dtype == np.float32
         assert np.array_equal(one, many[:, -1:]) and np.array_equal(one, dense)
 

@@ -310,24 +310,35 @@ def test_each_step_makes_one_call_per_product_and_one_cache_write_per_layer(step
     assert counts == {"matmul": 4 * layers + 1, "batched": batched, "window_attend": layers, "prefill_bulk": layers}
 
 
-def test_every_decode_step_attends_without_a_kernel_call_or_band(toy_weights, toy_config, monkeypatch):
+def test_every_decode_step_attends_with_one_softmax_and_no_matmul_or_band(toy_weights, toy_config, monkeypatch):
     # From position 0, where the window holds one key, to past W: each step's
-    # one query forms its own terms from the keys it has, with no matmul,
-    # softmax or band view inside window_attend, and the logits are the
-    # oracle's.
-    real_attend, tokens = attention.window_attend, random_tokens(2 * toy_config.window_size + 2, seed=6)
+    # one query forms its own terms from the keys it has, with no matmul or
+    # band view inside window_attend, and normalizes its [n_kv, group,
+    # min(position + 1, W)] scores with one softmax_stable call per layer;
+    # the logits are the oracle's.
+    real_attend, softmax, calls = attention.window_attend, tensor.softmax_stable, []
+    tokens, window = random_tokens(2 * toy_config.window_size + 2, seed=6), toy_config.window_size
+    n_kv, group = toy_config.n_kv_heads, toy_config.n_heads // toy_config.n_kv_heads
 
     def refused(*args, **kwargs):
-        raise AssertionError("a decode step's attention called a kernel or built a band")
+        raise AssertionError("a decode step's attention called matmul or built a band")
+
+    def counting_softmax(x, masked=None):
+        calls.append(x.shape)
+        return softmax(x, masked)
 
     def guarded_attend(*args):
         with pytest.MonkeyPatch.context() as patch:
-            for module, name in ((tensor, "matmul"), (tensor, "softmax_stable"), (attention, "_bands")):
+            for module, name in ((tensor, "matmul"), (attention, "_bands")):
                 patch.setattr(module, name, refused)
             return real_attend(*args)
 
     monkeypatch.setattr(attention, "window_attend", guarded_attend)
-    session = rw.GenerationSession(toy_weights)
-    logits = [session.forward_decode(token) for token in tokens]
+    monkeypatch.setattr(tensor, "softmax_stable", counting_softmax)
+    session, logits = rw.GenerationSession(toy_weights), []
+    for position, token in enumerate(tokens):
+        logits.append(session.forward_decode(token))
+        assert calls == [(n_kv, group, min(position + 1, window))] * toy_config.n_layers
+        calls.clear()
     monkeypatch.undo()
     assert np.array_equal(np.stack(logits), rw.oracle_forward_swa(toy_weights, toy_config, tokens))

@@ -239,18 +239,12 @@ def prefill_macs(config, length, one_chunk=False):
 def record_prefill(monkeypatch, weights, length):
     """Score block shapes (one per softmax) and rank-2 product row counts of one fresh prefill."""
     scores, rows = [], []
-    softmax, matmul, attend = tensor_module.softmax_stable, tensor_module.matmul, rw.attention.window_attend
+    softmax, matmul = tensor_module.softmax_stable, tensor_module.matmul
 
     def recording_softmax(x, masked=None):
-        scores.append(x.shape)  # [n_kv_heads, n_q, group, W]
+        # [n_kv_heads, n_q, group, W]; one query's [n_kv_heads, group, min(n_k, W)] as n_q = 1
+        scores.append(x.shape if x.ndim == 4 else x.shape[:1] + (1,) + x.shape[1:])
         return softmax(x, masked)
-
-    def recording_attend(q, keys, values, window):
-        before = len(scores)
-        out = attend(q, keys, values, window)
-        if len(scores) == before:  # the one-query regime: no softmax call, the block of the rows it reads
-            scores.append((keys.shape[0], 1, q.shape[0] // keys.shape[0], min(keys.shape[1], window)))
-        return out
 
     def recording_matmul(a, b):
         if np.ndim(a) == 2:
@@ -259,7 +253,6 @@ def record_prefill(monkeypatch, weights, length):
 
     monkeypatch.setattr(tensor_module, "softmax_stable", recording_softmax)
     monkeypatch.setattr(tensor_module, "matmul", recording_matmul)
-    monkeypatch.setattr(rw.attention, "window_attend", recording_attend)
     config = weights.config
     rw.GenerationSession(weights).prefill(random_tokens(length, seed=length, vocab=config.vocab_size))
     monkeypatch.undo()

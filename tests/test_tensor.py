@@ -72,9 +72,9 @@ def tiles(a, b):
 
 def takes_one_row(a, b):
     """matmul's one-row multiply: a 2-D a of one row, whose [k, 1] by [k, m]
-    terms need no third axis, up to BLOCK_ELEMENTS of (k + 1) * (m + 1)."""
+    terms need no third axis, up to BLOCK_ELEMENTS terms (k * m)."""
     k, m = b.shape[-2:]
-    return a.ndim == 2 and a.shape[0] == 1 and 1 < m and (k + 1) * (m + 1) <= rw.tensor.BLOCK_ELEMENTS
+    return a.ndim == 2 and a.shape[0] == 1 and 1 < m and k * m <= rw.tensor.BLOCK_ELEMENTS
 
 
 def sampled_columns(count, at_most=48):
@@ -166,6 +166,25 @@ class TestKernelOrder:
         rng = np.random.default_rng(k)
         a, b = spread(rng, (1, k)), spread(rng, (k, 1))
         assert np.array_equal(rw.matmul(a, b), reference_matmul(a, b))
+
+    @pytest.mark.parametrize("m, einsums", [(1024, 0), (1025, 1)], ids=["block-elements", "one-more"])
+    def test_one_row_takes_the_multiply_up_to_block_elements_terms(self, m, einsums, monkeypatch):
+        # 64 x 1024 is exactly BLOCK_ELEMENTS terms (k * m): one multiply.
+        # One column more is one einsum of one tile.
+        rng, calls, einsum = np.random.default_rng(m), [], np.einsum
+        a, b = spread(rng, (1, 64)), spread(rng, (64, m))
+        assert takes_one_row(a, b) == (einsums == 0) and tiles(a, b) is None
+
+        def counting_einsum(*args, **kwargs):
+            calls.append(args[0])
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", counting_einsum)
+        out = rw.matmul(a, b)
+        monkeypatch.undo()
+        assert len(calls) == einsums
+        cols = sampled_columns(m)
+        assert np.array_equal(out[:, cols], reference_matmul(a, b[:, cols]))
 
     def test_batched_matmul_equals_scalar_reference_per_slice(self):
         rng = np.random.default_rng(21)
@@ -311,7 +330,7 @@ def matmul_operands(draw):
         batch, n, k, m = (1,) * draw(st.integers(0, 2)), 1, draw(st.integers(0, 1000)), 1
     elif size == "one-row":  # 2-D, every layout of b: C-ordered, F-ordered ("transposed") and column-sliced
         batch, n, k = (), 1, draw(st.integers(0, 64))
-        m = draw(st.integers(2, rw.tensor.BLOCK_ELEMENTS // (k + 1) - 1))
+        m = draw(st.integers(2, rw.tensor.BLOCK_ELEMENTS // max(k, 1)))
     elif size == "tile-edge":  # batch + (n, k, m) of TILE_ELEMENTS terms, or of TILE_ELEMENTS + 1 = 5 * 13 * 37 * 109
         *batch, n, k, m = draw(st.sampled_from([(64, 64, 64), (4, 16, 64, 64), (2, 2, 32, 32, 64),
                                                 (37, 109, 65), (13, 37, 545), (5, 37, 13, 109)]))

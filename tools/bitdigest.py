@@ -56,6 +56,11 @@ CONFIGS = {
     # The benchmark's prefill preset.
     "desk": (None, rw.ModelConfig(dim=128, n_layers=6, head_dim=16, hidden_dim=384, n_heads=8, n_kv_heads=2,
                                   window_size=64, context_len=2048, vocab_size=1024)),
+    # The paper's head width and grouping: a decode step's attention takes the band path (8 * 128 * 128 terms
+    # a product, over BLOCK_ELEMENTS), and its one-row weight products go in column tiles. The stream needs
+    # exact_reach + W + 4 = 387 positions.
+    "wide": (None, rw.ModelConfig(dim=1024, n_layers=2, head_dim=128, hidden_dim=1024, n_heads=8, n_kv_heads=2,
+                                  window_size=128, context_len=512, vocab_size=256)),
 }
 
 
