@@ -51,7 +51,8 @@ def test_summaries_recompute_from_the_recorded_runs(pairs, name):
 
 def test_the_drivers_own_file_recomputes_exactly(pairs):
     # The driver rounds the runs before it summarises them.
-    for name in ("BENCH_27.json", "BENCH_28.json", "BENCH_29.json", "BENCH_30.json", "BENCH_31.json"):
+    for name in ("BENCH_27.json", "BENCH_28.json", "BENCH_29.json", "BENCH_30.json", "BENCH_31.json",
+                 "BENCH_32.json"):
         for workload, metric, figures in recorded_metrics(name):
             compared = pairs.compare(figures["runs"], figures["better"], figures["bound"])
             assert {key: figures[key] for key in compared} == compared, (name, workload, metric)
