@@ -16,7 +16,7 @@ print(f"capacity {W} slots, {cache.nbytes} bytes allocated up front\n")
 
 for position in range(8):
     marker = np.full((1, 1, 2), float(position), dtype=np.float32)  # [n_kv_heads, rows, head_dim]
-    cache.extend(position, marker, marker)
+    cache.prefill_bulk(position, marker, marker)
     slots = ["--"] * W
     for p in cache.retained_positions():
         slots[p % W] = f"{p:2d}"

@@ -9,7 +9,7 @@ positions in ascending order whatever the slot layout: up to `capacity`
 consecutive positions fill at most two contiguous slot runs (up to the
 last slot, then from slot 0), and every read and write goes through them.
 
-`extend` may start a block past the cache's end. It then skips there: the
+A write before the cache's end is refused; one past it restarts there: the
 retained range starts at the block and grows with each write, as if the
 cache had been built from that position onwards. A layer of a long chunk
 does this when it starts computing rows past the cache's end, because no
@@ -51,8 +51,8 @@ class RollingKvCache:
     def append(self, position: int, k_row: Tensor, v_row: Tensor) -> None:
         """Store one token's K/V rows ([n_kv_heads, head_dim]) at `position`.
 
-        A one-row prefill_bulk: writes must be strictly sequential, and the
-        row lands in slot position % capacity, overwriting any prior occupant.
+        A one-row prefill_bulk, with its rule for a position before or past
+        the end; the row lands in slot position % capacity.
         """
         self.prefill_bulk(position, k_row[:, np.newaxis], v_row[:, np.newaxis])
 
@@ -67,19 +67,6 @@ class RollingKvCache:
         head, tail = self._slot_runs(positions.start, positions.stop)
         return (positions, np.concatenate((self.keys[:, head], self.keys[:, tail]), axis=1),
                 np.concatenate((self.values[:, head], self.values[:, tail]), axis=1))
-
-    def extend(self, first: int, k_block: Tensor, v_block: Tensor) -> tuple[Tensor, Tensor]:
-        """`prefill_bulk` at `first`, which may be past the end: the retained
-        range then restarts there, and stays as it was if the block is refused."""
-        if first <= self.next_position:
-            return self.prefill_bulk(first, k_block, v_block)
-        kept = self.first_position, self.next_position
-        self.first_position = self.next_position = first
-        try:
-            return self.prefill_bulk(first, k_block, v_block)
-        finally:
-            if self.next_position == first:  # refused: the block wrote nothing, so the skip is undone
-                self.first_position, self.next_position = kept
 
     def window_view(self) -> list[tuple[int, Tensor, Tensor]]:
         """Retained (position, k_row, v_row) triples, ascending by position.
@@ -96,20 +83,22 @@ class RollingKvCache:
         return copies of `gather`'s keys and values from before the write, each
         followed by the block: the rows the block's queries read.
 
-        The cache's one write and its one check: `append` and `extend` (every
-        engine forward step) come here, in the layout `gather` returns. A
-        refused block leaves the cache as it was. Equivalent to appending
-        each row in order. Rows that would already have been overwritten
-        (anything before the trailing `capacity` rows) are never
-        materialized in the cache.
+        The cache's one write and its one check: `append` and every engine
+        forward step come here, in the layout `gather` returns. A block
+        before the end is refused; one past it restarts the retained range
+        at its start once every check has passed, so a refused block leaves
+        the cache as it was. Equivalent to appending each row in order; rows
+        before the block's trailing `capacity` are never materialized.
         """
-        if start_position != self.next_position:
+        if start_position < self.next_position:
             raise ValueError(f"out-of-order write: expected position {self.next_position}, got {start_position}")
         shape, (n_kv, _, head_dim) = k_block.shape, self.keys.shape
         if shape != v_block.shape or len(shape) != 3 or shape[0] != n_kv or shape[2] != head_dim:
             raise ValueError(f"block shapes {shape}/{v_block.shape} do not fit [{n_kv}, rows, {head_dim}] blocks")
         if shape[1] < 1:
             raise ValueError("bulk write needs at least one row")
+        if start_position > self.next_position:  # past the end: restart the retained range there
+            self.first_position = self.next_position = start_position
         positions = self.retained_positions()
         head, tail = self._slot_runs(positions.start, positions.stop)
         keys = np.concatenate((self.keys[:, head], self.keys[:, tail], k_block), axis=1)

@@ -78,7 +78,7 @@ def parse_config(text: str) -> ModelConfig:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, an overlong int, deep nesting
         raise ConfigError(f"not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("configuration document must be a JSON object")

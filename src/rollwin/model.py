@@ -6,18 +6,18 @@ Weights are shared and immutable; a GenerationSession owns the mutable state
 (a rolling cache per layer, the next absolute position) of one sequence, or
 of `streams` stepped in lockstep; a caller reads positions and cache bytes.
 `forward_chunk` is the only layer loop: decode is a chunk of one token, and
-a prompt runs in chunks of W positions, as in the paper. A session keeps
-the last row's logits and each layer's last W K/V rows, and a query reads
-W - 1 positions back, so layer l (from 0) of a run of n tokens computes K/V
-for its last kv_l = min(n, exact_reach - l*(W-1)) rows and queries, Wo and
-the feed-forward for its last kv_{l+1} rows (one row at the last layer):
-prefill work stops growing at `exact_reach` tokens. The chunks are aligned
-to the end, so the short remainder comes first, where only the early
-layers run, and a chunk stops at the first layer none of its rows reach.
-No product takes more than W rows per stream and a head's score block is
-at most W x W, at the MACs of running the rows as one chunk. Every row
-computed sees its whole window, so the results are bit-identical to
-running every row.
+a prompt runs in chunks of W positions, as in the paper. A session keeps the
+last row's logits and each layer's last W K/V rows, and a query reads W - 1
+positions back, so layer l (from 0) of a run of n tokens computes and caches
+K/V for its last kv_l = min(n, exact_reach - l*(W-1)) rows (its cache
+restarts at the first when that is past its end) and queries, Wo and the
+feed-forward for its last kv_{l+1} rows (one row at the last layer): prefill
+work stops growing at `exact_reach` tokens. The chunks are aligned to the
+end, so the short remainder comes first, where only the early layers run,
+and a chunk stops at the first layer none of its rows reach. No product
+takes more than W rows per stream and a head's score block is at most W x W,
+at the MACs of running the rows as one chunk. Every row computed sees its
+whole window, so the results are bit-identical to running every row.
 
 Layer arithmetic: rms-norm, grouped-query attention with rotary positions
 over the sliding window, then a gated feed-forward, each with a residual
@@ -142,11 +142,12 @@ class GenerationSession:
 
         The tokens are checked before any write, then run in end-aligned
         chunks of at most W positions (see the module docstring). In a
-        chunk, one `cache.extend` per layer writes the K/V rows and returns
-        the cached keys followed by the chunk's, over which the query rows
-        attend in one call: each row scores the keys of its window, at
-        most W. Wo and the feed-forward run once over the layer's
-        output rows. Decode is the one-row case of the same call.
+        chunk, one `cache.prefill_bulk` per layer writes the K/V rows, from
+        the layer's first computed one (past the cache's end, it restarts
+        the cache there), and returns the cached keys followed by the
+        chunk's, over which the query rows attend in one call: each row
+        scores the keys of its window, at most W. Wo and the feed-forward
+        run once over the layer's output rows. Decode is the one-row case.
 
         This is exact. Each row of every product is its own ordered dot
         product, so computing fewer rows, or more in one product, changes no
@@ -168,7 +169,7 @@ class GenerationSession:
                 first = max(first, begin)
                 rope = table if first == begin else tensor.RopeTable(*(t[first - begin:] for t in table))
                 q, k, v = self._qkv(x, layer, rope)
-                keys, values = cache.extend(first, k, v)  # rows ending at position stop - 1
+                keys, values = cache.prefill_bulk(first, k, v)  # rows ending at position stop - 1
                 if out >= stop:  # no row of this chunk reaches the next layer
                     break
                 if out > first:  # each stream's last stop - out rows

@@ -82,9 +82,21 @@ class TestAppend:
     def test_out_of_order_append_names_positions(self):
         cache = rw.RollingKvCache(2, 4, 3)
         rng = np.random.default_rng(3)
-        cache.append(0, *row_pair(rng))
-        with pytest.raises(ValueError, match="expected position 1, got 3"):
-            cache.append(3, *row_pair(rng))
+        for pos in range(3):
+            cache.append(pos, *row_pair(rng))
+        with pytest.raises(ValueError, match="expected position 3, got 1"):
+            cache.append(1, *row_pair(rng))
+
+    def test_append_past_the_end_restarts_as_a_one_row_block_does(self):
+        rng = np.random.default_rng(17)
+        appended, bulk = rw.RollingKvCache(2, 4, 3), rw.RollingKvCache(2, 4, 3)
+        for pos in (0, 1, 2, 9, 10, 15):  # past the end at 9 and at 15
+            k, v = row_pair(rng)
+            appended.append(pos, k, v)
+            bulk.prefill_bulk(pos, k[:, np.newaxis], v[:, np.newaxis])
+            assert appended.retained_positions() == bulk.retained_positions()
+            assert np.array_equal(appended.keys, bulk.keys) and np.array_equal(appended.values, bulk.values)
+        assert appended.retained_positions() == range(15, 16)
 
     def test_row_shape_checked(self):
         cache = rw.RollingKvCache(2, 4, 3)
@@ -240,8 +252,9 @@ class TestPrefillBulk:
     def test_out_of_order_bulk_rejected(self):
         cache = rw.RollingKvCache(1, 4, 2)
         block = np.zeros((1, 2, 2), np.float32)
-        with pytest.raises(ValueError, match="expected position 0, got 2"):
-            cache.prefill_bulk(2, block, block)
+        cache.prefill_bulk(0, block, block)
+        with pytest.raises(ValueError, match="expected position 2, got 1"):
+            cache.prefill_bulk(1, block, block)
 
     def test_empty_block_rejected(self):
         cache = rw.RollingKvCache(1, 4, 2)
@@ -265,10 +278,10 @@ def modular_gather(cache):
 
 class TestSlotRuns:
     """Reads and writes address slots as at most two contiguous runs. Over
-    capacities 1-6, `extend` skips to positions capacity+1..3*capacity+1
-    (every slot residue) and block lengths 1..2*capacity+1 (oversized blocks
-    included), `gather` and `extend` return exactly what the modular index
-    returned, and the slot arrays after every write equal a reference written
+    capacities 1-6, `prefill_bulk` restarts at positions
+    capacity+1..3*capacity+1 (every slot residue) and block lengths
+    1..2*capacity+1 (oversized blocks included), `gather` and `prefill_bulk`
+    return exactly what the modular index returned, and the slot arrays after every write equal a reference written
     one row at a time."""
 
     @pytest.mark.parametrize("capacity", range(1, 7))
@@ -278,19 +291,16 @@ class TestSlotRuns:
             for block_len in range(1, 2 * capacity + 2):
                 cache = rw.RollingKvCache(2, capacity, 3)
                 stale = rng.standard_normal((2, 2, capacity, 3), dtype=np.float32)
-                cache.prefill_bulk(0, stale[0], stale[1])  # rows no read after the skip may show
+                cache.prefill_bulk(0, stale[0], stale[1])  # rows no read after the restart may show
                 reference = stale.copy()
                 position = start
                 for write in range(3):
                     k, v = rng.standard_normal((2, 2, block_len, 3), dtype=np.float32)
-                    # The first extend skips past the stale rows, so none precede its block.
+                    # The first write restarts past the stale rows, so none precede its block.
                     before = modular_gather(cache) if write else (range(0), k[:, :0], v[:, :0])
-                    if write == 1:
-                        cache.prefill_bulk(position, k, v)
-                    else:
-                        keys, values = cache.extend(position, k, v)
-                        assert np.array_equal(keys, np.concatenate([before[1], k], axis=1))
-                        assert np.array_equal(values, np.concatenate([before[2], v], axis=1))
+                    keys, values = cache.prefill_bulk(position, k, v)
+                    assert np.array_equal(keys, np.concatenate([before[1], k], axis=1))
+                    assert np.array_equal(values, np.concatenate([before[2], v], axis=1))
                     for i in range(block_len):
                         reference[:, :, (position + i) % capacity] = k[:, i], v[:, i]
                     position += block_len
@@ -303,7 +313,7 @@ class TestSlotRuns:
                     assert np.array_equal(keys, expected[1]) and np.array_equal(values, expected[2])
 
 
-class TestExtend:
+class TestPastTheEnd:
     @pytest.fixture
     def written(self):
         cache = rw.RollingKvCache(2, 4, 3)
@@ -314,28 +324,27 @@ class TestExtend:
 
     def test_block_past_the_end_empties_the_cache_first(self, written):
         block = np.ones((2, 1, 3), np.float32)
-        keys, values = written.extend(20, block, block)
-        assert keys.shape == values.shape == (2, 1, 3)  # no row from before the skip
+        keys, values = written.prefill_bulk(20, block, block)
+        assert keys.shape == values.shape == (2, 1, 3)  # no row from before the restart
         assert written.next_position == 21
         positions, keys, values = written.gather()
         assert list(positions) == [20]
         assert np.array_equal(keys, block) and np.array_equal(values, block)
 
-    def test_next_write_must_be_at_the_blocks_end(self, written):
+    def test_next_write_must_not_precede_the_blocks_end(self, written):
         row = np.zeros((2, 1, 3), np.float32)
-        written.extend(20, row, row)
-        for wrong in (6, 20, 22):
-            with pytest.raises(ValueError, match=f"expected position 21, got {wrong}"):
-                written.prefill_bulk(wrong, row, row)
+        written.prefill_bulk(20, row, row)
         for wrong in (6, 20):
             with pytest.raises(ValueError, match=f"expected position 21, got {wrong}"):
-                written.extend(wrong, row, row)
+                written.prefill_bulk(wrong, row, row)
+            with pytest.raises(ValueError, match=f"expected position 21, got {wrong}"):
+                written.append(wrong, row[:, 0], row[:, 0])
 
     def test_allocation_unchanged(self):
         cache = rw.RollingKvCache(2, 4, 3)
         keys_buffer, size = cache.keys, cache.nbytes
         block = np.zeros((2, 1, 3), np.float32)
-        cache.extend(9, block, block)
+        cache.prefill_bulk(9, block, block)
         assert cache.nbytes == size and cache.keys is keys_buffer
 
     def test_retained_range_grows_from_the_block(self, written):
@@ -343,7 +352,7 @@ class TestExtend:
         rows, retained = {}, []
         for pos in range(20, 27):
             rows[pos] = row_pair(rng)
-            written.extend(pos, *(row[:, np.newaxis] for row in rows[pos]))  # skips at 20
+            written.prefill_bulk(pos, *(row[:, np.newaxis] for row in rows[pos]))  # restarts at 20
             retained.append(len(written.retained_positions()))
             assert list(written.retained_positions()) == list(range(max(20, pos - 3), pos + 1))
         assert retained == [1, 2, 3, 4, 4, 4, 4]
@@ -356,14 +365,14 @@ class TestExtend:
     def test_negative_position_rejected(self):
         block = np.zeros((1, 1, 2), np.float32)
         with pytest.raises(ValueError, match="out-of-order write: expected position 0, got -1"):
-            rw.RollingKvCache(1, 4, 2).extend(-1, block, block)
+            rw.RollingKvCache(1, 4, 2).prefill_bulk(-1, block, block)
 
     def test_block_past_the_end_restarts_the_cache_there(self):
         cache = rw.RollingKvCache(2, 4, 3)
         rng = np.random.default_rng(14)
         cache.prefill_bulk(0, *rng.standard_normal((2, 2, 5, 3), dtype=np.float32))
         k, v = rng.standard_normal((2, 2, 2, 3), dtype=np.float32)
-        keys, values = cache.extend(9, k, v)
+        keys, values = cache.prefill_bulk(9, k, v)
         assert np.array_equal(keys, k) and np.array_equal(values, v)
         assert cache.retained_positions() == range(9, 11)
 
@@ -374,14 +383,14 @@ class TestExtend:
         keys, values = cache.keys.copy(), cache.values.copy()
         block = np.zeros((2, 1, 3), np.float32)
         with pytest.raises(ValueError, match="expected position 5, got 4"):
-            cache.extend(4, block, block)
+            cache.prefill_bulk(4, block, block)
         assert cache.next_position == 5
         assert np.array_equal(cache.keys, keys) and np.array_equal(cache.values, values)
 
     def test_result_is_a_copy(self):
         cache = rw.RollingKvCache(1, 4, 2)
         block = np.ones((1, 3, 2), np.float32)
-        keys, values = cache.extend(0, block, block)
+        keys, values = cache.prefill_bulk(0, block, block)
         keys[...] = values[...] = 7.0
         block[...] = 5.0
         assert np.array_equal(cache.gather()[1], np.ones((1, 3, 2), np.float32))
@@ -393,9 +402,9 @@ def assert_same_cache(cache, before):
     assert np.array_equal(cache.keys, before.keys) and np.array_equal(cache.values, before.values)
 
 
-class TestRefusedExtendChangesNothing:
-    """extend checks the block before it moves the retained range, so a
-    refused block leaves the cache as a deep copy taken before the call."""
+class TestRefusedBlockChangesNothing:
+    """prefill_bulk checks the block before it restarts the retained range,
+    so a refused block leaves the cache as a deep copy taken before the call."""
 
     @pytest.fixture
     def cache(self):
@@ -413,17 +422,17 @@ class TestRefusedExtendChangesNothing:
     def test_bad_block(self, cache, first, k_shape, v_shape, match):
         before = copy.deepcopy(cache)
         with pytest.raises(ValueError, match=match):
-            cache.extend(first, np.ones(k_shape, np.float32), np.ones(v_shape, np.float32))
+            cache.prefill_bulk(first, np.ones(k_shape, np.float32), np.ones(v_shape, np.float32))
         assert_same_cache(cache, before)
 
     def test_block_before_the_end(self, cache):
         before = copy.deepcopy(cache)
         block = np.ones((2, 1, 8), np.float32)
         with pytest.raises(ValueError, match="out-of-order write: expected position 3, got 2"):
-            cache.extend(2, block, block)
+            cache.prefill_bulk(2, block, block)
         assert_same_cache(cache, before)
 
     def test_accepted_block_past_the_end_still_restarts(self, cache):
         block = np.ones((2, 1, 8), np.float32)
-        cache.extend(10, block, block)
+        cache.prefill_bulk(10, block, block)
         assert cache.retained_positions() == range(10, 11)

@@ -352,6 +352,12 @@ DEEP_REACH_PROBE = rw.ModelConfig(
 #: the element bound, but its n x n score blocks would need gigabytes.
 LONG_STREAM_TOY = replace(rw.PRESET_TOY, window_size=2048, context_len=16384)
 
+#: Documents that `json.loads` itself fails on with an error other than JSONDecodeError.
+UNLOADABLE_JSON = {
+    "deep-nesting": "[" * 100_000,  # RecursionError
+    "long-integer": '{"dim": ' + "1" * 5_001 + "}",  # ValueError: over the int string conversion limit
+}
+
 #: Hostile inputs, each as (argv builder, documented exit code).
 HOSTILE_INPUTS = {
     "non-utf8-config": (
@@ -373,6 +379,13 @@ HOSTILE_INPUTS = {
         cli.EXIT_WEIGHTS,
     ),
     "window-zero": (lambda tmp: ["verify", "--window", "0"], cli.EXIT_USAGE),
+    **{f"{name}-config": (lambda tmp, text=text: ["verify", "--config", _file(tmp, text.encode())], cli.EXIT_USAGE)
+       for name, text in UNLOADABLE_JSON.items()},
+    **{f"{name}-embedded-config": (
+        lambda tmp, text=text: ["generate", "--weights", _file(tmp, _embedded_doc(_saved_weights(tmp), text)),
+                                *GENERATE_FROM],
+        cli.EXIT_WEIGHTS,
+    ) for name, text in UNLOADABLE_JSON.items()},
     # The length check must not build a per-layer list for 10**12 layers.
     "huge-n-layers-embedded-config": (
         lambda tmp: ["generate", "--weights",
@@ -508,6 +521,23 @@ def test_every_config_rule_is_refused_at_every_entry_point(rule, tmp_path, capsy
     assert run_cli(capsys, "generate", "--weights", weights, *GENERATE_FROM) == (
         cli.EXIT_WEIGHTS, "", f"error: weight file: embedded config rejected: invalid config: {rule}\n"
     )
+
+
+@pytest.mark.parametrize("name", UNLOADABLE_JSON)
+def test_a_document_json_cannot_load_is_refused_at_every_entry_point(name, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(UNLOADABLE_JSON[name])
+    for argv in (
+        ["verify", "--config", str(path)],
+        ["generate", "--random-init", "--config", str(path), *GENERATE_FROM],
+        ["bench", "--config", str(path), "--bench", "16:4"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (cli.EXIT_USAGE, "") and err.startswith(f"error: config {path}: not valid JSON: "), argv
+    weights = _file(tmp_path, _embedded_doc(_saved_weights(tmp_path), UNLOADABLE_JSON[name]))
+    code, out, err = run_cli(capsys, "generate", "--weights", weights, *GENERATE_FROM)
+    assert (code, out) == (cli.EXIT_WEIGHTS, "")
+    assert err.startswith("error: weight file: embedded config rejected: not valid JSON: ")
 
 
 @pytest.mark.parametrize("flags", [["--greedy"], ["--top-k", "5"], ["--mode", "oracle-swa"]])

@@ -1,7 +1,7 @@
 """Smoke test: every narrative demo runs to completion.
 
-The demos call the public names a refactor must keep (extend, gather,
-prefill_bulk, build_swa_mask, prefill, forward_decode), so running them
+The demos call the public names a refactor must keep (prefill_bulk, gather,
+build_swa_mask, prefill, forward_decode), so running them
 catches a broken public surface that the unit tests do not exercise.
 """
 

@@ -2,7 +2,7 @@
 cache: one call each, with the ValueError its check raises. Branches that
 another module's tests already refuse (softmax_stable's degenerate rows,
 gqa_attend's mask shape, full_pair_count, score_pair_count's window, and
-prefill_bulk's empty or later block) are left to them.
+prefill_bulk's empty block) are left to them.
 
 The kernels' argument checks run on every call of the hot path, so a
 cheaper check must still refuse exactly these arguments.

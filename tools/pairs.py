@@ -25,7 +25,8 @@ than its `bound` is a regression.
 process per side and round, sides alternating, both loading one weight file,
 with the benchmark's host-speed probe kernel run after each step, and the
 step's exact Python and C call counts (`step_calls`); beside it, the time of
-one step of LOCKSTEP streams stepped together, timed the same way.
+one step of LOCKSTEP streams stepped together, timed the same way, and the
+spread of each side's per-process step times (`step_us_spread`).
 The file is written in full either way; the exit status is 1 if a run is not
 correct or any operation failed.
 """
@@ -56,7 +57,7 @@ MIN_PAIRS = 10
 LOCKSTEP = (2, 4, 8)
 
 #: The stages of a decode step that the split times, as (owner module, owner attribute or "", name).
-STAGES = (("model", "GenerationSession", "_qkv"), ("cache", "RollingKvCache", "extend"),
+STAGES = (("model", "GenerationSession", "_qkv"), ("cache", "RollingKvCache", "prefill_bulk"),
           ("attention", "", "window_attend"), ("model", "GenerationSession", "_residual_ffn"),
           ("tensor", "", "rope_table"))
 
@@ -265,11 +266,15 @@ def split(parent_tree: Path, change_tree: Path, rounds: int) -> dict:
                   f"over {rounds} processes per side, sides alternating. lockstep_us is the bare step of one "
                   f"session of S streams, for S in {', '.join(map(str, LOCKSTEP))}, timed the same way over its own "
                   "tokens (default_rng(1)), one token per stream and step; a row costs lockstep_us[S] / S. "
-                  "stages_us is per step: _qkv, extend, "
+                  "stages_us is per step: _qkv, prefill_bulk, "
                   "window_attend and _residual_ffn run once per layer (4), rope_table once per step. "
                   "calls_per_step counts the Python and C function calls of one such step with sys.setprofile "
-                  "(the same in every process of a side), which does not see ufunc calls or numpy operators.",
-        "parent": split_medians(runs["parent"]), "change": split_medians(runs["change"]), "runs": runs,
+                  "(the same in every process of a side), which does not see ufunc calls or numpy operators. "
+                  "step_us_spread summarises each side's per-process step_us as the end-to-end metrics are "
+                  "summarised; a step_us difference inside the parent's IQR is unresolved.",
+        "parent": split_medians(runs["parent"]), "change": split_medians(runs["change"]),
+        "step_us_spread": {side: summary([e["step_us"] for e in entries]) for side, entries in runs.items()},
+        "runs": runs,
     }
 
 
