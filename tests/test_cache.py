@@ -281,8 +281,8 @@ class TestSlotRuns:
     capacities 1-6, `prefill_bulk` restarts at positions
     capacity+1..3*capacity+1 (every slot residue) and block lengths
     1..2*capacity+1 (oversized blocks included), `gather` and `prefill_bulk`
-    return exactly what the modular index returned, and the slot arrays after every write equal a reference written
-    one row at a time."""
+    return exactly what the modular index returned, and the slot arrays
+    after every write equal a reference written one row at a time."""
 
     @pytest.mark.parametrize("capacity", range(1, 7))
     def test_runs_equal_the_modular_index_and_a_row_by_row_reference(self, capacity):
