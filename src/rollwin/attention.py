@@ -3,12 +3,13 @@
 Pure functions over immutable inputs. A mask is a boolean [n_q, n_k] array
 over given query and key positions; keys and values are always consumed in
 ascending absolute-position order so that every caller accumulates
-attention sums identically. The head grouping comes from the shapes: q
-is [n_heads, ...], keys are [n_kv_heads, ...], and query head h reads kv
-head h // (n_heads // n_kv_heads). The engine calls `window_attend`, which
-reads each query's window as a band of the key rows that end at the last
-query; `gqa_attend` under a `build_swa_mask` mask is its dense reference
-and the oracle's attention.
+attention sums identically. Both kernels check their operands by one
+rule, `_group`: q is [n_heads, n_q, head_dim], keys and values share one
+[n_kv_heads, n_k, head_dim] shape, n_kv_heads >= 1 divides n_heads, and
+query head h reads kv head h // (n_heads // n_kv_heads). The engine calls
+`window_attend`, which reads each query's window as a band of the key rows
+ending at the last query; `gqa_attend` under a `build_swa_mask` mask is its
+dense reference and the oracle's attention.
 """
 
 from __future__ import annotations
@@ -62,6 +63,16 @@ def build_prefill_mask(
     return build_swa_mask(chunk, cached + list(chunk), window)
 
 
+def _group(q: Tensor, keys: Tensor, values: Tensor) -> int:
+    """Query heads per kv head, or ValueError if q, keys and values break
+    both kernels' one operand rule (see the module docstring)."""
+    if q.ndim != 3 or keys.ndim != 3 or keys.shape != values.shape or q.shape[2] != keys.shape[2]:
+        raise ValueError(f"q/k/v shapes {q.shape}/{keys.shape}/{values.shape} are not [heads, rows, head_dim]")
+    if keys.shape[0] < 1 or q.shape[0] % keys.shape[0] != 0:
+        raise ValueError(f"{q.shape[0]} query heads cannot share {keys.shape[0]} kv heads evenly")
+    return q.shape[0] // keys.shape[0]
+
+
 def gqa_attend(q: Tensor, k: Tensor, v: Tensor, admissible: np.ndarray) -> Tensor:
     """Grouped-query attention under an explicit mask: window_attend's
     dense reference and the oracle's attention.
@@ -73,20 +84,13 @@ def gqa_attend(q: Tensor, k: Tensor, v: Tensor, admissible: np.ndarray) -> Tenso
     2-D product per stage, inadmissible pairs excluded from the max and the
     normalizer; the largest transient is one head's [n_q, n_k] block.
     """
-    if q.ndim != 3 or k.ndim != 3 or k.shape != v.shape:
-        raise ValueError(f"q/k/v shapes {q.shape}/{k.shape}/{v.shape} are not [heads, rows, head_dim]")
-    (n_heads, _, head_dim), n_kv = q.shape, k.shape[0]
-    if n_kv < 1 or n_heads % n_kv != 0:
-        raise ValueError(f"{n_heads} query heads cannot share {n_kv} kv heads evenly")
-    if head_dim != k.shape[2]:
-        raise ValueError(f"head_dim mismatch: q {head_dim} vs k {k.shape[2]}")
+    group = _group(q, k, v)
     if admissible.shape != (q.shape[1], k.shape[1]):
         raise ValueError(f"mask shape {admissible.shape}, expected {(q.shape[1], k.shape[1])}")
 
-    scale, group = np.float32(math.sqrt(head_dim)), n_heads // n_kv
-    masked = ~admissible
+    scale, masked = np.float32(math.sqrt(q.shape[2])), ~admissible
     out = np.empty(q.shape, dtype=np.float32)
-    for head in range(n_heads):
+    for head in range(q.shape[0]):
         scores = tensor.matmul(q[head], k[head // group].T) / scale
         out[head] = tensor.matmul(tensor.softmax_stable(scores, masked=masked), v[head // group])
     return out
@@ -126,16 +130,14 @@ def window_attend(q: Tensor, keys: Tensor, values: Tensor, window: int) -> Tenso
     left out or padded would only have added exact zeros to ordered sums
     that start at +0.0.
     """
-    n_heads, n_q, head_dim = q.shape
-    n_kv, n_k = keys.shape[:2]
-    if n_kv < 1 or n_heads % n_kv != 0:
-        raise ValueError(f"{n_heads} query heads cannot share {n_kv} kv heads evenly")
+    group = _group(q, keys, values)
+    (n_heads, n_q, head_dim), (n_kv, n_k) = q.shape, keys.shape[:2]
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    if values.shape != keys.shape or keys.shape[2:] != (head_dim,) or n_k < n_q:
-        raise ValueError(f"k/v shapes {keys.shape}/{values.shape} do not fit {n_q} queries of head_dim {head_dim}")
+    if n_k < n_q:
+        raise ValueError(f"k/v shapes {keys.shape}/{values.shape} do not fit {n_q} queries")
 
-    group, scale = n_heads // n_kv, tensor._float32(math.sqrt(head_dim))
+    scale = tensor._float32(math.sqrt(head_dim))
     if n_q == 1 and n_heads * min(n_k, window, head_dim) > 1 and n_heads * window * head_dim <= tensor.BLOCK_ELEMENTS:
         # [head_dim, n_kv, group, w] score and [w, n_kv, group, head_dim] AV terms, w = min(n_k, W). Each reduce
         # keeps more than one output: numpy would sum a lone reduced axis pairwise, not in order.
@@ -173,10 +175,8 @@ def score_pair_count(seq_len: int, window: int) -> int:
     Position i admits min(i + 1, window) keys, so the total ramps up
     quadratically until the window binds and grows linearly after.
     """
-    if seq_len < 1:
-        raise ValueError(f"seq_len must be >= 1, got {seq_len}")
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    if seq_len <= window:
+    if seq_len <= window:  # full_pair_count refuses seq_len < 1
         return full_pair_count(seq_len)
     return window * (window + 1) // 2 + (seq_len - window) * window

@@ -329,8 +329,6 @@ def _parse_scenarios(text: str) -> list[tuple[int, int]]:
         if length < 1 or window < 1:
             raise UsageError(f"scenario {piece!r} needs L >= 1 and W >= 1")
         scenarios.append((length, window))
-    if not scenarios:
-        raise UsageError("--bench needs at least one L:W scenario")
     return scenarios
 
 

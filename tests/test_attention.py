@@ -139,8 +139,36 @@ def attend_both(q, k, v):
     return [rw.gqa_attend(q, k, v, rw.build_swa_mask([0], [0], window=1)), rw.window_attend(q, k, v, 1)]
 
 
+SHAPES_MESSAGE = "are not \\[heads, rows, head_dim\\]"
+
+# (q, keys, values) shapes that each break one part of the operand rule, and
+# the message both kernels raise; well formed would be q [4 heads, 3 rows,
+# head_dim 8] over keys and values [2 kv heads, 6 rows, head_dim 8].
+MALFORMED_OPERANDS = {
+    "q-2d": ((4, 3), (2, 6, 8), (2, 6, 8), SHAPES_MESSAGE),
+    "q-4d": ((4, 3, 8, 1), (2, 6, 8), (2, 6, 8), SHAPES_MESSAGE),
+    "keys-values-2d": ((4, 3, 8), (6, 8), (6, 8), SHAPES_MESSAGE),  # not 6 kv heads
+    "keys-values-4d": ((4, 3, 8), (2, 6, 8, 1), (2, 6, 8, 1), SHAPES_MESSAGE),
+    "k-v-differ": ((4, 3, 8), (2, 6, 8), (2, 5, 8), SHAPES_MESSAGE),
+    "head-dim": ((4, 3, 4), (2, 6, 8), (2, 6, 8), SHAPES_MESSAGE),
+    "uneven-kv-heads": ((6, 3, 8), (4, 6, 8), (4, 6, 8), "^6 query heads cannot share 4 kv heads evenly$"),
+    # Not a ZeroDivisionError: the count is checked before it divides.
+    "zero-kv-heads": ((4, 3, 8), (0, 6, 8), (0, 6, 8), "^4 query heads cannot share 0 kv heads evenly$"),
+}
+
+
 class TestHeadGrouping:
     """The grouping comes from the shapes: q's and K/V's leading axes."""
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_OPERANDS))
+    def test_both_kernels_refuse_a_malformed_operand_alike(self, case):
+        *shapes, match = MALFORMED_OPERANDS[case]
+        q, keys, values = (np.ones(shape, np.float32) for shape in shapes)
+        with pytest.raises(ValueError, match=match) as dense:
+            rw.gqa_attend(q, keys, values, np.ones((3, 6), bool))
+        with pytest.raises(ValueError, match=match) as banded:
+            rw.window_attend(q, keys, values, 4)
+        assert str(banded.value) == str(dense.value)
 
     def test_preset_7b_mapping(self):
         # 32 query heads over 8 kv heads: head h reads kv head h // 4.
@@ -150,21 +178,6 @@ class TestHeadGrouping:
     def test_identity_grouping(self):
         for out in attend_both(*one_position_heads(4, 4)):
             assert [float(out[h, 0, 0]) for h in range(4)] == [10.0, 20.0, 30.0, 40.0]
-
-    def test_uneven_grouping_rejected(self):
-        q, k, v = one_position_heads(6, 4)
-        with pytest.raises(ValueError, match="6 query heads cannot share 4 kv heads"):
-            rw.gqa_attend(q, k, v, rw.build_swa_mask([0], [0], window=1))
-        with pytest.raises(ValueError, match="6 query heads cannot share 4 kv heads"):
-            rw.window_attend(q, k, v, 1)
-
-    def test_zero_kv_heads_rejected(self):
-        # Not a ZeroDivisionError: the count is checked before it divides.
-        q, k, v = one_position_heads(4, 0)
-        with pytest.raises(ValueError, match="4 query heads cannot share 0 kv heads"):
-            rw.gqa_attend(q, k, v, rw.build_swa_mask([0], [0], window=1))
-        with pytest.raises(ValueError, match="4 query heads cannot share 0 kv heads"):
-            rw.window_attend(q, k, v, 1)
 
 
 class TestGqaAttend:
@@ -404,11 +417,11 @@ class TestWindowAttend:
 
     def test_shape_mismatches_rejected(self):
         q, keys, values = self._inputs(5, 4, 2, 3, 6)
-        with pytest.raises(ValueError, match="k/v shapes"):
+        with pytest.raises(ValueError, match=SHAPES_MESSAGE):
             rw.window_attend(q, keys, values[:, 1:], 4)
-        with pytest.raises(ValueError, match="k/v shapes"):
+        with pytest.raises(ValueError, match="k/v shapes .* do not fit 3 queries"):
             rw.window_attend(q, keys[:, :2], values[:, :2], 4)  # fewer key rows than queries
-        with pytest.raises(ValueError, match="k/v shapes"):
+        with pytest.raises(ValueError, match=SHAPES_MESSAGE):
             rw.window_attend(q[..., :4], keys, values, 4)
         with pytest.raises(ValueError, match="query heads"):
             rw.window_attend(q[:3], keys, values, 4)

@@ -879,6 +879,12 @@ class TestBench:
         assert code == cli.EXIT_USAGE
         assert "malformed scenario" in err
 
+    @pytest.mark.parametrize("spec", ["", ",", "16:4,", " "])
+    def test_an_empty_scenario_is_malformed(self, capsys, spec):
+        code, out, err = run_cli(capsys, "bench", "--bench", spec)
+        assert (code, out) == (cli.EXIT_USAGE, "")
+        assert err == "error: malformed scenario '', expected L:W\n"
+
     def test_execute_adds_timings(self, capsys):
         code, _, err = run_cli(capsys, "bench", "--bench", "24:8", "--execute")
         assert code == cli.EXIT_OK

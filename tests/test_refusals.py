@@ -50,18 +50,24 @@ REFUSALS = {
     "window-attend-no-kv-heads": (lambda: rw.window_attend(ones(4, 3, 8), ones(0, 6, 8), ones(0, 6, 8), 4),
                                   "cannot share"),
     "window-attend-k-v-differ": (lambda: rw.window_attend(ones(4, 3, 8), ones(2, 6, 8), ones(2, 5, 8), 4),
-                                 "k/v shapes"),
+                                 "not \\[heads, rows, head_dim\\]"),
     "window-attend-head-dim": (lambda: rw.window_attend(ones(4, 3, 4), ones(2, 6, 8), ones(2, 6, 8), 4),
-                               "k/v shapes"),
+                               "not \\[heads, rows, head_dim\\]"),
+    "window-attend-q-2d": (lambda: rw.window_attend(ones(4, 3), ones(2, 6, 8), ones(2, 6, 8), 4),
+                           "not \\[heads, rows, head_dim\\]"),
+    "window-attend-q-4d": (lambda: rw.window_attend(ones(4, 3, 8, 1), ones(2, 6, 8), ones(2, 6, 8), 4),
+                           "not \\[heads, rows, head_dim\\]"),
+    "window-attend-k-v-2d": (lambda: rw.window_attend(ones(4, 3, 8), ones(6, 8), ones(6, 8), 4),
+                             "not \\[heads, rows, head_dim\\]"),
     "window-attend-fewer-keys-than-queries": (
-        lambda: rw.window_attend(ones(4, 3, 8), ones(2, 2, 8), ones(2, 2, 8), 4), "k/v shapes"),
-    # gqa_attend: its rank and k/v check, and its head_dim check (its mask check is in test_attention).
+        lambda: rw.window_attend(ones(4, 3, 8), ones(2, 2, 8), ones(2, 2, 8), 4), "do not fit 3 queries"),
+    # gqa_attend: the same operand rule (its mask check is in test_attention).
     "gqa-attend-rank": (lambda: rw.gqa_attend(ones(4, 3), ones(2, 3, 8), ones(2, 3, 8), np.ones((3, 3), bool)),
                         "not \\[heads, rows, head_dim\\]"),
     "gqa-attend-k-v-differ": (lambda: rw.gqa_attend(ones(4, 3, 8), ones(2, 3, 8), ones(2, 2, 8),
                                                     np.ones((3, 3), bool)), "not \\[heads, rows, head_dim\\]"),
     "gqa-attend-head-dim": (lambda: rw.gqa_attend(ones(4, 3, 4), ones(2, 3, 8), ones(2, 3, 8),
-                                                  np.ones((3, 3), bool)), "head_dim mismatch"),
+                                                  np.ones((3, 3), bool)), "not \\[heads, rows, head_dim\\]"),
     "score-pair-count-length": (lambda: rw.score_pair_count(0, 4), "seq_len must be >= 1"),
     "cache-capacity": (lambda: rw.RollingKvCache(2, 0, 8), "capacity must be >= 1"),
     "prefill-bulk-before-the-end": (lambda: cache_at_3().prefill_bulk(2, ones(2, 1, 8), ones(2, 1, 8)),

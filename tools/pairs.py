@@ -182,6 +182,7 @@ def stage_split(src: Path, weight_path: Path, rounds: int = 9, steps: int = 80) 
     import importlib
     import numpy as np
     from clock import Probe
+    from workloads import DecodeSteady
     rw = importlib.import_module("rollwin")
     if not weight_path.exists():
         rw.save_weights(rw.init_random(rw.PRESET_TOY, 1), weight_path)
@@ -189,7 +190,7 @@ def stage_split(src: Path, weight_path: Path, rounds: int = 9, steps: int = 80) 
     tokens = [int(t) for t in np.random.default_rng(0).integers(0, rw.PRESET_TOY.vocab_size, 40 + steps)]
     grid = np.random.default_rng(1).integers(0, rw.PRESET_TOY.vocab_size, (40 + steps, max(LOCKSTEP))).tolist()
     spent = {name: 0.0 for _, _, name in STAGES}
-    host_probe = Probe(((1, 64, 256),), None)  # decode_steady's probe_shapes and probe_period_s
+    host_probe = Probe(DecodeSteady.probe_shapes, DecodeSteady.probe_period_s)
 
     def run(streams=1):
         inputs = tokens if streams == 1 else [row[:streams] for row in grid]  # per step: a token, or one per stream
