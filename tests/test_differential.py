@@ -115,7 +115,7 @@ def lockstep_streams(draw):
     length): the continuation is longer than exact_reach, so every cache
     restarts, and 1-3 tokens are decoded after it."""
     window, layers = draw(st.integers(1, 12)), draw(st.integers(1, 4))
-    group, n_kv = draw(st.sampled_from([1, 2, 4, 8])), draw(st.integers(1, 8))
+    group, n_kv = draw(st.sampled_from([1, 2, 4])), draw(st.integers(1, 2))
     reach = layers * (window - 1) + 1
     prefill, continuation = draw(st.integers(1, window + 3)), draw(st.integers(reach + 1, reach + 4))
     n = prefill + continuation + draw(st.integers(1, 3))
@@ -163,7 +163,7 @@ def continuations(draw):
     length): the prefix ends mid-window, and the continuation is at least
     two chunks of W longer than exact_reach; 1-2 tokens follow it."""
     window, layers = draw(st.integers(2, 12)), draw(st.integers(1, 4))
-    group, n_kv = draw(st.sampled_from([1, 2, 4, 8])), draw(st.integers(1, 8))
+    group, n_kv = draw(st.sampled_from([1, 2, 4])), draw(st.integers(1, 2))
     reach = layers * (window - 1) + 1
     prefix = draw(st.integers(0, 2)) * window + draw(st.integers(1, window - 1))
     continuation = draw(st.integers(reach + 2 * window, reach + 3 * window))

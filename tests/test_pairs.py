@@ -52,7 +52,7 @@ def test_summaries_recompute_from_the_recorded_runs(pairs, name):
 def test_the_drivers_own_file_recomputes_exactly(pairs):
     # The driver rounds the runs before it summarises them.
     for name in ("BENCH_27.json", "BENCH_28.json", "BENCH_29.json", "BENCH_30.json", "BENCH_31.json",
-                 "BENCH_32.json", "BENCH_33.json"):
+                 "BENCH_32.json", "BENCH_33.json", "BENCH_34.json"):
         for workload, metric, figures in recorded_metrics(name):
             compared = pairs.compare(figures["runs"], figures["better"], figures["bound"])
             assert {key: figures[key] for key in compared} == compared, (name, workload, metric)
@@ -99,16 +99,19 @@ class TestDecisionRule:
 
 
 def test_the_split_medians_recompute_from_the_recorded_processes(pairs):
-    split = json.loads((ROOT / "BENCH_31.json").read_text())["decode_step_split"]
-    for side in ("parent", "change"):
-        assert pairs.split_medians(split["runs"][side]) == split[side], side
-        assert set(split[side]["lockstep_us"]) == {str(streams) for streams in pairs.LOCKSTEP}
+    for name in ("BENCH_31.json", "BENCH_34.json"):
+        split = json.loads((ROOT / name).read_text())["decode_step_split"]
+        for side in ("parent", "change"):
+            assert pairs.split_medians(split["runs"][side]) == split[side], (name, side)
+            assert set(split[side]["lockstep_us"]) == {str(streams) for streams in pairs.LOCKSTEP}
 
 
 def test_the_split_spread_recomputes_from_the_recorded_processes(pairs):
-    split = json.loads((ROOT / "BENCH_33.json").read_text())["decode_step_split"]
-    for side in ("parent", "change"):
-        assert pairs.summary([e["step_us"] for e in split["runs"][side]]) == split["step_us_spread"][side], side
+    for name in ("BENCH_33.json", "BENCH_34.json"):
+        split = json.loads((ROOT / name).read_text())["decode_step_split"]
+        for side in ("parent", "change"):
+            summary = pairs.summary([e["step_us"] for e in split["runs"][side]])
+            assert summary == split["step_us_spread"][side], (name, side)
 
 
 def test_two_call_counts_of_one_tree_agree(pairs):
