@@ -15,6 +15,7 @@ dense reference and the oracle's attention.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable
 
 import numpy as np
@@ -31,12 +32,9 @@ def build_swa_mask(
     The window counts `window` keys including the query's own position, so a
     query at position i sees keys in [max(0, i - window + 1), i].
     """
-    qpos = np.asarray([int(p) for p in query_positions], dtype=np.int64)
-    kpos = np.asarray([int(p) for p in key_positions], dtype=np.int64)
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    if (qpos < 0).any() or (kpos < 0).any():
-        raise ValueError("positions must be non-negative")
+    qpos, kpos = _positions(query_positions), _positions(key_positions)
     delta = qpos[:, None] - kpos[None, :]
     return (delta >= 0) & (delta <= window - 1)
 
@@ -55,12 +53,23 @@ def build_prefill_mask(
     """
     if chunk_len < 1:
         raise ValueError(f"chunk_len must be >= 1, got {chunk_len}")
-    cached = [int(p) for p in cache_positions]
+    cached = _positions(cache_positions).tolist()
     for p in cached:
         if p >= chunk_start:
             raise ValueError(f"cache position {p} is not before chunk start {chunk_start}")
     chunk = range(chunk_start, chunk_start + chunk_len)
     return build_swa_mask(chunk, cached + list(chunk), window)
+
+
+def _positions(positions: Iterable[int]) -> np.ndarray:
+    """The positions as int64, or ValueError for a negative or non-integer one (never truncated)."""
+    try:
+        out = np.asarray(list(map(operator.index, positions)), dtype=np.int64)
+        if not (out < 0).any():
+            return out
+    except TypeError:
+        pass
+    raise ValueError("positions must be non-negative integers")
 
 
 def _group(q: Tensor, keys: Tensor, values: Tensor) -> int:

@@ -21,6 +21,8 @@ concurrent readers during a write. Distinct sessions are independent.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .config import ModelConfig
@@ -84,12 +86,17 @@ class RollingKvCache:
         followed by the block: the rows the block's queries read.
 
         The cache's one write and its one check: `append` and every engine
-        forward step come here, in the layout `gather` returns. A block
-        before the end is refused; one past it restarts the retained range
-        at its start once every check has passed, so a refused block leaves
-        the cache as it was. Equivalent to appending each row in order; rows
-        before the block's trailing `capacity` are never materialized.
+        forward step come here, in the layout `gather` returns. A block at a
+        non-integer start or before the end is refused; one past the end
+        restarts the retained range at its start once every check has
+        passed, so a refused block leaves the cache as it was. Equivalent to
+        appending each row in order; rows before the block's trailing
+        `capacity` are never materialized.
         """
+        try:
+            start_position = operator.index(start_position)
+        except TypeError:
+            raise ValueError(f"write position must be an integer, got {start_position!r}") from None
         if start_position < self.next_position:
             raise ValueError(f"out-of-order write: expected position {self.next_position}, got {start_position}")
         shape, (n_kv, _, head_dim) = k_block.shape, self.keys.shape

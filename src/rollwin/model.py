@@ -242,7 +242,10 @@ def reach_probe(weights: DecoderWeights, tokens, perturb_position: int, on_step=
     Once every layer's cache heads of stream 1 equal stream 0's again (no NaN
     row is left: after position perturb_position + n_layers*(W-1) + 1), the
     streams hold the same state and read the same tokens, so no later row
-    can differ: the session keeps stream 0 alone from there. After each
+    can differ: the session keeps stream 0 alone from there. The caches are
+    compared only after a step whose rows agree: past perturb_position each
+    layer's query reads exactly the rows its cache holds after the write,
+    so a step whose rows differ cannot leave equal caches. After each
     step, on_step(session, row) gets stream 0's logits over the real
     vocabulary; they and its cache heads are a one-stream session's.
     """
@@ -267,8 +270,8 @@ def reach_probe(weights: DecoderWeights, tokens, perturb_position: int, on_step=
             clean, probed = session.forward_decode(ids)
             if not np.array_equal(clean, probed):
                 reached.append(position)
-            same = all(np.array_equal(*a.reshape(2, -1)) for c in session.caches for a in (c.keys, c.values))
-            if position >= perturb_position and same:
+            elif position >= perturb_position and all(np.array_equal(*a.reshape(2, -1))
+                                                      for c in session.caches for a in (c.keys, c.values)):
                 session.keep_stream(0)
         if on_step:
             on_step(session, clean[:-1])

@@ -432,6 +432,16 @@ class TestRefusedBlockChangesNothing:
             cache.prefill_bulk(2, block, block)
         assert_same_cache(cache, before)
 
+    @pytest.mark.parametrize("start", [3.5, np.float64(10.0)], ids=["float", "numpy-float"])
+    def test_non_integer_start(self, cache, start):
+        before = copy.deepcopy(cache)
+        block = np.ones((2, 1, 8), np.float32)
+        with pytest.raises(ValueError, match="write position must be an integer"):
+            cache.prefill_bulk(start, block, block)
+        with pytest.raises(ValueError, match="write position must be an integer"):
+            cache.append(start, block[:, 0], block[:, 0])
+        assert_same_cache(cache, before)
+
     def test_accepted_block_past_the_end_still_restarts(self, cache):
         block = np.ones((2, 1, 8), np.float32)
         cache.prefill_bulk(10, block, block)

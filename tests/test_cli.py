@@ -5,7 +5,6 @@ import resource
 import struct
 import subprocess
 import sys
-import tomllib
 import warnings
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -598,6 +597,8 @@ def flags_id(flags):
 
 #: `rollwin verify --seed 0` stderr, by flags.
 GOLDEN_VERIFY = {
+    # Toy's prefill lengths reach past exact_reach (29), a continuation chunk of 30 tokens after 8 skips at a
+    # non-zero position, and one of 17 after 12 starts mid-window and reads the wrapped cache.
     (): (
         "oracle-equivalence: max |dlogit| 0.00e+00 over 64 steps: pass\n"
         "prefill-decode: max |dlogit| 0.00e+00 over lengths [1, 7, 8, 9, 24, 26, 29, 12+17, 30, 8+30], "
@@ -656,6 +657,7 @@ def _restart_before_long_runs(real):
 
 def test_console_script_runs_cli_entry(monkeypatch, capsys):
     # The installed `rollwin` command runs the target pyproject.toml names.
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+; pyproject.toml declares 3.10
     pyproject = tomllib.loads((Path(__file__).resolve().parent.parent / "pyproject.toml").read_text())
     module, _, name = pyproject["project"]["scripts"]["rollwin"].partition(":")
     entry = getattr(importlib.import_module(module), name)
@@ -668,18 +670,6 @@ def test_console_script_runs_cli_entry(monkeypatch, capsys):
 
 
 class TestVerify:
-    def test_default_toy_config_passes(self, capsys):
-        code, out, err = run_cli(capsys, "verify")
-        assert code == cli.EXIT_OK
-        assert out == ""
-        lines = [line for line in err.strip().splitlines() if line]
-        assert len(lines) == 4
-        assert all(line.endswith(": pass") for line in lines)
-        # Prefill lengths reach past exact_reach (29), a continuation chunk
-        # of 30 tokens after 8 skips at a non-zero position, and one of 17
-        # after 12 starts mid-window and reads the wrapped cache.
-        assert "over lengths [1, 7, 8, 9, 24, 26, 29, 12+17, 30, 8+30]," in lines[1]
-
     def test_one_stepped_session_serves_every_check(self, monkeypatch):
         # The reach probe's one session steps the stream and its tainted copy
         # max(length, probe_length) times: two streams until the copy's last
@@ -763,11 +753,11 @@ class TestVerify:
         assert code == cli.EXIT_OK
         assert "reach: affected <= 124, boundary exact: pass\n" in err
 
-    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("seed", range(1, 10))
     @pytest.mark.parametrize("flags", sorted(GOLDEN_VERIFY), ids=flags_id)
     def test_exact_at_every_seed(self, capsys, flags, seed):
         # Engine and oracle, and chunked and stepped runs, agree bit for bit
-        # at seeds 0-9 on every pinned config, not only at the golden seed.
+        # at seeds 1-9 on every pinned config, as at the golden seed 0.
         code, out, err = run_cli(capsys, "verify", *flags, "--seed", str(seed))
         assert (code, out) == (cli.EXIT_OK, "")
         lines = err.splitlines()
@@ -793,11 +783,6 @@ class TestVerify:
         )
         assert (proc.returncode, proc.stdout) == (cli.EXIT_OK, "")
         assert proc.stderr.endswith(GOLDEN_VERIFY[()])
-
-    def test_reach_override_line(self, capsys):
-        code, _, err = run_cli(capsys, "verify", "--window", "4", "--layers", "2")
-        assert code == cli.EXIT_OK
-        assert "reach: affected <= 6, boundary exact: pass" in err
 
     def test_corrupted_mask_fails_verification(self, capsys, monkeypatch):
         # Negative control: widen the window predicate by one key and the

@@ -1,6 +1,7 @@
 """`tools/pairs.py`: its summaries recompute the committed BENCH files from
-their `runs`, its decision rule claims a gain only as it states, and its
-call counts of a decode step are exact."""
+their `runs`, its decision rule claims a gain only as it states, its call
+counts of a decode step are exact, its bit check names each part whose
+digest differs, and every recorded `bits` section holds equal digests."""
 
 import importlib.util
 import json
@@ -14,6 +15,8 @@ import pytest
 import rollwin as rw
 
 ROOT = Path(__file__).resolve().parent.parent
+BENCH = {path.name: json.loads(path.read_text()) for path in ROOT.glob("BENCH_*.json")}
+DRIVER_FILES = sorted(name for name, report in BENCH.items() if report.get("protocol", "").startswith("tools/pairs.py"))
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +28,7 @@ def pairs():
 
 
 def recorded_metrics(name):
-    for workload, entry in json.loads((ROOT / name).read_text())["workloads"].items():
+    for workload, entry in BENCH[name]["workloads"].items():
         for metric, figures in entry["end_to_end"].items():
             yield workload, metric, figures
 
@@ -51,8 +54,7 @@ def test_summaries_recompute_from_the_recorded_runs(pairs, name):
 
 def test_the_drivers_own_file_recomputes_exactly(pairs):
     # The driver rounds the runs before it summarises them.
-    for name in ("BENCH_27.json", "BENCH_28.json", "BENCH_29.json", "BENCH_30.json", "BENCH_31.json",
-                 "BENCH_32.json", "BENCH_33.json", "BENCH_34.json"):
+    for name in DRIVER_FILES:
         for workload, metric, figures in recorded_metrics(name):
             compared = pairs.compare(figures["runs"], figures["better"], figures["bound"])
             assert {key: figures[key] for key in compared} == compared, (name, workload, metric)
@@ -99,16 +101,16 @@ class TestDecisionRule:
 
 
 def test_the_split_medians_recompute_from_the_recorded_processes(pairs):
-    for name in ("BENCH_31.json", "BENCH_34.json"):
-        split = json.loads((ROOT / name).read_text())["decode_step_split"]
+    for name in DRIVER_FILES[DRIVER_FILES.index("BENCH_31.json"):]:  # the split times lockstep steps since BENCH_31
+        split = BENCH[name]["decode_step_split"]
         for side in ("parent", "change"):
             assert pairs.split_medians(split["runs"][side]) == split[side], (name, side)
             assert set(split[side]["lockstep_us"]) == {str(streams) for streams in pairs.LOCKSTEP}
 
 
 def test_the_split_spread_recomputes_from_the_recorded_processes(pairs):
-    for name in ("BENCH_33.json", "BENCH_34.json"):
-        split = json.loads((ROOT / name).read_text())["decode_step_split"]
+    for name in DRIVER_FILES[DRIVER_FILES.index("BENCH_33.json"):]:  # and records its spread since BENCH_33
+        split = BENCH[name]["decode_step_split"]
         for side in ("parent", "change"):
             summary = pairs.summary([e["step_us"] for e in split["runs"][side]])
             assert summary == split["step_us_spread"][side], (name, side)
@@ -132,3 +134,18 @@ def test_the_stage_split_times_every_stage(pairs, tmp_path):
     assert set(split["lockstep_us"]) == {str(streams) for streams in pairs.LOCKSTEP}
     assert all(us > 0 for us in split["lockstep_us"].values())
     assert split["calls_per_step"]["python"] > 0 and split["calls_per_step"]["c"] > 0
+
+
+def test_differs_names_each_config_and_part_that_moved(pairs):
+    parent = {"configs": {"toy": {"engine": "a", "oracle": "b"}, "paper": {"engine": "c", "verify": "d"}}}
+    change = {"configs": {"toy": {"engine": "a", "oracle": "B"}, "paper": {"engine": "C", "verify": "d"}}}
+    assert pairs.differs(parent, parent) == []
+    assert pairs.differs(parent, change) == ["paper: engine", "toy: oracle"]
+
+
+@pytest.mark.parametrize("name", [name for name in DRIVER_FILES if "bits" in BENCH[name]])
+def test_recorded_bits_are_equal_at_both_levels(name):
+    bits = BENCH[name]["bits"]
+    assert bits["baseline"]["NPY_DISABLE_CPU_FEATURES"] and bits["baseline"]["cpu_dispatch_enabled"] == []
+    for level in ("default", "baseline"):
+        assert (bits[level]["change"], bits[level]["differs"]) == (bits[level]["parent"], []), level

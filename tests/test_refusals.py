@@ -68,10 +68,18 @@ REFUSALS = {
                                                     np.ones((3, 3), bool)), "not \\[heads, rows, head_dim\\]"),
     "gqa-attend-head-dim": (lambda: rw.gqa_attend(ones(4, 3, 4), ones(2, 3, 8), ones(2, 3, 8),
                                                   np.ones((3, 3), bool)), "not \\[heads, rows, head_dim\\]"),
+    # The masks refuse a position they would truncate, as rope_table does.
+    "swa-mask-float-query": (lambda: rw.build_swa_mask([2.7], [1], 2), "non-negative integers"),
+    "swa-mask-numpy-float-key": (lambda: rw.build_swa_mask([2], [np.float64(1.0)], 2), "non-negative integers"),
+    "prefill-mask-float-cache-position": (lambda: rw.build_prefill_mask(4, 2, [2.5, 3], 4), "non-negative integers"),
     "score-pair-count-length": (lambda: rw.score_pair_count(0, 4), "seq_len must be >= 1"),
     "cache-capacity": (lambda: rw.RollingKvCache(2, 0, 8), "capacity must be >= 1"),
     "prefill-bulk-before-the-end": (lambda: cache_at_3().prefill_bulk(2, ones(2, 1, 8), ones(2, 1, 8)),
                                     "out-of-order write: expected position 3, got 2"),
+    "prefill-bulk-float-start": (lambda: cache_at_3().prefill_bulk(3.5, ones(2, 1, 8), ones(2, 1, 8)),
+                                 "write position must be an integer"),
+    "append-float-position": (lambda: cache_at_3().append(np.float64(3.0), ones(2, 8), ones(2, 8)),
+                              "write position must be an integer"),
     "prefill-bulk-kv-heads": (lambda: cache_at_3().prefill_bulk(3, ones(3, 1, 8), ones(3, 1, 8)), "block shapes"),
     "prefill-bulk-head-dim": (lambda: cache_at_3().prefill_bulk(3, ones(2, 1, 4), ones(2, 1, 4)), "block shapes"),
     "prefill-bulk-k-v-differ": (lambda: cache_at_3().prefill_bulk(3, ones(2, 1, 8), ones(2, 2, 8)), "block shapes"),

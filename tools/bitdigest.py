@@ -14,8 +14,8 @@ For each config it hashes the float32 bytes of:
   each seed.
 
 It prints one JSON object: the digests by config, one digest over all of
-them, and the numpy version with numpy's CPU dispatch targets and those
-enabled. The bits follow numpy's SIMD loops, which differ between hosts
+them, the file of the rollwin it digested, and the numpy version with
+numpy's CPU dispatch targets and those enabled. The bits follow numpy's SIMD loops, which differ between hosts
 and dispatch levels (`NPY_DISABLE_CPU_FEATURES`), so compare two outputs
 only from one host at one dispatch level.
 """
@@ -124,6 +124,7 @@ def digest(names=tuple(CONFIGS), verify_seeds=range(10)) -> dict:
             entry["verify"], entry["verify_exit"] = verify_digest(flags, verify_seeds)
         configs[name] = entry
     return {
+        "rollwin": rw.__file__,
         "numpy": np.__version__,
         "python": platform.python_version(),
         **_dispatch(),

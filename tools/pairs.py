@@ -1,9 +1,10 @@
-"""Paired benchmark runs of two revisions, written as one BENCH file.
+"""The one comparison of a change with its parent, written as one BENCH file.
 
     python tools/pairs.py --parent HEAD~1 --change HEAD --seed 2701 --out BENCH_27.json
-    python tools/pairs.py --parent HEAD --change HEAD --pairs 1 --seconds 2
+    python tools/pairs.py --parent HEAD^ --change HEAD --pairs 1 --seconds 2 --split 1
 
-Each revision's `src/` and `perfbench/` are exported with `git archive` into
+Each revision's `src/`, `perfbench/`, `tests/paper_shape.json` and
+`tools/bitdigest.py` are exported with `git archive` into
 `.bench_build/pairs/<commit>/`, and its `perfbench/run.py` runs there as it
 is, one process per run, with `--trace 0`. Pair i (from 1) uses seed
 `--seed + i - 1`; the parent runs first in odd pairs and the change in even
@@ -21,14 +22,15 @@ MIN_PAIRS pairs, when the change is better in at least 9 of every 10 pairs
 by more than the parent's IQR. A metric whose change median is worse by more
 than its `bound` is a regression.
 
-`--split` adds the in-process per-stage split of a toy decode step, one
-process per side and round, sides alternating, both loading one weight file,
-with the benchmark's host-speed probe kernel run after each step, and the
-step's exact Python and C call counts (`step_calls`); beside it, the time of
-one step of LOCKSTEP streams stepped together, timed the same way, and the
-spread of each side's per-process step times (`step_us_spread`).
-The file is written in full either way; the exit status is 1 if a run is not
-correct or any operation failed.
+`--split ROUNDS` adds `decode_step_split`: `stage_split` run in ROUNDS
+processes a side, sides alternating, and the spread of their step times.
+
+Last, so that they load no timed run, the change's `tools/bitdigest.py`
+digests both trees, each its own `src/`, at numpy's default dispatch and at
+its baseline (every dispatch target disabled). `bits` holds both digests
+per level and each `config: part` that differs. The file is written in
+full either way; the exit status is 1 if a run is not correct, an
+operation failed or the bits differ at either level.
 """
 
 from __future__ import annotations
@@ -61,30 +63,31 @@ STAGES = (("model", "GenerationSession", "_qkv"), ("cache", "RollingKvCache", "p
           ("attention", "", "window_attend"), ("model", "GenerationSession", "_residual_ffn"),
           ("tensor", "", "rope_table"))
 
+#: Files whose presence marks a whole export: the benchmark, and the bit tool with the config it reads.
+EXPORTED = ("perfbench/run.py", "tests/paper_shape.json", "tools/bitdigest.py")
+
 
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
 
 
 def export(revision: str) -> tuple[str, Path]:
-    """The commit of revision and a directory holding its src/ and perfbench/."""
+    """The commit of revision and a directory holding its src/ and EXPORTED."""
     commit = git("rev-parse", "--verify", f"{revision}^{{commit}}")
     tree = ROOT / ".bench_build" / "pairs" / commit[:12]
-    if not (tree / "perfbench" / "run.py").is_file():
-        archive = subprocess.run(["git", "archive", commit, "src", "perfbench"], cwd=ROOT, check=True,
-                                 capture_output=True).stdout
+    if not all((tree / path).is_file() for path in EXPORTED):
+        archive = subprocess.run(["git", "archive", commit, "src", "perfbench", *EXPORTED[1:]], cwd=ROOT,
+                                 check=True, capture_output=True).stdout
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tree, filter="data")
     return commit, tree
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one `perfbench/run.py` run in tree."""
-    command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-               "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(command, cwd=tree, capture_output=True, text=True)
+def run_json(tree: Path, *args: str, env: dict | None = None) -> dict:
+    """The last stdout line, as JSON, of one `python ARGS` process run in tree."""
+    proc = subprocess.run([sys.executable, *args], cwd=tree, env=env, capture_output=True, text=True)
     if proc.returncode != 0:
-        raise RuntimeError(f"{' '.join(command)} in {tree} exited {proc.returncode}: {proc.stderr[-2000:]}")
+        raise RuntimeError(f"{' '.join(args)} in {tree} exited {proc.returncode}: {proc.stderr[-2000:]}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -110,13 +113,13 @@ def compare(runs: dict, better: str, bound: float) -> dict:
     }
 
 
-def measure(parent_tree: Path, change_tree: Path, pairs: int, seed: int, seconds: float, metrics: list) -> dict:
-    sides = {"parent": parent_tree, "change": change_tree}
+def measure(sides: dict, pairs: int, seed: int, seconds: float, metrics: list) -> dict:
     results = {w: [] for w in WORKLOADS}
     for pair in range(1, pairs + 1):
         order = ("parent", "change") if pair % 2 else ("change", "parent")
         for workload in WORKLOADS:
-            line = {side: run_once(sides[side], workload, seed + pair - 1, seconds) for side in order}
+            line = {side: run_json(sides[side], "perfbench/run.py", "--workload", workload, "--seed",
+                                   str(seed + pair - 1), "--seconds", str(seconds), "--trace", "0") for side in order}
             results[workload].append(line)
             print(f"pair {pair} {workload}: " + ", ".join(
                 f"{side} {line[side]['metrics']['latency_ms_p50']['value']:.4f} ms" for side in order),
@@ -166,15 +169,22 @@ def step_calls(rw, weights, tokens) -> dict:
 def stage_split(src: Path, weight_path: Path, rounds: int = 9, steps: int = 80) -> dict:
     """Per-step microseconds of a toy decode step on a full window, in this process.
 
-    Each step is timed as `decode_steady` times it: by `perfbench/clock.py`'s
-    `Probe.time` with `decode_steady`'s probe shape, which runs the host-speed
-    probe kernel after the step, so the next step starts after that work as
-    in the benchmark (a back-to-back loop ranked cuts differently). The step
-    is timed bare, then with each stage wrapped in a `time.perf_counter`
-    accumulator. `rest` is the wrapped step less its stages and the wrappers'
-    own cost, that is forward_chunk's bookkeeping, the final norm and the
-    logits product. `lockstep_us` is a bare step of one session of 2, 4 and
-    8 streams, whose rows share every product. `calls_per_step` is
+    PRESET_TOY weights come from one weight file (init_random seed 1, saved
+    once) loaded by the tree's own load_weights; each round prefills 8
+    tokens and takes 32 warm-up steps, then 80 timed steps, mean per step,
+    median of 9 rounds. Each step is timed in wall time as `decode_steady`
+    times it: by `perfbench/clock.py`'s `Probe.time` with `decode_steady`'s
+    probe shape, which runs the host-speed probe kernel after the step, so
+    the next step starts after that work as in the benchmark (a back-to-back
+    loop ranked cuts differently). The step is timed bare, then with each
+    stage wrapped in a `time.perf_counter` accumulator: `stages_us` per step,
+    where _qkv, prefill_bulk, window_attend and _residual_ffn run once per
+    layer (4) and rope_table once. `rest_us` is the wrapped step less its
+    stages and the wrappers' own cost, that is forward_chunk's bookkeeping,
+    the final norm and the logits product. `lockstep_us[S]` is a bare step
+    of one session of S = 2, 4 or 8 streams, timed the same way over its own
+    tokens (default_rng(1)), one token per stream and step; its rows share
+    every product, and a row costs lockstep_us[S] / S. `calls_per_step` is
     `step_calls`, counted before any stage is wrapped.
     """
     sys.path.insert(0, str(src))
@@ -247,36 +257,47 @@ def split_medians(entries: list[dict]) -> dict:
     return out
 
 
-def split(parent_tree: Path, change_tree: Path, rounds: int) -> dict:
+def split(trees: dict, rounds: int) -> dict:
     weight_path = ROOT / ".bench_build" / "pairs" / "split-toy.mwdc"
     weight_path.unlink(missing_ok=True)
     runs = {"parent": [], "change": []}
     for i in range(rounds):
         for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-            tree = parent_tree if side == "parent" else change_tree
-            command = [sys.executable, __file__, "--stage-split", str(tree / "src"), str(weight_path)]
-            runs[side].append(json.loads(subprocess.run(command, check=True, capture_output=True, text=True).stdout))
-
+            runs[side].append(run_json(ROOT, __file__, "--stage-split", str(trees[side] / "src"), str(weight_path)))
     return {
-        "method": stage_split.__doc__.split("\n\n")[0].strip() + " PRESET_TOY weights from one weight file "
-                  "(init_random seed 1, saved once) loaded by each side's own load_weights; prefill 8 tokens, "
-                  "32 warm-up steps, 80 timed steps, mean per step, median of 9 rounds per process. Each step "
-                  "is timed in wall time by perfbench/clock.py's Probe.time with decode_steady's probe shape, which "
-                  "runs the host-speed probe kernel after the step, as decode_steady does between its steps. "
-                  "The figures are medians "
-                  f"over {rounds} processes per side, sides alternating. lockstep_us is the bare step of one "
-                  f"session of S streams, for S in {', '.join(map(str, LOCKSTEP))}, timed the same way over its own "
-                  "tokens (default_rng(1)), one token per stream and step; a row costs lockstep_us[S] / S. "
-                  "stages_us is per step: _qkv, prefill_bulk, "
-                  "window_attend and _residual_ffn run once per layer (4), rope_table once per step. "
-                  "calls_per_step counts the Python and C function calls of one such step with sys.setprofile "
-                  "(the same in every process of a side), which does not see ufunc calls or numpy operators. "
-                  "step_us_spread summarises each side's per-process step_us as the end-to-end metrics are "
-                  "summarised; a step_us difference inside the parent's IQR is unresolved.",
+        "method": " ".join(stage_split.__doc__.split()) + f" The figures are medians over {rounds} processes per "
+                  "side, sides alternating; step_us_spread summarises each side's per-process step_us as the "
+                  "end-to-end metrics are summarised, so a step_us difference inside the parent's IQR is unresolved.",
         "parent": split_medians(runs["parent"]), "change": split_medians(runs["change"]),
         "step_us_spread": {side: summary([e["step_us"] for e in entries]) for side, entries in runs.items()},
         "runs": runs,
     }
+
+
+def differs(parent: dict, change: dict) -> list[str]:
+    """Each `config: part` whose digest differs between two outputs of one tools/bitdigest.py."""
+    return [f"{name}: {part}" for name, parts in sorted(change["configs"].items()) for part in sorted(parts)
+            if parent["configs"][name][part] != parts[part]]
+
+
+def bits(trees: dict, change: str) -> dict:
+    """Both trees' digests by the change's tool at numpy's default dispatch, then at its baseline."""
+    tool = git("show", f"{change}:tools/bitdigest.py") + "\n"
+    for tree in trees.values():
+        (tree / "tools" / "bitdigest.py").write_text(tool)
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    out = {}
+    for level in ("default", "baseline"):
+        digests = {side: run_json(tree, "tools/bitdigest.py", env=env) for side, tree in trees.items()}
+        for side, tree in trees.items():  # each tree's src/ must shadow an installed rollwin
+            if not Path(digests[side]["rollwin"]).resolve().is_relative_to((tree / "src").resolve()):
+                raise RuntimeError(f"tools/bitdigest.py in {tree} imported {digests[side]['rollwin']}, not its src/")
+        out[level] = {"NPY_DISABLE_CPU_FEATURES": env.get("NPY_DISABLE_CPU_FEATURES", ""),
+                      "cpu_dispatch_enabled": digests["change"]["cpu_dispatch_enabled"],
+                      **{side: d["digest"] for side, d in digests.items()}, "differs": differs(*digests.values())}
+        print(f"bits at {level} dispatch: {json.dumps(out[level])}", file=sys.stderr)
+        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(digests["change"]["cpu_dispatch"])
+    return out
 
 
 def main(argv=None) -> int:
@@ -297,6 +318,7 @@ def main(argv=None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = args.seconds if args.seconds is not None else benchmark["run_seconds"]
     (parent, parent_tree), (change, change_tree) = export(args.parent), export(args.change)
+    trees = {"parent": parent_tree, "change": change_tree}
     import numpy as np
     report = {
         "change": git("log", "-1", "--format=%s", change),
@@ -305,28 +327,31 @@ def main(argv=None) -> int:
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0",
         "protocol": f"tools/pairs.py: {args.pairs} pairs per workload, seeds {args.seed}-{args.seed + args.pairs - 1}, "
                     "parent first in odd pairs and change first in even pairs; each side in its own git archive "
-                    f"export (src/ and perfbench/); in each pair the workloads ran in the order {', '.join(WORKLOADS)}, "
-                    "the pair's two sides of each back to back. Summaries as in the tools/pairs.py docstring; "
-                    f"a gain needs >= {MIN_PAIRS} pairs, >= 9/10 of them better and a median gap above the parent's IQR.",
+                    "export (src/, perfbench/, tests/paper_shape.json, tools/bitdigest.py); in each pair the "
+                    f"workloads ran in the order {', '.join(WORKLOADS)}, the pair's two sides of each back to back. "
+                    f"Summaries as in the tools/pairs.py docstring; a gain needs >= {MIN_PAIRS} pairs, >= 9/10 of "
+                    "them better and a median gap above the parent's IQR.",
         "host": {"nproc": os.cpu_count(), "machine": platform.machine(),
                  "python": platform.python_version(), "numpy": np.__version__},
-        "workloads": measure(parent_tree, change_tree, args.pairs, args.seed, seconds, benchmark["end_to_end"]),
+        "workloads": measure(trees, args.pairs, args.seed, seconds, benchmark["end_to_end"]),
     }
     report["claims"] = [f"{w} {m}" for w, entry in report["workloads"].items()
                         for m, e in entry["end_to_end"].items() if e["gain"]]
     report["regressions"] = [f"{w} {m}" for w, entry in report["workloads"].items()
                              for m, e in entry["end_to_end"].items() if e["regression"]]
     if args.split:
-        report["decode_step_split"] = split(parent_tree, change_tree, args.split)
+        report["decode_step_split"] = split(trees, args.split)
+    report["bits"] = bits(trees, change)
     text = json.dumps(report, indent=1)
     if args.out:
         Path(args.out).write_text(text + "\n")
     else:
         print(text)
     bad = [w for w, e in report["workloads"].items() if not e["correct"] or any(e["failed"].values())]
-    print(f"claims: {report['claims']}; regressions: {report['regressions']}; not correct or failed: {bad}",
-          file=sys.stderr)
-    return 1 if bad else 0
+    moved = [level for level in ("default", "baseline") if report["bits"][level]["differs"]]
+    print(f"claims: {report['claims']}; regressions: {report['regressions']}; not correct or failed: {bad}; "
+          f"bits differ at: {moved}", file=sys.stderr)
+    return 1 if bad or moved else 0
 
 
 if __name__ == "__main__":
