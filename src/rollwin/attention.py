@@ -51,6 +51,10 @@ def build_prefill_mask(
     the combined key list, which checks the window and the positions, so
     the admissibility rule lives in one place.
     """
+    try:
+        chunk_start, chunk_len = operator.index(chunk_start), operator.index(chunk_len)
+    except TypeError:
+        raise ValueError(f"chunk start and length must be integers, got {chunk_start!r}, {chunk_len!r}") from None
     if chunk_len < 1:
         raise ValueError(f"chunk_len must be >= 1, got {chunk_len}")
     cached = _positions(cache_positions).tolist()
@@ -128,11 +132,12 @@ def window_attend(q: Tensor, keys: Tensor, values: Tensor, window: int) -> Tenso
     under a mask; the steady state has none and runs softmax unmasked.
     Query heads sit as rows on the kv head they read, so K/V are never
     repeated per query head, and a call is one scores product, one softmax
-    and one AV product for all heads. One query (every decode step) forms
-    both products' float32 terms itself from its last min(n_k, W) rows, as
-    matmul's one-row multiply does, if each reduce keeps over one output and
-    each product is at most BLOCK_ELEMENTS terms; it normalizes with the
-    same softmax_stable.
+    and one AV product for all heads. One query (every decode step) reads
+    only its last min(n_k, W) rows, never padded or masked, so a decode step
+    scores n_heads * min(position + 1, W) pairs. It forms both products'
+    float32 terms itself, as matmul's one-row multiply does, if each reduce
+    keeps over one output and each product is at most BLOCK_ELEMENTS terms;
+    it normalizes with the same softmax_stable.
 
     Bit-identical to gqa_attend under build_swa_mask over the same keys:
     every admissible score is the same ordered dot product, and the keys
@@ -146,9 +151,10 @@ def window_attend(q: Tensor, keys: Tensor, values: Tensor, window: int) -> Tenso
     if n_k < n_q:
         raise ValueError(f"k/v shapes {keys.shape}/{values.shape} do not fit {n_q} queries")
 
+    window = min(window, n_k) if n_q == 1 else window  # one query: the rows there are, so no pad or mask
     scale = tensor._float32(math.sqrt(head_dim))
-    if n_q == 1 and n_heads * min(n_k, window, head_dim) > 1 and n_heads * window * head_dim <= tensor.BLOCK_ELEMENTS:
-        # [head_dim, n_kv, group, w] score and [w, n_kv, group, head_dim] AV terms, w = min(n_k, W). Each reduce
+    if n_q == 1 and n_heads * min(window, head_dim) > 1 and n_heads * window * head_dim <= tensor.BLOCK_ELEMENTS:
+        # [head_dim, n_kv, group, window] score and [window, n_kv, group, head_dim] AV terms. Each reduce
         # keeps more than one output: numpy would sum a lone reduced axis pairwise, not in order.
         terms = np.multiply(q.T.reshape(head_dim, n_kv, group, 1), keys.transpose(2, 0, 1)[:, :, np.newaxis, -window:],
                             order="C", dtype=tensor._F32)

@@ -342,3 +342,34 @@ def test_every_decode_step_attends_with_one_softmax_and_no_matmul_or_band(toy_we
         calls.clear()
     monkeypatch.undo()
     assert np.array_equal(np.stack(logits), rw.oracle_forward_swa(toy_weights, toy_config, tokens))
+
+
+#: Four heads of 64 at W 512: past the one-query bound, n_heads * W * head_dim
+#: over BLOCK_ELEMENTS, which a one-query window of 256 keys reaches.
+PAST_THE_BOUND = rw.ModelConfig(dim=256, n_layers=1, head_dim=64, hidden_dim=64, n_heads=4, n_kv_heads=2,
+                                window_size=512, context_len=520, vocab_size=64)
+
+
+def test_a_decode_step_scores_only_its_window_past_the_one_query_bound(monkeypatch):
+    # Up to 256 keys a decode step takes the one-query path, from 257 the band
+    # path; on both sides of the bound its one softmax_stable input holds
+    # n_heads * min(position + 1, W) scores, unmasked, and never W slots
+    # padded from position 0. The logits are the oracle's.
+    config, window = PAST_THE_BOUND, PAST_THE_BOUND.window_size
+    weights, tokens = rw.init_random(config, 7), random_tokens(window + 1, seed=7, vocab=config.vocab_size)
+    expected, softmax, calls = rw.oracle_forward_swa(weights, config, tokens), tensor.softmax_stable, []
+
+    def counting_softmax(x, masked=None):
+        calls.append((x.size, masked is None))
+        return softmax(x, masked)
+
+    for position in (0, 1, 255, 256, window - 1, window):
+        session = rw.GenerationSession(weights)
+        if position:
+            session.prefill(tokens[:position])
+        with monkeypatch.context() as patch:
+            patch.setattr(tensor, "softmax_stable", counting_softmax)
+            logits = session.forward_decode(tokens[position])
+        assert calls == [(config.n_heads * min(position + 1, window), True)], position
+        assert np.array_equal(logits, expected[position]), position
+        calls.clear()

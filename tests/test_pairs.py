@@ -84,6 +84,8 @@ class TestDecisionRule:
     def test_fewer_than_ten_pairs_claim_nothing(self, pairs):
         verdict = pairs.compare({"parent": [100.0], "change": [50.0]}, "lower", 0.2)
         assert verdict["change_better_pairs"] == 1 and not verdict["gain"]
+        verdict = pairs.compare({"parent": [100.0], "change": [150.0]}, "lower", 0.2)  # 50% worse, bound 20%
+        assert verdict["change_better_pairs"] == 0 and not verdict["regression"]
 
     def test_direction_follows_the_metric(self, pairs):
         change = [110] * 10

@@ -72,6 +72,8 @@ REFUSALS = {
     "swa-mask-float-query": (lambda: rw.build_swa_mask([2.7], [1], 2), "non-negative integers"),
     "swa-mask-numpy-float-key": (lambda: rw.build_swa_mask([2], [np.float64(1.0)], 2), "non-negative integers"),
     "prefill-mask-float-cache-position": (lambda: rw.build_prefill_mask(4, 2, [2.5, 3], 4), "non-negative integers"),
+    "prefill-mask-float-start": (lambda: rw.build_prefill_mask(2.5, 2, [], 4), "start and length must be integers"),
+    "prefill-mask-float-length": (lambda: rw.build_prefill_mask(2, 2.0, [], 4), "start and length must be integers"),
     "score-pair-count-length": (lambda: rw.score_pair_count(0, 4), "seq_len must be >= 1"),
     "cache-capacity": (lambda: rw.RollingKvCache(2, 0, 8), "capacity must be >= 1"),
     "prefill-bulk-before-the-end": (lambda: cache_at_3().prefill_bulk(2, ones(2, 1, 8), ones(2, 1, 8)),

@@ -16,11 +16,12 @@ interpolation), min, max, IQR, `change_better_pairs` (strictly better, in
 the metric's direction) and `median_change` (change median over parent
 median, less 1).
 
-Decision rule, per workload and metric: a gain is claimed only with at least
-MIN_PAIRS pairs, when the change is better in at least 9 of every 10 pairs
-(a sign test gives p = 0.011 at 9 of 10) and its median beats the parent's
-by more than the parent's IQR. A metric whose change median is worse by more
-than its `bound` is a regression.
+Decision rule, per workload and metric, read only with at least MIN_PAIRS
+pairs: a gain is claimed when the change is better in at least 9 of every
+10 pairs (a sign test gives p = 0.011 at 9 of 10) and its median beats the
+parent's by more than the parent's IQR; a metric whose change median is
+worse by more than its `bound` is a regression. With fewer pairs the report
+claims neither and says why in `unresolved`.
 
 `--split ROUNDS` adds `decode_step_split`: `stage_split` run in ROUNDS
 processes a side, sides alternating, and the spread of their step times.
@@ -52,7 +53,7 @@ ROOT = Path(__file__).resolve().parent.parent
 #: The order the workloads run in within a pair.
 WORKLOADS = ("verify_sweep", "decode_steady", "prefill_long")
 
-#: Fewest pairs on which a gain can be claimed.
+#: Fewest pairs on which a gain or a regression is read.
 MIN_PAIRS = 10
 
 #: Stream counts of the lockstep steps that the split times beside the one-stream step.
@@ -109,7 +110,7 @@ def compare(runs: dict, better: str, bound: float) -> dict:
         "parent": parent, "change": change, "change_better_pairs": wins,
         "median_change": round(change["median"] / parent["median"] - 1, 4) if parent["median"] else None,
         "gain": pairs >= MIN_PAIRS and wins >= 0.9 * pairs and gap > parent["iqr"],
-        "regression": -gap > bound * abs(parent["median"]),
+        "regression": pairs >= MIN_PAIRS and -gap > bound * abs(parent["median"]),
     }
 
 
@@ -329,8 +330,8 @@ def main(argv=None) -> int:
                     "parent first in odd pairs and change first in even pairs; each side in its own git archive "
                     "export (src/, perfbench/, tests/paper_shape.json, tools/bitdigest.py); in each pair the "
                     f"workloads ran in the order {', '.join(WORKLOADS)}, the pair's two sides of each back to back. "
-                    f"Summaries as in the tools/pairs.py docstring; a gain needs >= {MIN_PAIRS} pairs, >= 9/10 of "
-                    "them better and a median gap above the parent's IQR.",
+                    f"Summaries as in the tools/pairs.py docstring; a gain or a regression needs >= {MIN_PAIRS} pairs, "
+                    "a gain >= 9/10 of them better and a median gap above the parent's IQR.",
         "host": {"nproc": os.cpu_count(), "machine": platform.machine(),
                  "python": platform.python_version(), "numpy": np.__version__},
         "workloads": measure(trees, args.pairs, args.seed, seconds, benchmark["end_to_end"]),
@@ -339,6 +340,10 @@ def main(argv=None) -> int:
                         for m, e in entry["end_to_end"].items() if e["gain"]]
     report["regressions"] = [f"{w} {m}" for w, entry in report["workloads"].items()
                              for m, e in entry["end_to_end"].items() if e["regression"]]
+    if args.pairs < MIN_PAIRS:
+        report["unresolved"] = (f"{args.pairs} pairs per workload, fewer than the {MIN_PAIRS} the decision rule "
+                                "needs: no gain or regression is read")
+        print(f"unresolved: {report['unresolved']}", file=sys.stderr)
     if args.split:
         report["decode_step_split"] = split(trees, args.split)
     report["bits"] = bits(trees, change)
