@@ -353,8 +353,8 @@ PAST_THE_BOUND = rw.ModelConfig(dim=256, n_layers=1, head_dim=64, hidden_dim=64,
 def test_a_decode_step_scores_only_its_window_past_the_one_query_bound(monkeypatch):
     # Up to 256 keys a decode step takes the one-query path, from 257 the band
     # path; on both sides of the bound its one softmax_stable input holds
-    # n_heads * min(position + 1, W) scores, unmasked, and never W slots
-    # padded from position 0. The logits are the oracle's.
+    # n_heads * min(position + 1, W) scores, unmasked, and the logits are
+    # the oracle's.
     config, window = PAST_THE_BOUND, PAST_THE_BOUND.window_size
     weights, tokens = rw.init_random(config, 7), random_tokens(window + 1, seed=7, vocab=config.vocab_size)
     expected, softmax, calls = rw.oracle_forward_swa(weights, config, tokens), tensor.softmax_stable, []
