@@ -2,7 +2,7 @@
 """Autoregressive generation over the rolling cache, checked against the
 full-history oracle.
 
-The engine keeps W entries per layer no matter how long the run gets; the
+The engine keeps W - 1 entries per layer no matter how long the run gets; the
 oracle stores everything and recomputes attention over the whole past. Both
 produce the same logits, so the bounded memory costs nothing.
 """

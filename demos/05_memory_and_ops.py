@@ -23,7 +23,7 @@ for length in (4096, 8192, 16384, 32768, 65536, 131072):
     full = rw.full_pair_count(length)
     swa = rw.score_pair_count(length, W)
     unbounded_mb = length * entry_bytes * cfg.n_layers / 2**20
-    rolling_mb = min(length, W) * entry_bytes * cfg.n_layers / 2**20
+    rolling_mb = min(length, rw.cache_slots(W)) * entry_bytes * cfg.n_layers / 2**20
     ratio = rw.cache_memory_ratio(length, cfg)
     print(
         f"{length:>8} {full:>14,} {swa:>14,} {full / swa:>7.2f}x "

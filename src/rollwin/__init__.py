@@ -21,6 +21,7 @@ from .config import (
     ConfigError,
     ModelConfig,
     cache_memory_ratio,
+    cache_slots,
     config_to_json,
     exact_reach,
     parse_config,
@@ -77,6 +78,7 @@ __all__ = [
     "build_prefill_mask",
     "build_swa_mask",
     "cache_memory_ratio",
+    "cache_slots",
     "config_to_json",
     "exact_reach",
     "full_pair_count",

@@ -8,6 +8,9 @@ projections produce and its attention reads. Reads return the retained
 positions in ascending order whatever the slot layout: up to `capacity`
 consecutive positions fill at most two contiguous slot runs (up to the
 last slot, then from slot 0), and every read and write goes through them.
+An engine session gives each layer `config.cache_slots(W)` slots, W - 1 for
+a window of W keys: a query takes its own key from the block it is in, so
+the cache holds only rows that a later query reads.
 
 A write before the cache's end is refused; one past it restarts there: the
 retained range starts at the block and grows with each write, as if the
@@ -25,7 +28,7 @@ import operator
 
 import numpy as np
 
-from .config import ModelConfig
+from .config import ModelConfig, cache_slots
 from .tensor import Tensor
 
 
@@ -133,5 +136,5 @@ def position_bytes(config: ModelConfig) -> int:
 
 
 def new_cache(config: ModelConfig) -> RollingKvCache:
-    """Fresh empty cache sized by the config: window_size slots per kv head."""
-    return RollingKvCache(config.n_kv_heads, config.window_size, config.head_dim)
+    """Fresh empty cache sized by the config: `cache_slots` rows per kv head."""
+    return RollingKvCache(config.n_kv_heads, cache_slots(config.window_size), config.head_dim)

@@ -33,6 +33,7 @@ from .config import (
     PRESET_TOY,
     ConfigError,
     ModelConfig,
+    cache_slots,
     exact_reach,
     parse_config,
 )
@@ -53,8 +54,8 @@ EXIT_VERIFY = 4
 #: any allocation, so a config with 10**12 layers fails fast.
 MAX_RANDOM_PARAMETERS = 2**26
 
-#: Most rolling-cache bytes a session may allocate: 256 MiB, against 96 KiB
-#: for the desk preset and 8 KiB for the toy. The caches do not depend on
+#: Most rolling-cache bytes a session may allocate: 256 MiB, against 94.5 KiB
+#: for the desk preset and 7 KiB for the toy. The caches do not depend on
 #: the weights, so a small model with a huge window_size fits the parameter
 #: cap; this is checked before any GenerationSession is built.
 MAX_CACHE_BYTES = 2**28
@@ -106,7 +107,7 @@ def _check_random_size(config: ModelConfig) -> None:
 
 
 def _check_cache_size(config: ModelConfig) -> None:
-    size = config.n_layers * config.window_size * position_bytes(config)
+    size = config.n_layers * cache_slots(config.window_size) * position_bytes(config)
     if size > MAX_CACHE_BYTES:
         raise UsageError(f"config too large for the rolling caches: {size} bytes exceed {MAX_CACHE_BYTES}")
 
@@ -293,14 +294,15 @@ def run_verification(config: ModelConfig, seed: int) -> list[CheckResult]:
     )
 
     # Cache memory stops growing once the window is full: the K/V bytes held
-    # after `length` steps equal those after W, with W entries in every layer.
+    # after `length` steps equal those after W, with `cache_slots` entries in every layer.
     held = {p: sum(k.nbytes + v.nbytes for _, k, v in snapshots[p]) for p in (window, length)}
+    slots = cache_slots(window)
     checks.append(
         CheckResult(
             "cache-bound",
             f"{held[length]} bytes after {length} tokens == "
-            f"{held[window]} after {window}; {window} entries/layer",
-            held[length] == held[window] and all(len(p) == window for p, _, _ in snapshots[length]),
+            f"{held[window]} after {window}; {slots} entries/layer",
+            held[length] == held[window] and all(len(p) == slots for p, _, _ in snapshots[length]),
         )
     )
     return checks
@@ -358,7 +360,7 @@ def cmd_bench(args) -> int:
     for length, window in scenarios:
         swa_pairs = attention.score_pair_count(length, window)
         full_pairs = attention.full_pair_count(length)
-        rolling_bytes = entry_bytes * min(length, window)
+        rolling_bytes = entry_bytes * min(length, cache_slots(window))
         unbounded_bytes = entry_bytes * length
         row = {
             "seq_len": length,

@@ -117,6 +117,16 @@ def exact_reach(config: ModelConfig) -> int:
     return config.n_layers * (config.window_size - 1) + 1
 
 
+def cache_slots(window_size: int) -> int:
+    """Rows a layer's rolling cache holds: max(W - 1, 1) for a window of W keys.
+
+    A query reads its own key from the step that computes it and the W - 1
+    positions before it from the cache, so a row older than those is never
+    read again. A cache has at least one slot; at W = 1 no query reads it.
+    """
+    return max(window_size - 1, 1)
+
+
 def token_ids(config: ModelConfig, tokens) -> list[int]:
     """The ids as ints; ValueError for a non-integer (never truncated) or out-of-vocabulary id."""
     try:
@@ -132,4 +142,4 @@ def cache_memory_ratio(seq_len: int, config: ModelConfig) -> float:
     """Unbounded-history cache entries over rolling-cache entries at seq_len."""
     if seq_len < 1:
         raise ValueError(f"seq_len must be >= 1, got {seq_len}")
-    return seq_len / min(seq_len, config.window_size)
+    return seq_len / min(seq_len, cache_slots(config.window_size))

@@ -7,8 +7,9 @@ Weights are shared and immutable; a GenerationSession owns the mutable state
 of `streams` stepped in lockstep; a caller reads positions and cache bytes.
 `forward_chunk` is the only layer loop: decode is a chunk of one token, and
 a prompt runs in chunks of W positions, as in the paper. A session keeps the
-last row's logits and each layer's last W K/V rows, and a query reads W - 1
-positions back, so layer l (from 0) of a run of n tokens computes and caches
+last row's logits and each layer's last max(W - 1, 1) K/V rows
+(`cache_slots`): a query reads its own key from its chunk and the W - 1
+positions before it, so layer l (from 0) of a run of n tokens computes and caches
 K/V for its last kv_l = min(n, exact_reach - l*(W-1)) rows (its cache
 restarts at the first when that is past its end) and queries, Wo and the
 feed-forward for its last kv_{l+1} rows (one row at the last layer): prefill
@@ -40,7 +41,7 @@ import numpy as np
 
 from . import attention, tensor
 from .cache import RollingKvCache
-from .config import exact_reach, token_ids
+from .config import cache_slots, exact_reach, token_ids
 from .tensor import Tensor
 from .weights import DecoderWeights, LayerWeights
 
@@ -94,7 +95,7 @@ class GenerationSession:
         if operator.index(streams) < 1:
             raise ValueError(f"streams must be >= 1, got {streams}")
         self.weights, self.config, self.streams = weights, weights.config, streams
-        shape = (streams * self.config.n_kv_heads, self.config.window_size, self.config.head_dim)
+        shape = (streams * self.config.n_kv_heads, cache_slots(self.config.window_size), self.config.head_dim)
         self.caches = [RollingKvCache(*shape) for _ in weights.layers]
         self.next_position = 0
 
@@ -240,12 +241,12 @@ def reach_probe(weights: DecoderWeights, tokens, perturb_position: int, on_step=
     probe a way through.
 
     Once every layer's cache heads of stream 1 equal stream 0's again (no NaN
-    row is left: after position perturb_position + n_layers*(W-1) + 1), the
+    row is left: from position perturb_position + n_layers*(W-1) on), the
     streams hold the same state and read the same tokens, so no later row
     can differ: the session keeps stream 0 alone from there. The caches are
-    compared only after a step whose rows agree: past perturb_position each
-    layer's query reads exactly the rows its cache holds after the write,
-    so a step whose rows differ cannot leave equal caches. After each
+    compared only after a step whose rows agree, which is at most one step
+    late: after every reached position but the last, some layer's cache
+    still holds a NaN row. After each
     step, on_step(session, row) gets stream 0's logits over the real
     vocabulary; they and its cache heads are a one-stream session's.
     """

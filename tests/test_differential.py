@@ -14,6 +14,9 @@ session must each give the logits and cache heads of that stream run alone.
 A continuation chunk that starts mid-window and runs at least two chunks
 of W past exact_reach must give stepped decoding's logits and caches, and
 a stream kept from it must decode on as that stream alone.
+Over drawn chunk schedules, every layer must hold, after each call, only
+the last max(W - 1, 1) rows, and a session with W-row caches must give
+the same logits.
 `rollwin verify` must pass all four checks on drawn configs whose
 context_len lets the stream run past the reach boundary, and refuse one
 that is a position short.
@@ -27,6 +30,7 @@ int (a float, bool or numpy scalar) instead, `ModelConfig` must refuse it.
 import copy
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import assume, given, settings, strategies as st
 import numpy as np
@@ -107,6 +111,47 @@ def test_reach_probe_steps_its_clean_stream_as_a_session_alone(stream, seed):
 
     rw.reach_probe(weights, tokens, 0, on_step=on_step)
     assert steps == list(range(1, len(tokens) + 1))
+
+
+@st.composite
+def chunk_schedules(draw):
+    """(config, tokens, chunk sizes that run them in order): some chunks reach past exact_reach."""
+    window, layers = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    group, n_kv = draw(st.sampled_from([1, 2, 4])), draw(st.integers(1, 2))
+    n = draw(st.integers(1, 2 * (layers * (window - 1) + 1) + window))
+    config = rw.ModelConfig(
+        dim=4 * group * n_kv, n_layers=layers, head_dim=4, hidden_dim=8, n_heads=group * n_kv,
+        n_kv_heads=n_kv, window_size=window, context_len=max(window, n), vocab_size=32,
+    )
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(draw(st.integers(1, n - sum(sizes))))
+    return config, draw(st.lists(st.integers(0, 31), min_size=n, max_size=n)), sizes
+
+
+@settings(max_examples=100)
+@given(chunk_schedules(), st.integers(0, 2**16))
+def test_each_layer_holds_only_the_rows_a_later_query_reads(schedule, seed):
+    # A query reads its own key from its step and the W - 1 positions before
+    # it from the cache, so after every call each layer holds the last
+    # min(position, max(W - 1, 1)) rows. A session whose caches keep W rows
+    # gives the same logits, and its last rows are the same bits.
+    config, tokens, sizes = schedule
+    weights = rw.init_random(config, seed)
+    session, slots = rw.GenerationSession(weights), max(config.window_size - 1, 1)
+    with mock.patch.object(rw.model, "cache_slots", lambda window: window):
+        wide = rw.GenerationSession(weights)
+    for size in sizes:
+        start = session.next_position
+        assert np.array_equal(session.forward_chunk(tokens[start:start + size]),
+                              wide.forward_chunk(tokens[start:start + size]))
+        end = session.next_position
+        for cache, wide_cache in zip(session.caches, wide.caches, strict=True):
+            (positions, keys, values), (_, wide_keys, wide_values) = cache.gather(), wide_cache.gather()
+            assert cache.capacity == slots and positions == range(end - min(end, slots), end)
+            held = len(positions)
+            assert np.array_equal(keys, wide_keys[:, wide_keys.shape[1] - held:])
+            assert np.array_equal(values, wide_values[:, wide_values.shape[1] - held:])
 
 
 @st.composite
@@ -197,7 +242,7 @@ def test_continuation_chunks_equal_stepped_decoding(case, seed, data):
         for s, session in enumerate(stepped):
             heads = slice(s * n_kv, (s + 1) * n_kv)
             stepped_positions, stepped_keys, stepped_values = session.caches[layer].gather()
-            assert positions == stepped_positions == range(end - config.window_size, end)
+            assert positions == stepped_positions == range(end - rw.cache_slots(config.window_size), end)
             assert np.array_equal(keys[heads], stepped_keys) and np.array_equal(values[heads], stepped_values)
     kept = data.draw(st.integers(0, count - 1))
     together.keep_stream(kept)

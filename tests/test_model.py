@@ -389,7 +389,7 @@ class TestCacheBoundDuringDecode:
         for t in tokens[window:]:
             session.forward_decode(t)
         assert session.total_cache_bytes == snapshot
-        assert all(len(c.retained_positions()) == window for c in session.caches)
+        assert all(len(c.retained_positions()) == rw.cache_slots(window) == window - 1 for c in session.caches)
 
     def test_no_state_grows_with_context_len(self, toy_config, toy_weights):
         # A context_len of 2**40 runs like the toy: nothing (caches, RoPE
@@ -526,7 +526,7 @@ class TestGenerate:
         session.generate([1, 2, 3], 8)
         assert session.next_position == 3 + 8 - 1  # the last sampled token is not fed back
         assert session.caches[0].nbytes == (
-            2 * toy_config.n_kv_heads * toy_config.window_size * toy_config.head_dim * 4
+            2 * toy_config.n_kv_heads * rw.cache_slots(toy_config.window_size) * toy_config.head_dim * 4
         )
         assert session.total_cache_bytes == session.caches[0].nbytes * toy_config.n_layers
 

@@ -71,7 +71,7 @@ class TestHistoryAccounting:
         length = 8 * toy_config.window_size
         _, history = rw.run_swa_with_history(toy_weights, toy_config, random_tokens(length, seed=8))
         rolling_floats = sum(c.nbytes for c in rw.GenerationSession(toy_weights).caches) // 4
-        assert history_floats(history) == 8 * rolling_floats
+        assert history_floats(history) * rw.cache_slots(toy_config.window_size) == length * rolling_floats
 
 
 TAIL_CONFIGS = {
@@ -87,9 +87,9 @@ TAIL_CONFIGS = {
 @pytest.mark.parametrize("fill", ["stepped", "prefilled"])
 @pytest.mark.parametrize("name", sorted(TAIL_CONFIGS))
 def test_rolling_cache_holds_the_last_window_of_the_oracle_history(name, fill):
-    # Each layer's cache is exactly the last W rows of the K/V the oracle
-    # computed for the same tokens, bit for bit, after decoding token by
-    # token and after one prefill.
+    # Each layer's cache is exactly the last max(W - 1, 1) rows of the K/V
+    # the oracle computed for the same tokens, bit for bit, after decoding
+    # token by token and after one prefill.
     config = TAIL_CONFIGS[name]
     weights = rw.init_random(config, 11)
     tokens = random_tokens(70, seed=12)
@@ -100,12 +100,12 @@ def test_rolling_cache_holds_the_last_window_of_the_oracle_history(name, fill):
     else:
         session.prefill(tokens)
     _, history = rw.run_swa_with_history(weights, config, tokens)
-    window = config.window_size
+    slots = rw.cache_slots(config.window_size)
     for cache, (keys, values) in zip(session.caches, history, strict=True):
         positions, k, v = cache.gather()
-        assert positions == range(70 - window, 70)
-        assert np.array_equal(k, keys[:, -window:])
-        assert np.array_equal(v, values[:, -window:])
+        assert positions == range(70 - slots, 70)
+        assert np.array_equal(k, keys[:, -slots:])
+        assert np.array_equal(v, values[:, -slots:])
 
 
 class TestGuards:

@@ -1,7 +1,9 @@
 """`tools/pairs.py`: its summaries recompute the committed BENCH files from
-their `runs`, its decision rule claims a gain only as it states, its call
-counts of a decode step are exact, its bit check names each part whose
-digest differs, and every recorded `bits` section holds equal digests."""
+their `runs`, its decision rule claims a gain only as it states and only
+for the claimed metric, its call counts of a decode step are exact, its bit
+check names each part whose digest differs and holds it to the change's
+declared moves, and every recorded `bits` section differs in exactly its
+declared parts."""
 
 import importlib.util
 import json
@@ -53,11 +55,17 @@ def test_summaries_recompute_from_the_recorded_runs(pairs, name):
 
 
 def test_the_drivers_own_file_recomputes_exactly(pairs):
-    # The driver rounds the runs before it summarises them.
+    # The driver rounds the runs before it summarises them. A file that
+    # records a `claim` (BENCH_37 on) reads a gain for that metric alone;
+    # older files read the rule for every metric and keep those claims.
     for name in DRIVER_FILES:
+        report, gains = BENCH[name], []
         for workload, metric, figures in recorded_metrics(name):
-            compared = pairs.compare(figures["runs"], figures["better"], figures["bound"])
+            claimed = report["claim"] == f"{workload} {metric}" if "claim" in report else True
+            compared = pairs.compare(figures["runs"], figures["better"], figures["bound"], claimed)
             assert {key: figures[key] for key in compared} == compared, (name, workload, metric)
+            gains += [f"{workload} {metric}"] if compared["gain"] else []
+        assert report["claims"] == gains, name
 
 
 def ten_pairs(parent, change):
@@ -96,6 +104,11 @@ class TestDecisionRule:
         assert pairs.compare(ten_pairs(self.PARENT, [125] * 10), "lower", 0.2)["regression"]
         assert not pairs.compare(ten_pairs(self.PARENT, [115] * 10), "lower", 0.2)["regression"]
         assert pairs.compare(ten_pairs(self.PARENT, [75] * 10), "higher", 0.2)["regression"]
+
+    def test_a_metric_not_claimed_reads_no_gain(self, pairs):
+        verdict = pairs.compare(ten_pairs(self.PARENT, [90] * 10), "lower", 0.2, claimed=False)
+        assert (verdict["change_better_pairs"], verdict["gain"]) == (10, False)
+        assert pairs.compare(ten_pairs(self.PARENT, [125] * 10), "lower", 0.2, claimed=False)["regression"]
 
     def test_identical_runs_claim_nothing(self, pairs):
         verdict = pairs.compare(ten_pairs(self.PARENT, self.PARENT), "lower", 0.2)
@@ -145,9 +158,40 @@ def test_differs_names_each_config_and_part_that_moved(pairs):
     assert pairs.differs(parent, change) == ["paper: engine", "toy: oracle"]
 
 
+def test_a_declaration_holds_only_against_its_parent(pairs):
+    declaration = {"parent_src": "a" * 40, "moves": ["toy: verify", "desk: caches"], "why": "a layout change"}
+    assert pairs.declared(declaration, "a" * 40) == ["desk: caches", "toy: verify"]
+    assert pairs.declared(declaration, "b" * 40) == []
+    assert pairs.declared(None, "a" * 40) == []
+
+
+def test_the_bits_must_move_exactly_as_declared(pairs):
+    def bits(declared, default, baseline):
+        return {"declared": declared, "default": {"differs": default}, "baseline": {"differs": baseline}}
+    assert pairs.off_declaration(bits([], [], [])) == []
+    assert pairs.off_declaration(bits(["toy: caches"], ["toy: caches"], ["toy: caches"])) == []
+    assert pairs.off_declaration(bits([], ["toy: logits"], [])) == ["default"]  # an undeclared move
+    assert pairs.off_declaration(bits(["toy: caches"], ["toy: caches"], [])) == ["baseline"]  # one that did not move
+    assert pairs.off_declaration(bits(["toy: caches"], ["toy: caches", "toy: logits"], ["toy: caches"])) == ["default"]
+
+
+def test_the_committed_declaration_names_digested_parts():
+    spec = importlib.util.spec_from_file_location("bitdigest", ROOT / "tools" / "bitdigest.py")
+    bitdigest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bitdigest)
+    declaration = json.loads((ROOT / "tools" / "moved_bits.json").read_text())
+    assert len(declaration["parent_src"]) == 40 and declaration["why"]
+    for move in declaration["moves"]:
+        config, _, part = move.partition(": ")
+        assert config in bitdigest.CONFIGS and part in {"logits", "caches", "oracle", "verify", "verify_exit"}, move
+
+
 @pytest.mark.parametrize("name", [name for name in DRIVER_FILES if "bits" in BENCH[name]])
 def test_recorded_bits_are_equal_at_both_levels(name):
+    # Equal but for the parts the change declared it moves (none before BENCH_37).
     bits = BENCH[name]["bits"]
+    declared = bits.get("declared", [])
     assert bits["baseline"]["NPY_DISABLE_CPU_FEATURES"] and bits["baseline"]["cpu_dispatch_enabled"] == []
     for level in ("default", "baseline"):
-        assert (bits[level]["change"], bits[level]["differs"]) == (bits[level]["parent"], []), level
+        assert bits[level]["differs"] == declared, level
+        assert (bits[level]["change"] == bits[level]["parent"]) == (not declared), level

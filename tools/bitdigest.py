@@ -3,15 +3,20 @@
     python tools/bitdigest.py > digest.json
 
 The script digests the tree it sits in (its `src/` goes first on the path).
-For each config it hashes the float32 bytes of:
-- the last-row logits of a fresh prefill at lengths 1, W-1, W, exact_reach
-  and exact_reach + 1;
-- after each prefill, one decode step's logits, then a continuation
-  chunk's (W + 2 tokens, so it starts mid-window and spans chunks), then
-  every layer's `gather()` positions, keys and values;
-- one full-history oracle pass over exact_reach + 1 tokens;
-- for the configs that `rollwin verify` pins, its stderr and exit code at
-  each seed.
+For each config it hashes the float32 bytes of, one digest per part:
+- `logits`: the last-row logits of a fresh prefill at lengths 1, W-1, W,
+  exact_reach and exact_reach + 1, and after each prefill one decode
+  step's logits, then a continuation chunk's (W + 2 tokens, so it starts
+  mid-window and spans chunks);
+- `caches`: after each of those runs, every layer's `gather()` positions,
+  keys and values;
+- `oracle`: one full-history oracle pass over exact_reach + 1 tokens;
+- `verify` and `verify_exit`: for the configs that `rollwin verify` pins,
+  its stderr and its exit code at each seed.
+
+A change that sizes the caches differently moves `caches` and leaves
+`logits` alone, so the two parts tell a layout change from an arithmetic
+one.
 
 It prints one JSON object: the digests by config, one digest over all of
 them, the file of the rollwin it digested, and the numpy version with
@@ -71,19 +76,20 @@ def _update(h, *arrays) -> None:
         h.update(np.ascontiguousarray(a, dtype=np.float32).tobytes())
 
 
-def engine_digest(config: rw.ModelConfig, weights: rw.DecoderWeights, tokens: list[int]) -> str:
-    h = hashlib.sha256()
+def engine_digest(config: rw.ModelConfig, weights: rw.DecoderWeights, tokens: list[int]) -> dict:
+    """The `logits` and `caches` digests of the engine's runs."""
+    logits, caches = hashlib.sha256(), hashlib.sha256()
     window, reach = config.window_size, rw.exact_reach(config)
     for length in sorted({1, window - 1, window, reach, reach + 1}):
         session = rw.GenerationSession(weights)
-        _update(h, session.prefill(tokens[:length]))
-        _update(h, session.forward_decode(tokens[length]))
-        _update(h, session.forward_chunk(tokens[length + 1:length + window + 3]))
+        _update(logits, session.prefill(tokens[:length]))
+        _update(logits, session.forward_decode(tokens[length]))
+        _update(logits, session.forward_chunk(tokens[length + 1:length + window + 3]))
         for cache in session.caches:
             positions, keys, values = cache.gather()
-            h.update(repr(positions).encode())
-            _update(h, keys, values)
-    return h.hexdigest()
+            caches.update(repr(positions).encode())
+            _update(caches, keys, values)
+    return {"logits": logits.hexdigest(), "caches": caches.hexdigest()}
 
 
 def oracle_digest(config: rw.ModelConfig, weights: rw.DecoderWeights, tokens: list[int]) -> str:
@@ -120,7 +126,7 @@ def digest(names=tuple(CONFIGS), verify_seeds=range(10)) -> dict:
         weights = rw.init_random(config, SEED)
         reach, window = rw.exact_reach(config), config.window_size
         tokens = [int(t) for t in np.random.default_rng(SEED).integers(0, config.vocab_size, reach + window + 4)]
-        entry = {"engine": engine_digest(config, weights, tokens), "oracle": oracle_digest(config, weights, tokens)}
+        entry = {**engine_digest(config, weights, tokens), "oracle": oracle_digest(config, weights, tokens)}
         if flags is not None:
             entry["verify"], entry["verify_exit"] = verify_digest(flags, verify_seeds)
         configs[name] = entry

@@ -1,6 +1,7 @@
 """The one comparison of a change with its parent, written as one BENCH file.
 
-    python tools/pairs.py --parent HEAD~1 --change HEAD --seed 2701 --out BENCH_27.json
+    python tools/pairs.py --parent HEAD~1 --change HEAD --seed 2701 --claim "decode_steady latency_ms_p50" \
+        --out BENCH_27.json
     python tools/pairs.py --parent HEAD^ --change HEAD --pairs 1 --seconds 2 --split 1
 
 Each revision's `src/`, `perfbench/`, `tests/paper_shape.json` and
@@ -16,12 +17,16 @@ interpolation), min, max, IQR, `change_better_pairs` (strictly better, in
 the metric's direction) and `median_change` (change median over parent
 median, less 1).
 
-Decision rule, per workload and metric, read only with at least MIN_PAIRS
-pairs: a gain is claimed when the change is better in at least 9 of every
-10 pairs (a sign test gives p = 0.011 at 9 of 10) and its median beats the
-parent's by more than the parent's IQR; a metric whose change median is
-worse by more than its `bound` is a regression. With fewer pairs the report
-claims neither and says why in `unresolved`.
+Decision rule, read only with at least MIN_PAIRS pairs. A gain is read for
+the one `--claim "WORKLOAD METRIC"` that the change names before its runs,
+and for no other metric: it holds when the change is better in at least 9
+of every 10 pairs (a sign test gives p = 0.011 at 9 of 10) and its median
+beats the parent's by more than the parent's IQR. Read over all 15
+workload-metric pairs, that rule would make a chance claim up to about 15%
+of the time. Every metric, the claimed one too, is a regression when its
+change median is worse by more than its `bound`. Without `--claim`,
+`claims` is empty. With fewer pairs the report claims neither and says why
+in `unresolved`.
 
 `--split ROUNDS` adds `decode_step_split`: `stage_split` run in ROUNDS
 processes a side, sides alternating, and the spread of their step times.
@@ -29,9 +34,15 @@ processes a side, sides alternating, and the spread of their step times.
 Last, so that they load no timed run, the change's `tools/bitdigest.py`
 digests both trees, each its own `src/`, at numpy's default dispatch and at
 its baseline (every dispatch target disabled). `bits` holds both digests
-per level and each `config: part` that differs. The file is written in
-full either way; the exit status is 1 if a run is not correct, an
-operation failed or the bits differ at either level.
+per level and each `config: part` that differs. A change that moves bits on
+purpose declares each `config: part` it moves in its own
+`tools/moved_bits.json`, as `{"parent_src": TREE, "moves": [...], "why":
+...}`; the declaration holds only against the parent whose `src` tree is
+TREE (`git rev-parse PARENT:src`), so it lapses with the next change.
+`bits` records it as `declared`. The file is written in full either way;
+the exit status is 1 if a run is not correct, an operation failed, or at
+either level the parts that differ are not exactly the declared ones: an
+undeclared move fails, and so does a declared part that did not move.
 """
 
 from __future__ import annotations
@@ -67,6 +78,9 @@ STAGES = (("model", "GenerationSession", "_qkv"), ("cache", "RollingKvCache", "p
 #: Files whose presence marks a whole export: the benchmark, and the bit tool with the config it reads.
 EXPORTED = ("perfbench/run.py", "tests/paper_shape.json", "tools/bitdigest.py")
 
+#: Where a change declares the `config: part` digests it moves, read from the change's commit.
+DECLARED = "tools/moved_bits.json"
+
 
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
@@ -99,8 +113,9 @@ def summary(values: list[float]) -> dict:
             "max": round(max(values), 6), "iqr": round(q3 - q1, 6)}
 
 
-def compare(runs: dict, better: str, bound: float) -> dict:
-    """Both sides' summaries, the pair count the change wins, and the decision rule's verdicts."""
+def compare(runs: dict, better: str, bound: float, claimed: bool = True) -> dict:
+    """Both sides' summaries, the pair count the change wins, and the decision rule's verdicts;
+    a gain only for a claimed metric."""
     lower = better == "lower"
     parent, change = summary(runs["parent"]), summary(runs["change"])
     wins = sum((c < p) if lower else (c > p) for p, c in zip(runs["parent"], runs["change"]))
@@ -109,12 +124,12 @@ def compare(runs: dict, better: str, bound: float) -> dict:
     return {
         "parent": parent, "change": change, "change_better_pairs": wins,
         "median_change": round(change["median"] / parent["median"] - 1, 4) if parent["median"] else None,
-        "gain": pairs >= MIN_PAIRS and wins >= 0.9 * pairs and gap > parent["iqr"],
+        "gain": claimed and pairs >= MIN_PAIRS and wins >= 0.9 * pairs and gap > parent["iqr"],
         "regression": pairs >= MIN_PAIRS and -gap > bound * abs(parent["median"]),
     }
 
 
-def measure(sides: dict, pairs: int, seed: int, seconds: float, metrics: list) -> dict:
+def measure(sides: dict, pairs: int, seed: int, seconds: float, metrics: list, claim: str | None) -> dict:
     results = {w: [] for w in WORKLOADS}
     for pair in range(1, pairs + 1):
         order = ("parent", "change") if pair % 2 else ("change", "parent")
@@ -132,7 +147,9 @@ def measure(sides: dict, pairs: int, seed: int, seconds: float, metrics: list) -
             runs = {side: [round(line[side]["metrics"][metric["name"]]["value"], 6) for line in lines]
                     for side in sides}
             end_to_end[metric["name"]] = {"unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
-                                          **compare(runs, metric["better"], metric["bound"]), "runs": runs}
+                                          **compare(runs, metric["better"], metric["bound"],
+                                                    claim == f"{workload} {metric['name']}"),
+                                          "runs": runs}
         out[workload] = {
             "pairs": pairs, "seeds": [seed + i for i in range(pairs)],
             "correct": all(line[side]["correct"] for line in lines for side in sides),
@@ -277,17 +294,35 @@ def split(trees: dict, rounds: int) -> dict:
 
 def differs(parent: dict, change: dict) -> list[str]:
     """Each `config: part` whose digest differs between two outputs of one tools/bitdigest.py."""
-    return [f"{name}: {part}" for name, parts in sorted(change["configs"].items()) for part in sorted(parts)
-            if parent["configs"][name][part] != parts[part]]
+    return sorted(f"{name}: {part}" for name, parts in change["configs"].items() for part in parts
+                  if parent["configs"][name][part] != parts[part])
 
 
-def bits(trees: dict, change: str) -> dict:
-    """Both trees' digests by the change's tool at numpy's default dispatch, then at its baseline."""
+def declared(declaration: dict | None, parent_src: str) -> list[str]:
+    """The `config: part` digests that a change's DECLARED document says it moves from the parent whose
+    `src` tree is parent_src, sorted: none without a document, or with one made against another parent."""
+    if declaration is None or declaration["parent_src"] != parent_src:
+        return []
+    return sorted(declaration["moves"])
+
+
+def off_declaration(bits: dict) -> list[str]:
+    """The dispatch levels at which the parts that differ are not exactly the declared ones."""
+    return [level for level in ("default", "baseline") if bits[level]["differs"] != bits["declared"]]
+
+
+def bits(trees: dict, parent: str, change: str) -> dict:
+    """Both trees' digests by the change's tool at numpy's default dispatch, then at its baseline, and the
+    change's declared moves."""
+    try:
+        declaration = json.loads(git("show", f"{change}:{DECLARED}"))
+    except subprocess.CalledProcessError:  # the change declares no move
+        declaration = None
     tool = git("show", f"{change}:tools/bitdigest.py") + "\n"
     for tree in trees.values():
         (tree / "tools" / "bitdigest.py").write_text(tool)
     env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
-    out = {}
+    out = {"declared": declared(declaration, git("rev-parse", f"{parent}:src"))}
     for level in ("default", "baseline"):
         digests = {side: run_json(tree, "tools/bitdigest.py", env=env) for side, tree in trees.items()}
         for side, tree in trees.items():  # each tree's src/ must shadow an installed rollwin
@@ -309,6 +344,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=None, help="default: BENCHMARK.json run_seconds")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--split", type=int, default=0, metavar="ROUNDS", help="stage-split processes per side")
+    parser.add_argument("--claim", metavar='"WORKLOAD METRIC"', help="the one metric whose gain the change claims")
     parser.add_argument("--out", help="write the BENCH file here (default: stdout)")
     parser.add_argument("--stage-split", nargs=2, metavar=("SRC", "WEIGHTS"), help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -317,6 +353,9 @@ def main(argv=None) -> int:
         return 0
 
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = [metric["name"] for metric in benchmark["end_to_end"]]
+    if args.claim is not None and args.claim not in [f"{w} {m}" for w in WORKLOADS for m in metrics]:
+        parser.error(f"--claim {args.claim!r} is not a workload and an end-to-end metric of BENCHMARK.json")
     seconds = args.seconds if args.seconds is not None else benchmark["run_seconds"]
     (parent, parent_tree), (change, change_tree) = export(args.parent), export(args.change)
     trees = {"parent": parent_tree, "change": change_tree}
@@ -331,10 +370,12 @@ def main(argv=None) -> int:
                     "export (src/, perfbench/, tests/paper_shape.json, tools/bitdigest.py); in each pair the "
                     f"workloads ran in the order {', '.join(WORKLOADS)}, the pair's two sides of each back to back. "
                     f"Summaries as in the tools/pairs.py docstring; a gain or a regression needs >= {MIN_PAIRS} pairs, "
-                    "a gain >= 9/10 of them better and a median gap above the parent's IQR.",
+                    "a gain is read only for the claimed metric and needs >= 9/10 of them better and a median gap "
+                    "above the parent's IQR.",
         "host": {"nproc": os.cpu_count(), "machine": platform.machine(),
                  "python": platform.python_version(), "numpy": np.__version__},
-        "workloads": measure(trees, args.pairs, args.seed, seconds, benchmark["end_to_end"]),
+        "claim": args.claim,
+        "workloads": measure(trees, args.pairs, args.seed, seconds, benchmark["end_to_end"], args.claim),
     }
     report["claims"] = [f"{w} {m}" for w, entry in report["workloads"].items()
                         for m, e in entry["end_to_end"].items() if e["gain"]]
@@ -346,16 +387,16 @@ def main(argv=None) -> int:
         print(f"unresolved: {report['unresolved']}", file=sys.stderr)
     if args.split:
         report["decode_step_split"] = split(trees, args.split)
-    report["bits"] = bits(trees, change)
+    report["bits"] = bits(trees, parent, change)
     text = json.dumps(report, indent=1)
     if args.out:
         Path(args.out).write_text(text + "\n")
     else:
         print(text)
     bad = [w for w, e in report["workloads"].items() if not e["correct"] or any(e["failed"].values())]
-    moved = [level for level in ("default", "baseline") if report["bits"][level]["differs"]]
+    moved = off_declaration(report["bits"])
     print(f"claims: {report['claims']}; regressions: {report['regressions']}; not correct or failed: {bad}; "
-          f"bits differ at: {moved}", file=sys.stderr)
+          f"bits differ from the declared moves {report['bits']['declared']} at: {moved}", file=sys.stderr)
     return 1 if bad or moved else 0
 
 
